@@ -25,18 +25,27 @@ agreement).  Two deliberate divergences from the strict per-scheme
 formulas, both so that a decoded program is *bit-identical* to the
 built one for every scheme:
 
-* version ages and last-writer tags ride on every profile (the paper's
-  invalidation-only report omits them; our client stack stores both on
+* version ages, last-writer tags and (wherever old versions are on the
+  air) the has-old pointer bit ride on every record (the paper's
+  invalidation-only report omits them; our client stack stores them on
   every record, and the SGT layout already prices the pair as
   ``log2(S) + log2(N)`` bits);
 * an age that overflows its field width escapes to an explicit 32-bit
-  value (all-ones marker) instead of saturating -- items never updated
-  since the initial load carry age ``cycle``, which no fixed ``log2 S``
-  field can hold.
+  value (all-ones marker) instead of saturating.
 
-Encoding reuses one preallocated bit buffer across cycles (the ROADMAP
-item-4 follow-on: cycle encoding writes straight into wire buffers
-instead of allocating per record).
+The control segment counts its ages back from the cycle it airs in; a
+DATA/OVERFLOW payload counts them back from its own *base*, the largest
+cycle stamp in the bucket, written once after the bucket index::
+
+    index:32 | base:32 | [records:16 | record*] | [old:16 | old record*]
+
+An age against the base is never larger than the age against the cycle,
+so the field widths and the escape rule are the paper's, and the same
+bytes mean the same bucket in every cycle -- which is what lets
+:class:`CycleCodec` skip, at both ends, the buckets that did not change.
+Every payload has exactly one accepted spelling (no trailing bytes, zero
+padding, the base equal to the largest stamp, no needless escape, sets
+in ascending order), so comparing payload bytes is comparing buckets.
 """
 
 from __future__ import annotations
@@ -89,77 +98,75 @@ class CodecError(FrameError):
 
 # -- bit packing --------------------------------------------------------------
 
+#: The writer flushes its accumulator in whole bytes, and the reader
+#: refills its window, this many bits at a time: shifting a Python int
+#: costs its length, so neither may grow with the payload.
+_WORD_BITS = 512
+
 
 class BitWriter:
-    """MSB-first bit packer over one reusable, growable buffer."""
+    """MSB-first bit packer over an int accumulator."""
 
-    __slots__ = ("_buf", "_len", "_acc", "_nbits")
+    __slots__ = ("_chunks", "_acc", "_nbits")
 
-    def __init__(self, capacity: int = 1 << 12) -> None:
-        self._buf = bytearray(max(64, capacity))
-        self.reset()
-
-    def reset(self) -> None:
-        self._len = 0
+    def __init__(self) -> None:
+        self._chunks: List[bytes] = []
         self._acc = 0
         self._nbits = 0
 
     def write(self, value: int, bits: int) -> None:
-        if value < 0 or (bits < 64 and value >> bits):
+        # A negative value shifts down to -1, so one test covers both ends.
+        if value >> bits:
             raise CodecError(f"value {value} does not fit in {bits} bits")
-        acc = (self._acc << bits) | value
-        nbits = self._nbits + bits
-        buf, pos = self._buf, self._len
-        if pos + (nbits >> 3) >= len(buf):
-            self._buf = buf = buf + bytearray(len(buf) + (nbits >> 3))
-        while nbits >= 8:
-            nbits -= 8
-            buf[pos] = (acc >> nbits) & 0xFF
-            pos += 1
-        self._acc = acc & ((1 << nbits) - 1)
-        self._nbits = nbits
-        self._len = pos
+        self._acc = (self._acc << bits) | value
+        self._nbits += bits
+        if self._nbits >= _WORD_BITS:
+            spare = self._nbits & 7
+            self._chunks.append(
+                (self._acc >> spare).to_bytes(self._nbits >> 3, "big")
+            )
+            self._acc &= (1 << spare) - 1
+            self._nbits = spare
 
     def getvalue(self) -> bytes:
         """The packed bytes, zero-padded to a byte boundary."""
-        if self._nbits:
-            tail = bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-            return bytes(self._buf[: self._len]) + tail
-        return bytes(self._buf[: self._len])
-
-    @property
-    def bit_length(self) -> int:
-        return 8 * self._len + self._nbits
+        pad = -self._nbits & 7
+        tail = (self._acc << pad).to_bytes((self._nbits + pad) >> 3, "big")
+        return b"".join(self._chunks) + tail
 
 
 class BitReader:
-    """MSB-first reader over immutable payload bytes."""
+    """MSB-first reader over immutable payload bytes, one window at a time."""
 
-    __slots__ = ("_data", "_pos", "_nbits")
+    __slots__ = ("_data", "_next", "_acc", "_have")
 
     def __init__(self, data: bytes) -> None:
         self._data = data
-        self._pos = 0  # bit position
-        self._nbits = 8 * len(data)
+        self._next = 0  # first byte not yet in the window
+        self._acc = 0
+        self._have = 0  # unread bits at the low end of ``_acc``
 
     def read(self, bits: int) -> int:
-        pos = self._pos
-        end = pos + bits
-        if end > self._nbits:
-            raise CodecError("bit stream truncated")
-        self._pos = end
-        data = self._data
-        value = 0
-        while bits > 0:
-            byte = data[pos >> 3]
-            offset = pos & 7
-            take = min(8 - offset, bits)
-            value = (value << take) | (
-                (byte >> (8 - offset - take)) & ((1 << take) - 1)
-            )
-            pos += take
-            bits -= take
-        return value
+        have = self._have - bits
+        if have < 0:
+            take = max(_WORD_BITS, -have + 7) >> 3
+            chunk = self._data[self._next : self._next + take]
+            have += 8 * len(chunk)
+            if have < 0:
+                raise CodecError("bit stream truncated")
+            self._next += len(chunk)
+            self._acc = (
+                (self._acc & ((1 << self._have) - 1)) << (8 * len(chunk))
+            ) | int.from_bytes(chunk, "big")
+        self._have = have
+        return (self._acc >> have) & ((1 << bits) - 1)
+
+    def finish(self) -> None:
+        """The payload must end here: under a byte of padding, all zero."""
+        if self._have >= 8 or self._next < len(self._data):
+            raise CodecError("trailing bytes after the last field")
+        if self._acc & ((1 << self._have) - 1):
+            raise CodecError("non-zero padding bits")
 
 
 # -- framing ------------------------------------------------------------------
@@ -176,6 +183,12 @@ END = 0x05
 
 _FRAME_TYPES = frozenset((HELLO, CONTROL, DATA, OVERFLOW, END))
 
+#: The longest payload a frame may claim.  A receiver buffers a frame
+#: until its payload is complete, so the header's length field is a
+#: promise about memory; the largest frames of a default broadcast (an
+#: SGT control segment) are a few KB.
+MAX_PAYLOAD_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -187,22 +200,26 @@ class Frame:
     payload: bytes
 
 
-def encode_frame(ftype: int, cycle: int, slot: int, payload: bytes) -> bytes:
-    return (
-        _HEADER.pack(
-            MAGIC, ftype, 0, cycle, slot, len(payload),
-            zlib.crc32(payload) & 0xFFFFFFFF,
+def _frame(ftype: int, cycle: int, slot: int, payload: bytes, crc: int) -> bytes:
+    if len(payload) > MAX_PAYLOAD_BYTES:
+        raise CodecError(
+            f"payload of {len(payload)} bytes exceeds the "
+            f"{MAX_PAYLOAD_BYTES}-byte frame limit"
         )
-        + payload
-    )
+    return _HEADER.pack(MAGIC, ftype, 0, cycle, slot, len(payload), crc) + payload
+
+
+def encode_frame(ftype: int, cycle: int, slot: int, payload: bytes) -> bytes:
+    return _frame(ftype, cycle, slot, payload, zlib.crc32(payload))
 
 
 def decode_frame(buf: bytes, offset: int = 0) -> Tuple[Frame, int]:
     """Strictly decode one frame at ``offset``; returns (frame, consumed).
 
     Raises :class:`FrameTruncated` when the buffer ends mid-frame,
-    :class:`FrameError` on a bad magic or unknown type, and
-    :class:`FrameCorrupt` when the payload fails its CRC32.
+    :class:`FrameError` on a bad magic, an unknown type or a length over
+    :data:`MAX_PAYLOAD_BYTES`, and :class:`FrameCorrupt` when the payload
+    fails its CRC32.
     """
     if len(buf) - offset < HEADER_BYTES:
         raise FrameTruncated(
@@ -215,6 +232,11 @@ def decode_frame(buf: bytes, offset: int = 0) -> Tuple[Frame, int]:
         raise FrameError(f"bad frame magic {magic!r}")
     if ftype not in _FRAME_TYPES:
         raise FrameError(f"unknown frame type 0x{ftype:02x}")
+    if length > MAX_PAYLOAD_BYTES:
+        raise FrameError(
+            f"frame claims a {length}-byte payload, over the "
+            f"{MAX_PAYLOAD_BYTES}-byte limit"
+        )
     start = offset + HEADER_BYTES
     if len(buf) - start < length:
         raise FrameTruncated(
@@ -236,8 +258,11 @@ class FrameStream:
 
     ``feed`` returns complete frames in order; a payload failing its
     CRC comes back as the :class:`FrameCorrupt` exception *object* (the
-    receiver maps it to a lost slot), while a broken header is fatal --
-    framing is lost and the connection must drop.
+    receiver maps it to a lost slot), while a broken header -- bad
+    magic, unknown type, a payload length over :data:`MAX_PAYLOAD_BYTES`
+    -- is fatal: framing is lost and the connection must drop.  The
+    buffer therefore never holds more than one frame of the largest
+    legal size plus the chunk just fed.
     """
 
     __slots__ = ("_buf",)
@@ -373,6 +398,66 @@ class WireProfile:
 #: Age escape: an all-ones age field means "explicit 32-bit age follows".
 _AGE_EXPLICIT_BITS = 32
 
+_FLAT = MultiversionOrganization.NONE
+_CLUSTERED = MultiversionOrganization.CLUSTERED
+
+
+def bucket_base(bucket: Bucket) -> int:
+    """The largest cycle stamp a bucket carries, 0 if it has none: the
+    ``base`` every age in the bucket's payload counts back from."""
+    base = 0
+    for records in (bucket.records, bucket.old_records):
+        for record in records:
+            if record.version > base:
+                base = record.version
+            writer = record.writer
+            if writer is not None and writer.cycle > base:
+                base = writer.cycle
+    return base
+
+
+def _check_base(bucket: Bucket, base: int, cycle: int) -> None:
+    if base > cycle:
+        raise CodecError(
+            f"bucket {bucket.index} carries a stamp of cycle {base}, "
+            f"later than cycle {cycle} of its frame"
+        )
+
+
+def _write_age(w: BitWriter, age: int, bits: int) -> None:
+    if age < 0:
+        raise CodecError(f"negative age {age} (field is age-relative)")
+    marker = (1 << bits) - 1
+    if age < marker:
+        w.write(age, bits)
+    else:
+        w.write(marker, bits)
+        w.write(age, _AGE_EXPLICIT_BITS)
+
+
+def _read_age(r: BitReader, bits: int) -> int:
+    marker = (1 << bits) - 1
+    value = r.read(bits)
+    if value == marker:
+        value = r.read(_AGE_EXPLICIT_BITS)
+        if value < marker:
+            raise CodecError(f"age {value} escaped although it fits its field")
+    return value
+
+
+def _read_stamp(r: BitReader, bits: int, base: int) -> int:
+    """A cycle stamp, coded as its age against ``base``."""
+    stamp = base - _read_age(r, bits)
+    if stamp < 0:
+        raise CodecError(f"stamp is older than cycle 0 (base {base})")
+    return stamp
+
+
+def _ascending(values: Sequence, what: str) -> None:
+    """Sets ride sorted, so that one set has one encoding."""
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise CodecError(f"{what} are not in strictly ascending order")
+
 
 @dataclass(frozen=True)
 class ControlHeader:
@@ -400,105 +485,101 @@ class ControlHeader:
 class CycleCodec:
     """Encode/decode one :class:`BroadcastProgram` per wire profile.
 
-    One codec instance owns one preallocated :class:`BitWriter`; every
-    ``encode_*`` call resets and reuses it, so steady-state encoding
-    allocates only the final payload copies.
+    A DATA/OVERFLOW payload is a pure function of its :class:`Bucket`
+    (ages count back from the bucket's own base, not from the cycle), so
+    a codec remembers, per bucket offset, the last payload it encoded
+    and the last it decoded: ``encode_cycle`` packs only the frame
+    header for a bucket object it aired last time, and ``decode_*``
+    returns the bucket it parsed last time when the payload bytes are
+    equal.  Either memory holds one cycle's buckets -- the counts of the
+    last program encoded, the 16-bit counts of the last CONTROL decoded
+    -- and a fresh codec is the reference a long-lived one must equal,
+    byte for byte and field for field.
     """
 
-    def __init__(self, profile: WireProfile, capacity: int = 1 << 14) -> None:
+    def __init__(self, profile: WireProfile) -> None:
         self.profile = profile
-        self._writer = BitWriter(capacity)
+        # Per offset (bucket, base, payload, crc) of the last cycle
+        # encoded, good for one organization and one pair of bucket counts.
+        self._aired_organization: Optional[MultiversionOrganization] = None
+        self._aired_data: List[Optional[tuple]] = []
+        self._aired_overflow: List[Optional[tuple]] = []
+        # Per offset (payload, base, bucket) of the last frame decoded
+        # there, sized and addressed by the last CONTROL decoded.
+        self._heard_organization: Optional[MultiversionOrganization] = None
+        self._heard_data: List[Optional[tuple]] = []
+        self._heard_overflow: List[Optional[tuple]] = []
+        self._data_start = self._overflow_start = 0
 
     # -- field helpers ------------------------------------------------------
 
-    def _write_age(self, w: BitWriter, age: int, bits: int) -> None:
-        if age < 0:
-            raise CodecError(f"negative age {age} (field is age-relative)")
-        marker = (1 << bits) - 1
-        if age < marker:
-            w.write(age, bits)
-        else:
-            w.write(marker, bits)
-            w.write(age, _AGE_EXPLICIT_BITS)
+    def _write_txn(self, w: BitWriter, tid: TxnId, base: int) -> None:
+        _write_age(w, base - tid.cycle, self.profile.version_bits)
+        _write_age(w, tid.seq, self.profile.tid_bits)
 
-    def _read_age(self, r: BitReader, bits: int) -> int:
-        value = r.read(bits)
-        if value == (1 << bits) - 1:
-            return r.read(_AGE_EXPLICIT_BITS)
-        return value
-
-    def _write_txn(self, w: BitWriter, tid: TxnId, base_cycle: int) -> None:
-        self._write_age(w, base_cycle - tid.cycle, self.profile.version_bits)
-        self._write_age(w, tid.seq, self.profile.tid_bits)
-
-    def _read_txn(self, r: BitReader, base_cycle: int) -> TxnId:
-        cycle = base_cycle - self._read_age(r, self.profile.version_bits)
-        seq = self._read_age(r, self.profile.tid_bits)
-        return TxnId(cycle=cycle, seq=seq)
+    def _read_txn(self, r: BitReader, base: int) -> TxnId:
+        cycle = _read_stamp(r, self.profile.version_bits, base)
+        return TxnId(cycle=cycle, seq=_read_age(r, self.profile.tid_bits))
 
     def _write_opt_txn(
-        self, w: BitWriter, tid: Optional[TxnId], base_cycle: int
+        self, w: BitWriter, tid: Optional[TxnId], base: int
     ) -> None:
         if tid is None:
             w.write(0, 1)
         else:
             w.write(1, 1)
-            self._write_txn(w, tid, base_cycle)
+            self._write_txn(w, tid, base)
 
-    def _read_opt_txn(self, r: BitReader, base_cycle: int) -> Optional[TxnId]:
+    def _read_opt_txn(self, r: BitReader, base: int) -> Optional[TxnId]:
         if r.read(1):
-            return self._read_txn(r, base_cycle)
+            return self._read_txn(r, base)
         return None
 
     def _write_value(self, w: BitWriter, value: int) -> None:
         zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
-        if zigzag >> self.profile.data_bits:
-            raise CodecError(
-                f"value {value} does not fit the {self.profile.data_bits}-bit "
-                "data field"
-            )
         w.write(zigzag, self.profile.data_bits)
 
     def _read_value(self, r: BitReader) -> int:
         zigzag = r.read(self.profile.data_bits)
         return (zigzag >> 1) if not (zigzag & 1) else -((zigzag + 1) >> 1)
 
-    def _write_version(self, w: BitWriter, version: int, cycle: int) -> None:
+    def _write_version(self, w: BitWriter, version: int, base: int) -> None:
         # Versions are age-relative (Section 3.2); version 0 (the initial
         # database load, whose age grows without bound) gets its own bit.
         if version == 0:
             w.write(0, 1)
         else:
             w.write(1, 1)
-            self._write_age(w, cycle - version, self.profile.version_bits)
+            _write_age(w, base - version, self.profile.version_bits)
 
-    def _read_version(self, r: BitReader, cycle: int) -> int:
+    def _read_version(self, r: BitReader, base: int) -> int:
         if not r.read(1):
             return 0
-        return cycle - self._read_age(r, self.profile.version_bits)
+        version = _read_stamp(r, self.profile.version_bits, base)
+        if version == 0:
+            raise CodecError("version 0 rides as its flag bit, not as an age")
+        return version
 
-    def _write_record(
-        self, w: BitWriter, record: ItemRecord, cycle: int
-    ) -> None:
+    def _write_record(self, w: BitWriter, record: ItemRecord, base: int) -> None:
         w.write(record.item, self.profile.key_bits)
         self._write_value(w, record.value)
-        self._write_version(w, record.version, cycle)
-        self._write_opt_txn(w, record.writer, cycle)
-        if self.profile.organization is MultiversionOrganization.OVERFLOW:
+        self._write_version(w, record.version, base)
+        self._write_opt_txn(w, record.writer, base)
+        if self.profile.organization is not _FLAT:
             w.write(1 if record.has_old_versions else 0, 1)
         elif record.has_old_versions:
             raise CodecError(
-                "has_old_versions pointers only exist in the overflow "
-                "organization"
+                "has_old_versions pointers only exist where old versions "
+                "are on the air"
             )
 
-    def _read_record(self, r: BitReader, cycle: int) -> ItemRecord:
+    def _read_record(self, r: BitReader, base: int) -> ItemRecord:
         item = r.read(self.profile.key_bits)
         value = self._read_value(r)
-        version = self._read_version(r, cycle)
-        writer = self._read_opt_txn(r, cycle)
+        version = self._read_version(r, base)
+        writer = self._read_opt_txn(r, base)
         has_old = False
-        if self.profile.organization is MultiversionOrganization.OVERFLOW:
+        if self.profile.organization is not _FLAT:
             has_old = bool(r.read(1))
         return ItemRecord(
             item=item,
@@ -508,21 +589,19 @@ class CycleCodec:
             has_old_versions=has_old,
         )
 
-    def _write_old(
-        self, w: BitWriter, old: OldVersionRecord, cycle: int
-    ) -> None:
+    def _write_old(self, w: BitWriter, old: OldVersionRecord, base: int) -> None:
         w.write(old.item, self.profile.key_bits)
         self._write_value(w, old.value)
-        self._write_version(w, old.version, cycle)
-        self._write_age(w, old.valid_to - old.version, self.profile.version_bits)
-        self._write_opt_txn(w, old.writer, cycle)
+        self._write_version(w, old.version, base)
+        _write_age(w, old.valid_to - old.version, self.profile.version_bits)
+        self._write_opt_txn(w, old.writer, base)
 
-    def _read_old(self, r: BitReader, cycle: int) -> OldVersionRecord:
+    def _read_old(self, r: BitReader, base: int) -> OldVersionRecord:
         item = r.read(self.profile.key_bits)
         value = self._read_value(r)
-        version = self._read_version(r, cycle)
-        valid_to = version + self._read_age(r, self.profile.version_bits)
-        writer = self._read_opt_txn(r, cycle)
+        version = self._read_version(r, base)
+        valid_to = version + _read_age(r, self.profile.version_bits)
+        writer = self._read_opt_txn(r, base)
         return OldVersionRecord(
             item=item,
             value=value,
@@ -532,48 +611,43 @@ class CycleCodec:
         )
 
     def _write_report(
-        self, w: BitWriter, report: InvalidationReport, base_cycle: int
+        self, w: BitWriter, report: InvalidationReport, cycle: int
     ) -> None:
-        self._write_age(w, base_cycle - report.cycle, self.profile.version_bits)
+        _write_age(w, cycle - report.cycle, self.profile.version_bits)
         items = sorted(report.updated_items)
         w.write(len(items), 32)
         for item in items:
             w.write(item, self.profile.key_bits)
             if self.profile.sgt:
-                self._write_opt_txn(
-                    w, report.first_writers.get(item), base_cycle
-                )
+                self._write_opt_txn(w, report.first_writers.get(item), cycle)
 
-    def _read_report(
-        self, r: BitReader, base_cycle: int
-    ) -> InvalidationReport:
-        cycle = base_cycle - self._read_age(r, self.profile.version_bits)
-        count = r.read(32)
+    def _read_report(self, r: BitReader, cycle: int) -> InvalidationReport:
+        report_cycle = _read_stamp(r, self.profile.version_bits, cycle)
         items = []
         writers: Dict[int, TxnId] = {}
-        for _ in range(count):
+        for _ in range(r.read(32)):
             item = r.read(self.profile.key_bits)
             items.append(item)
             if self.profile.sgt:
-                writer = self._read_opt_txn(r, base_cycle)
+                writer = self._read_opt_txn(r, cycle)
                 if writer is not None:
                     writers[item] = writer
+        _ascending(items, "report items")
         # Bucket-level projection is derived, not transmitted: clients map
         # items to pages with the same flat arithmetic as the builder.
         return report_from_updates(
-            cycle=cycle,
+            cycle=report_cycle,
             updated_items=frozenset(items),
             first_writers=writers or None,
             items_per_bucket=self.profile.items_per_bucket,
         )
 
-    # -- frame encoders -----------------------------------------------------
+    # -- the control segment (cycle-relative: it is new every cycle) ---------
 
     def encode_control(
         self, program: BroadcastProgram, start_slot: int
     ) -> bytes:
-        w = self._writer
-        w.reset()
+        w = BitWriter()
         w.write(start_slot, 64)
         w.write(program.control_slots, 16)
         w.write(program.index_slots, 16)
@@ -583,7 +657,7 @@ class CycleCodec:
 
         control = program.control
         cycle = program.cycle
-        self._write_age(w, cycle - control.cycle, self.profile.version_bits)
+        _write_age(w, cycle - control.cycle, self.profile.version_bits)
         w.write(control.size_units, 32)
         self._write_report(w, control.invalidation, cycle)
         if len(control.window) > 0xFF:
@@ -599,7 +673,7 @@ class CycleCodec:
             w.write(0, 1)
         else:
             w.write(1, 1)
-            self._write_age(w, cycle - diff.cycle, self.profile.version_bits)
+            _write_age(w, cycle - diff.cycle, self.profile.version_bits)
             w.write(len(diff.nodes), 32)
             for node in sorted(diff.nodes):
                 self._write_txn(w, node, cycle)
@@ -607,7 +681,7 @@ class CycleCodec:
             for src, dst in sorted(diff.edges):
                 self._write_txn(w, src, cycle)
                 self._write_txn(w, dst, cycle)
-        return encode_frame(CONTROL, program.cycle, 0, w.getvalue())
+        return encode_frame(CONTROL, cycle, 0, w.getvalue())
 
     def decode_control(self, frame: Frame) -> ControlHeader:
         if frame.type != CONTROL:
@@ -623,7 +697,7 @@ class CycleCodec:
         num_data = r.read(16)
         num_overflow = r.read(16)
 
-        control_cycle = cycle - self._read_age(r, self.profile.version_bits)
+        control_cycle = _read_stamp(r, self.profile.version_bits, cycle)
         size_units = r.read(32)
         invalidation = self._read_report(r, cycle)
         window = tuple(
@@ -631,17 +705,31 @@ class CycleCodec:
         )
         diff: Optional[GraphDiff] = None
         if r.read(1):
-            diff_cycle = cycle - self._read_age(r, self.profile.version_bits)
-            nodes = frozenset(
-                self._read_txn(r, cycle) for _ in range(r.read(32))
-            )
-            edges = frozenset(
+            diff_cycle = _read_stamp(r, self.profile.version_bits, cycle)
+            nodes = [self._read_txn(r, cycle) for _ in range(r.read(32))]
+            _ascending(nodes, "graph-diff nodes")
+            edges = [
                 (self._read_txn(r, cycle), self._read_txn(r, cycle))
                 for _ in range(r.read(32))
+            ]
+            _ascending(edges, "graph-diff edges")
+            diff = GraphDiff(
+                cycle=diff_cycle, nodes=frozenset(nodes), edges=frozenset(edges)
             )
-            diff = GraphDiff(cycle=diff_cycle, nodes=nodes, edges=edges)
+        r.finish()
         if control_slots < 1:
             raise CodecError("control_slots must be at least 1")
+        # The bucket memory is as large as this header says, no larger.
+        if (
+            _ORGS[org_code] is not self._heard_organization
+            or num_data != len(self._heard_data)
+            or num_overflow != len(self._heard_overflow)
+        ):
+            self._heard_organization = _ORGS[org_code]
+            self._heard_data = [None] * num_data
+            self._heard_overflow = [None] * num_overflow
+        self._data_start = control_slots + index_slots
+        self._overflow_start = self._data_start + num_data
         return ControlHeader(
             cycle=cycle,
             start_slot=start_slot,
@@ -659,80 +747,117 @@ class CycleCodec:
             ),
         )
 
-    def _encode_bucket(
-        self,
-        ftype: int,
-        bucket: Bucket,
-        cycle: int,
-        slot: int,
-        with_records: bool,
-        with_old: bool,
-    ) -> bytes:
-        w = self._writer
-        w.reset()
+    # -- buckets (base-relative: the same bytes in every cycle) --------------
+
+    def _bucket_entry(
+        self, bucket: Bucket, with_records: bool, with_old: bool
+    ) -> tuple:
+        """``(bucket, base, payload, crc)``: index, base, then records."""
+        base = bucket_base(bucket)
+        w = BitWriter()
         w.write(bucket.index, 32)
+        w.write(base, 32)
         if with_records:
             w.write(len(bucket.records), 16)
             for record in bucket.records:
-                self._write_record(w, record, cycle)
+                self._write_record(w, record, base)
+        elif bucket.records:
+            raise CodecError("overflow buckets hold old versions only")
         if with_old:
             w.write(len(bucket.old_records), 16)
             for old in bucket.old_records:
-                self._write_old(w, old, cycle)
+                self._write_old(w, old, base)
         elif bucket.old_records:
             raise CodecError(
                 "old versions ride in data buckets only under the "
                 "clustered organization"
             )
-        return encode_frame(ftype, cycle, slot, w.getvalue())
+        payload = w.getvalue()
+        return bucket, base, payload, zlib.crc32(payload)
+
+    @staticmethod
+    def _bucket_frame(ftype: int, cycle: int, slot: int, entry: tuple) -> bytes:
+        bucket, base, payload, crc = entry
+        _check_base(bucket, base, cycle)
+        return _frame(ftype, cycle, slot, payload, crc)
 
     def encode_data_bucket(
         self, program: BroadcastProgram, offset: int
     ) -> bytes:
-        slot = program.control_slots + program.index_slots + offset
-        clustered = (
-            program.organization is MultiversionOrganization.CLUSTERED
-        )
-        return self._encode_bucket(
-            DATA,
+        entry = self._bucket_entry(
             program.data_buckets[offset],
-            program.cycle,
-            slot,
             with_records=True,
-            with_old=clustered,
+            with_old=program.organization is _CLUSTERED,
         )
-
-    def decode_data_bucket(self, frame: Frame, header: ControlHeader) -> Bucket:
-        if frame.type != DATA:
-            raise CodecError(f"expected a DATA frame, got 0x{frame.type:02x}")
-        r = BitReader(frame.payload)
-        index = r.read(32)
-        records = tuple(
-            self._read_record(r, frame.cycle) for _ in range(r.read(16))
-        )
-        old_records: Tuple[OldVersionRecord, ...] = ()
-        if header.organization is MultiversionOrganization.CLUSTERED:
-            old_records = tuple(
-                self._read_old(r, frame.cycle) for _ in range(r.read(16))
-            )
-        return Bucket(index=index, records=records, old_records=old_records)
+        slot = program.control_slots + program.index_slots + offset
+        return self._bucket_frame(DATA, program.cycle, slot, entry)
 
     def encode_overflow_bucket(
         self, program: BroadcastProgram, offset: int
     ) -> bytes:
+        entry = self._bucket_entry(
+            program.overflow_buckets[offset], with_records=False, with_old=True
+        )
         slot = (
             program.control_slots
             + program.index_slots
             + len(program.data_buckets)
             + offset
         )
-        return self._encode_bucket(
-            OVERFLOW,
-            program.overflow_buckets[offset],
-            program.cycle,
-            slot,
-            with_records=False,
-            with_old=True,
+        return self._bucket_frame(OVERFLOW, program.cycle, slot, entry)
+
+    def _decode_bucket(
+        self,
+        frame: Frame,
+        heard: Sequence[Optional[tuple]],
+        offset: int,
+        with_records: bool,
+        with_old: bool,
+    ) -> Bucket:
+        payload = frame.payload
+        remembered = 0 <= offset < len(heard)
+        known = heard[offset] if remembered else None
+        if known is not None and known[0] == payload:
+            _payload, base, bucket = known
+        else:
+            r = BitReader(payload)
+            index = r.read(32)
+            base = r.read(32)
+            records: Tuple[ItemRecord, ...] = ()
+            if with_records:
+                records = tuple(
+                    [self._read_record(r, base) for _ in range(r.read(16))]
+                )
+            old_records: Tuple[OldVersionRecord, ...] = ()
+            if with_old:
+                old_records = tuple(
+                    [self._read_old(r, base) for _ in range(r.read(16))]
+                )
+            r.finish()
+            bucket = Bucket(
+                index=index, records=records, old_records=old_records
+            )
+            if bucket_base(bucket) != base:
+                raise CodecError(
+                    f"base {base} is not the bucket's largest cycle stamp"
+                )
+            if remembered:
+                heard[offset] = (payload, base, bucket)
+        _check_base(bucket, base, frame.cycle)
+        return bucket
+
+    def decode_data_bucket(self, frame: Frame, header: ControlHeader) -> Bucket:
+        if frame.type != DATA:
+            raise CodecError(f"expected a DATA frame, got 0x{frame.type:02x}")
+        # Whether old versions ride along is the caller's header's word;
+        # the memory is only good for the organization it was filled under.
+        remembers = header.organization is self._heard_organization
+        return self._decode_bucket(
+            frame,
+            self._heard_data if remembers else (),
+            frame.slot - self._data_start,
+            with_records=True,
+            with_old=header.organization is _CLUSTERED,
         )
 
     def decode_overflow_bucket(self, frame: Frame) -> Bucket:
@@ -740,12 +865,13 @@ class CycleCodec:
             raise CodecError(
                 f"expected an OVERFLOW frame, got 0x{frame.type:02x}"
             )
-        r = BitReader(frame.payload)
-        index = r.read(32)
-        old_records = tuple(
-            self._read_old(r, frame.cycle) for _ in range(r.read(16))
+        return self._decode_bucket(
+            frame,
+            self._heard_overflow,
+            frame.slot - self._overflow_start,
+            with_records=False,
+            with_old=True,
         )
-        return Bucket(index=index, records=(), old_records=old_records)
 
     # -- whole cycles -------------------------------------------------------
 
@@ -753,11 +879,30 @@ class CycleCodec:
         self, program: BroadcastProgram, start_slot: int
     ) -> List[bytes]:
         """All frames of one cycle, in air order (control first)."""
+        cycle = program.cycle
+        data, overflow = program.data_buckets, program.overflow_buckets
+        if (
+            program.organization is not self._aired_organization
+            or len(data) != len(self._aired_data)
+            or len(overflow) != len(self._aired_overflow)
+        ):
+            self._aired_organization = program.organization
+            self._aired_data = [None] * len(data)
+            self._aired_overflow = [None] * len(overflow)
         frames = [self.encode_control(program, start_slot)]
-        for offset in range(len(program.data_buckets)):
-            frames.append(self.encode_data_bucket(program, offset))
-        for offset in range(len(program.overflow_buckets)):
-            frames.append(self.encode_overflow_bucket(program, offset))
+        slot = program.control_slots + program.index_slots
+        for ftype, buckets, aired, with_old in (
+            (DATA, data, self._aired_data, program.organization is _CLUSTERED),
+            (OVERFLOW, overflow, self._aired_overflow, True),
+        ):
+            for offset, bucket in enumerate(buckets):
+                entry = aired[offset]
+                if entry is None or entry[0] is not bucket:
+                    entry = aired[offset] = self._bucket_entry(
+                        bucket, with_records=ftype == DATA, with_old=with_old
+                    )
+                frames.append(self._bucket_frame(ftype, cycle, slot, entry))
+                slot += 1
         return frames
 
     def assemble(

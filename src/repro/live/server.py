@@ -307,7 +307,10 @@ class LiveBroadcastServer:
         """Air ``num_cycles`` cycles, then an END frame.
 
         The backend generator is the DES server loop verbatim; every
-        ``Wake`` it yields is one cycle's airtime.
+        ``Wake`` it yields is one cycle's airtime.  The timeline does not
+        depend on the audience: with nobody tuned in, the database and
+        the clock advance all the same and the cycle is simply not
+        encoded, so whoever joins hears the broadcast where it stands.
         """
         if self._server is None:
             raise RuntimeError("call start() before run()")
@@ -319,8 +322,9 @@ class LiveBroadcastServer:
             except StopIteration:
                 break
             program = self._feed.program
-            frames = self.codec.encode_cycle(program, start_slot)
-            await self._broadcast(b"".join(frames))
+            if self._writers:
+                frames = self.codec.encode_cycle(program, start_slot)
+                await self._broadcast(b"".join(frames))
             await self._wait_cycle(program.total_slots)
             start_slot += program.total_slots
             self._env.now = wake.at

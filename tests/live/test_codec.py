@@ -13,6 +13,7 @@ Three pillars:
   profile level and by counting the bits of an encoded bucket.
 """
 
+import struct
 from math import ceil, log2
 
 import pytest
@@ -38,15 +39,19 @@ from repro.live.codec import (
     DATA,
     HEADER_BYTES,
     HELLO,
+    MAGIC,
+    MAX_PAYLOAD_BYTES,
     BitReader,
     BitWriter,
     CodecError,
+    ControlHeader,
     CycleCodec,
     FrameCorrupt,
     FrameError,
     FrameStream,
     FrameTruncated,
     WireProfile,
+    bucket_base,
     decode_frame,
     decode_json_payload,
     encode_frame,
@@ -76,14 +81,14 @@ def _txn_ids(cycle: int) -> st.SearchStrategy:
 
 
 def _records(profile: WireProfile, cycle: int) -> st.SearchStrategy:
-    overflow = profile.organization is MultiversionOrganization.OVERFLOW
+    multiversion = profile.organization is not MultiversionOrganization.NONE
     return st.builds(
         ItemRecord,
         item=st.integers(1, 300),
         value=st.integers(-(2**31), 2**31 - 1),
         version=st.integers(0, cycle),
         writer=st.none() | _txn_ids(cycle),
-        has_old_versions=st.booleans() if overflow else st.just(False),
+        has_old_versions=st.booleans() if multiversion else st.just(False),
     )
 
 
@@ -132,10 +137,9 @@ def _graph_diffs(draw, cycle: int):
 
 
 @st.composite
-def wire_cases(draw):
-    """(profile, program) pairs covering every layout the codec owns."""
+def wire_profiles(draw):
     organization = draw(st.sampled_from(ORGS))
-    profile = WireProfile(
+    return WireProfile(
         key_bits=32,
         data_bits=64,
         # Tiny fields exercise the explicit-age escape path.
@@ -146,6 +150,12 @@ def wire_cases(draw):
         sgt=draw(st.booleans()),
         organization=organization,
     )
+
+
+@st.composite
+def wire_programs(draw, profile: WireProfile):
+    """Programs covering every layout the profile's codec owns."""
+    organization = profile.organization
     cycle = draw(st.integers(1, 40))
 
     clustered = organization is MultiversionOrganization.CLUSTERED
@@ -191,7 +201,14 @@ def wire_cases(draw):
         index_slots=draw(st.integers(0, 2)),
         organization=organization,
     )
-    return profile, program
+    return program
+
+
+@st.composite
+def wire_cases(draw):
+    """(profile, program) pairs covering every layout the codec owns."""
+    profile = draw(wire_profiles())
+    return profile, draw(wire_programs(profile))
 
 
 # -- round trip ---------------------------------------------------------------
@@ -325,6 +342,33 @@ def test_frame_stream_reassembles_split_and_corrupt_frames():
     assert stream.feed(b"") == []
 
 
+def test_hostile_length_field_is_fatal_instead_of_buffered():
+    """A header may not promise more than MAX_PAYLOAD_BYTES: the stream
+    would otherwise buffer whatever follows, waiting for 4 GiB."""
+    hostile = struct.pack(
+        ">2sBBIIII", MAGIC, DATA, 0, 1, 1, 0xFFFFFFFF, 0
+    )
+    with pytest.raises(FrameError) as excinfo:
+        decode_frame(hostile)
+    assert not isinstance(excinfo.value, (FrameTruncated, FrameCorrupt))
+
+    stream = FrameStream()
+    good = encode_frame(DATA, 1, 0, b"before")
+    assert [f.payload for f in stream.feed(good + hostile[:-1])] == [b"before"]
+    # The claim is refused the moment the header is complete; nothing
+    # after it is ever buffered.
+    with pytest.raises(FrameError):
+        stream.feed(hostile[-1:])
+    with pytest.raises(FrameError):
+        stream.feed(b"\0" * 4096)
+
+    # The limit itself is legal on both sides, one byte more on neither.
+    largest = encode_frame(DATA, 1, 0, b"\0" * MAX_PAYLOAD_BYTES)
+    assert len(FrameStream().feed(largest)) == 1
+    with pytest.raises(CodecError):
+        encode_frame(DATA, 1, 0, b"\0" * (MAX_PAYLOAD_BYTES + 1))
+
+
 @settings(max_examples=50, deadline=None)
 @given(wire_cases(), st.data())
 def test_truncated_control_payload_is_a_clean_codec_error(case, data):
@@ -338,6 +382,167 @@ def test_truncated_control_payload_is_a_clean_codec_error(case, data):
     frame, _ = decode_frame(encode_frame(CONTROL, program.cycle, 0, payload[:cut]))
     with pytest.raises(CodecError):
         codec.decode_control(frame)
+
+
+# -- canonical payloads ---------------------------------------------------------
+
+
+def _decode_payload(codec: CycleCodec, ftype: int, cycle: int, payload: bytes):
+    """Decode one payload and re-encode what came out: ``(decoded,
+    payload of the re-encoding)``."""
+    frame, _ = decode_frame(encode_frame(ftype, cycle, 0, payload))
+    organization = codec.profile.organization
+    if ftype == CONTROL:
+        header = codec.decode_control(frame)
+        program = BroadcastProgram(
+            cycle=cycle,
+            control=header.control,
+            data_buckets=[Bucket(index=0)] * header.num_data_buckets,
+            overflow_buckets=[Bucket(index=0)] * header.num_overflow_buckets,
+            control_slots=header.control_slots,
+            index_slots=header.index_slots,
+            organization=header.organization,
+        )
+        again = codec.encode_control(program, header.start_slot)
+        return header, again[HEADER_BYTES:]
+    program = BroadcastProgram(
+        cycle=cycle,
+        control=ControlInfo(cycle=cycle, invalidation=report_from_updates(cycle, frozenset())),
+        data_buckets=[],
+        organization=organization,
+    )
+    if ftype == DATA:
+        header = ControlHeader(
+            cycle=cycle, start_slot=0, control_slots=1, index_slots=0,
+            organization=organization, num_data_buckets=1,
+            num_overflow_buckets=0, control=program.control,
+        )
+        bucket = codec.decode_data_bucket(frame, header)
+        program.data_buckets.append(bucket)
+        return bucket, codec.encode_data_bucket(program, 0)[HEADER_BYTES:]
+    bucket = codec.decode_overflow_bucket(frame)
+    program.overflow_buckets.append(bucket)
+    return bucket, codec.encode_overflow_bucket(program, 0)[HEADER_BYTES:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_cases(), st.data())
+def test_every_accepted_payload_re_encodes_to_itself(case, data):
+    """One bucket, one payload: whatever a decoder accepts is exactly
+    what the encoder would have written (the reuse rule compares bytes,
+    so two spellings of one bucket may not both be legal)."""
+    profile, program = case
+    codec = CycleCodec(profile)
+    raw = data.draw(st.sampled_from(codec.encode_cycle(program, 5)))
+    frame, _ = decode_frame(raw)
+    payload = frame.payload
+    decoded, again = _decode_payload(codec, frame.type, frame.cycle, payload)
+    assert again == payload
+
+    # Damage the tail: flip some of the last 64 bits, append some bytes.
+    tail = min(64, 8 * len(payload))
+    flips = data.draw(st.sets(st.integers(0, tail - 1), max_size=6))
+    mangled = bytearray(payload)
+    for bit in flips:
+        mangled[len(payload) - 1 - bit // 8] ^= 1 << (bit % 8)
+    mangled += data.draw(st.binary(max_size=3))
+    mangled = bytes(mangled)
+    try:
+        other, again = _decode_payload(codec, frame.type, frame.cycle, mangled)
+    except CodecError:
+        return
+    assert again == mangled
+    if mangled != payload:
+        assert other != decoded
+
+
+def test_second_spellings_of_a_payload_are_rejected():
+    profile = WireProfile.from_params(ServerParameters(), BroadcastRequirements())
+    codec = CycleCodec(profile)
+
+    def data_frame(payload: bytes, cycle: int = 9):
+        return decode_frame(encode_frame(DATA, cycle, 1, payload))[0]
+
+    header = ControlHeader(
+        cycle=9, start_slot=0, control_slots=1, index_slots=0,
+        organization=MultiversionOrganization.NONE, num_data_buckets=1,
+        num_overflow_buckets=0, control=None,
+    )
+    empty = struct.pack(">IIH", 7, 0, 0)  # index 7, base 0, no records
+    assert codec.decode_data_bucket(data_frame(empty), header) == Bucket(index=7)
+    # The old decoder stopped reading after the last field and accepted
+    # anything behind it.
+    with pytest.raises(CodecError, match="trailing"):
+        codec.decode_data_bucket(data_frame(empty + b"\xff" * 50), header)
+    with pytest.raises(CodecError, match="trailing"):
+        codec.decode_data_bucket(data_frame(empty + b"\0"), header)
+
+    record = ItemRecord(item=3, value=-4, version=6, writer=TxnId(6, 2))
+    program = BroadcastProgram(
+        cycle=9,
+        control=ControlInfo(cycle=9, invalidation=report_from_updates(9, frozenset())),
+        data_buckets=[Bucket(index=0, records=(record,))],
+    )
+    payload = codec.encode_data_bucket(program, 0)[HEADER_BYTES:]
+    assert codec.decode_data_bucket(data_frame(payload), header).records == (record,)
+    # That payload is 80 + 200 bits and ends on a byte boundary; without
+    # the writer tag it is 275 bits, so its last byte has 5 padding bits.
+    plain = codec.encode_data_bucket(
+        BroadcastProgram(
+            cycle=9,
+            control=program.control,
+            data_buckets=[
+                Bucket(index=0, records=(ItemRecord(item=3, value=-4, version=6),))
+            ],
+        ),
+        0,
+    )[HEADER_BYTES:]
+    assert codec.decode_data_bucket(data_frame(plain), header).records[0].writer is None
+    dirty = plain[:-1] + bytes([plain[-1] | 0x01])
+    with pytest.raises(CodecError, match="padding"):
+        codec.decode_data_bucket(data_frame(dirty), header)
+
+    # A base after the cycle the frame aired in -- straight off the wire
+    # and again when the same bytes were remembered from a later cycle.
+    with pytest.raises(CodecError, match="later than"):
+        CycleCodec(profile).decode_data_bucket(data_frame(payload, cycle=5), header)
+    control = decode_frame(codec.encode_control(program, 0))[0]
+    codec.decode_control(control)
+    assert codec.decode_data_bucket(data_frame(payload), header).records == (record,)
+    with pytest.raises(CodecError, match="later than"):
+        codec.decode_data_bucket(data_frame(payload, cycle=5), header)
+
+    # One stamp, one spelling.  Hand-packed: base 6 (the writer's cycle),
+    # one record whose version age is spelled out in the 1-bit field's
+    # escape form ("1" + 32 bits; only age 0 fits the field itself).
+    def spelled(age: int) -> bytes:
+        w = BitWriter()
+        for value, bits in (
+            (0, 32), (6, 32), (1, 16),  # index, base, one record
+            (3, 32), (0, 160),  # item, value
+            (1, 1), (1, 1), (age, 32),  # version: present, escaped age
+            (1, 1), (0, 1), (2, 4),  # writer: present, age 0, seq 2
+        ):
+            w.write(value, bits)
+        return w.getvalue()
+
+    decoded = codec.decode_data_bucket(data_frame(spelled(2)), header)
+    assert decoded.records == (
+        ItemRecord(item=3, value=0, version=4, writer=TxnId(6, 2)),
+    )
+    for age, complaint in (
+        (0, "escaped although it fits"),  # the short field would do
+        (6, "version 0 rides as its flag bit"),
+        (7, "older than cycle 0"),
+    ):
+        with pytest.raises(CodecError, match=complaint):
+            codec.decode_data_bucket(data_frame(spelled(age)), header)
+
+    # CONTROL payloads end where their last field ends, too.
+    with pytest.raises(CodecError, match="trailing"):
+        codec.decode_control(
+            decode_frame(encode_frame(CONTROL, 9, 0, control.payload + b"\0"))[0]
+        )
 
 
 def test_layout_violations_raise_codec_errors():
@@ -354,7 +559,7 @@ def test_layout_violations_raise_codec_errors():
     codec = CycleCodec(flat)
     pointer = ItemRecord(item=1, value=0, version=0, writer=None, has_old_versions=True)
     with pytest.raises(CodecError):
-        codec._write_record(BitWriter(), pointer, cycle=1)
+        codec._write_record(BitWriter(), pointer, base=0)
 
     # Old versions in a data bucket only exist under CLUSTERED.
     old = OldVersionRecord(item=1, value=0, version=1, valid_to=2, writer=None)
@@ -374,14 +579,34 @@ def test_layout_violations_raise_codec_errors():
     with pytest.raises(CodecError):
         codec._write_value(BitWriter(), 2**40)
 
-    # Versions from the future have a negative age.
+    # Ages count back from the bucket's largest stamp, never forward...
     with pytest.raises(CodecError):
-        codec._write_version(BitWriter(), version=9, cycle=3)
+        codec._write_version(BitWriter(), version=9, base=3)
+    # ...and that stamp may not lie after the cycle the bucket airs in.
+    stamped = ItemRecord(item=1, value=0, version=9, writer=None)
+    program.data_buckets[0] = Bucket(index=0, records=(stamped,))
+    with pytest.raises(CodecError):
+        codec.encode_data_bucket(program, 0)
+    with pytest.raises(CodecError):
+        codec.encode_cycle(program, 0)
+
+    # Overflow buckets hold old versions only.
+    overflow = CycleCodec(
+        WireProfile.from_wire(
+            {**flat.to_wire(), "organization": "overflow", "span": 4}
+        )
+    )
+    program.overflow_buckets.append(Bucket(index=0, records=(stamped,)))
+    with pytest.raises(CodecError):
+        overflow.encode_overflow_bucket(program, 0)
 
 
 def test_bit_writer_reader_round_trip_and_bounds():
-    w = BitWriter(capacity=1)
+    w = BitWriter()
     values = [(0, 1), (1, 1), (5, 3), (2**31 - 1, 32), (0, 7), (123456, 20)]
+    # Enough to cross several accumulator flushes and reader refills.
+    values += [(i * 0x9E3779B97F4A7C15 % 2**61, 61) for i in range(60)]
+    values += [(2**700 - 3, 700), (1, 1)]
     for value, bits in values:
         w.write(value, bits)
     r = BitReader(w.getvalue())
@@ -391,6 +616,29 @@ def test_bit_writer_reader_round_trip_and_bounds():
         r.read(64)  # past the end
     with pytest.raises(CodecError):
         BitWriter().write(8, 3)  # does not fit
+    with pytest.raises(CodecError):
+        BitWriter().write(-1, 3)
+
+
+def test_bit_writer_checks_every_width():
+    """The old packer skipped its range check from 64 bits up, so an
+    oversized start slot corrupted a CONTROL frame instead of raising."""
+    for bits in (63, 64, 65, 128):
+        w = BitWriter()
+        w.write(2**bits - 1, bits)
+        assert w.getvalue() == b"\xff" * (bits // 8) + (
+            bytes([0xFF << (8 - bits % 8) & 0xFF]) if bits % 8 else b""
+        )
+        with pytest.raises(CodecError):
+            BitWriter().write(2**bits + 5, bits)
+    program = BroadcastProgram(
+        cycle=3,
+        control=ControlInfo(cycle=3, invalidation=report_from_updates(3, frozenset())),
+        data_buckets=[],
+    )
+    profile = WireProfile.from_params(ServerParameters(), BroadcastRequirements())
+    with pytest.raises(CodecError):
+        CycleCodec(profile).encode_control(program, 2**64 + 5)
 
 
 # -- size agreement with the analytic model -----------------------------------
@@ -418,24 +666,24 @@ def test_profile_widths_match_size_model():
     assert flat.organization is MultiversionOrganization.NONE
 
 
-def _expected_record_bits(profile: WireProfile, record: ItemRecord, cycle: int) -> int:
+def _expected_record_bits(profile: WireProfile, record: ItemRecord, base: int) -> int:
     bits = profile.key_bits + profile.data_bits
     bits += 1  # version-zero flag
     if record.version:
-        age = cycle - record.version
+        age = base - record.version
         bits += profile.version_bits
         if age >= (1 << profile.version_bits) - 1:
             bits += 32  # explicit-age escape
     bits += 1  # writer-present flag
     if record.writer is not None:
         for value, width in (
-            (cycle - record.writer.cycle, profile.version_bits),
+            (base - record.writer.cycle, profile.version_bits),
             (record.writer.seq, profile.tid_bits),
         ):
             bits += width
             if value >= (1 << width) - 1:
                 bits += 32
-    if profile.organization is MultiversionOrganization.OVERFLOW:
+    if profile.organization is not MultiversionOrganization.NONE:
         bits += 1  # has-old pointer bit
     return bits
 
@@ -452,14 +700,17 @@ def test_measured_bucket_bits_equal_model_field_sums(case):
     clustered = profile.organization is MultiversionOrganization.CLUSTERED
     expected = 0
     for bucket in program.data_buckets:
-        bits = 32 + 16  # bucket index + record count
+        # Ages count back from the bucket's own largest stamp, which
+        # rides once per payload: never wider than the cycle-relative age.
+        base = bucket_base(bucket)
+        bits = 32 + 32 + 16  # bucket index + base + record count
         for record in bucket.records:
-            bits += _expected_record_bits(profile, record, program.cycle)
+            bits += _expected_record_bits(profile, record, base)
         if clustered:
             bits += 16
             for old in bucket.old_records:
                 # An old record is an item record plus a validity age,
-                # minus the pointer bit (there is no overflow to point at).
+                # minus the pointer bit.
                 bits += _expected_record_bits(
                     profile,
                     ItemRecord(
@@ -469,8 +720,8 @@ def test_measured_bucket_bits_equal_model_field_sums(case):
                         writer=old.writer,
                         has_old_versions=False,
                     ),
-                    program.cycle,
-                )
+                    base,
+                ) - 1
                 span = old.valid_to - old.version
                 bits += profile.version_bits
                 if span >= (1 << profile.version_bits) - 1:

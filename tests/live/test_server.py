@@ -14,8 +14,8 @@ import pytest
 from repro.cohort.oracle import oracle_params
 from repro.core.control import ReportSchedule
 from repro.experiments.schemes import scheme_factory
-from repro.live.clock import RealTimeClock
-from repro.live.codec import HELLO, FrameStream
+from repro.live.clock import CycleClock, ImmediateClock, RealTimeClock
+from repro.live.codec import END, HELLO, FrameStream, encode_frame
 from repro.live.server import LiveBroadcastServer
 
 
@@ -117,6 +117,152 @@ def test_request_stop_interrupts_a_running_broadcast():
         assert 0 < server.backend.cycles_completed < 500
         await server.stop()
         assert _leftover_tasks() == []
+
+    asyncio.run(scenario())
+
+
+class _GatedClock(CycleClock):
+    """Full speed, but holds the broadcast after the listed cycles until
+    the test lets it go on."""
+
+    def __init__(self, stops) -> None:
+        self.stops = set(stops)
+        self.cycle = 0
+        self.reached = asyncio.Event()
+        self.go_on = asyncio.Event()
+
+    async def wait(self, slots: int) -> None:
+        self.cycle += 1
+        if self.cycle in self.stops:
+            self.reached.set()
+            await self.go_on.wait()
+            self.go_on.clear()
+        else:
+            await asyncio.sleep(0)
+
+
+class _Sink:
+    """A raw listener: keeps the frames it hears, re-encoded, by cycle."""
+
+    def __init__(self) -> None:
+        self.by_cycle = {}
+        self.ended = False
+
+    async def listen(self, server) -> None:
+        reader, self.writer = await asyncio.open_connection(
+            server.host, server.port
+        )
+        stream = FrameStream()
+        try:
+            while data := await reader.read(1 << 16):
+                for frame in stream.feed(data):
+                    if frame.type == END:
+                        self.ended = True
+                    elif frame.type != HELLO:
+                        self.by_cycle.setdefault(frame.cycle, []).append(
+                            encode_frame(
+                                frame.type, frame.cycle, frame.slot, frame.payload
+                            )
+                        )
+        finally:
+            await self.hang_up()
+
+    async def hang_up(self) -> None:
+        self.writer.close()
+        try:
+            await self.writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
+async def _until(condition, timeout: float = 10.0) -> None:
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.005)
+
+    await asyncio.wait_for(poll(), timeout)
+
+
+def test_unheard_cycles_are_not_encoded_and_a_late_listener_misses_nothing_after():
+    """With nobody tuned in the timeline advances without encoding; a
+    listener joining at cycle k hears k+1 onwards exactly as a listener
+    present all along, and the encoder's memory survives the gap."""
+    cycles, first_leaves, second_joins = 14, 3, 7
+
+    async def broadcast(clock, script):
+        server = _make_server(num_cycles=cycles, clock=clock)
+        encoded = []
+        encode_cycle = server.codec.encode_cycle
+
+        def counting(program, start_slot):
+            encoded.append(program.cycle)
+            return encode_cycle(program, start_slot)
+
+        server.codec.encode_cycle = counting
+        await server.start()
+        try:
+            await script(server)
+        finally:
+            await server.stop()
+        assert server.backend.cycles_completed == cycles
+        assert _leftover_tasks() == []
+        return encoded
+
+    async def scenario():
+        # The reference: one listener from the first cycle to the last.
+        steady = _Sink()
+
+        async def all_along(server):
+            task = asyncio.ensure_future(steady.listen(server))
+            await server.wait_for_clients(1, timeout=5.0)
+            await server.run()
+            await server.stop()
+            await asyncio.wait_for(task, 10.0)
+
+        assert await broadcast(ImmediateClock(), all_along) == list(
+            range(1, cycles + 1)
+        )
+        assert steady.ended and sorted(steady.by_cycle) == list(
+            range(1, cycles + 1)
+        )
+
+        # One listener for the first cycles, nobody for a while, then a
+        # second listener to the end.
+        early, late = _Sink(), _Sink()
+        clock = _GatedClock({first_leaves, second_joins})
+
+        async def with_a_gap(server):
+            first = asyncio.ensure_future(early.listen(server))
+            await server.wait_for_clients(1, timeout=5.0)
+            runner = asyncio.ensure_future(server.run())
+
+            await asyncio.wait_for(clock.reached.wait(), 10.0)
+            clock.reached.clear()
+            await _until(
+                lambda: len(early.by_cycle.get(first_leaves, ()))
+                == len(steady.by_cycle[first_leaves])
+            )
+            await early.hang_up()
+            await _until(lambda: not server._writers)
+            clock.go_on.set()
+
+            await asyncio.wait_for(clock.reached.wait(), 10.0)
+            second = asyncio.ensure_future(late.listen(server))
+            await server.wait_for_clients(2, timeout=5.0)
+            clock.go_on.set()
+
+            await asyncio.wait_for(runner, 10.0)
+            await server.stop()
+            await asyncio.wait_for(asyncio.gather(first, second), 10.0)
+
+        heard_early = list(range(1, first_leaves + 1))
+        heard_late = list(range(second_joins + 1, cycles + 1))
+        assert await broadcast(clock, with_a_gap) == heard_early + heard_late
+        assert sorted(early.by_cycle) == heard_early and not early.ended
+        assert sorted(late.by_cycle) == heard_late and late.ended
+        for sink in (early, late):
+            for cycle, frames in sink.by_cycle.items():
+                assert frames == steady.by_cycle[cycle]
 
     asyncio.run(scenario())
 

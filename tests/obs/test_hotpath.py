@@ -31,12 +31,25 @@ def test_hotpath_quick_payload_and_gate(tmp_path, capsys):
     assert all("cumtime" in row for row in suites["profile"])
     assert "events/s" in capsys.readouterr().out
 
-    # Self-comparison always passes the regression gate...
+    # A second run passes the regression gate against the first.  Two
+    # separately timed runs on a busy box can differ by more than the
+    # gate's 20 %, so the baseline is the first run's payload with every
+    # gated rate at a tenth: the plumbing is what is under test here,
+    # and only a tenfold slowdown between the two runs could trip it.
+    for lane, rate in (
+        (suites["dispatch"], "events_per_sec"),
+        (suites["clients"]["10"], "events_per_sec"),
+        (suites["codec"]["flat"], "encodes_per_sec"),
+        (suites["codec"]["overflow"], "encodes_per_sec"),
+    ):
+        lane[rate] /= 10
+    slowed = tmp_path / "slowed.json"
+    slowed.write_text(json.dumps(payload))
     assert hotpath.main(
         [
             "--quick", "--repeats", "1",
             "--out", str(tmp_path / "b.json"),
-            "--against", str(out),
+            "--against", str(slowed),
         ]
     ) == 0
 
