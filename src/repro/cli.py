@@ -1101,6 +1101,7 @@ def _command_listen(args: argparse.Namespace) -> int:
     import random as random_module
 
     from repro.live.client import LiveClient
+    from repro.live.codec import FrameError
 
     rng = (
         random_module.Random(args.rng_seed)
@@ -1119,7 +1120,7 @@ def _command_listen(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("listen: interrupted before the broadcast ended")
         return 1
-    except (ConnectionError, OSError) as error:
+    except (ConnectionError, OSError, FrameError) as error:
         print(f"listen: {error}")
         return 1
     ratio = result.metrics.get_ratio("attempt.committed")

@@ -36,10 +36,9 @@ once before the simulation stops, again matching event-id order.
 from __future__ import annotations
 
 import math
-import random
-from typing import Callable, List, Optional
+from itertools import islice
+from typing import Callable, Optional
 
-from repro.client.disconnect import DisconnectionModel, UnionDisconnections
 from repro.client.machine import BroadcastClient
 from repro.cohort.channel import CohortChannel
 from repro.cohort.shim import CohortEnv, Wake
@@ -49,6 +48,7 @@ from repro.core.control import BroadcastRequirements, ReportSchedule
 from repro.faults.injector import FaultInjector
 from repro.cohort.trace import ServerTrace, build_trace
 from repro.runtime import SimulationResult
+from repro.seeds import ClientSeed, DisconnectFactory, SeedOrder
 from repro.stats.metrics import MetricsRegistry
 
 
@@ -125,23 +125,51 @@ class Member:
             self.advance()
 
 
+def make_member(
+    seed: ClientSeed,
+    scheme: Scheme,
+    params: ModelParameters,
+    metrics: MetricsRegistry,
+) -> Member:
+    """Assemble one kernel-less client -- clock, channel, protocol
+    machine -- and prime it: it parks on ``cycle_started`` (nothing is on
+    the air yet), like the kernel's Initialize event before the server's
+    first cycle."""
+    env = CohortEnv()
+    channel = CohortChannel(
+        env, metrics, pipeline=seed.pipeline, client_id=seed.client_id
+    )
+    client = BroadcastClient(
+        env=env,
+        channel=channel,
+        scheme=scheme,
+        params=params.client,
+        metrics=metrics,
+        rng=seed.rng,
+        disconnect=seed.disconnect,
+        client_id=seed.client_id,
+        warmup_cycles=params.sim.warmup_cycles,
+    )
+    member = Member(client, channel, env)
+    member.advance()
+    return member
+
+
 class CohortSimulation:
     """Drop-in alternative to :class:`~repro.runtime.Simulation` that
     replays one server trace to chunked cohorts of clients.
 
     Memory stays bounded in the cohort size, not the population: each
-    cohort's clients are built lazily (in client-id order, so the master
-    RNG draw sequence matches the discrete constructor's), run to
-    completion against the shared trace, and released.
+    cohort's clients are built lazily (in client-id order, as the seed
+    order yields them), run to completion against the shared trace, and
+    released.
     """
 
     def __init__(
         self,
         params: ModelParameters,
         scheme_factory: Callable[[], Scheme],
-        disconnect_factory: Optional[
-            Callable[[random.Random], DisconnectionModel]
-        ] = None,
+        disconnect_factory: Optional[DisconnectFactory] = None,
         report_schedule: Optional[ReportSchedule] = None,
         cohort_size: int = 4096,
         columnar: bool = True,
@@ -171,10 +199,7 @@ class CohortSimulation:
 
     def run(self) -> SimulationResult:
         params = self.params
-        master = random.Random(params.sim.seed)
-        # Draw order matches Simulation.__init__: engine RNG first, then
-        # per client (in id order) disconnect / fault / workload RNGs.
-        engine_rng = random.Random(master.getrandbits(64))
+        seeds = SeedOrder(params.sim.seed)
         probe = self.scheme_factory()
         # Merging one scheme's requirements equals merging N identical
         # ones: every field combines by idempotent OR / max.
@@ -182,7 +207,7 @@ class CohortSimulation:
             report_window=self.report_schedule.window
         ).merge(probe.requirements())
         trace = self.trace = build_trace(
-            params, requirements, self.metrics, engine_rng,
+            params, requirements, self.metrics, seeds.engine_rng(),
             columnar=self.columnar,
         )
         injector: Optional[FaultInjector] = None
@@ -190,17 +215,15 @@ class CohortSimulation:
             injector = FaultInjector(params.faults, params.sim, self.metrics)
 
         num_clients = params.sim.num_clients
+        client_seeds = seeds.clients(
+            num_clients, self.disconnect_factory, injector
+        )
         records = trace.records
-        for first in range(0, num_clients, self.cohort_size):
-            ids = range(first, min(first + self.cohort_size, num_clients))
+        for _ in range(0, num_clients, self.cohort_size):
             members = [
-                self._make_member(client_id, master, injector)
-                for client_id in ids
+                make_member(seed, self.scheme_factory(), params, self.metrics)
+                for seed in islice(client_seeds, self.cohort_size)
             ]
-            for member in members:
-                # Prime: the client parks on cycle_started (not on air yet),
-                # like the Initialize event before the server's first cycle.
-                member.advance()
             for record in records:
                 start = record.start
                 program = record.program
@@ -222,42 +245,3 @@ class CohortSimulation:
             mean_cycle_slots=trace.mean_cycle_slots,
             clients=[],
         )
-
-    def _make_member(
-        self,
-        client_id: int,
-        master: random.Random,
-        injector: Optional[FaultInjector],
-    ) -> Member:
-        params = self.params
-        disconnect: Optional[DisconnectionModel] = None
-        if self.disconnect_factory is not None:
-            disconnect = self.disconnect_factory(
-                random.Random(master.getrandbits(64))
-            )
-        pipeline = None
-        if injector is not None:
-            pipeline = injector.pipeline_for(client_id)
-            storm = injector.disconnections_for(client_id)
-            if storm is not None:
-                disconnect = (
-                    storm
-                    if disconnect is None
-                    else UnionDisconnections([disconnect, storm])
-                )
-        env = CohortEnv()
-        channel = CohortChannel(
-            env, self.metrics, pipeline=pipeline, client_id=client_id
-        )
-        client = BroadcastClient(
-            env=env,
-            channel=channel,
-            scheme=self.scheme_factory(),
-            params=params.client,
-            metrics=self.metrics,
-            rng=random.Random(master.getrandbits(64)),
-            disconnect=disconnect,
-            client_id=client_id,
-            warmup_cycles=params.sim.warmup_cycles,
-        )
-        return Member(client, channel, env)

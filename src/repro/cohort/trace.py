@@ -8,12 +8,14 @@ cohort engine exploits that: it runs the server loop *once*, records the
 per-cycle programs, and then replays the trace to any number of client
 cohorts.
 
-The loop body is the same sequence as ``Simulation._server_process``
-(build with the previous cycle's outcome, observe the broadcast sizing
-metrics, air the cycle, run the cycle's update transactions, prune the
-server graph), driven by a plain accumulator instead of the event
-kernel; cycle starts are exact integers either way, so the recorded
-instants are bit-identical to the discrete run's.
+The loop is the event-driven one: :class:`KernellessServer` steps the
+unmodified :meth:`SingleChannelBackend.process
+<repro.server.backend.SingleChannelBackend.process>` on a
+:class:`~repro.cohort.shim.CohortEnv`, whose clock computes every wake
+with the kernel's own float expression, so the recorded instants are
+bit-identical to the discrete run's.  :func:`build_trace` collects its
+steps; the live server (:mod:`repro.live.server`) encodes and awaits
+between them.
 
 Programs are safe to retain: the incremental builder copy-on-writes its
 records and buckets, and every record type is frozen.
@@ -23,16 +25,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.broadcast.program import BroadcastProgram
+from repro.cohort.shim import CohortEnv
 from repro.config import ModelParameters
-from repro.core.control import BroadcastRequirements
-from repro.server.broadcast import ProgramBuilder
-from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore, make_item_state
-from repro.server.transactions import TransactionEngine
-from repro.stats import names as metric_names
+from repro.core.control import BroadcastRequirements, ReportSchedule
+from repro.server.backend import SingleChannelBackend
+from repro.server.substrate import build_substrate
 from repro.stats.metrics import MetricsRegistry
 
 
@@ -55,6 +55,54 @@ class ServerTrace:
     mean_cycle_slots: float
 
 
+class KernellessServer:
+    """The server loop with no event kernel under it.
+
+    Doubles as the backend's channel seam: ``begin_cycle`` captures the
+    program the loop just put on the air.  One report per cycle only --
+    sub-cycle interim reports need a channel that can publish them.
+    """
+
+    def __init__(
+        self,
+        params: ModelParameters,
+        requirements: BroadcastRequirements,
+        metrics: MetricsRegistry,
+        rng: random.Random,
+        columnar: bool = True,
+        keep_history: bool = False,
+    ) -> None:
+        self.substrate = build_substrate(
+            params.server,
+            requirements,
+            rng,
+            columnar=columnar,
+            keep_history=keep_history,
+        )
+        self.env = CohortEnv()
+        self.program: Optional[BroadcastProgram] = None
+        self.backend = SingleChannelBackend(
+            env=self.env,
+            params=params,
+            report_schedule=ReportSchedule(),
+            metrics=metrics,
+            engine=self.substrate.engine,
+            builder=self.substrate.builder,
+            channel=self,
+        )
+
+    def begin_cycle(self, program: BroadcastProgram) -> None:
+        self.program = program
+
+    def cycles(self) -> Iterator[CycleRecord]:
+        """One record per cycle, yielded while that cycle is on the air:
+        its update transactions commit when the consumer asks for the
+        next one."""
+        for wake in self.backend.process():
+            yield CycleRecord(self.program.cycle, self.env.now, self.program)
+            self.env.now = wake.at
+
+
 def build_trace(
     params: ModelParameters,
     requirements: BroadcastRequirements,
@@ -64,58 +112,19 @@ def build_trace(
 ) -> ServerTrace:
     """Run the server loop for every cycle and record the programs.
 
-    ``rng`` must be the engine RNG drawn off the master seed exactly as
-    ``Simulation.__init__`` draws it (the first ``getrandbits(64)``), so
-    the update workload matches the discrete run's bit for bit.
+    ``rng`` is the engine stream (:meth:`repro.seeds.SeedOrder.engine_rng`),
+    so the update workload matches the discrete run's bit for bit.
     """
-    database = Database(params.server.broadcast_size)
-    item_state: ItemStateStore = make_item_state(
-        database,
-        retention=(
-            params.server.retention if requirements.needs_old_versions else 0
-        ),
-        columnar=columnar,
-        items_per_bucket=params.server.items_per_bucket,
+    server = KernellessServer(
+        params, requirements, metrics, rng, columnar=columnar
     )
-    version_store: Optional[ItemStateStore] = (
-        item_state if requirements.needs_old_versions else None
-    )
-    engine = TransactionEngine(
-        params.server, database, version_store=version_store, rng=rng
-    )
-    builder = ProgramBuilder(
-        params.server,
-        database,
-        version_store=version_store,
-        requirements=requirements,
-        item_state=item_state,
-    )
-    records: List[CycleRecord] = []
-    outcome = None
-    start = 0
-    total_slots = 0
-    retention = max(params.server.retention, 2)
-    num_cycles = params.sim.num_cycles
-    for cycle in range(1, num_cycles + 1):
-        program = builder.build(cycle, outcome)
-        metrics.observe(metric_names.BROADCAST_SLOTS, program.total_slots)
-        metrics.observe(
-            metric_names.BROADCAST_CONTROL_SLOTS, program.control_slots
-        )
-        metrics.observe(
-            metric_names.BROADCAST_OVERFLOW_SLOTS,
-            len(program.overflow_buckets),
-        )
-        records.append(CycleRecord(cycle=cycle, start=start, program=program))
-        # Transactions logically commit *during* the cycle that just
-        # aired; their values go out with the next cycle's snapshot.
-        outcome = engine.run_cycle(cycle)
-        engine.prune_graph_before(cycle - 4 * retention)
-        start += program.total_slots
-        total_slots += program.total_slots
+    records = list(server.cycles())
+    cycles = server.backend.cycles_completed
     return ServerTrace(
         records=records,
-        end_time=start,
-        cycles_completed=num_cycles,
-        mean_cycle_slots=total_slots / num_cycles if num_cycles else 0.0,
+        end_time=server.env.now,
+        cycles_completed=cycles,
+        mean_cycle_slots=(
+            server.backend.total_slots / cycles if cycles else 0.0
+        ),
     )

@@ -44,10 +44,10 @@ from repro.broadcast.program import (
 from repro.client.disconnect import DisconnectionModel
 from repro.client.machine import BroadcastClient
 from repro.cohort.channel import CohortChannel
-from repro.cohort.engine import Member
-from repro.cohort.shim import CohortEnv
+from repro.cohort.engine import Member, make_member
 from repro.config import ModelParameters
 from repro.core.base import Scheme
+from repro.core.control import BroadcastRequirements
 from repro.experiments.schemes import scheme_factory as lookup_scheme
 from repro.faults.models import FaultModel
 from repro.live.codec import (
@@ -63,9 +63,10 @@ from repro.live.codec import (
     FrameError,
     FrameStream,
     WireProfile,
+    dataclass_from_wire,
     decode_json_payload,
 )
-from repro.live.server import params_from_wire, requirements_from_wire
+from repro.seeds import ClientSeed, listener_rng
 from repro.stats.metrics import (
     FAULT_REPORTS_MISSED,
     FAULT_SLOTS_LOST,
@@ -156,28 +157,43 @@ class LiveClient:
 
     # -- session setup -------------------------------------------------------
 
-    def _resolve_scheme(self, served_label: str) -> Scheme:
+    def _resolve_scheme(self, served_label: object) -> Scheme:
         scheme = self._scheme_arg
-        if scheme is None:
-            scheme = served_label
-        if isinstance(scheme, str):
-            built = lookup_scheme(scheme)()
-        else:
-            built = scheme
-        return built
+        if isinstance(scheme, Scheme):
+            return scheme
+        if scheme is not None:
+            return lookup_scheme(scheme)()
+        try:
+            return lookup_scheme(served_label or "inval")()
+        except (KeyError, TypeError):
+            raise FrameError(
+                f"malformed HELLO: unknown scheme {served_label!r}"
+            ) from None
 
     def _on_hello(self, payload: bytes) -> None:
+        # Bytes off the wire are outside input: whatever is wrong with a
+        # well-framed HELLO surfaces as a FrameError.
         hello = decode_json_payload(payload)
+        if not isinstance(hello, dict):
+            raise FrameError("malformed HELLO: not an object")
+        missing = {"profile", "params", "requirements"} - hello.keys()
+        if missing:
+            raise FrameError(f"malformed HELLO: missing {sorted(missing)}")
         profile = WireProfile.from_wire(hello["profile"])
-        self.params = self._params_override or params_from_wire(
-            hello["params"]
+        self.params = self._params_override or dataclass_from_wire(
+            ModelParameters, hello["params"]
         )
-        served = requirements_from_wire(hello["requirements"])
-        scheme = self._resolve_scheme(hello.get("scheme") or "inval")
+        served = dataclass_from_wire(
+            BroadcastRequirements, hello["requirements"]
+        )
+        scheme = self._resolve_scheme(hello.get("scheme"))
         needed = scheme.requirements()
-        # The server must already be airing everything this scheme reads;
-        # merge raises on a conflicting multiversion organization.
-        merged = served.merge(needed)
+        # The server must already be airing everything this scheme reads
+        # (merge itself refuses a conflicting multiversion organization).
+        try:
+            merged = served.merge(needed)
+        except ValueError:
+            merged = None
         if merged != served:
             raise FrameError(
                 f"scheme {scheme.label!r} needs {needed} but the server "
@@ -186,34 +202,10 @@ class LiveClient:
         self.scheme_label = scheme.label
         self.codec = CycleCodec(profile)
 
-        rng = self.rng
-        if rng is None:
-            # Single-listener convenience: the same derivation as a
-            # one-client discrete run (engine draw first, then client 0).
-            master = random.Random(self.params.sim.seed)
-            master.getrandbits(64)
-            rng = random.Random(master.getrandbits(64))
-        env = CohortEnv()
-        self.channel = CohortChannel(
-            env,
-            self.metrics,
-            pipeline=self.pipeline,
-            client_id=self.client_id,
-        )
-        client = BroadcastClient(
-            env=env,
-            channel=self.channel,
-            scheme=scheme,
-            params=self.params.client,
-            metrics=self.metrics,
-            rng=rng,
-            disconnect=self.disconnect,
-            client_id=self.client_id,
-            warmup_cycles=self.params.sim.warmup_cycles,
-        )
-        self.member = Member(client, self.channel, env)
-        # Prime: parks on cycle_started, like the DES Initialize event.
-        self.member.advance()
+        rng = self.rng or listener_rng(self.params.sim.seed, self.client_id)
+        seed = ClientSeed(self.client_id, self.disconnect, self.pipeline, rng)
+        self.member = make_member(seed, scheme, self.params, self.metrics)
+        self.channel = self.member.channel
 
     # -- cycle reassembly ----------------------------------------------------
 

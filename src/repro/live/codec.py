@@ -53,9 +53,11 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
+from enum import Enum
 from math import ceil, log2
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import get_args, get_type_hints
 
 from repro.broadcast.program import (
     BroadcastProgram,
@@ -303,6 +305,48 @@ def decode_json_payload(payload: bytes) -> dict:
         raise CodecError(f"malformed session payload: {exc}") from None
 
 
+def dataclass_from_wire(cls, blob):
+    """Rebuild dataclass ``cls`` from its decoded JSON object.
+
+    Session payloads are outside input: the object must carry exactly
+    the class's fields, each of its declared type (an int may stand for a
+    float, never a bool for a number); nested dataclasses and enums are
+    rebuilt the same way.  Anything else is a :class:`CodecError`.
+    """
+    name = cls.__name__
+    if not isinstance(blob, dict):
+        raise CodecError(f"malformed {name}: not an object")
+    hints = get_type_hints(cls)
+    if blob.keys() != hints.keys():
+        raise CodecError(
+            f"malformed {name}: missing {sorted(hints.keys() - blob.keys())}, "
+            f"unknown {sorted(blob.keys() - hints.keys())}"
+        )
+    values = {}
+    for field, hint in hints.items():
+        value = blob[field]
+        if is_dataclass(hint):
+            value = dataclass_from_wire(hint, value)
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            try:
+                value = hint(value)
+            except (ValueError, TypeError):
+                raise CodecError(
+                    f"malformed {name}: {field} is no {hint.__name__}"
+                ) from None
+        else:
+            # Optional[int] -> (int, NoneType); a float field takes ints.
+            accepted = get_args(hint) or ((int, float) if hint is float else hint)
+            if isinstance(value, bool) != (hint is bool) or not isinstance(
+                value, accepted
+            ):
+                raise CodecError(
+                    f"malformed {name}: {field} must be {hint}, got {value!r}"
+                )
+        values[field] = value
+    return cls(**values)
+
+
 # -- the wire profile ---------------------------------------------------------
 
 _ORGS = (
@@ -362,35 +406,11 @@ class WireProfile:
 
     def to_wire(self) -> dict:
         """JSON-safe form for the HELLO frame."""
-        return {
-            "key_bits": self.key_bits,
-            "data_bits": self.data_bits,
-            "version_bits": self.version_bits,
-            "tid_bits": self.tid_bits,
-            "items_per_bucket": self.items_per_bucket,
-            "span": self.span,
-            "sgt": self.sgt,
-            "organization": self.organization.value,
-            "bits_per_unit": self.bits_per_unit,
-        }
+        return dict(asdict(self), organization=self.organization.value)
 
     @classmethod
     def from_wire(cls, blob: dict) -> "WireProfile":
-        try:
-            organization = MultiversionOrganization(blob["organization"])
-            return cls(
-                key_bits=int(blob["key_bits"]),
-                data_bits=int(blob["data_bits"]),
-                version_bits=int(blob["version_bits"]),
-                tid_bits=int(blob["tid_bits"]),
-                items_per_bucket=int(blob["items_per_bucket"]),
-                span=int(blob["span"]),
-                sgt=bool(blob["sgt"]),
-                organization=organization,
-                bits_per_unit=int(blob["bits_per_unit"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CodecError(f"malformed wire profile: {exc}") from None
+        return dataclass_from_wire(cls, blob)
 
 
 # -- the cycle codec ----------------------------------------------------------

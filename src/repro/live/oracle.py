@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import random
 import sys
 import time
 from pathlib import Path
@@ -53,6 +52,7 @@ from repro.live.chaos import ChaosProxy
 from repro.live.client import LiveClient, LiveClientResult
 from repro.live.server import LiveBroadcastServer
 from repro.runtime import Simulation
+from repro.seeds import SeedOrder
 from repro.stats.metrics import MetricsRegistry
 from repro.verify import violations
 
@@ -76,31 +76,20 @@ async def run_live(
 ) -> Tuple[LiveBroadcastServer, List[LiveClientResult], MetricsRegistry]:
     """One live run on loopback; returns (server, results, merged metrics).
 
-    RNG draw order mirrors ``Simulation.__init__`` under the shared
-    master seed: the engine RNG first, then per client (in id order) the
-    fault pipeline / storm draws and the workload RNG -- so the exact
+    Every stream comes off :class:`~repro.seeds.SeedOrder`, so the exact
     lanes share every random stream with their DES twin.
     """
     factory = scheme_factory(scheme)
     probe = factory()
     num_clients = params.sim.num_clients
 
-    master = random.Random(params.sim.seed)
-    engine_rng = random.Random(master.getrandbits(64))
+    seeds = SeedOrder(params.sim.seed)
+    engine_rng = seeds.engine_rng()
     fault_metrics = MetricsRegistry()
     injector: Optional[FaultInjector] = None
     if faults and params.faults.active:
         injector = FaultInjector(params.faults, params.sim, fault_metrics)
-
-    specs = []
-    for client_id in range(num_clients):
-        pipeline = None
-        disconnect = None
-        if injector is not None:
-            pipeline = injector.pipeline_for(client_id)
-            disconnect = injector.disconnections_for(client_id)
-        rng = random.Random(master.getrandbits(64))
-        specs.append((client_id, pipeline, disconnect, rng))
+    specs = list(seeds.clients(num_clients, injector=injector))
 
     server = LiveBroadcastServer(
         params,
@@ -130,13 +119,13 @@ async def run_live(
             server.host,
             connect_port,
             scheme=factory(),
-            client_id=client_id,
-            rng=rng,
-            pipeline=pipeline,
-            disconnect=disconnect,
+            client_id=spec.client_id,
+            rng=spec.rng,
+            pipeline=spec.pipeline,
+            disconnect=spec.disconnect,
             params=params,
         )
-        for client_id, pipeline, disconnect, rng in specs
+        for spec in specs
     ]
     try:
         tasks = [asyncio.ensure_future(client.run()) for client in clients]

@@ -1,15 +1,14 @@
 """The asyncio broadcast server: real encoded cycles over TCP fan-out.
 
-The server stack is the *unmodified* simulation substrate --
-``Database`` / ``ItemStateStore`` / ``TransactionEngine`` /
-``ProgramBuilder`` -- driven through the unmodified
-:class:`~repro.server.backend.SingleChannelBackend` loop.  Only the
-kernel is swapped out: the backend's ``yield env.timeout(slots)``
-lands here, where the cycle's frames are fanned out to every connected
-listener and a :class:`~repro.live.clock.CycleClock` waits out the
-airtime.  Clients never send anything after connecting (broadcast
-*push*: the paper's scalability property is physical here -- the
-server's work is independent of the audience size).
+The server is the simulation's, loop included:
+:class:`~repro.cohort.trace.KernellessServer` steps the unmodified
+:class:`~repro.server.backend.SingleChannelBackend` with no event kernel
+under it, and between two of its steps this module fans the cycle's
+frames out to every connected listener and lets a
+:class:`~repro.live.clock.CycleClock` wait out the airtime.  Clients
+never send anything after connecting (broadcast *push*: the paper's
+scalability property is physical here -- the server's work is
+independent of the audience size).
 
 Shutdown is deliberately boring: ``stop()`` is idempotent, closes the
 listening socket (opened with ``SO_REUSEADDR``, so back-to-back runs
@@ -23,17 +22,10 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import asdict
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
-from repro.cohort.shim import CohortEnv
-from repro.config import (
-    ClientParameters,
-    FaultParameters,
-    ModelParameters,
-    ResilienceParameters,
-    ServerParameters,
-    SimulationParameters,
-)
+from repro.cohort.trace import KernellessServer
+from repro.config import ModelParameters
 from repro.core.control import BroadcastRequirements, ReportSchedule
 from repro.live.clock import CycleClock, ImmediateClock
 from repro.live.codec import (
@@ -43,56 +35,15 @@ from repro.live.codec import (
     WireProfile,
     encode_json_frame,
 )
-from repro.server.backend import SingleChannelBackend
-from repro.server.broadcast import ProgramBuilder
-from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore, make_item_state
-from repro.server.transactions import TransactionEngine
+from repro.seeds import SeedOrder
 from repro.stats.metrics import MetricsRegistry
-
-
-def params_to_wire(params: ModelParameters) -> dict:
-    """JSON-safe form of the full parameter set (HELLO frame)."""
-    return asdict(params)
-
-
-def params_from_wire(blob: dict) -> ModelParameters:
-    return ModelParameters(
-        server=ServerParameters(**blob["server"]),
-        client=ClientParameters(**blob["client"]),
-        sim=SimulationParameters(**blob["sim"]),
-        faults=FaultParameters(**blob["faults"]),
-        resilience=ResilienceParameters(**blob["resilience"]),
-    )
-
-
-def requirements_to_wire(requirements: BroadcastRequirements) -> dict:
-    return asdict(requirements)
-
-
-def requirements_from_wire(blob: dict) -> BroadcastRequirements:
-    return BroadcastRequirements(**blob)
-
-
-class _ProgramFeed:
-    """The backend's channel seam: captures each cycle's program."""
-
-    __slots__ = ("program",)
-
-    def __init__(self) -> None:
-        self.program = None
-
-    def begin_cycle(self, program) -> None:
-        self.program = program
 
 
 class LiveBroadcastServer:
     """One live broadcast: the paper's server loop over real sockets.
 
-    Parameters mirror the simulation wiring: the engine RNG is drawn
-    from the master seed exactly as ``Simulation.__init__`` draws it
-    (first ``getrandbits(64)``), so a loopback run shares the update
-    workload of its DES twin bit for bit.
+    ``engine_rng`` defaults to the seed order's engine stream, so a
+    loopback run shares the update workload of its DES twin bit for bit.
     """
 
     def __init__(
@@ -133,49 +84,18 @@ class LiveBroadcastServer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
         if engine_rng is None:
-            master = random.Random(params.sim.seed)
-            engine_rng = random.Random(master.getrandbits(64))
-
-        # -- the unmodified server substrate (same wiring as build_trace) --
-        self.database = Database(params.server.broadcast_size)
-        item_state = make_item_state(
-            self.database,
-            retention=(
-                params.server.retention
-                if self.requirements.needs_old_versions
-                else 0
-            ),
+            engine_rng = SeedOrder(params.sim.seed).engine_rng()
+        self._loop = KernellessServer(
+            params,
+            self.requirements,
+            self.metrics,
+            engine_rng,
             columnar=columnar,
-            items_per_bucket=params.server.items_per_bucket,
-        )
-        version_store: Optional[ItemStateStore] = (
-            item_state if self.requirements.needs_old_versions else None
-        )
-        self.engine = TransactionEngine(
-            params.server,
-            self.database,
-            version_store=version_store,
-            rng=engine_rng,
             keep_history=keep_history,
         )
-        builder = ProgramBuilder(
-            params.server,
-            self.database,
-            version_store=version_store,
-            requirements=self.requirements,
-            item_state=item_state,
-        )
-        self._env = CohortEnv()
-        self._feed = _ProgramFeed()
-        self.backend = SingleChannelBackend(
-            env=self._env,
-            params=params,
-            report_schedule=self.report_schedule,
-            metrics=self.metrics,
-            engine=self.engine,
-            builder=builder,
-            channel=self._feed,
-        )
+        self.database = self._loop.substrate.database
+        self.engine = self._loop.substrate.engine
+        self.backend = self._loop.backend
         self.profile = WireProfile.from_params(
             params.server, self.requirements
         )
@@ -245,8 +165,8 @@ class LiveBroadcastServer:
     def _hello_payload(self) -> dict:
         return {
             "profile": self.profile.to_wire(),
-            "params": params_to_wire(self.params),
-            "requirements": requirements_to_wire(self.requirements),
+            "params": asdict(self.params),
+            "requirements": asdict(self.requirements),
             "scheme": self.scheme_label,
             "num_cycles": self.params.sim.num_cycles,
         }
@@ -306,29 +226,26 @@ class LiveBroadcastServer:
     async def run(self) -> None:
         """Air ``num_cycles`` cycles, then an END frame.
 
-        The backend generator is the DES server loop verbatim; every
-        ``Wake`` it yields is one cycle's airtime.  The timeline does not
-        depend on the audience: with nobody tuned in, the database and
-        the clock advance all the same and the cycle is simply not
-        encoded, so whoever joins hears the broadcast where it stands.
+        The timeline does not depend on the audience: with nobody tuned
+        in, the database and the clock advance all the same and the cycle
+        is simply not encoded, so whoever joins hears the broadcast where
+        it stands.
         """
         if self._server is None:
             raise RuntimeError("call start() before run()")
-        gen = self.backend.process()
-        start_slot = 0
+        cycles = self._loop.cycles()
+        # A stop is honoured before the loop takes its next step, so the
+        # cycle on the air when it arrives is the last one built.
         while not self._stop_event.is_set():
-            try:
-                wake = next(gen)
-            except StopIteration:
+            record = next(cycles, None)
+            if record is None:
                 break
-            program = self._feed.program
+            program = record.program
             if self._writers:
-                frames = self.codec.encode_cycle(program, start_slot)
+                frames = self.codec.encode_cycle(program, int(record.start))
                 await self._broadcast(b"".join(frames))
             await self._wait_cycle(program.total_slots)
-            start_slot += program.total_slots
-            self._env.now = wake.at
-        self.end_time = float(start_slot)
+            self.end_time = record.start + program.total_slots
         if not self._stop_event.is_set():
             await self._broadcast(
                 encode_json_frame(

@@ -10,8 +10,8 @@ life in, so a kernel change can be attributed to the layer it touched:
 * ``programs``  -- :class:`repro.server.broadcast.ProgramBuilder` builds
   per second while a real :class:`TransactionEngine` advances the
   database between builds, for both the flat and the overflow layout
-  (and, when the builder supports it, with the incremental cycle build
-  disabled, so the copy-on-write win is measured, not asserted);
+  (and with the incremental cycle build disabled, so the copy-on-write
+  win is measured, not asserted);
 * ``clients``   -- full simulations at 1/10/100 clients: cycles per
   second and events per second, the end-to-end number the ROADMAP's
   "fast as the hardware allows" is judged by;
@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
-import inspect
 import json
 import os
 import platform
@@ -49,6 +48,20 @@ from repro.obs.manifest import git_revision, package_versions
 
 #: Suite layout: (clients tried by the end-to-end benchmark).
 CLIENT_COUNTS = (1, 10, 100)
+
+
+def _best_of(repeats: int, *lanes) -> List[Dict[str, float]]:
+    """The fastest sample of each lane.  Lanes given together alternate
+    within every round, so an in-process ratio between them brackets the
+    same noise window -- a CPU spike landing on one lane's consecutive
+    repeats would otherwise fake a regression either way."""
+    best: List[Optional[Dict[str, float]]] = [None] * len(lanes)
+    for _ in range(max(1, repeats)):
+        for index, lane in enumerate(lanes):
+            sample = lane()
+            if best[index] is None or sample["seconds"] < best[index]["seconds"]:
+                best[index] = sample
+    return best
 
 
 # -- dispatch: the bare engine ---------------------------------------------
@@ -80,24 +93,13 @@ def _dispatch_once(processes: int, hops: int) -> Dict[str, float]:
 
 
 def bench_dispatch(repeats: int, processes: int = 64, hops: int = 2000) -> Dict[str, float]:
-    best: Optional[Dict[str, float]] = None
-    for _ in range(max(1, repeats)):
-        sample = _dispatch_once(processes, hops)
-        if best is None or sample["seconds"] < best["seconds"]:
-            best = sample
-    assert best is not None
+    (best,) = _best_of(repeats, lambda: _dispatch_once(processes, hops))
     best["processes"] = float(processes)
     best["hops"] = float(hops)
     return best
 
 
 # -- programs: the per-cycle builder ---------------------------------------
-
-
-def _builder_supports_incremental() -> bool:
-    from repro.server.broadcast import ProgramBuilder
-
-    return "incremental" in inspect.signature(ProgramBuilder.__init__).parameters
 
 
 def _programs_once(
@@ -117,43 +119,20 @@ def _programs_once(
     from dataclasses import replace
 
     from repro.core.control import BroadcastRequirements
-    from repro.server.broadcast import ProgramBuilder
-    from repro.server.database import Database
-    from repro.server.itemstate import make_item_state
-    from repro.server.transactions import TransactionEngine
+    from repro.server.substrate import build_substrate
 
     params = DEFAULTS.server
     if db_size is not None:
         params = replace(params, broadcast_size=db_size)
-    database = Database(params.broadcast_size)
-    requirements = BroadcastRequirements()
-    retention = 0
-    if organization is not None:
-        requirements = BroadcastRequirements(
-            needs_old_versions=True, organization=organization
-        )
-        retention = params.retention
-    item_state = make_item_state(
-        database,
-        retention=retention,
-        columnar=columnar,
-        items_per_bucket=params.items_per_bucket,
+    requirements = BroadcastRequirements(
+        needs_old_versions=organization is not None,
+        organization=organization or "overflow",
     )
-    version_store = item_state if organization is not None else None
-    engine = TransactionEngine(
-        params, database, version_store=version_store, rng=random.Random(11)
+    substrate = build_substrate(
+        params, requirements, random.Random(11), columnar=columnar
     )
-    kwargs = {}
-    if _builder_supports_incremental():
-        kwargs["incremental"] = incremental
-    builder = ProgramBuilder(
-        params,
-        database,
-        version_store=version_store,
-        requirements=requirements,
-        item_state=item_state,
-        **kwargs,
-    )
+    engine, builder = substrate.engine, substrate.builder
+    builder.incremental = incremental
 
     gc.collect()
     outcome = None
@@ -175,63 +154,42 @@ def bench_programs(
 ) -> Dict[str, object]:
     out: Dict[str, object] = {"cycles": cycles}
     variants = [("flat", None), ("overflow", "overflow"), ("clustered", "clustered")]
-    # The columnar lane and its dict-reference twin alternate within
-    # every repeat round, so the in-process ratio (the CI
-    # columnar-regression gate) brackets the same noise window — a CPU
-    # spike landing on one lane's consecutive repeats would otherwise
-    # fake a regression either way.
+    # The columnar lane and its dict-reference twin go in together: their
+    # in-process ratio is the CI columnar-regression gate.
     for label, organization in variants[:2]:
-        best: Optional[Dict[str, float]] = None
-        best_dict: Optional[Dict[str, float]] = None
-        for _ in range(max(1, repeats)):
-            sample = _programs_once(cycles, organization, incremental=True)
-            if best is None or sample["seconds"] < best["seconds"]:
-                best = sample
-            twin = _programs_once(
+        out[label], out[f"{label}_dict"] = _best_of(
+            repeats,
+            lambda: _programs_once(cycles, organization, incremental=True),
+            lambda: _programs_once(
                 cycles, organization, incremental=True, columnar=False
-            )
-            if best_dict is None or twin["seconds"] < best_dict["seconds"]:
-                best_dict = twin
-        out[label] = best
-        out[f"{label}_dict"] = best_dict
-    best = None
-    for _ in range(max(1, repeats)):
-        sample = _programs_once(cycles, "clustered", incremental=True)
-        if best is None or sample["seconds"] < best["seconds"]:
-            best = sample
-    out["clustered"] = best
-    if _builder_supports_incremental():
-        # The same build loop with the persistent index switched off: the
-        # copy-on-write win is measured against the full rebuild, on the
-        # same machine, in the same process.
-        for label, organization in variants[:2]:
-            best = None
-            for _ in range(max(1, repeats)):
-                sample = _programs_once(cycles, organization, incremental=False)
-                if best is None or sample["seconds"] < best["seconds"]:
-                    best = sample
-            out[f"{label}_full_rebuild"] = best
+            ),
+        )
+    (out["clustered"],) = _best_of(
+        repeats, lambda: _programs_once(cycles, "clustered", incremental=True)
+    )
+    # The same build loop with the persistent index switched off: the
+    # copy-on-write win is measured against the full rebuild, on the
+    # same machine, in the same process.
+    for label, organization in variants[:2]:
+        (out[f"{label}_full_rebuild"],) = _best_of(
+            repeats,
+            lambda: _programs_once(cycles, organization, incremental=False),
+        )
     # The item-count scale lane the columnar store unlocks (ROADMAP
     # item 4): overflow builds over a 10^5-item database, columnar and
     # dict reference alternating round by round.
     bigdb_cycles = max(6, cycles // 10)
-    best = None
-    best_dict: Optional[Dict[str, float]] = None
-    for _ in range(max(1, repeats)):
-        sample = _programs_once(
+    out["bigdb"], out["bigdb_dict"] = _best_of(
+        repeats,
+        lambda: _programs_once(
             bigdb_cycles, "overflow", incremental=True, db_size=bigdb_size
-        )
-        if best is None or sample["seconds"] < best["seconds"]:
-            best = sample
-        twin = _programs_once(
+        ),
+        lambda: _programs_once(
             bigdb_cycles, "overflow", incremental=True, columnar=False,
             db_size=bigdb_size,
-        )
-        if best_dict is None or twin["seconds"] < best_dict["seconds"]:
-            best_dict = twin
-    out["bigdb"] = best
+        ),
+    )
     out["bigdb"]["db_size"] = float(bigdb_size)
-    out["bigdb_dict"] = best_dict
     out["bigdb_dict"]["db_size"] = float(bigdb_size)
     return out
 
@@ -247,36 +205,16 @@ def _codec_once(
     same server loop the ``programs`` lanes drive."""
     from repro.core.control import BroadcastRequirements
     from repro.live.codec import CycleCodec, WireProfile
-    from repro.server.broadcast import ProgramBuilder
-    from repro.server.database import Database
-    from repro.server.itemstate import make_item_state
-    from repro.server.transactions import TransactionEngine
+    from repro.server.substrate import build_substrate
 
     params = DEFAULTS.server
-    database = Database(params.broadcast_size)
-    retention = params.retention if organization is not None else 0
     requirements = BroadcastRequirements(
         needs_old_versions=organization is not None,
         organization=organization or "overflow",
         needs_sgt=sgt,
     )
-    item_state = make_item_state(
-        database,
-        retention=retention,
-        columnar=True,
-        items_per_bucket=params.items_per_bucket,
-    )
-    version_store = item_state if organization is not None else None
-    engine = TransactionEngine(
-        params, database, version_store=version_store, rng=random.Random(11)
-    )
-    builder = ProgramBuilder(
-        params,
-        database,
-        version_store=version_store,
-        requirements=requirements,
-        item_state=item_state,
-    )
+    substrate = build_substrate(params, requirements, random.Random(11))
+    engine, builder = substrate.engine, substrate.builder
     codec = CycleCodec(WireProfile.from_params(params, requirements))
 
     gc.collect()
@@ -313,12 +251,9 @@ def bench_codec(repeats: int, cycles: int = 60) -> Dict[str, object]:
         ("sgt", None, True),
     ]
     for label, organization, needs_sgt in variants:
-        best: Optional[Dict[str, float]] = None
-        for _ in range(max(1, repeats)):
-            sample = _codec_once(cycles, organization, sgt=needs_sgt)
-            if best is None or sample["seconds"] < best["seconds"]:
-                best = sample
-        out[label] = best
+        (out[label],) = _best_of(
+            repeats, lambda: _codec_once(cycles, organization, sgt=needs_sgt)
+        )
     return out
 
 
@@ -334,17 +269,8 @@ def _clients_params(num_clients: int, cycles: int) -> ModelParameters:
     )
 
 
-def _clients_once(
-    num_clients: int, cycles: int, columnar: bool = True
-) -> Dict[str, float]:
-    from repro.experiments.schemes import scheme_factory
-    from repro.runtime import Simulation
-
-    sim = Simulation(
-        _clients_params(num_clients, cycles),
-        scheme_factory=scheme_factory("inval"),
-        columnar=columnar,
-    )
+def _timed_kernel_run(sim) -> Dict[str, float]:
+    """Wall clock, events and cycles of one event-kernel run."""
     gc.collect()
     start = time.perf_counter()
     result = sim.run()
@@ -358,28 +284,38 @@ def _clients_once(
     }
 
 
+def _clients_once(
+    num_clients: int, cycles: int, columnar: bool = True
+) -> Dict[str, float]:
+    from repro.experiments.schemes import scheme_factory
+    from repro.runtime import Simulation
+
+    return _timed_kernel_run(
+        Simulation(
+            _clients_params(num_clients, cycles),
+            scheme_factory=scheme_factory("inval"),
+            columnar=columnar,
+        )
+    )
+
+
 def bench_clients(repeats: int, cycles: int = 60) -> Dict[str, Dict[str, float]]:
     out: Dict[str, Dict[str, float]] = {}
     for count in CLIENT_COUNTS:
-        best: Optional[Dict[str, float]] = None
-        best_dict: Optional[Dict[str, float]] = None
         # The 100-client point is the slow one; one repeat is plenty there.
-        rounds = max(1, repeats if count < 100 else 1)
-        for _ in range(rounds):
-            sample = _clients_once(count, cycles)
-            if best is None or sample["seconds"] < best["seconds"]:
-                best = sample
-            if count == 10:
-                # The dict-reference twin alternates with the columnar
-                # lane so the in-process end-to-end comparison brackets
-                # the same noise window (same rationale as the program
-                # lanes).
-                twin = _clients_once(10, cycles, columnar=False)
-                if best_dict is None or twin["seconds"] < best_dict["seconds"]:
-                    best_dict = twin
-        out[str(count)] = best
+        rounds = repeats if count < 100 else 1
         if count == 10:
-            out["10_dict"] = best_dict
+            # The dict-reference twin rides along for the in-process
+            # end-to-end comparison (same rationale as the program lanes).
+            out["10"], out["10_dict"] = _best_of(
+                rounds,
+                lambda: _clients_once(10, cycles),
+                lambda: _clients_once(10, cycles, columnar=False),
+            )
+        else:
+            (out[str(count)],) = _best_of(
+                rounds, lambda: _clients_once(count, cycles)
+            )
     return out
 
 
@@ -415,12 +351,7 @@ def _cohort_once(num_clients: int, cycles: int) -> Dict[str, float]:
 def bench_cohort(
     repeats: int, num_clients: int = 1000, cycles: int = 60
 ) -> Dict[str, float]:
-    best: Optional[Dict[str, float]] = None
-    for _ in range(max(1, repeats)):
-        sample = _cohort_once(num_clients, cycles)
-        if best is None or sample["seconds"] < best["seconds"]:
-            best = sample
-    assert best is not None
+    (best,) = _best_of(repeats, lambda: _cohort_once(num_clients, cycles))
     return best
 
 
@@ -442,18 +373,7 @@ def _shard_once(num_shards: int, num_clients: int, cycles: int) -> Dict[str, flo
         scheme_factory("inval"),
         num_shards=num_shards,
     )
-    gc.collect()
-    start = time.perf_counter()
-    result = sim.run()
-    elapsed = time.perf_counter() - start
-    return {
-        "seconds": elapsed,
-        "shards": float(num_shards),
-        "events": float(sim.env.events_processed),
-        "cycles": float(result.cycles_completed),
-        "events_per_sec": sim.env.events_processed / elapsed if elapsed else 0.0,
-        "cycles_per_sec": result.cycles_completed / elapsed if elapsed else 0.0,
-    }
+    return {**_timed_kernel_run(sim), "shards": float(num_shards)}
 
 
 def bench_shard(
@@ -467,12 +387,7 @@ def bench_shard(
         ("k1", lambda: _shard_once(1, num_clients, cycles)),
         ("k4", lambda: _shard_once(4, num_clients, cycles)),
     ):
-        best: Optional[Dict[str, float]] = None
-        for _ in range(max(1, repeats)):
-            sample = thunk()
-            if best is None or sample["seconds"] < best["seconds"]:
-                best = sample
-        out[label] = best
+        (out[label],) = _best_of(repeats, thunk)
     single = out["single"]["seconds"]
     if single:
         out["k1_overhead"] = round(out["k1"]["seconds"] / single - 1.0, 4)
@@ -609,39 +524,23 @@ def attach_before(payload: Dict[str, object], before: Dict[str, object]) -> None
     """Embed ``before`` and record after/before speedup ratios."""
     payload["before"] = before
     speedups: Dict[str, float] = {}
-    comparisons = [
-        ("dispatch_events_per_sec", ("suites", "dispatch", "events_per_sec")),
-        (
-            "programs_flat_builds_per_sec",
-            ("suites", "programs", "flat", "builds_per_sec"),
-        ),
-        (
-            "programs_overflow_builds_per_sec",
-            ("suites", "programs", "overflow", "builds_per_sec"),
-        ),
-    ] + [
-        (
-            f"clients_{count}_events_per_sec",
-            ("suites", "clients", str(count), "events_per_sec"),
-        )
-        for count in CLIENT_COUNTS
-    ] + [
-        (
-            "clients_10_cycles_per_sec",
-            ("suites", "clients", "10", "cycles_per_sec"),
-        ),
-        ("cohort_clients_per_sec", ("suites", "cohort", "clients_per_sec")),
-        ("shard_k4_events_per_sec", ("suites", "shard", "k4", "events_per_sec")),
-        ("codec_flat_encodes_per_sec", ("suites", "codec", "flat", "encodes_per_sec")),
-        (
-            "codec_overflow_encodes_per_sec",
-            ("suites", "codec", "overflow", "encodes_per_sec"),
-        ),
+    # Each speedup is labelled by its path under "suites", joined by "_".
+    paths = [
+        ("dispatch", "events_per_sec"),
+        ("programs", "flat", "builds_per_sec"),
+        ("programs", "overflow", "builds_per_sec"),
+        *(("clients", str(count), "events_per_sec") for count in CLIENT_COUNTS),
+        ("clients", "10", "cycles_per_sec"),
+        ("cohort", "clients_per_sec"),
+        ("shard", "k4", "events_per_sec"),
+        ("codec", "flat", "encodes_per_sec"),
+        ("codec", "overflow", "encodes_per_sec"),
     ]
-    for label, path in comparisons:
-        now, then = _rate(payload, *path), _rate(before, *path)
+    for path in paths:
+        now = _rate(payload, "suites", *path)
+        then = _rate(before, "suites", *path)
         if now is not None and then:
-            speedups[label] = round(now / then, 4)
+            speedups["_".join(path)] = round(now / then, 4)
     payload["speedup_vs_before"] = speedups
 
 
@@ -653,30 +552,13 @@ def columnar_regressions(
     measured back-to-back in the same process (machine-independent).
     Returns the violated checks (empty = pass)."""
     failures: List[str] = []
-    pairs = [
-        (
-            "flat builds/sec",
-            ("suites", "programs", "flat", "builds_per_sec"),
-            ("suites", "programs", "flat_dict", "builds_per_sec"),
-        ),
-        (
-            "overflow builds/sec",
-            ("suites", "programs", "overflow", "builds_per_sec"),
-            ("suites", "programs", "overflow_dict", "builds_per_sec"),
-        ),
-        (
-            "bigdb builds/sec",
-            ("suites", "programs", "bigdb", "builds_per_sec"),
-            ("suites", "programs", "bigdb_dict", "builds_per_sec"),
-        ),
-        (
-            "10-client cycles/sec",
-            ("suites", "clients", "10", "cycles_per_sec"),
-            ("suites", "clients", "10_dict", "cycles_per_sec"),
-        ),
-    ]
-    for label, now_path, ref_path in pairs:
-        now, ref = _rate(payload, *now_path), _rate(payload, *ref_path)
+    lanes = [
+        (f"{lane} builds/sec", "programs", lane, "builds_per_sec")
+        for lane in ("flat", "overflow", "bigdb")
+    ] + [("10-client cycles/sec", "clients", "10", "cycles_per_sec")]
+    for label, suite, lane, rate in lanes:
+        now = _rate(payload, "suites", suite, lane, rate)
+        ref = _rate(payload, "suites", suite, f"{lane}_dict", rate)
         if now is None or not ref:
             continue
         floor = ref * (1.0 - max_regression)

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.broadcast.channel import BroadcastChannel
 from repro.broadcast.schedule import Schedule
-from repro.client.disconnect import DisconnectionModel, UnionDisconnections
 from repro.client.machine import BroadcastClient
 from repro.faults.injector import FaultInjector
 from repro.config import ModelParameters
@@ -33,10 +32,10 @@ from repro.core.base import Scheme
 from repro.core.control import BroadcastRequirements, ReportSchedule
 from repro.obs.trace import EV_ENGINE_STEP, Tracer, gate
 from repro.resilience import build_client_resilience, resilience_seed
+from repro.seeds import DisconnectFactory, SeedOrder
 from repro.server.backend import ServerBackend, SingleChannelBackend
 from repro.server.broadcast import ProgramBuilder
-from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore, make_item_state
+from repro.server.substrate import build_substrate
 from repro.server.transactions import TransactionEngine
 from repro.sim.engine import Environment
 from repro.stats.metrics import MetricsRegistry
@@ -97,27 +96,27 @@ class SimulationResult:
         return counter.value if counter else 0
 
 
-class Simulation:
-    """Builds and runs one complete broadcast-push simulation."""
+class KernelSimulation:
+    """What every event-kernel run shares: the clock, the registry, the
+    master-seed order, tracer binding, the server process and the result.
+
+    Subclasses build clients and a :class:`ServerBackend`, then hand the
+    backend to :meth:`_launch`.
+    """
 
     def __init__(
         self,
         params: ModelParameters,
-        scheme_factory: Callable[[], Scheme],
-        schedule: Optional[Schedule] = None,
-        disconnect_factory: Optional[Callable[[random.Random], DisconnectionModel]] = None,
-        keep_history: bool = False,
-        report_schedule: Optional[ReportSchedule] = None,
-        interleaved_server: bool = False,
-        tracer: Optional[Tracer] = None,
-        columnar: bool = True,
+        report_schedule: Optional[ReportSchedule],
+        tracer: Optional[Tracer],
     ) -> None:
         params.validate()
         self.params = params
         self.report_schedule = report_schedule or ReportSchedule()
         self.env = Environment()
         self.metrics = MetricsRegistry()
-        self._rng = random.Random(params.sim.seed)
+        self.seeds = SeedOrder(params.sim.seed)
+        self.clients: List[BroadcastClient] = []
         self.tracer = tracer
         self._trace_c = gate(tracer, "cycles")
         if tracer is not None and tracer.enabled:
@@ -129,55 +128,92 @@ class Simulation:
                     )
                 )
 
-        # -- server substrate ------------------------------------------------
-        self.database = Database(params.server.broadcast_size)
-
-        # Instantiate one scheme per client and merge their requirements.
+    def _adopt_schemes(
+        self, scheme_factory: Callable[[], Scheme]
+    ) -> BroadcastRequirements:
+        """One scheme per client; returns their merged requirements."""
         self.schemes: List[Scheme] = [
-            scheme_factory() for _ in range(params.sim.num_clients)
+            scheme_factory() for _ in range(self.params.sim.num_clients)
         ]
         requirements = BroadcastRequirements(
             report_window=self.report_schedule.window
         )
         for scheme in self.schemes:
             requirements = requirements.merge(scheme.requirements())
+        return requirements
 
-        # One item-state store per run (the seam of DESIGN §14).  The
-        # old-version view (``version_store``) stays None for schemes
-        # that broadcast no old versions -- the builder keys SGT control
-        # sizing and has_old pointers off that -- while the store itself
-        # always exists so record/report assembly can use its columns.
-        self.item_state: ItemStateStore = make_item_state(
-            self.database,
-            retention=(
-                params.server.retention
-                if requirements.needs_old_versions
-                else 0
-            ),
-            columnar=columnar,
-            items_per_bucket=params.server.items_per_bucket,
-        )
-        self.version_store: Optional[ItemStateStore] = (
-            self.item_state if requirements.needs_old_versions else None
+    def _single_channel_backend(
+        self,
+        engine: TransactionEngine,
+        builder: ProgramBuilder,
+        channel: BroadcastChannel,
+    ) -> SingleChannelBackend:
+        return SingleChannelBackend(
+            env=self.env,
+            params=self.params,
+            report_schedule=self.report_schedule,
+            metrics=self.metrics,
+            engine=engine,
+            builder=builder,
+            channel=channel,
+            trace_cycles=self._trace_c,
         )
 
-        self.engine = TransactionEngine(
+    def _launch(self, backend: ServerBackend) -> None:
+        self.backend = backend
+        self._stop = self.env.event()
+        self.env.process(self._server_process())
+
+    def _server_process(self):
+        yield from self.backend.process()
+        self._stop.succeed()
+
+    def run(self) -> SimulationResult:
+        """Run to the configured number of cycles and aggregate results."""
+        self.env.run(until=self._stop)
+        cycles = self.backend.cycles_completed
+        mean_slots = self.backend.total_slots / cycles if cycles else 0.0
+        return SimulationResult(
+            params=self.params,
+            scheme_label=self.schemes[0].label if self.schemes else "none",
+            metrics=self.metrics,
+            cycles_completed=cycles,
+            mean_cycle_slots=mean_slots,
+            clients=self.clients,
+        )
+
+
+class Simulation(KernelSimulation):
+    """Builds and runs one complete broadcast-push simulation."""
+
+    def __init__(
+        self,
+        params: ModelParameters,
+        scheme_factory: Callable[[], Scheme],
+        schedule: Optional[Schedule] = None,
+        disconnect_factory: Optional[DisconnectFactory] = None,
+        keep_history: bool = False,
+        report_schedule: Optional[ReportSchedule] = None,
+        interleaved_server: bool = False,
+        tracer: Optional[Tracer] = None,
+        columnar: bool = True,
+    ) -> None:
+        super().__init__(params, report_schedule, tracer)
+        substrate = build_substrate(
             params.server,
-            self.database,
-            version_store=self.version_store,
-            rng=random.Random(self._rng.getrandbits(64)),
+            self._adopt_schemes(scheme_factory),
+            self.seeds.engine_rng(),
+            columnar=columnar,
             keep_history=keep_history,
             interleaved=interleaved_server,
-        )
-        self.builder = ProgramBuilder(
-            params.server,
-            self.database,
-            version_store=self.version_store,
-            schedule=schedule,
-            requirements=requirements,
             tracer=tracer,
-            item_state=self.item_state,
+            schedule=schedule,
         )
+        self.database = substrate.database
+        self.item_state = substrate.item_state
+        self.version_store = substrate.version_store
+        self.engine = substrate.engine
+        self.builder = substrate.builder
 
         # -- air interface and clients ------------------------------------------
         self.channel = BroadcastChannel(self.env)
@@ -194,23 +230,17 @@ class Simulation:
             resilience_rng = random.Random(
                 resilience_seed(params.resilience, params.sim.seed)
             )
-        self.clients: List[BroadcastClient] = []
-        for client_id, scheme in enumerate(self.schemes):
-            disconnect = None
-            if disconnect_factory is not None:
-                disconnect = disconnect_factory(
-                    random.Random(self._rng.getrandbits(64))
-                )
+        for seed, scheme in zip(
+            self.seeds.clients(
+                params.sim.num_clients, disconnect_factory, self.fault_injector
+            ),
+            self.schemes,
+        ):
             client_channel: BroadcastChannel = self.channel
             if self.fault_injector is not None:
-                client_channel = self.fault_injector.wrap(self.channel, client_id)
-                storm = self.fault_injector.disconnections_for(client_id)
-                if storm is not None:
-                    disconnect = (
-                        storm
-                        if disconnect is None
-                        else UnionDisconnections([disconnect, storm])
-                    )
+                client_channel = self.fault_injector.wrap(
+                    self.channel, seed.client_id, seed.pipeline
+                )
             resilience = None
             if resilience_rng is not None:
                 resilience = build_client_resilience(
@@ -225,57 +255,17 @@ class Simulation:
                     scheme=scheme,
                     params=params.client,
                     metrics=self.metrics,
-                    rng=random.Random(self._rng.getrandbits(64)),
-                    disconnect=disconnect,
-                    client_id=client_id,
+                    rng=seed.rng,
+                    disconnect=seed.disconnect,
+                    client_id=seed.client_id,
                     warmup_cycles=params.sim.warmup_cycles,
                     tracer=tracer,
                     resilience=resilience,
                 )
             )
 
-        self.backend: ServerBackend = SingleChannelBackend(
-            env=self.env,
-            params=params,
-            report_schedule=self.report_schedule,
-            metrics=self.metrics,
-            engine=self.engine,
-            builder=self.builder,
-            channel=self.channel,
-            trace_cycles=self._trace_c,
-        )
-        self._stop = self.env.event()
-        self.env.process(self._server_process())
-
-    # -- the server loop ----------------------------------------------------------
-
-    def _server_process(self):
-        yield from self.backend.process()
-        self._stop.succeed()
-
-    @property
-    def _cycles_completed(self) -> int:
-        return self.backend.cycles_completed
-
-    @property
-    def _total_slots(self) -> int:
-        return self.backend.total_slots
-
-    # -- running ----------------------------------------------------------------------
-
-    def run(self) -> SimulationResult:
-        """Run to the configured number of cycles and aggregate results."""
-        self.env.run(until=self._stop)
-        mean_slots = (
-            self._total_slots / self._cycles_completed
-            if self._cycles_completed
-            else 0.0
-        )
-        return SimulationResult(
-            params=self.params,
-            scheme_label=self.schemes[0].label if self.schemes else "none",
-            metrics=self.metrics,
-            cycles_completed=self._cycles_completed,
-            mean_cycle_slots=mean_slots,
-            clients=self.clients,
+        self._launch(
+            self._single_channel_backend(
+                self.engine, self.builder, self.channel
+            )
         )

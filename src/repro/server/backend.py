@@ -1,18 +1,19 @@
 """The server backend seam: who builds, airs and commits each cycle.
 
-:class:`~repro.runtime.Simulation` historically inlined the single-channel
-server loop in ``_server_process``.  The sharded multi-channel server
-(:mod:`repro.shard`) needs the same builder/engine/RNG/pruning order over
-*K* channels, so the loop lives here behind a small protocol:
-
 * :class:`ServerBackend` -- the contract: a ``process()`` generator that
   drives the broadcast to ``num_cycles`` and the two counters the result
   aggregation reads (``cycles_completed``, ``total_slots``).
-* :class:`SingleChannelBackend` -- the paper's monolithic server, moved
-  verbatim from ``Simulation._server_process``.  Event order, metric
-  observations, trace emissions and engine RNG draws are unchanged, so
-  recorded traces, the cohort trace recorder and every committed baseline
-  stay bit-identical.
+* :class:`SingleChannelBackend` -- the paper's monolithic server and the
+  only single-channel cycle loop in the repository.  It asks its
+  environment for nothing but ``timeout()``, so it runs unchanged as a
+  kernel process (:class:`~repro.runtime.Simulation`) and stepped by
+  hand on a kernel-less clock
+  (:class:`~repro.cohort.trace.KernellessServer`, behind the cohort
+  trace and the live socket); event order, metric observations, trace
+  emissions and engine RNG draws are the same either way.
+
+The sharded multi-channel server (:mod:`repro.shard`) is the other
+backend: the same builder/engine/pruning order over *K* channels.
 """
 
 from __future__ import annotations

@@ -29,28 +29,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.broadcast.channel import BroadcastChannel
 from repro.broadcast.schedule import Schedule
-from repro.client.machine import BroadcastClient
 from repro.config import ModelParameters
 from repro.core.base import Scheme
-from repro.core.control import BroadcastRequirements, ReportSchedule
-from repro.faults.injector import _SEED_SALT, FaultInjector
+from repro.core.control import ReportSchedule
+from repro.faults.injector import FaultInjector
 from repro.obs.trace import (
     EV_CYCLE_END,
     EV_CYCLE_START,
-    EV_ENGINE_STEP,
     EV_SHARD_CYCLE_START,
     Tracer,
-    gate,
 )
-from repro.runtime import SimulationResult
-from repro.server.backend import ServerBackend, SingleChannelBackend
+from repro.runtime import KernelSimulation
+from repro.server.backend import ServerBackend
 from repro.server.broadcast import ProgramBuilder
 from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore, make_item_state
+from repro.server.itemstate import ItemStateStore
+from repro.server.substrate import build_substrate
 from repro.server.transactions import TransactionEngine
 from repro.shard.client import ShardedClient
 from repro.shard.partition import Partitioner, make_partitioner
@@ -60,8 +60,6 @@ from repro.stats import names as metric_names
 from repro.stats.metrics import MetricsRegistry
 from repro.stats.zipf import OffsetZipfGenerator
 
-#: Knuth's 64-bit multiplicative constant, for per-shard fault seeds.
-_MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 #: Salt for the cross-shard query shaper's RNG tree (independent of the
 #: workload and fault streams, like the fault injector's salt).
@@ -225,7 +223,7 @@ class ShardedBroadcastBackend(ServerBackend):
             cycle += 1
 
 
-class ShardedSimulation:
+class ShardedSimulation(KernelSimulation):
     """One sharded broadcast-push simulation (K channels, one database).
 
     ``shard_retention`` optionally tunes the old-version retention ``S``
@@ -248,7 +246,7 @@ class ShardedSimulation:
         shard_retention: Optional[Sequence[int]] = None,
         columnar: bool = True,
     ) -> None:
-        params.validate()
+        super().__init__(params, report_schedule, tracer)
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if consistency not in CONSISTENCY_MODES:
@@ -279,11 +277,9 @@ class ShardedSimulation:
                     "store's 255-version has-old column; pass "
                     "columnar=False for deeper retention"
                 )
-        self.params = params
         self.num_shards = num_shards
         self.consistency = consistency
         self.cross_shard_fraction = cross_shard_fraction
-        self.report_schedule = report_schedule or ReportSchedule()
         if num_shards > 1 and self.report_schedule.per_cycle != 1:
             raise ValueError(
                 "sub-cycle reports are a single-channel extension; "
@@ -296,38 +292,17 @@ class ShardedSimulation:
                 partitioner, num_shards, params.server.broadcast_size
             )
 
-        self.env = Environment()
-        self.metrics = MetricsRegistry()
-        self._rng = random.Random(params.sim.seed)
-        self.tracer = tracer
-        self._trace_c = gate(tracer, "cycles")
-        if tracer is not None and tracer.enabled:
-            tracer.bind_clock(lambda: self.env.now)
-            if tracer.engine:
-                self.env.set_trace_hook(
-                    lambda now, ev: tracer.emit(
-                        EV_ENGINE_STEP, event=type(ev).__name__
-                    )
-                )
-
         # -- shared server substrate ---------------------------------------
         self.database = Database(params.server.broadcast_size)
 
-        if num_shards == 1:
-            self.schemes: List[Scheme] = [
-                scheme_factory() for _ in range(params.sim.num_clients)
-            ]
-        else:
-            self.schemes = [
-                MultiShardScheme(scheme_factory, self.partitioner, consistency)
-                for _ in range(params.sim.num_clients)
-            ]
-        requirements = BroadcastRequirements(
-            report_window=self.report_schedule.window
+        sharded = num_shards > 1
+        self.requirements = requirements = self._adopt_schemes(
+            partial(
+                MultiShardScheme, scheme_factory, self.partitioner, consistency
+            )
+            if sharded
+            else scheme_factory
         )
-        for scheme in self.schemes:
-            requirements = requirements.merge(scheme.requirements())
-        self.requirements = requirements
 
         # -- per-shard substrates --------------------------------------------
         shard_items = [
@@ -340,99 +315,52 @@ class ShardedSimulation:
                     f"{self.partitioner.name} partitioner; reduce the shard "
                     f"count or grow the item universe"
                 )
-        txn_counts, upt = self._apportion_workload(shard_items)
-        seq_bases = []
-        base = 0
-        for count in txn_counts:
-            seq_bases.append(base)
-            base += count
+        txn_counts = self._apportion_workload(shard_items)
+        seq_bases = [0, *accumulate(txn_counts)]
+        upt = params.server.updates_per_transaction
 
         self.shards: List[ShardState] = []
-        for k in range(num_shards):
-            retention = (
-                shard_retention[k]
-                if shard_retention is not None
-                else params.server.retention
-            )
-            # One item-state store per shard over its own item slice, so K
-            # stores together hold one universe's worth of columns.
-            item_state = make_item_state(
-                self.database,
-                retention=retention if requirements.needs_old_versions else 0,
+        retentions = shard_retention or [params.server.retention] * num_shards
+        for k, (items, retention) in enumerate(zip(shard_items, retentions)):
+            substrate = build_substrate(
+                params.server,
+                requirements,
+                # A shard whose items carry no update mass commits
+                # nothing: no engine, and no draw off the master seed.
+                self.seeds.engine_rng() if txn_counts[k] > 0 else None,
                 columnar=columnar,
-                items=shard_items[k] if num_shards > 1 else None,
-                items_per_bucket=params.server.items_per_bucket,
-            )
-            version_store: Optional[ItemStateStore] = (
-                item_state if requirements.needs_old_versions else None
-            )
-            engine: Optional[TransactionEngine] = None
-            if num_shards == 1:
-                engine = TransactionEngine(
-                    params.server,
-                    self.database,
-                    version_store=version_store,
-                    rng=random.Random(self._rng.getrandbits(64)),
-                    keep_history=keep_history,
-                )
-            elif txn_counts[k] > 0:
-                shard_server = replace(
+                keep_history=keep_history,
+                tracer=tracer,
+                schedule=ShardSchedule(items) if sharded else schedule,
+                database=self.database,
+                items=items if sharded else None,
+                retention=retention,
+                engine_params=replace(
                     params.server,
                     transactions_per_cycle=txn_counts[k],
                     updates_per_cycle=txn_counts[k] * upt,
-                )
-                engine = TransactionEngine(
-                    shard_server,
-                    self.database,
-                    version_store=version_store,
-                    rng=random.Random(self._rng.getrandbits(64)),
-                    keep_history=keep_history,
-                    restrict_items=frozenset(shard_items[k]),
-                )
-            builder = ProgramBuilder(
-                params.server,
-                self.database,
-                version_store=version_store,
-                schedule=(
-                    schedule
-                    if num_shards == 1
-                    else ShardSchedule(shard_items[k])
                 ),
-                requirements=requirements,
-                tracer=tracer,
-                item_state=item_state,
             )
-            channel = BroadcastChannel(self.env)
             self.shards.append(
                 ShardState(
                     index=k,
-                    items=shard_items[k],
-                    channel=channel,
-                    builder=builder,
-                    engine=engine,
-                    version_store=version_store,
+                    items=items,
+                    channel=BroadcastChannel(self.env),
+                    builder=substrate.builder,
+                    engine=substrate.engine,
+                    version_store=substrate.version_store,
                     retention=retention,
-                    txn_count=txn_counts[k] if num_shards > 1 else
-                    params.server.transactions_per_cycle,
+                    txn_count=txn_counts[k],
                     seq_base=seq_bases[k],
+                    injector=(
+                        FaultInjector.for_shard(
+                            k, params.faults, params.sim, self.metrics, tracer
+                        )
+                        if params.faults.active
+                        else None
+                    ),
                 )
             )
-
-        # -- fault layer -----------------------------------------------------
-        if params.faults.active:
-            for shard in self.shards:
-                faults = params.faults
-                if shard.index > 0:
-                    base_seed = (
-                        faults.seed
-                        if faults.seed is not None
-                        else params.sim.seed ^ _SEED_SALT
-                    )
-                    derived = (base_seed ^ ((_MIX * shard.index) & _MASK)) & _MASK
-                    faults = replace(faults, seed=derived)
-                shard.injector = FaultInjector(
-                    faults, params.sim, self.metrics, tracer=tracer
-                )
 
         # -- clients ---------------------------------------------------------
         subscribed = sorted(
@@ -442,23 +370,31 @@ class ShardedSimulation:
             }
         )
         shaper_rng: Optional[random.Random] = None
-        if cross_shard_fraction is not None and num_shards > 1:
+        if cross_shard_fraction is not None and sharded:
             shaper_rng = random.Random(
                 (params.sim.seed ^ _SHAPER_SALT) & _MASK
             )
-        self.clients: List[BroadcastClient] = []
-        for client_id, scheme in enumerate(self.schemes):
+        # The K injectors wrap the K channels here; the seed order only
+        # supplies the workload streams.
+        for seed, scheme in zip(
+            self.seeds.clients(params.sim.num_clients), self.schemes
+        ):
+            client_id = seed.client_id
             channels: Dict[int, object] = {}
             for k in subscribed:
                 shard = self.shards[k]
                 channel = shard.channel
                 if shard.injector is not None:
-                    channel = shard.injector.wrap(shard.channel, client_id)
+                    channel = shard.injector.wrap(
+                        shard.channel,
+                        client_id,
+                        shard.injector.pipeline_for(client_id),
+                    )
                 channels[k] = channel
             storm = None
             if self.shards[0].injector is not None:
                 storm = self.shards[0].injector.disconnections_for(client_id)
-            if num_shards > 1:
+            if sharded:
                 scheme.bind_channels(channels)
             self.clients.append(
                 ShardedClient(
@@ -469,14 +405,12 @@ class ShardedSimulation:
                     scheme=scheme,
                     params=params.client,
                     metrics=self.metrics,
-                    rng=random.Random(self._rng.getrandbits(64)),
+                    rng=seed.rng,
                     disconnect=storm,
                     client_id=client_id,
                     warmup_cycles=params.sim.warmup_cycles,
                     tracer=tracer,
-                    cross_fraction=(
-                        cross_shard_fraction if num_shards > 1 else None
-                    ),
+                    cross_fraction=cross_shard_fraction if sharded else None,
                     shaper_rng=(
                         random.Random(shaper_rng.getrandbits(64))
                         if shaper_rng is not None
@@ -486,33 +420,25 @@ class ShardedSimulation:
             )
 
         # -- the driver -------------------------------------------------------
-        if num_shards == 1:
-            self.backend: ServerBackend = SingleChannelBackend(
-                env=self.env,
-                params=params,
-                report_schedule=self.report_schedule,
-                metrics=self.metrics,
-                engine=self.shards[0].engine,
-                builder=self.shards[0].builder,
-                channel=self.shards[0].channel,
-                trace_cycles=self._trace_c,
-            )
-        else:
-            self.backend = ShardedBroadcastBackend(
+        if sharded:
+            backend: ServerBackend = ShardedBroadcastBackend(
                 env=self.env,
                 params=params,
                 metrics=self.metrics,
                 shards=self.shards,
                 trace_cycles=self._trace_c,
             )
-        self._stop = self.env.event()
-        self.env.process(self._server_process())
+        else:
+            only = self.shards[0]
+            backend = self._single_channel_backend(
+                only.engine, only.builder, only.channel
+            )
+        self._launch(backend)
 
     # -- workload apportionment -------------------------------------------
 
-    def _apportion_workload(self, shard_items) -> tuple:
-        """Per-shard transaction counts plus the (global) updates per
-        transaction.
+    def _apportion_workload(self, shard_items) -> List[int]:
+        """Per-shard transaction counts.
 
         Transactions are apportioned by each shard's share of the update
         Zipf mass, so the *aggregate* update workload -- skew included --
@@ -521,8 +447,6 @@ class ShardedSimulation:
         commit nothing (their items are read-only at the server).
         """
         server = self.params.server
-        if self.num_shards == 1:
-            return [server.transactions_per_cycle], server.updates_per_transaction
         probe = OffsetZipfGenerator(
             n=server.update_range,
             theta=server.theta,
@@ -535,56 +459,4 @@ class ShardedSimulation:
             sum(probe.probability(item) for item in items if item in support)
             for items in shard_items
         ]
-        counts = apportion(server.transactions_per_cycle, masses)
-        return counts, server.updates_per_transaction
-
-    # -- the server loop ---------------------------------------------------
-
-    def _server_process(self):
-        yield from self.backend.process()
-        self._stop.succeed()
-
-    # -- single-channel compatibility surface ------------------------------
-
-    @property
-    def engine(self) -> Optional[TransactionEngine]:
-        return self.shards[0].engine
-
-    @property
-    def builder(self) -> ProgramBuilder:
-        return self.shards[0].builder
-
-    @property
-    def channel(self) -> BroadcastChannel:
-        return self.shards[0].channel
-
-    @property
-    def version_store(self) -> Optional[ItemStateStore]:
-        return self.shards[0].version_store
-
-    @property
-    def _cycles_completed(self) -> int:
-        return self.backend.cycles_completed
-
-    @property
-    def _total_slots(self) -> int:
-        return self.backend.total_slots
-
-    # -- running -----------------------------------------------------------
-
-    def run(self) -> SimulationResult:
-        """Run to the configured number of cycles and aggregate results."""
-        self.env.run(until=self._stop)
-        mean_slots = (
-            self._total_slots / self._cycles_completed
-            if self._cycles_completed
-            else 0.0
-        )
-        return SimulationResult(
-            params=self.params,
-            scheme_label=self.schemes[0].label if self.schemes else "none",
-            metrics=self.metrics,
-            cycles_completed=self._cycles_completed,
-            mean_cycle_slots=mean_slots,
-            clients=self.clients,
-        )
+        return apportion(server.transactions_per_cycle, masses)

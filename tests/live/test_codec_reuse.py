@@ -44,22 +44,26 @@ from repro.live.codec import (
     encode_frame,
     programs_equal,
 )
+from repro.seeds import SeedOrder
 from repro.stats.metrics import MetricsRegistry
 from tests.live.test_codec import wire_profiles, wire_programs
 
 CYCLES = 45
 
 
-def _built_programs(organization, sgt):
-    """``(profile, records)``: the server loop's ``(start, program)`` per cycle."""
-    params = ModelParameters().with_sim(num_cycles=CYCLES)
+def _built_programs(organization, sgt, seed=11):
+    """``(params, requirements, records)``: what the server loop airs under
+    ``seed`` -- one ``(cycle, start, program)`` record per cycle."""
+    params = ModelParameters().with_sim(num_cycles=CYCLES, seed=seed)
     requirements = BroadcastRequirements(
         needs_old_versions=organization is not None,
         organization=organization or "overflow",
         needs_sgt=sgt,
     )
-    trace = build_trace(params, requirements, MetricsRegistry(), random.Random(11))
-    return WireProfile.from_params(params.server, requirements), trace.records
+    trace = build_trace(
+        params, requirements, MetricsRegistry(), SeedOrder(seed).engine_rng()
+    )
+    return params, requirements, trace.records
 
 
 def _payloads(frames):
@@ -72,12 +76,13 @@ def _payloads(frames):
     ids=["flat", "overflow", "clustered", "sgt"],
 )
 def test_long_lived_codec_equals_a_fresh_one_over_built_cycles(organization, sgt):
-    profile, records = _built_programs(organization, sgt)
+    params, requirements, records = _built_programs(organization, sgt)
+    profile = WireProfile.from_params(params.server, requirements)
     encoder, decoder = CycleCodec(profile), CycleCodec(profile)
     previous = None
     reused = 0
     for record in records:
-        program, start_slot = record.program, record.start
+        program, start_slot = record.program, int(record.start)
         frames = encoder.encode_cycle(program, start_slot)
         assert frames == CycleCodec(profile).encode_cycle(program, start_slot)
 
@@ -210,10 +215,10 @@ def test_a_change_of_organization_is_a_miss_at_every_offset():
 
 
 def test_hostile_slots_and_indices_do_not_grow_the_memories():
-    profile, records = _built_programs("overflow", False)
+    params, requirements, records = _built_programs("overflow", False)
     program = records[-1].program
     assert program.overflow_buckets
-    codec = CycleCodec(profile)
+    codec = CycleCodec(WireProfile.from_params(params.server, requirements))
     frames = [decode_frame(raw)[0] for raw in codec.encode_cycle(program, 0)]
     header = codec.decode_control(frames[0])
     sizes = (header.num_data_buckets, header.num_overflow_buckets)
