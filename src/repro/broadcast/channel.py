@@ -1,24 +1,32 @@
-"""The broadcast channel: transmission timing and client tuning.
+"""The client's view of the air, and the shared channel that feeds it.
 
 One bucket is transmitted per slot (one simulated time unit); a bucket is
 considered delivered at the middle of its slot, so deliveries never
-collide with cycle boundaries.  The channel also provides the
-synchronization point clients use to tune in at the beginning of each
-bcast: the server installs the next program and *then* fires the
-cycle-start event, guaranteeing that a client resuming at the boundary
-always sees the new program and its control information.
+collide with cycle boundaries.
+
+:class:`ClientView` is everything a receiver knows about the broadcast --
+which is only what it heard -- and the one definition of tuning and slot
+timing for every way of running a client.  A perfect channel is simply
+the view whose lost-slot set is empty and which is never out of step.
+Run modes differ only in *who installs* a cycle into the view and *what a
+client parks on* until the next one: :class:`BroadcastChannel` here (the
+shared air of the discrete simulation),
+:class:`~repro.faults.channel.FaultyChannel` (one client's lossy view, a
+kernel listener of the shared channel) and
+:class:`~repro.cohort.channel.CohortChannel` (one client's view stepped
+without a kernel: cohort replay, live listeners).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Tuple
+import math
+from typing import Any, List, Optional, Protocol, Tuple
 
-from repro.broadcast.program import BroadcastProgram, ItemRecord, OldVersionRecord
+from repro.broadcast.program import BroadcastProgram, ItemRecord
+from repro.obs.trace import EV_FAULT_READ_LOST, Tracer, gate
 from repro.sim.engine import Environment
 from repro.sim.events import Event
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.control import ControlInfo
+from repro.stats.metrics import FAULT_READS_LOST, MetricsRegistry
 
 
 class ChannelListener(Protocol):
@@ -29,63 +37,92 @@ class ChannelListener(Protocol):
         ...  # pragma: no cover
 
 
-class BroadcastChannel:
-    """Models the (single, high-bandwidth) downstream broadcast channel."""
+class ClientView:
+    """One receiver's knowledge of the broadcast, and how it tunes.
 
-    def __init__(self, env: Environment) -> None:
+    Subclasses feed it through :meth:`_install` / :meth:`_signal_lost`
+    and define ``cycle_started()``: what a client yields to park until
+    the next cycle it *hears*.
+    """
+
+    __slots__ = (
+        "env", "metrics", "client_id", "_trace_q", "_trace_r", "_listeners",
+        "_program", "_cycle_start_time", "_lost_slots", "_in_step",
+    )
+
+    def __init__(
+        self,
+        env,
+        metrics: Optional[MetricsRegistry] = None,
+        client_id: int = 0,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
         self.env = env
+        #: Where lost reads are counted; a view that never loses a slot
+        #: (the shared perfect channel) needs none.
+        self.metrics = metrics
+        self.client_id = client_id
+        self._trace_q = gate(tracer, "queries")
+        self._trace_r = gate(tracer, "reads")
+        #: ``(listener, on_interim_report, on_signal_lost)``: the optional
+        #: handlers are resolved once, at subscribe time (``None`` where a
+        #: listener has none), and the list is only ever appended to or
+        #: replaced, so a listener may detach from inside a callback.
+        self._listeners: List[Tuple[ChannelListener, Any, Any]] = []
+        #: The last program whose control segment the client decoded --
+        #: the client's *knowledge*, not what is physically on the air.
         self._program: Optional[BroadcastProgram] = None
-        self._cycle_start_time: float = 0.0
-        self._listeners: List[ChannelListener] = []
-        #: Bound ``on_interim_report`` methods, resolved once at subscribe
-        #: time: publishing a mid-cycle report must not pay a per-listener
-        #: ``getattr`` scan on the hot path.
-        self._interim_handlers: List[Any] = []
-        self._cycle_started: Event = env.event()
+        self._cycle_start_time = 0.0
+        self._lost_slots: frozenset = frozenset()
+        #: True while the installed program is the one currently on air.
+        self._in_step = False
 
-    # -- server side -------------------------------------------------------
+    def _install(
+        self, program: BroadcastProgram, lost: frozenset, start_time: float
+    ) -> None:
+        """Make ``program`` the client's knowledge of the air.
 
-    def begin_cycle(self, program: BroadcastProgram) -> None:
-        """Install ``program`` and notify listeners; called by the server
-        at the exact cycle-start instant."""
-        self._program = program
-        self._cycle_start_time = self.env.now
-        for listener in self._listeners:
-            listener.on_cycle_start(program)
-        # Wake everyone waiting for the boundary, then arm a fresh event.
-        event, self._cycle_started = self._cycle_started, self.env.event()
-        event.succeed(program)
-
-    def publish_interim_report(self, report) -> None:
-        """Push a mid-cycle invalidation report (§7 sub-cycle extension).
-
-        Listeners that implement ``on_interim_report`` receive it; others
-        are unaffected (the main per-cycle report still covers everything).
+        ``start_time`` is the *true* cycle start: slot timing stays
+        anchored there even when the control segment decoded late -- the
+        air does not wait.
         """
-        for handler in self._interim_handlers:
-            handler(report)
+        self._program = program
+        self._cycle_start_time = start_time
+        self._lost_slots = lost
+        self._in_step = True
+        for listener, _, _ in self._listeners:
+            listener.on_cycle_start(program)
+
+    def _signal_lost(self, cycle: int) -> None:
+        """The control segment of ``cycle`` never decoded: the cycle is
+        missed.  The stale program is no longer consulted -- reads park
+        until the next install -- and listeners are told, so a scheme can
+        doom its active queries exactly as for a disconnection."""
+        self._in_step = False
+        for _, _, on_signal_lost in self._listeners:
+            if on_signal_lost is not None:
+                on_signal_lost(cycle)
+
+    def _publish(self, report) -> None:
+        for _, on_interim_report, _ in self._listeners:
+            if on_interim_report is not None:
+                on_interim_report(report)
 
     def subscribe(self, listener: ChannelListener) -> None:
-        self._listeners.append(listener)
-        handler = getattr(listener, "on_interim_report", None)
-        if handler is not None:
-            self._interim_handlers.append(handler)
+        self._listeners.append((
+            listener,
+            getattr(listener, "on_interim_report", None),
+            getattr(listener, "on_signal_lost", None),
+        ))
 
     def unsubscribe(self, listener: ChannelListener) -> None:
         """Detach ``listener``; detaching one that is already gone is a
         no-op (a disconnect storm may race a client-initiated detach)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            return
-        handler = getattr(listener, "on_interim_report", None)
-        if handler is not None:
-            try:
-                self._interim_handlers.remove(handler)
-            except ValueError:  # pragma: no cover - defensive
-                pass
+        self._listeners = [
+            entry for entry in self._listeners if entry[0] is not listener
+        ]
 
-    # -- state -----------------------------------------------------------------
+    # -- state ---------------------------------------------------------------
 
     @property
     def program(self) -> BroadcastProgram:
@@ -105,46 +142,62 @@ class BroadcastChannel:
     def cycle_start_time(self) -> float:
         return self._cycle_start_time
 
-    def cycle_started(self) -> Event:
-        """Event firing at the next cycle start with the new program."""
-        return self._cycle_started
-
-    # -- timing helpers -----------------------------------------------------------
+    # -- timing helpers ------------------------------------------------------
 
     def delivery_time(self, slot: int) -> float:
         """Absolute delivery time of cycle-relative ``slot`` this cycle."""
         return self._cycle_start_time + slot + 0.5
 
     def prefetch_time(self, slot: int) -> float:
-        """When a cache autoprefetch armed on ``slot`` obtains its value.
-
-        On the perfect channel this equals :meth:`delivery_time`; a faulty
-        channel returns ``inf`` for slots the client will not receive, so
-        the prefetch never materializes (see :mod:`repro.faults`).
-        """
+        """When a cache autoprefetch armed on ``slot`` obtains its value:
+        its delivery time, or ``inf`` for a bucket this client will not
+        receive, so the prefetch never materializes."""
+        if slot in self._lost_slots:
+            return math.inf
         return self.delivery_time(slot)
 
     def relative_now(self) -> float:
         """Time since the current cycle started."""
         return self.env.now - self._cycle_start_time
 
-    # -- client-side tuning (simulation processes) ---------------------------------
+    # -- client-side tuning (simulation processes) ---------------------------
+
+    def _receivable(self, slot: int) -> bool:
+        if slot in self._lost_slots:
+            self.metrics.count(FAULT_READS_LOST)
+            if self._trace_r is not None:
+                self._trace_r.emit(
+                    EV_FAULT_READ_LOST,
+                    client=self.client_id,
+                    cycle=self.program.cycle,
+                    slot=slot,
+                )
+            return False
+        return True
 
     def await_item(self, item: int):
         """Process: wait until ``item``'s current value flies by.
 
         Returns ``(record, cycle)`` where ``cycle`` is the broadcast cycle
-        the value was read from.  If the item has already passed in the
-        current cycle, waits for the next cycle.
+        the value was read from.  A lost bucket costs the wait (the
+        client tunes in and hears noise) and forces a retry on the item's
+        next repetition; if none is left this cycle, or the view is out
+        of step, waits for the next heard cycle.
         """
         while True:
-            program = self.program
-            slot = program.next_slot_of(item, self.relative_now())
-            if slot is not None:
-                record = program.record_of(item)
-                yield self.env.timeout(self.delivery_time(slot) - self.env.now)
-                return (record, program.cycle)
-            # Already flown by: sleep until the next bcast begins.
+            if self._in_step:
+                program = self._program
+                slot = program.next_slot_of(item, self.relative_now())
+                while slot is not None:
+                    yield self.env.timeout(self.delivery_time(slot) - self.env.now)
+                    if self._receivable(slot):
+                        return (program.record_of(item), program.cycle)
+                    # This copy was lost.  The delivery instant is
+                    # inclusive, so re-asking at the same instant would
+                    # return the same slot forever; resume strictly
+                    # after it (integer slots: next copy >= slot + 1).
+                    slot = program.next_slot_of(item, slot + 1)
+            # Already flown by: sleep until the next heard bcast begins.
             yield self.cycle_started()
 
     def await_old_version(self, item: int, cycle: int):
@@ -159,18 +212,25 @@ class BroadcastChannel:
         read).  The current value qualifies when its version is old
         enough; otherwise the old-version area is consulted, which in the
         overflow organization means waiting until the end of the bcast.
+        Per-slot loss applies to the current and the overflow copy alike.
         """
         while True:
-            program = self.program
+            if not self._in_step:
+                yield self.cycle_started()
+                continue
+            program = self._program
             now_rel = self.relative_now()
 
             current = program.record_of(item)
             if current.version <= cycle:
                 # The current value is the one we need.
                 slot = program.next_slot_of(item, now_rel)
-                if slot is not None:
+                while slot is not None:
                     yield self.env.timeout(self.delivery_time(slot) - self.env.now)
-                    return (current, True, None)
+                    if self._receivable(slot):
+                        return (current, True, None)
+                    # Lost copy: resume strictly after it (see await_item).
+                    slot = program.next_slot_of(item, slot + 1)
             else:
                 hit = program.old_version_at(item, cycle)
                 if hit is None:
@@ -181,12 +241,46 @@ class BroadcastChannel:
                 # resuming exactly at the delivery time still hears it.
                 if slot + 0.5 >= now_rel:
                     yield self.env.timeout(self.delivery_time(slot) - self.env.now)
-                    record = ItemRecord(
-                        item=old.item,
-                        value=old.value,
-                        version=old.version,
-                        writer=old.writer,
-                    )
-                    return (record, True, old.valid_to)
-            # Missed this cycle's copy; try again next cycle.
+                    if self._receivable(slot):
+                        record = ItemRecord(
+                            item=old.item,
+                            value=old.value,
+                            version=old.version,
+                            writer=old.writer,
+                        )
+                        return (record, True, old.valid_to)
+                    # An old version rides exactly one slot per cycle;
+                    # losing it means waiting for the next heard cycle.
+            # Missed this cycle's copy; try again next heard cycle.
             yield self.cycle_started()
+
+
+class BroadcastChannel(ClientView):
+    """The (single, high-bandwidth) downstream channel, heard perfectly:
+    the one view every client of a fault-free discrete run shares."""
+
+    __slots__ = ("_cycle_started",)
+
+    def __init__(self, env: Environment) -> None:
+        super().__init__(env)
+        self._cycle_started: Event = env.event()
+
+    def begin_cycle(self, program: BroadcastProgram) -> None:
+        """Install ``program`` and notify listeners; called by the server
+        at the exact cycle-start instant."""
+        self._install(program, frozenset(), self.env.now)
+        # Wake everyone waiting for the boundary, then arm a fresh event.
+        event, self._cycle_started = self._cycle_started, self.env.event()
+        event.succeed(program)
+
+    def publish_interim_report(self, report) -> None:
+        """Push a mid-cycle invalidation report (§7 sub-cycle extension).
+
+        Listeners that implement ``on_interim_report`` receive it; others
+        are unaffected (the main per-cycle report still covers everything).
+        """
+        self._publish(report)
+
+    def cycle_started(self) -> Event:
+        """Event firing at the next cycle start with the new program."""
+        return self._cycle_started

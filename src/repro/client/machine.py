@@ -160,7 +160,7 @@ class BroadcastClient:
             self._miss_cycle(cycle, fault=False)
             return
         if not self.listening:
-            self._resynchronize(program)
+            self._resynchronize(program, self.last_heard_cycle)
             if self._fault_desynced:
                 self.metrics.count(metric_names.FAULT_RECOVERIES)
                 self._fault_desynced = False
@@ -232,13 +232,17 @@ class BroadcastClient:
             # the injected fault.
             txn.cause_chain.append({"event": "fault_forced", "cycle": cycle})
 
-    def _resynchronize(self, program: BroadcastProgram) -> None:
+    def _resynchronize(
+        self, program: BroadcastProgram, last_heard: int, **trace_fields
+    ) -> None:
         """Reconnect after missed cycles: the cache cannot be trusted.
 
         If the control segment retransmits reports covering every missed
         cycle (the w-window extension, §7), replay them in order; else
         drop the cache entirely -- stale entries would otherwise serve
-        values the client wrongly believes current.
+        values the client wrongly believes current.  ``last_heard`` is
+        the last cycle heard on the channel ``program`` came from; a
+        multi-tuner client names that channel in ``trace_fields``.
         """
         if self.cache is None:
             return
@@ -248,11 +252,12 @@ class BroadcastClient:
                 EV_CLIENT_RESYNC,
                 client=self.client_id,
                 cycle=program.cycle,
-                last_heard=self.last_heard_cycle,
+                **trace_fields,
+                last_heard=last_heard,
             )
         control = program.control
-        if control.missed_window_ok(self.last_heard_cycle):
-            for missed in range(self.last_heard_cycle + 1, program.cycle):
+        if control.missed_window_ok(last_heard):
+            for missed in range(last_heard + 1, program.cycle):
                 report = control.report_covering(missed)
                 if report is not None:
                     self.cache.apply_missed_report(report)

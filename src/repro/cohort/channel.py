@@ -1,56 +1,32 @@
-"""Per-client channel surface replayed from a pre-computed server trace.
+"""One client's view of the air, stepped without an event kernel.
 
-:class:`CohortChannel` exposes the exact client-side surface of
-:class:`~repro.broadcast.channel.BroadcastChannel` (and, when a fault
-pipeline is attached, of :class:`~repro.faults.channel.FaultyChannel`):
-``subscribe``, ``cycle_started``, ``await_item``, ``await_old_version``
-and the timing helpers.  The generator bodies of the two ``await_*``
-methods are ports of the faulty-channel ones -- which degenerate to the
-perfect-channel behaviour when no slot is ever lost -- down to the exact
-float expression of each ``timeout`` delta, so the wake instants (and
-hence every downstream think-time and cycle attribution) are
-bit-identical to a discrete run.
-
-The server side is different: instead of being fed by a live
-``begin_cycle``, the cohort driver calls :meth:`prepare_cycle` at each
-cycle boundary (running the fault pipeline and counting the fault
-metrics exactly as ``FaultyChannel.on_cycle_start`` would) and then
-either :meth:`install` or :meth:`signal_lost` according to the returned
-fate.
+:class:`CohortChannel` is the :class:`~repro.broadcast.channel.ClientView`
+whose driver is outside it: the cohort replayer's
+:class:`~repro.cohort.engine.Member` (or a live listener, off decoded
+wire frames) calls :meth:`CohortChannel.prepare_cycle` at each cycle
+boundary to learn the cycle's fate, moves the client's clock itself, and
+then calls either ``install`` or ``signal_lost``.  A client parked on
+``cycle_started`` holds no kernel event, just the :data:`CYCLE_WAIT`
+token the driver recognises.  Tuning and timing are the shared view's,
+so wake instants (and hence every downstream think-time and cycle
+attribution) are bit-identical to a discrete run.
 """
 
 from __future__ import annotations
 
-import math
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
-from repro.broadcast.program import BroadcastProgram, ItemRecord
+from repro.broadcast.channel import ClientView
+from repro.broadcast.program import BroadcastProgram
 from repro.cohort.shim import CYCLE_WAIT, CohortEnv
-from repro.faults.models import CycleFate, FaultModel
-from repro.stats.metrics import (
-    FAULT_CYCLES_TRUNCATED,
-    FAULT_READS_LOST,
-    FAULT_REPORTS_DELAYED,
-    FAULT_REPORTS_MISSED,
-    FAULT_SLOTS_LOST,
-    MetricsRegistry,
-)
+from repro.faults.models import FaultModel, decide_fate
+from repro.stats.metrics import MetricsRegistry
 
 
-class CohortChannel:
+class CohortChannel(ClientView):
     """One client's (optionally lossy) view of the broadcast trace."""
 
-    __slots__ = (
-        "env",
-        "pipeline",
-        "metrics",
-        "client_id",
-        "_listeners",
-        "_program",
-        "_cycle_start_time",
-        "_lost_slots",
-        "_synced",
-    )
+    __slots__ = ("pipeline",)
 
     def __init__(
         self,
@@ -59,195 +35,32 @@ class CohortChannel:
         pipeline: Optional[Sequence[FaultModel]] = None,
         client_id: int = 0,
     ) -> None:
-        self.env = env
+        super().__init__(env, metrics, client_id)
         self.pipeline = list(pipeline) if pipeline is not None else None
-        self.metrics = metrics
-        self.client_id = client_id
-        self._listeners: List = []
-        self._program: Optional[BroadcastProgram] = None
-        self._cycle_start_time = 0.0
-        self._lost_slots: frozenset = frozenset()
-        self._synced = False
-
-    # -- driver side (replaces the live server feed) ------------------------
 
     def prepare_cycle(
         self, program: BroadcastProgram
     ) -> Tuple[float, FrozenSet[int], bool]:
         """Decide this cycle's fate at its boundary instant.
 
-        Returns ``(control_delay, lost_slots, control_lost)``.  Mirrors
-        ``FaultyChannel.on_cycle_start`` exactly -- same pipeline
-        application order, same degeneration rules, same fault counters
-        -- but leaves the clock/install mechanics to the driver.  On a
-        perfect channel (no pipeline) the fate is trivially clean.
+        Returns ``(control_delay, lost_slots, control_lost)`` and leaves
+        the clock/install mechanics to the driver.  On a perfect channel
+        (no pipeline) the fate is trivially clean.
         """
         if self.pipeline is None:
             return (0.0, frozenset(), False)
-        self._synced = False
-        fate = CycleFate(
-            cycle=program.cycle,
-            total_slots=program.total_slots,
-            control_slots=program.control_slots,
+        self._in_step = False
+        fate = decide_fate(
+            self.pipeline, program.cycle, program.total_slots,
+            program.control_slots, self.metrics, self.client_id, self._trace_q,
         )
-        for model in self.pipeline:
-            model.apply(fate)
-        # A control segment that decodes only after the cycle ended, or a
-        # lost control slot, degenerates to a lost control segment.
-        if fate.control_delay >= program.total_slots:
-            fate.control_lost = True
-        if any(slot < program.control_slots for slot in fate.lost_slots):
-            fate.control_lost = True
-        if fate.truncated:
-            self.metrics.count(FAULT_CYCLES_TRUNCATED)
-        self.metrics.count(FAULT_SLOTS_LOST, fate.data_slots_lost)
+        return (fate.control_delay, frozenset(fate.lost_slots), fate.control_lost)
 
-        if fate.control_lost:
-            self.metrics.count(FAULT_REPORTS_MISSED)
-            return (0.0, frozenset(), True)
-        lost = frozenset(fate.lost_slots)
-        if fate.control_delay > 0:
-            self.metrics.count(FAULT_REPORTS_DELAYED)
-            # Everything that flew before synchronization is gone too.
-            lost = lost | frozenset(
-                slot
-                for slot in range(program.total_slots)
-                if slot + 0.5 < fate.control_delay
-            )
-        return (fate.control_delay, lost, False)
-
-    def install(
-        self, program: BroadcastProgram, lost: frozenset, start_time: float
-    ) -> None:
-        """Make ``program`` the client's knowledge of the air.
-
-        ``start_time`` is the *true* cycle start: slot timing stays
-        anchored there even when the control segment decoded late.
-        """
-        self._program = program
-        self._cycle_start_time = start_time
-        self._lost_slots = lost
-        self._synced = True
-        for listener in list(self._listeners):
-            listener.on_cycle_start(program)
-
-    def signal_lost(self, cycle: int) -> None:
-        """The control segment never decoded: the cycle is missed."""
-        for listener in list(self._listeners):
-            handler = getattr(listener, "on_signal_lost", None)
-            if handler is not None:
-                handler(cycle)
-
-    # -- client-side surface (mirrors the live channels) --------------------
-
-    def subscribe(self, listener) -> None:
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener) -> None:
-        """Idempotent, like the live channels'."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            return
-
-    @property
-    def program(self) -> BroadcastProgram:
-        if self._program is None:
-            raise RuntimeError("The channel is not broadcasting yet")
-        return self._program
-
-    @property
-    def on_air(self) -> bool:
-        return self._program is not None
-
-    @property
-    def current_cycle(self) -> int:
-        return self.program.cycle
-
-    @property
-    def cycle_start_time(self) -> float:
-        return self._cycle_start_time
+    #: The driver's two ways to end a boundary, published on this class
+    #: (``install(program, lost, start_time)``, ``signal_lost(cycle)``).
+    install = ClientView._install
+    signal_lost = ClientView._signal_lost
 
     def cycle_started(self):
         """Park token: the driver resumes the client at the next install."""
         return CYCLE_WAIT
-
-    def delivery_time(self, slot: int) -> float:
-        return self._cycle_start_time + slot + 0.5
-
-    def prefetch_time(self, slot: int) -> float:
-        """Autoprefetches armed on a lost bucket never land."""
-        if slot in self._lost_slots:
-            return math.inf
-        return self.delivery_time(slot)
-
-    def relative_now(self) -> float:
-        return self.env.now - self._cycle_start_time
-
-    # -- client-side tuning (generator bodies ported from FaultyChannel,
-    # which degenerate to BroadcastChannel's when nothing is ever lost) --
-
-    def _receivable(self, slot: int) -> bool:
-        if slot in self._lost_slots:
-            self.metrics.count(FAULT_READS_LOST)
-            return False
-        return True
-
-    def await_item(self, item: int):
-        """Process: wait for ``item``; lost buckets cost the wait and force
-        a retry on the next repetition or the next heard cycle."""
-        while True:
-            if self._program is not None and self._synced:
-                program = self._program
-                slot = program.next_slot_of(item, self.relative_now())
-                while slot is not None:
-                    yield self.env.timeout(self.delivery_time(slot) - self.env.now)
-                    if self._receivable(slot):
-                        return (program.record_of(item), program.cycle)
-                    # This copy was lost; the delivery instant is
-                    # inclusive, so resume strictly after it.
-                    slot = program.next_slot_of(item, slot + 1)
-            yield self.cycle_started()
-
-    def await_old_version(self, item: int, cycle: int):
-        """Process: wait for the on-air version of ``item`` current at
-        ``cycle``, with per-slot loss applied to both the current and the
-        overflow copy."""
-        while True:
-            if self._program is None or not self._synced:
-                yield self.cycle_started()
-                continue
-            program = self._program
-            now_rel = self.relative_now()
-
-            current = program.record_of(item)
-            if current.version <= cycle:
-                slot = program.next_slot_of(item, now_rel)
-                while slot is not None:
-                    yield self.env.timeout(self.delivery_time(slot) - self.env.now)
-                    if self._receivable(slot):
-                        return (current, True, None)
-                    # Lost copy: resume strictly after it (the inclusive
-                    # delivery instant would yield the same slot again).
-                    slot = program.next_slot_of(item, slot + 1)
-            else:
-                hit = program.old_version_at(item, cycle)
-                if hit is None:
-                    # Required version discarded from the air: abort.
-                    return (None, False, None)
-                old, slot = hit
-                # Delivery-instant inclusive (see BroadcastChannel).
-                if slot + 0.5 >= now_rel:
-                    yield self.env.timeout(self.delivery_time(slot) - self.env.now)
-                    if self._receivable(slot):
-                        record = ItemRecord(
-                            item=old.item,
-                            value=old.value,
-                            version=old.version,
-                            writer=old.writer,
-                        )
-                        return (record, True, old.valid_to)
-                    # An old version rides exactly one slot per cycle;
-                    # losing it means waiting for the next heard cycle.
-            # Missed this cycle's copy; try again next heard cycle.
-            yield self.cycle_started()

@@ -19,8 +19,8 @@ scheduling rules:
 3. on a lost control segment: ``on_signal_lost`` fires at ``T1`` and the
    client keeps its pending state into the next cycle;
 4. on a delayed control segment: run wakes strictly below the install
-   instant first (they park on the desynchronized channel exactly as
-   they would against the live ``FaultyChannel``), then install;
+   instant first (they park on the out-of-step view exactly as they
+   would against the kernel-fed ``FaultyChannel``), then install;
 5. install (listener callback: cache + scheme control processing), then
    resume a parked client -- the kernel's ``succeed`` gives resumed
    waiters the freshest event ids, so they run after the installation
@@ -96,13 +96,31 @@ class Member:
 
     def deliver(self, start: float, program) -> None:
         """Advance this member across one full broadcast cycle."""
+        # Wakes before the boundary still see the previous cycle in step;
+        # deciding the fate is what puts a lossy view out of step.
         self.run_until(start)
         delay, lost, control_lost = self.channel.prepare_cycle(program)
-        if control_lost:
+        self.cross(
+            start, program.cycle, None if control_lost else program, lost, delay
+        )
+
+    def cross(
+        self,
+        start: float,
+        cycle: int,
+        program=None,
+        lost: frozenset = frozenset(),
+        delay: float = 0.0,
+    ) -> None:
+        """Cross the boundary into ``cycle`` with its fate already
+        decided: ``program`` is ``None`` when the control segment never
+        decoded, else it installs ``delay`` slots in, less ``lost``."""
+        self.run_until(start)
+        if program is None:
             # The cycle is missed: the client's knowledge (and any pending
             # timeout) carries over; only the listener hook fires.
             self.env.now = start
-            self.channel.signal_lost(program.cycle)
+            self.channel.signal_lost(cycle)
             return
         if delay:
             install_at = start + delay

@@ -1,23 +1,16 @@
-"""A per-client lossy view of the broadcast channel.
+"""A per-client lossy view of the shared broadcast channel.
 
 :class:`FaultyChannel` sits between one :class:`~repro.client.machine.
 BroadcastClient` and the shared :class:`~repro.broadcast.channel.
-BroadcastChannel`.  It exposes the same client-side surface (subscribe,
-``cycle_started``, ``await_item``, ``await_old_version``, the timing
-helpers), but filters everything through a pipeline of
-:class:`~repro.faults.models.FaultModel` s:
-
-* a cycle whose control segment is lost is never *installed*: the view
-  keeps showing the previous cycle, reads block until the next heard
-  cycle, and the client's listener is told via ``on_signal_lost`` so the
-  scheme can doom its active queries exactly as it would for a
-  disconnection -- reusing the (proved-safe) resynchronization path;
-* a delayed control segment installs mid-cycle, with every slot that
-  flew before synchronization marked lost;
-* lost data slots cost the client the wait (it tunes in and hears
-  noise), then force a retry on the item's next repetition or cycle;
-  cache autoprefetches armed on lost slots never materialize
-  (:meth:`prefetch_time` returns ``inf``).
+BroadcastChannel`: a :class:`~repro.broadcast.channel.ClientView` fed by
+the kernel.  Subscribed to the shared channel, it decides each cycle's
+fate at the boundary (:func:`~repro.faults.models.decide_fate`) and then
+signals the cycle lost (control segment lost: nothing is installed, reads
+block until the next heard cycle, the scheme dooms its active queries
+exactly as for a disconnection -- reusing the proved-safe
+resynchronization path), installs it mid-cycle (control segment decoded
+late), or installs it at once, in each case less the slots this client
+will not receive.
 
 The wrapper never touches the server side: faults are strictly a
 receiver property, so the paper's scalability argument -- no client
@@ -26,33 +19,20 @@ influences the broadcast -- survives injection by construction.
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.broadcast.channel import BroadcastChannel, ChannelListener
-from repro.broadcast.program import BroadcastProgram, ItemRecord
-from repro.faults.models import CycleFate, FaultModel
-from repro.obs.trace import (
-    EV_FAULT_READ_LOST,
-    EV_FAULT_REPORT_DELAYED,
-    EV_FAULT_REPORT_MISSED,
-    EV_FAULT_TRUNCATED,
-    Tracer,
-    gate,
-)
+from repro.broadcast.channel import BroadcastChannel, ClientView
+from repro.broadcast.program import BroadcastProgram
+from repro.faults.models import CycleFate, FaultModel, decide_fate
+from repro.obs.trace import Tracer
 from repro.sim.events import Event
-from repro.stats.metrics import (
-    FAULT_CYCLES_TRUNCATED,
-    FAULT_READS_LOST,
-    FAULT_REPORTS_DELAYED,
-    FAULT_REPORTS_MISSED,
-    FAULT_SLOTS_LOST,
-    MetricsRegistry,
-)
+from repro.stats.metrics import MetricsRegistry
 
 
-class FaultyChannel:
+class FaultyChannel(ClientView):
     """Wraps a :class:`BroadcastChannel` with client-local fault injection."""
+
+    __slots__ = ("inner", "pipeline", "_cycle_started", "_generation")
 
     def __init__(
         self,
@@ -62,25 +42,12 @@ class FaultyChannel:
         client_id: int = 0,
         tracer: Optional[Tracer] = None,
     ) -> None:
+        if metrics is None:
+            metrics = MetricsRegistry()
+        super().__init__(inner.env, metrics, client_id, tracer)
         self.inner = inner
-        self.env = inner.env
         self.pipeline = list(pipeline)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.client_id = client_id
-        self._trace_q = gate(tracer, "queries")
-        self._trace_r = gate(tracer, "reads")
-        self._listeners: List[ChannelListener] = []
-        #: Bound ``on_interim_report`` methods, resolved at subscribe time
-        #: (mirrors :class:`BroadcastChannel`: no per-publish getattr).
-        self._interim_handlers: List = []
         self._cycle_started: Event = self.env.event()
-        #: The last program whose control segment the client decoded --
-        #: the client's *knowledge*, not what is physically on the air.
-        self._program: Optional[BroadcastProgram] = None
-        self._cycle_start_time = 0.0
-        self._lost_slots: frozenset = frozenset()
-        #: True while the installed program is the one currently on air.
-        self._synced = False
         self._generation = 0
         inner.subscribe(self)
 
@@ -88,226 +55,42 @@ class FaultyChannel:
 
     def on_cycle_start(self, program: BroadcastProgram) -> None:
         self._generation += 1
-        self._synced = False
-        fate = CycleFate(
-            cycle=program.cycle,
-            total_slots=program.total_slots,
-            control_slots=program.control_slots,
+        self._in_step = False
+        fate = decide_fate(
+            self.pipeline, program.cycle, program.total_slots,
+            program.control_slots, self.metrics, self.client_id, self._trace_q,
         )
-        for model in self.pipeline:
-            model.apply(fate)
-        # A control segment that decodes only after the cycle ended, or a
-        # lost control slot, degenerates to a lost control segment.
-        if fate.control_delay >= program.total_slots:
-            fate.control_lost = True
-        if any(slot < program.control_slots for slot in fate.lost_slots):
-            fate.control_lost = True
-        if fate.truncated:
-            self.metrics.count(FAULT_CYCLES_TRUNCATED)
-            if self._trace_q is not None:
-                self._trace_q.emit(
-                    EV_FAULT_TRUNCATED,
-                    client=self.client_id,
-                    cycle=program.cycle,
-                    lost_slots=fate.data_slots_lost,
-                )
-        self.metrics.count(FAULT_SLOTS_LOST, fate.data_slots_lost)
-
         if fate.control_lost:
-            self.metrics.count(FAULT_REPORTS_MISSED)
-            if self._trace_q is not None:
-                self._trace_q.emit(
-                    EV_FAULT_REPORT_MISSED,
-                    client=self.client_id,
-                    cycle=program.cycle,
-                )
             self._signal_lost(program.cycle)
-            return
-        lost = frozenset(fate.lost_slots)
-        if fate.control_delay > 0:
-            self.metrics.count(FAULT_REPORTS_DELAYED)
-            if self._trace_q is not None:
-                self._trace_q.emit(
-                    EV_FAULT_REPORT_DELAYED,
-                    client=self.client_id,
-                    cycle=program.cycle,
-                    delay=fate.control_delay,
-                )
-            # Everything that flew before synchronization is gone too.
-            lost = lost | frozenset(
-                slot
-                for slot in range(program.total_slots)
-                if slot + 0.5 < fate.control_delay
-            )
-            self.env.process(
-                self._install_later(program, lost, fate.control_delay)
-            )
-            return
-        self._install(program, lost)
+        elif fate.control_delay > 0:
+            self.env.process(self._hear_later(program, fate))
+        else:
+            self._hear(program, fate)
 
     def on_interim_report(self, report) -> None:
-        """Mid-cycle reports only reach a synchronized client.
+        """Mid-cycle reports only reach a client in step with the air.
 
         Dropping one is safe by construction: the next cycle-start report
         covers every update of the cycle, so a missed interim report only
         delays an abort, never enables a bad commit.
         """
-        if not self._synced:
-            return
-        for handler in list(self._interim_handlers):
-            handler(report)
+        if self._in_step:
+            self._publish(report)
 
-    def _install_later(self, program, lost, delay):
+    def _hear_later(self, program: BroadcastProgram, fate: CycleFate):
         generation = self._generation
-        yield self.env.timeout(delay)
+        yield self.env.timeout(fate.control_delay)
         if generation != self._generation:  # pragma: no cover - defensive;
-            return  # the delay is clamped below one cycle in on_cycle_start
-        self._install(program, lost)
+            return  # decide_fate turns a delay of a whole cycle into a loss
+        self._hear(program, fate)
 
-    def _install(self, program: BroadcastProgram, lost: frozenset) -> None:
-        self._program = program
-        # Slot timing is anchored at the true cycle start even when the
-        # control segment decoded late: the air does not wait.
-        self._cycle_start_time = self.inner.cycle_start_time
-        self._lost_slots = lost
-        self._synced = True
-        for listener in list(self._listeners):
-            listener.on_cycle_start(program)
+    def _hear(self, program: BroadcastProgram, fate: CycleFate) -> None:
+        self._install(
+            program, frozenset(fate.lost_slots), self.inner.cycle_start_time
+        )
         event, self._cycle_started = self._cycle_started, self.env.event()
         event.succeed(program)
-
-    def _signal_lost(self, cycle: int) -> None:
-        for listener in list(self._listeners):
-            handler = getattr(listener, "on_signal_lost", None)
-            if handler is not None:
-                handler(cycle)
-
-    # -- client-side surface (mirrors BroadcastChannel) ---------------------
-
-    def subscribe(self, listener: ChannelListener) -> None:
-        self._listeners.append(listener)
-        handler = getattr(listener, "on_interim_report", None)
-        if handler is not None:
-            self._interim_handlers.append(handler)
-
-    def unsubscribe(self, listener: ChannelListener) -> None:
-        """Idempotent, like :meth:`BroadcastChannel.unsubscribe`."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            return
-        handler = getattr(listener, "on_interim_report", None)
-        if handler is not None:
-            try:
-                self._interim_handlers.remove(handler)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-
-    @property
-    def program(self) -> BroadcastProgram:
-        if self._program is None:
-            raise RuntimeError("The channel is not broadcasting yet")
-        return self._program
-
-    @property
-    def on_air(self) -> bool:
-        return self._program is not None
-
-    @property
-    def current_cycle(self) -> int:
-        return self.program.cycle
-
-    @property
-    def cycle_start_time(self) -> float:
-        return self._cycle_start_time
 
     def cycle_started(self) -> Event:
         """Event firing at the next cycle start the client *hears*."""
         return self._cycle_started
-
-    def delivery_time(self, slot: int) -> float:
-        return self._cycle_start_time + slot + 0.5
-
-    def prefetch_time(self, slot: int) -> float:
-        """Autoprefetches armed on a lost bucket never land."""
-        if slot in self._lost_slots:
-            return math.inf
-        return self.delivery_time(slot)
-
-    def relative_now(self) -> float:
-        return self.env.now - self._cycle_start_time
-
-    # -- client-side tuning ---------------------------------------------------
-
-    def _receivable(self, slot: int) -> bool:
-        if slot in self._lost_slots:
-            self.metrics.count(FAULT_READS_LOST)
-            if self._trace_r is not None:
-                self._trace_r.emit(
-                    EV_FAULT_READ_LOST,
-                    client=self.client_id,
-                    cycle=self.program.cycle,
-                    slot=slot,
-                )
-            return False
-        return True
-
-    def await_item(self, item: int):
-        """Process: wait for ``item``; lost buckets cost the wait and force
-        a retry on the next repetition or the next heard cycle."""
-        while True:
-            if self._program is not None and self._synced:
-                program = self._program
-                slot = program.next_slot_of(item, self.relative_now())
-                while slot is not None:
-                    yield self.env.timeout(self.delivery_time(slot) - self.env.now)
-                    if self._receivable(slot):
-                        return (program.record_of(item), program.cycle)
-                    # This copy was lost.  The delivery instant is
-                    # inclusive, so re-asking at the same instant would
-                    # return the same slot forever; resume strictly
-                    # after it (integer slots: next copy >= slot + 1).
-                    slot = program.next_slot_of(item, slot + 1)
-            yield self.cycle_started()
-
-    def await_old_version(self, item: int, cycle: int):
-        """Process: like :meth:`BroadcastChannel.await_old_version`, with
-        per-slot loss applied to both the current and the overflow copy."""
-        while True:
-            if self._program is None or not self._synced:
-                yield self.cycle_started()
-                continue
-            program = self._program
-            now_rel = self.relative_now()
-
-            current = program.record_of(item)
-            if current.version <= cycle:
-                slot = program.next_slot_of(item, now_rel)
-                while slot is not None:
-                    yield self.env.timeout(self.delivery_time(slot) - self.env.now)
-                    if self._receivable(slot):
-                        return (current, True, None)
-                    # Lost copy: resume strictly after it (the inclusive
-                    # delivery instant would yield the same slot again).
-                    slot = program.next_slot_of(item, slot + 1)
-            else:
-                hit = program.old_version_at(item, cycle)
-                if hit is None:
-                    # Required version discarded from the air: abort.
-                    return (None, False, None)
-                old, slot = hit
-                # Delivery-instant inclusive (see BroadcastChannel).
-                if slot + 0.5 >= now_rel:
-                    yield self.env.timeout(self.delivery_time(slot) - self.env.now)
-                    if self._receivable(slot):
-                        record = ItemRecord(
-                            item=old.item,
-                            value=old.value,
-                            version=old.version,
-                            writer=old.writer,
-                        )
-                        return (record, True, old.valid_to)
-                    # An old version rides exactly one slot per cycle;
-                    # losing it means waiting for the next heard cycle.
-            # Missed this cycle's copy; try again next heard cycle.
-            yield self.cycle_started()

@@ -32,6 +32,14 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.client.disconnect import DisconnectionModel
+from repro.obs.trace import (
+    EV_FAULT_REPORT_DELAYED,
+    EV_FAULT_REPORT_MISSED,
+    EV_FAULT_TRUNCATED,
+    Tracer,
+)
+from repro.stats import names as metric_names
+from repro.stats.metrics import MetricsRegistry
 
 
 @dataclass
@@ -159,8 +167,8 @@ class ReportDelay(FaultModel):
 
     The delay is uniform in ``[1, max_delay]`` slots; every bucket that
     flew before the client synchronized is lost to it.  A delay reaching
-    the end of the cycle degenerates to a control loss (handled by the
-    faulty channel).
+    the end of the cycle degenerates to a control loss (see
+    :func:`decide_fate`).
     """
 
     def __init__(self, p: float, max_delay: float, rng: random.Random) -> None:
@@ -172,6 +180,59 @@ class ReportDelay(FaultModel):
         if self.rng.random() < self.p:
             delay = self.rng.uniform(1.0, self.max_delay)
             fate.control_delay = max(fate.control_delay, delay)
+
+
+def decide_fate(
+    pipeline: Sequence[FaultModel],
+    cycle: int,
+    total_slots: int,
+    control_slots: int,
+    metrics: MetricsRegistry,
+    client_id: int = 0,
+    trace: Optional[Tracer] = None,
+) -> CycleFate:
+    """What one client receives of ``cycle``, decided at its boundary.
+
+    Folds ``pipeline`` over a fresh :class:`CycleFate`, then applies the
+    degeneration rules every receiver shares: a control segment that
+    decodes only after the cycle ended, or one of whose slots is lost, is
+    a lost control segment (the cycle is missed); a control segment that
+    decodes late costs the client every slot that flew before it
+    synchronized.  The fault counters tick here, and the matching events
+    go to ``trace`` -- a tracer already gated on ``queries``, or ``None``.
+    """
+    fate = CycleFate(cycle, total_slots, control_slots)
+    for model in pipeline:
+        model.apply(fate)
+    if fate.control_delay >= total_slots or any(
+        slot < control_slots for slot in fate.lost_slots
+    ):
+        fate.control_lost = True
+    if fate.truncated:
+        metrics.count(metric_names.FAULT_CYCLES_TRUNCATED)
+        if trace is not None:
+            trace.emit(
+                EV_FAULT_TRUNCATED, client=client_id, cycle=cycle,
+                lost_slots=fate.data_slots_lost,
+            )
+    # Counted as the models left it: slots given up to a late decode
+    # below are the delay's cost, not independent losses.
+    metrics.count(metric_names.FAULT_SLOTS_LOST, fate.data_slots_lost)
+    if fate.control_lost:
+        metrics.count(metric_names.FAULT_REPORTS_MISSED)
+        if trace is not None:
+            trace.emit(EV_FAULT_REPORT_MISSED, client=client_id, cycle=cycle)
+    elif fate.control_delay > 0:
+        metrics.count(metric_names.FAULT_REPORTS_DELAYED)
+        if trace is not None:
+            trace.emit(
+                EV_FAULT_REPORT_DELAYED, client=client_id, cycle=cycle,
+                delay=fate.control_delay,
+            )
+        fate.lost_slots.update(
+            slot for slot in range(total_slots) if slot + 0.5 < fate.control_delay
+        )
+    return fate
 
 
 #: Inclusive cycle ranges during which a storm is in progress.

@@ -39,6 +39,7 @@ from repro.faults.models import (
     CycleFate,
     build_pipeline,
     compute_storm_windows,
+    decide_fate,
 )
 from repro.live.codec import (
     CONTROL,
@@ -51,6 +52,7 @@ from repro.live.codec import (
     FrameStream,
     encode_frame,
 )
+from repro.stats.metrics import MetricsRegistry
 
 #: Mixed into the proxy seed so its RNG tree never collides with the
 #: injector's (which salts with 0x5EED_FA17) or the workload stream.
@@ -82,8 +84,10 @@ class _Link:
         faults: FaultParameters,
         rng: random.Random,
         storm_windows: List[Tuple[int, int]],
+        metrics: MetricsRegistry,
     ) -> None:
         self.pipeline = build_pipeline(faults, rng)
+        self.metrics = metrics
         self.participation = faults.storm_participation
         self.windows = storm_windows
         self._storm_rng = random.Random(rng.getrandbits(64))
@@ -105,25 +109,10 @@ class _Link:
         control_slots, index_slots, _org, n_data, n_overflow = (
             control_geometry(payload)
         )
+        # A late decode has no byte-level analogue; the fate already
+        # counts what flew before synchronization as lost slots.
         total = control_slots + index_slots + n_data + n_overflow
-        fate = CycleFate(
-            cycle=cycle, total_slots=total, control_slots=control_slots
-        )
-        for model in self.pipeline:
-            model.apply(fate)
-        # The faulty channel's degeneration rules, verbatim.
-        if fate.control_delay >= total:
-            fate.control_lost = True
-        if any(slot < control_slots for slot in fate.lost_slots):
-            fate.control_lost = True
-        if fate.control_delay > 0:
-            # No byte-level analogue of a late decode: drop what flew
-            # before synchronization instead.
-            for slot in range(total):
-                if slot + 0.5 < fate.control_delay:
-                    fate.lost_slots.add(slot)
-        self._fates[cycle] = fate
-        return fate
+        return decide_fate(self.pipeline, cycle, total, control_slots, self.metrics)
 
     def transform(self, frame) -> Optional[bytes]:
         """The bytes to forward downstream for one frame, or ``None``."""
@@ -178,6 +167,8 @@ class ChaosProxy:
                 faults.storm_rate,
                 faults.storm_length,
             )
+        #: What the proxy injected, over all links (``fault.*`` counters).
+        self.metrics = MetricsRegistry()
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._conn_tasks: Set[asyncio.Task] = set()
@@ -215,6 +206,7 @@ class ChaosProxy:
             self.faults,
             random.Random(self._rng.getrandbits(64)),
             self.storm_windows,
+            self.metrics,
         )
         up_writer: Optional[asyncio.StreamWriter] = None
         try:

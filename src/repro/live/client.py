@@ -2,7 +2,7 @@
 
 The protocol stack is reused unmodified: a decoded cycle becomes a
 :class:`~repro.broadcast.program.BroadcastProgram`, installed into the
-same :class:`~repro.cohort.channel.CohortChannel` surface the cohort
+same :class:`~repro.cohort.channel.CohortChannel` view the cohort
 replayer drives, and the unmodified
 :class:`~repro.client.machine.BroadcastClient` (invalidation /
 multiversion / SGT resync, caches, disconnect models, warmup
@@ -43,7 +43,6 @@ from repro.broadcast.program import (
 )
 from repro.client.disconnect import DisconnectionModel
 from repro.client.machine import BroadcastClient
-from repro.cohort.channel import CohortChannel
 from repro.cohort.engine import Member, make_member
 from repro.config import ModelParameters
 from repro.core.base import Scheme
@@ -144,7 +143,6 @@ class LiveClient:
         self.scheme_label = ""
         self.codec: Optional[CycleCodec] = None
         self.member: Optional[Member] = None
-        self.channel: Optional[CohortChannel] = None
 
         self._cur: Optional[_PendingCycle] = None
         self._last_cycle: Optional[int] = None
@@ -205,7 +203,6 @@ class LiveClient:
         rng = self.rng or listener_rng(self.params.sim.seed, self.client_id)
         seed = ClientSeed(self.client_id, self.disconnect, self.pipeline, rng)
         self.member = make_member(seed, scheme, self.params, self.metrics)
-        self.channel = self.member.channel
 
     # -- cycle reassembly ----------------------------------------------------
 
@@ -216,12 +213,10 @@ class LiveClient:
             self._cur = _PendingCycle(cycle=cycle)
         return self._cur
 
-    def _signal_missed(self, cycle: int) -> None:
-        member, channel = self.member, self.channel
-        assert member is not None and channel is not None
-        member.run_until(self._next_start)
-        member.env.now = self._next_start
-        channel.signal_lost(cycle)
+    def _signal_missed(self, cycle: int, start: float) -> None:
+        assert self.member is not None
+        self.metrics.count(FAULT_REPORTS_MISSED)
+        self.member.cross(start, cycle)
         self._cycles_missed += 1
 
     def _finalize_cycle(self) -> None:
@@ -237,8 +232,7 @@ class LiveClient:
                 )
             # Cycles with not a single frame heard are missed, in order.
             for missing in range(last + 1, cur.cycle):
-                self.metrics.count(FAULT_REPORTS_MISSED)
-                self._signal_missed(missing)
+                self._signal_missed(missing, self._next_start)
         self._last_cycle = cur.cycle
 
         header = cur.header
@@ -248,8 +242,7 @@ class LiveClient:
                     "lossy wire under a client-side fault pipeline; the "
                     "exact lane requires a clean transport"
                 )
-            self.metrics.count(FAULT_REPORTS_MISSED)
-            self._signal_missed(cur.cycle)
+            self._signal_missed(cur.cycle, self._next_start)
             return
 
         start = float(header.start_slot)
@@ -270,12 +263,7 @@ class LiveClient:
                         )
                     # No safe position knowledge: the cycle is missed,
                     # anchored at the decoded start slot.
-                    self.metrics.count(FAULT_REPORTS_MISSED)
-                    member = self.member
-                    member.run_until(start)
-                    member.env.now = start
-                    self.channel.signal_lost(cur.cycle)
-                    self._cycles_missed += 1
+                    self._signal_missed(cur.cycle, start)
                     self._next_start = start + header.total_slots
                     return
             data.append(bucket)
@@ -303,12 +291,7 @@ class LiveClient:
             data_lost = sum(1 for slot in lost if slot >= header.control_slots)
             if data_lost:
                 self.metrics.count(FAULT_SLOTS_LOST, data_lost)
-            member = self.member
-            member.run_until(start)
-            member.env.now = start
-            self.channel.install(program, frozenset(lost), start)
-            if member.wake is None:
-                member.advance()
+            self.member.cross(start, cur.cycle, program, frozenset(lost))
         self._cycles_heard += 1
         self._prev_program = program
         self._next_start = start + header.total_slots

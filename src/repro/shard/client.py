@@ -23,7 +23,7 @@ from repro.broadcast.program import BroadcastProgram
 from repro.client.machine import BroadcastClient
 from repro.client.query import Query, QueryGenerator
 from repro.core.transaction import TransactionStatus
-from repro.obs.trace import EV_CACHE_FLUSH, EV_CLIENT_RESYNC, EV_CONTROL_DECODE
+from repro.obs.trace import EV_CONTROL_DECODE
 from repro.shard.partition import Partitioner
 from repro.stats import names as metric_names
 
@@ -200,11 +200,16 @@ class ShardedClient(BroadcastClient):
             self._miss_shard_cycle(shard, cycle, fault=False)
             return
         if not self._listening_s[shard]:
-            self._resync_shard(shard, program)
+            # Entries from *other* shards are still valid, but the cache
+            # is not shard-aware: a gap the window does not cover drops
+            # it whole, the single-channel rule applied conservatively.
+            self._resynchronize(
+                program, self._last_heard_s[shard], shard=shard
+            )
         self._listening_s[shard] = True
         if self._fault_desynced and all(self._listening_s.values()):
             # The whole tuner bank is coherent again: the fault recovery
-            # completes (mirrors the single-channel accounting).
+            # completes.
             self.metrics.count(metric_names.FAULT_RECOVERIES)
             self._fault_desynced = False
         self._last_heard_s[shard] = cycle
@@ -249,40 +254,6 @@ class ShardedClient(BroadcastClient):
             txn.cause_chain.append(
                 {"event": "fault_forced", "cycle": cycle, "shard": shard}
             )
-
-    def _resync_shard(self, shard: int, program: BroadcastProgram) -> None:
-        """Per-shard variant of the base resynchronization: replay this
-        shard's retransmitted reports if they cover the gap, else drop
-        the whole cache -- entries from *other* shards are still valid,
-        but the cache is not shard-aware, so the conservative flush
-        mirrors the single-channel safety argument."""
-        if self.cache is None:
-            return
-        self.metrics.count(metric_names.CLIENT_RESYNCS)
-        if self._trace_q is not None:
-            self._trace_q.emit(
-                EV_CLIENT_RESYNC,
-                client=self.client_id,
-                cycle=program.cycle,
-                shard=shard,
-                last_heard=self._last_heard_s[shard],
-            )
-        control = program.control
-        if control.missed_window_ok(self._last_heard_s[shard]):
-            for missed in range(self._last_heard_s[shard] + 1, program.cycle):
-                report = control.report_covering(missed)
-                if report is not None:
-                    self.cache.apply_missed_report(report)
-        else:
-            self.cache.clear()
-            self.metrics.count(metric_names.CLIENT_CACHE_DROPS)
-            if self._trace_q is not None:
-                self._trace_q.emit(
-                    EV_CACHE_FLUSH,
-                    client=self.client_id,
-                    cycle=program.cycle,
-                    reason="resync_window_exceeded",
-                )
 
     # -- read blocking ------------------------------------------------------
 
