@@ -16,7 +16,7 @@ Terminology follows Section 3.3 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import (
     Dict,
@@ -25,6 +25,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -33,14 +34,19 @@ from typing import (
 Node = Hashable
 
 
-@dataclass(frozen=True, order=True)
-class TxnId:
+class TxnId(NamedTuple):
     """Identifier of a server transaction: commit cycle plus sequence number.
 
     The paper encodes these on the air as ``log(S) + log(N)`` bits (cycle
     relative to the current bcast, sequence within the cycle); here we keep
     the absolute cycle for clarity and let the sizing model account for the
     wire encoding.
+
+    A tuple, so hashing, equality, ordering and construction run in C:
+    the commit path hashes thousands of these a cycle.  The hash is
+    ``hash((cycle, seq))``, which is also what a frozen dataclass of the
+    same two fields hashes to -- sets of ids iterate in the same order
+    either way, which recorded runs depend on.
     """
 
     cycle: int

@@ -102,7 +102,8 @@ class SingleChannelBackend(ServerBackend):
                 outcome = yield from self._run_cycle_in_intervals(
                     cycle, program, intervals
                 )
-            # Keep the server graph bounded like the clients' (Lemma 1).
+            # Oracle runs (keep_history) keep the full server graph; bound
+            # it like the clients' (Lemma 1).  A no-op on the serving path.
             retention = max(self.params.server.retention, 2)
             self.engine.prune_graph_before(cycle - 4 * retention)
             self.cycles_completed = cycle

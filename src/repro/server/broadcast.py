@@ -208,15 +208,17 @@ class ProgramBuilder:
         """
         p = self.params
         report = self._build_report(cycle, outcome)
-        diff = outcome.diff if (outcome and self.requirements.needs_sgt) else None
+        diff = None
+        if outcome is not None and self.requirements.needs_sgt:
+            diff = outcome.diff
+            if diff is None:
+                # Airing an empty diff instead would tell SGT clients that
+                # nothing conflicted, and they would trust it.
+                raise ValueError(
+                    "SGT requirements but the outcome carries no graph "
+                    "diff: the engine was built without conflict tracking"
+                )
 
-        control = ControlInfo(
-            cycle=cycle,
-            invalidation=report,
-            graph_diff=diff,
-            window=tuple(self._recent_reports),
-            size_units=0,  # replaced below once computed
-        )
         control_units = self._control_units(report, diff)
         control = ControlInfo(
             cycle=cycle,

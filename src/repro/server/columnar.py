@@ -31,7 +31,9 @@ versions superseded at cycle ``w`` expire together at ``w + retention``
 whole cohorts -- O(evicted), where the reference store re-scans every
 retained item each cycle -- and the overflow version directory
 (Figure 2(b): newest supersedure first) is the cached concatenation of
-cohorts in descending ``w``, rebuilt only when a cohort changes.
+cohorts in descending ``w``.  Each cohort's records are built once and
+kept until that cohort is appended to or evicted, so a cycle's rebuild
+constructs only the newest cohort's records and re-joins the rest.
 
 Semantics are pinned to the reference store by the differential oracle
 (``tests/server/test_columnar_oracle.py``) and the Hypothesis suite
@@ -136,6 +138,9 @@ class ColumnarVersionStore(ItemStateStore):
         #: supersedure cycle w -> that cohort's versions, in call order.
         #: The whole cohort expires at w + retention.
         self._cohorts: Dict[int, List[RetainedVersion]] = {}
+        #: w -> that cohort's directory records in item order, built on
+        #: first read; dropped when the cohort is appended to or evicted.
+        self._cohort_records: Dict[int, Tuple[OldVersionRecord, ...]] = {}
         #: Cached overflow directory (Figure 2(b) order); None = stale.
         self._directory: Optional[Tuple[OldVersionRecord, ...]] = None
         self._total_retained = 0
@@ -266,6 +271,7 @@ class ColumnarVersionStore(ItemStateStore):
         rv = RetainedVersion(version=old, superseded_at=superseded_at)
         self._retained.setdefault(old.item, []).append(rv)
         self._cohorts.setdefault(superseded_at, []).append(rv)
+        self._cohort_records.pop(superseded_at, None)
         count = self._old_count[idx] + 1
         if count > 0xFF:
             raise ValueError(
@@ -284,6 +290,7 @@ class ColumnarVersionStore(ItemStateStore):
         )
         evicted = 0
         for w in expired:
+            self._cohort_records.pop(w, None)
             for rv in self._cohorts.pop(w):
                 item = rv.version.item
                 bucket = self._retained[item]
@@ -315,19 +322,21 @@ class ColumnarVersionStore(ItemStateStore):
         if self._directory is None:
             records: List[OldVersionRecord] = []
             for w in sorted(self._cohorts, reverse=True):
-                cohort = sorted(
-                    self._cohorts[w], key=lambda rv: rv.version.item
-                )
-                records.extend(
-                    OldVersionRecord(
-                        item=rv.version.item,
-                        value=rv.version.value,
-                        version=rv.version.cycle,
-                        valid_to=rv.valid_to,
-                        writer=rv.version.writer,
+                cohort = self._cohort_records.get(w)
+                if cohort is None:
+                    cohort = self._cohort_records[w] = tuple(
+                        OldVersionRecord(
+                            item=rv.version.item,
+                            value=rv.version.value,
+                            version=rv.version.cycle,
+                            valid_to=rv.valid_to,
+                            writer=rv.version.writer,
+                        )
+                        for rv in sorted(
+                            self._cohorts[w], key=lambda rv: rv.version.item
+                        )
                     )
-                    for rv in cohort
-                )
+                records.extend(cohort)
             self._directory = tuple(records)
         return self._directory
 

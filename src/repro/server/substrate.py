@@ -2,11 +2,14 @@
 
 ``Database -> item-state store -> TransactionEngine -> ProgramBuilder``
 is the same chain whoever drives it, so it is wired here and nowhere
-else.  This function alone knows the old-version rule: the builder and
-the engine see the item store as their ``version_store`` iff the merged
-requirements ask for old versions; otherwise the store still exists (its
-current-value columns feed record and report assembly) but retains
-nothing.
+else.  This function alone knows the two rules that fit the commit path
+to its audience.  Old versions: the builder and the engine see the item
+store as their ``version_store`` iff the merged requirements ask for old
+versions; otherwise the store still exists (its current-value columns
+feed record and report assembly) but retains nothing.  Conflicts: the
+engine tracks them iff the requirements air an SG diff or the oracle's
+history is kept; otherwise its outcomes carry ``diff=None``, which an
+SGT builder refuses.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ def build_substrate(
             keep_history=keep_history,
             interleaved=interleaved,
             restrict_items=frozenset(items) if items is not None else None,
+            track_conflicts=requirements.needs_sgt or keep_history,
         )
     builder = ProgramBuilder(
         server,

@@ -17,7 +17,7 @@ import bisect
 import itertools
 import random
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 
 def zipf_pmf(n: int, theta: float) -> List[float]:
@@ -54,6 +54,37 @@ def zipf_cdf(n: int, theta: float) -> Tuple[float, ...]:
     return tuple(cdf)
 
 
+@lru_cache(maxsize=128)
+def rank_items(
+    n: int, offset: int = 0, universe: Optional[int] = None
+) -> Tuple[int, ...]:
+    """The item each rank ``1..n`` maps to: rank 1 is item ``1 + offset``,
+    wrapping around inside ``1..universe`` when one is given.
+
+    Shared like :func:`zipf_cdf` -- one table per process for each
+    ``(n, offset, universe)``, however many generators sample through it.
+    """
+    if universe is None:
+        return tuple(range(1 + offset, 1 + offset + n))
+    return tuple((rank + offset) % universe + 1 for rank in range(n))
+
+
+def _draw_closure(
+    items: Tuple[int, ...], cdf: Tuple[float, ...], rand: Callable[[], float]
+) -> Callable[[], int]:
+    """The one sampling definition: a uniform, a bisect, a table read.
+
+    ``cdf[-1]`` is exactly 1.0 and ``rand()`` stays below it, so the
+    bisect always lands inside ``items``.
+    """
+    lookup = bisect.bisect_left
+
+    def draw() -> int:
+        return items[lookup(cdf, rand())]
+
+    return draw
+
+
 class ZipfGenerator:
     """Samples item numbers ``first .. first + n - 1`` with Zipf skew.
 
@@ -86,6 +117,13 @@ class ZipfGenerator:
         self.first = first
         self._rng = rng if rng is not None else random.Random()
         self._cdf = zipf_cdf(n, theta)
+        self._items = self._rank_items()
+        #: Draw one item number: the closure every sampling method (and
+        #: the transaction engine's planner) goes through.
+        self.draw = _draw_closure(self._items, self._cdf, self._rng.random)
+
+    def _rank_items(self) -> Tuple[int, ...]:
+        return rank_items(self.n, self.first - 1)
 
     def probability(self, item: int) -> float:
         """Probability of sampling ``item`` (0.0 outside the range)."""
@@ -95,33 +133,28 @@ class ZipfGenerator:
         lo = self._cdf[rank - 2] if rank >= 2 else 0.0
         return self._cdf[rank - 1] - lo
 
+    def support(self) -> Sequence[int]:
+        """All items this generator can emit, hottest first."""
+        return list(self._items)
+
     def sample(self) -> int:
         """Draw one item number."""
-        u = self._rng.random()
-        rank = bisect.bisect_left(self._cdf, u) + 1
-        return self.first + min(rank, self.n) - 1
+        return self.draw()
 
     def sample_many(self, count: int) -> List[int]:
         """Draw ``count`` item numbers (with repetition)."""
         return [self.sample() for _ in range(count)]
 
     def sample_batch(self, count: int) -> List[int]:
-        """Batched draw of ``count`` items off the shared CDF table.
+        """Batched draw of ``count`` items off the shared tables.
 
         Consumes exactly one uniform per draw in draw order, so under a
         shared seed the result is bit-identical to ``count`` sequential
         :meth:`sample` calls -- the property the cohort engine relies on
         and the Hypothesis suite pins down.
         """
-        cdf = self._cdf
-        first_minus_1 = self.first - 1
-        n = self.n
-        rand = self._rng.random
-        lookup = bisect.bisect_left
-        return [
-            first_minus_1 + min(lookup(cdf, rand()) + 1, n)
-            for _ in range(count)
-        ]
+        draw = self.draw
+        return [draw() for _ in range(count)]
 
     def sample_distinct(self, count: int) -> List[int]:
         """Draw ``count`` *distinct* item numbers, preserving draw order.
@@ -133,26 +166,20 @@ class ZipfGenerator:
             raise ValueError(
                 f"Cannot draw {count} distinct items from a range of {self.n}"
             )
+        draw = self.draw
         seen: set = set()
         result: List[int] = []
-        # Rejection sampling is fast while count << n; fall back to an
-        # exhaustive weighted shuffle when the request is close to n.
-        attempts = 0
-        limit = 50 * count + 100
-        while len(result) < count and attempts < limit:
-            item = self.sample()
-            attempts += 1
+        # Rejection sampling is fast while count << n; past the attempt
+        # limit, fill deterministically from the hottest remaining ranks.
+        attempts = 50 * count + 100
+        while len(result) < count and attempts:
+            attempts -= 1
+            item = draw()
             if item not in seen:
                 seen.add(item)
                 result.append(item)
-        while len(result) < count:
-            # Deterministic fill from hottest remaining rank.
-            for rank in range(1, self.n + 1):
-                item = self.first + rank - 1
-                if item not in seen:
-                    seen.add(item)
-                    result.append(item)
-                    break
+        remaining = (item for item in self._items if item not in seen)
+        result.extend(itertools.islice(remaining, count - len(result)))
         return result
 
     def __iter__(self) -> Iterator[int]:
@@ -160,7 +187,7 @@ class ZipfGenerator:
             yield self.sample()
 
 
-class OffsetZipfGenerator:
+class OffsetZipfGenerator(ZipfGenerator):
     """A Zipf sampler whose output is rotated by ``offset`` items.
 
     The rotation happens inside a wrapping universe ``1..universe`` (the
@@ -187,40 +214,16 @@ class OffsetZipfGenerator:
             raise ValueError(
                 f"universe ({self.universe}) smaller than range size ({n})"
             )
-        self._base = ZipfGenerator(n, theta, rng=rng)
+        super().__init__(n, theta, rng=rng)
 
-    @property
-    def n(self) -> int:
-        return self._base.n
-
-    @property
-    def theta(self) -> float:
-        return self._base.theta
-
-    def _shift(self, item: int) -> int:
-        return (item - 1 + self.offset) % self.universe + 1
+    def _rank_items(self) -> Tuple[int, ...]:
+        return rank_items(self.n, self.offset, self.universe)
 
     def probability(self, item: int) -> float:
         """Probability of sampling ``item`` after the rotation."""
         # Invert the shift: find the pre-image in the base range.
         base_item = (item - 1 - self.offset) % self.universe + 1
-        return self._base.probability(base_item)
-
-    def sample(self) -> int:
-        return self._shift(self._base.sample())
-
-    def sample_many(self, count: int) -> List[int]:
-        return [self.sample() for _ in range(count)]
-
-    def sample_batch(self, count: int) -> List[int]:
-        return [self._shift(item) for item in self._base.sample_batch(count)]
-
-    def sample_distinct(self, count: int) -> List[int]:
-        return [self._shift(item) for item in self._base.sample_distinct(count)]
-
-    def support(self) -> Sequence[int]:
-        """All items this generator can emit (rotation applied)."""
-        return [self._shift(i) for i in range(1, self.n + 1)]
+        return super().probability(base_item)
 
     def overlap(self, other: "OffsetZipfGenerator") -> float:
         """Bhattacharyya-style overlap with another generator in [0, 1].

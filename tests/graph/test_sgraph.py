@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ServerParameters
+from repro.core.control import BroadcastRequirements
 from repro.graph.sgraph import GraphDiff, SerializationGraph, TxnId
+from repro.live.codec import CycleCodec, WireProfile
+from repro.server.substrate import build_substrate
 
 
 class TestBasicStructure:
@@ -193,3 +197,49 @@ class TestTxnId:
         assert {tid: "x"}[TxnId(1, 1)] == "x"
         with pytest.raises(AttributeError):
             tid.cycle = 9
+
+    @given(
+        a=st.tuples(st.integers(0, 2**40), st.integers(0, 2**20)),
+        b=st.tuples(st.integers(0, 2**40), st.integers(0, 2**20)),
+    )
+    def test_is_its_cycle_seq_pair_to_hash_and_order(self, a, b):
+        """Recorded runs rest on this: a set of ids iterates in the order
+        the same set of ``(cycle, seq)`` pairs would, and ids sort as
+        their pairs do."""
+        assert hash(TxnId(*a)) == hash(a)
+        assert (TxnId(*a) < TxnId(*b)) == (a < b)
+        assert (TxnId(*a) == TxnId(*b)) == (a == b)
+        assert str(TxnId(*a)) == f"T{a[0]}.{a[1]}"
+
+    def test_never_equals_a_clients_string_id(self):
+        """Server and client transactions share one graph's node space."""
+        tid = TxnId(3, 7)
+        assert tid != str(tid) and tid != "c0.q3.a1"
+        g = SerializationGraph()
+        g.add_edge(tid, str(tid))
+        assert len(g) == 2
+
+    def test_control_segment_round_trips_writers_and_edges(self):
+        server = ServerParameters()
+        requirements = BroadcastRequirements(needs_sgt=True)
+        substrate = build_substrate(server, requirements, random.Random(3))
+        codec = CycleCodec(WireProfile.from_params(server, requirements))
+        outcome = None
+        for cycle in range(1, 5):
+            program = substrate.builder.build(cycle, outcome)
+            frames = codec.encode_cycle(program, 0)
+            decoded, _ = codec.decode_cycle(frames)
+            assert decoded.control.graph_diff == program.control.graph_diff
+            assert (
+                decoded.control.invalidation.first_writers
+                == program.control.invalidation.first_writers
+            )
+            assert CycleCodec(codec.profile).encode_cycle(decoded, 0) == frames
+            outcome = substrate.engine.run_cycle(cycle)
+        assert program.control.graph_diff.edges
+        assert program.control.invalidation.first_writers
+        assert all(
+            type(tid) is TxnId
+            for edge in decoded.control.graph_diff.edges
+            for tid in edge
+        )

@@ -91,7 +91,11 @@ def test_mixed_metrics_shared_across_clients(small_params):
 
 def test_server_graph_pruned_during_run(small_params):
     params = small_params.with_sim(num_cycles=80, warmup_cycles=4)
-    sim = Simulation(params, scheme_factory=lambda: SerializationGraphTesting())
+    sim = Simulation(
+        params,
+        scheme_factory=lambda: SerializationGraphTesting(),
+        keep_history=True,
+    )
     sim.run()
     # 80 cycles x 5 txns = 400 commits; the retained graph stays bounded.
     assert len(sim.engine.graph) < 400

@@ -51,11 +51,16 @@ def test_server_work_independent_of_clients(small_params):
     outcomes = []
     for clients in (1, 8):
         params = small_params.with_sim(num_clients=clients)
-        sim = Simulation(params, scheme_factory=lambda: InvalidationOnly())
+        sim = Simulation(
+            params,
+            scheme_factory=lambda: InvalidationOnly(),
+            keep_history=True,
+        )
         sim.run()
         outcomes.append(
             [sorted(o.updated_items) for o in sim.engine.outcomes]
         )
+    assert len(outcomes[0]) == params.sim.num_cycles
     assert outcomes[0] == outcomes[1]
 
 

@@ -30,11 +30,12 @@ from repro.runtime import Simulation
 from repro.server.transactions import merge_outcomes
 
 
-def run(params, factory, per_cycle):
+def run(params, factory, per_cycle, keep_history=False):
     sim = Simulation(
         params,
         scheme_factory=factory,
         report_schedule=ReportSchedule(per_cycle=per_cycle),
+        keep_history=keep_history,
     )
     result = sim.run()
     return sim, result
@@ -91,8 +92,12 @@ class TestBehaviour:
         server commits, only when it is announced."""
         updates = []
         for per_cycle in (1, 5):
-            sim, _ = run(small_params, lambda: InvalidationOnly(), per_cycle)
+            sim, _ = run(
+                small_params, lambda: InvalidationOnly(), per_cycle,
+                keep_history=True,
+            )
             updates.append([sorted(o.updated_items) for o in sim.engine.outcomes])
+        assert len(updates[0]) == small_params.sim.num_cycles
         assert updates[0] == updates[1]
 
     def test_faster_aborts_for_invalidation_only(self, medium_params):
@@ -124,7 +129,11 @@ class TestMergeOutcomes:
             merge_outcomes([a, b])
 
     def test_merge_combines_parts(self, small_params):
-        sim = Simulation(small_params, scheme_factory=lambda: InvalidationOnly())
+        sim = Simulation(
+            small_params,
+            scheme_factory=lambda: InvalidationOnly(),
+            keep_history=True,
+        )
         a = sim.engine.run_batch(1, range(0, 2))
         b = sim.engine.run_batch(1, range(2, 5))
         merged = merge_outcomes([a, b])
@@ -134,3 +143,14 @@ class TestMergeOutcomes:
         # First writers from the earlier batch win.
         for item, tid in a.first_writers.items():
             assert merged.first_writers[item] == tid
+
+    def test_merge_carries_an_untracked_diff_through(self, small_params):
+        """An engine that tracks no conflicts says so in every part, and
+        the merged outcome must keep saying it (never an empty diff)."""
+        sim = Simulation(small_params, scheme_factory=lambda: InvalidationOnly())
+        a = sim.engine.run_batch(1, range(0, 2))
+        b = sim.engine.run_batch(1, range(2, 5))
+        assert a.diff is None and b.diff is None
+        merged = merge_outcomes([a, b])
+        assert merged.diff is None
+        assert merged.updated_items == a.updated_items | b.updated_items

@@ -12,6 +12,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ServerParameters
+from repro.server.broadcast import ProgramBuilder
 from repro.server.columnar import ColumnarVersionStore
 from repro.server.database import Database
 from repro.server.versions import VersionStore
@@ -36,17 +38,28 @@ steps = st.lists(
 )
 
 
+def _commit(store, database, writes, visible):
+    """One cycle's writes the way the engine commits them: write, then
+    hand the store the version that stopped being current."""
+    for item in sorted(writes):
+        previous = database.current(item)
+        database.write(item, visible_cycle=visible, writer=None)
+        if previous.cycle < visible:
+            store.record_supersedure(previous, superseded_at=visible)
+
+
 def _drive(store, database, script):
     """Replay ``script`` through one store the way the engine would:
     write -> record_supersedure(previous) -> evict at cycle end."""
     observations = []
+    # The builder derives the overflow directory (Figure 2(b) order) from
+    # either store: off overflow_records() or by sorting all_on_air().
+    builder = ProgramBuilder(
+        ServerParameters(broadcast_size=DB_SIZE), database, version_store=store
+    )
     for cycle, (writes, evict) in enumerate(script, start=1):
         visible = cycle + 1
-        for item in sorted(writes):
-            previous = database.current(item)
-            database.write(item, visible_cycle=visible, writer=None)
-            if previous.cycle < visible:
-                store.record_supersedure(previous, superseded_at=visible)
+        _commit(store, database, writes, visible)
         evicted = store.evict_expired(visible) if evict else 0
         observations.append(
             (
@@ -62,6 +75,7 @@ def _drive(store, database, script):
                     item: store.best_version_at(item, max(1, visible - 2))
                     for item in range(1, DB_SIZE + 1)
                 },
+                builder._old_records(),
             )
         )
     return observations
@@ -120,6 +134,71 @@ class TestStateForStateEquality:
         assert stores[0].all_on_air() == stores[1].all_on_air()
         assert stores[0].total_retained == stores[1].total_retained
         assert stores[0].consume_dirty() == stores[1].consume_dirty()
+
+
+def _by_cohort(store):
+    """The directory's record objects grouped by supersedure cycle."""
+    cohorts = {}
+    for record in store.overflow_records():
+        cohorts.setdefault(record.valid_to + 1, []).append(record)
+    return cohorts
+
+
+def _same_objects(before, after):
+    return len(before) == len(after) and all(
+        old is new for old, new in zip(before, after)
+    )
+
+
+class TestCohortRecordsAreKept:
+    """A cohort's directory records are built once: only a supersedure
+    into that cohort or its eviction may replace the objects."""
+
+    def test_other_cohorts_supersedure_and_eviction_leave_records_alone(self):
+        database = Database(DB_SIZE)
+        store = ColumnarVersionStore(database, retention=3)
+
+        def commit(cycle, items):
+            _commit(store, database, items, cycle + 1)
+
+        commit(1, [1, 2])
+        commit(2, [3, 4])
+        first = _by_cohort(store)
+        assert sorted(first) == [2, 3]
+
+        commit(3, [5])  # a supersedure into another cohort
+        second = _by_cohort(store)
+        assert sorted(second) == [2, 3, 4]
+        assert _same_objects(first[2], second[2])
+        assert _same_objects(first[3], second[3])
+
+        assert store.evict_expired(5) == 2  # cohort 2 expires
+        third = _by_cohort(store)
+        assert sorted(third) == [3, 4]
+        assert _same_objects(second[3], third[3])
+        assert _same_objects(second[4], third[4])
+
+        commit(3, [6])  # appending to cohort 4 rebuilds that cohort only
+        fourth = _by_cohort(store)
+        assert [r.item for r in fourth[4]] == [5, 6]
+        assert _same_objects(third[3], fourth[3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(script=steps, retention=st.integers(min_value=1, max_value=5))
+    def test_untouched_cohorts_keep_their_objects(self, script, retention):
+        database = Database(DB_SIZE)
+        store = ColumnarVersionStore(database, retention=retention)
+        before = {}
+        for cycle, (writes, evict) in enumerate(script, start=1):
+            visible = cycle + 1
+            _commit(store, database, writes, visible)
+            if evict:
+                store.evict_expired(visible)
+            after = _by_cohort(store)
+            for w in before.keys() & after.keys():
+                if w != visible:
+                    assert _same_objects(before[w], after[w])
+            before = after
 
 
 class TestDenseIdBijection:
@@ -205,11 +284,7 @@ def _replay_writes(store, database, script):
     cycle = 1
     for cycle, (writes, evict) in enumerate(script, start=1):
         visible = cycle + 1
-        for item in sorted(writes):
-            previous = database.current(item)
-            database.write(item, visible_cycle=visible, writer=None)
-            if previous.cycle < visible:
-                store.record_supersedure(previous, superseded_at=visible)
+        _commit(store, database, writes, visible)
         if evict:
             store.evict_expired(visible)
     return cycle + 1

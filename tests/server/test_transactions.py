@@ -1,13 +1,18 @@
 """Tests for the server transaction engine: workload shape, conflict
 bookkeeping, and Claim 1 (edges never point backwards in commit order)."""
 
+import gc
 import random
+import types
 
 import pytest
 
 from repro.config import ServerParameters
+from repro.core.control import BroadcastRequirements
 from repro.graph.sgraph import TxnId
+from repro.server.broadcast import ProgramBuilder
 from repro.server.database import Database
+from repro.server.substrate import build_substrate
 from repro.server.transactions import ServerTransaction, TransactionEngine
 from repro.server.versions import VersionStore
 
@@ -138,14 +143,14 @@ class TestConflictBookkeeping:
     def test_claim1_no_backward_edges(self):
         """Claim 1: no edges into earlier-cycle subgraphs -- commit order
         and conflict order agree under strict execution."""
-        engine, _, _ = make_engine()
+        engine, _, _ = make_engine(keep_history=True)
         for cycle in range(1, 8):
             engine.run_cycle(cycle)
         for u, v in engine.graph.edges():
             assert (u.cycle, u.seq) < (v.cycle, v.seq)
 
     def test_server_graph_is_acyclic(self):
-        engine, _, _ = make_engine()
+        engine, _, _ = make_engine(keep_history=True)
         for cycle in range(1, 8):
             engine.run_cycle(cycle)
         assert not engine.graph.has_cycle()
@@ -174,7 +179,7 @@ class TestConflictBookkeeping:
             assert engine.last_writer_of(item) == expected
 
     def test_prune_graph_bounds_memory(self):
-        engine, _, _ = make_engine()
+        engine, _, _ = make_engine(keep_history=True)
         for cycle in range(1, 10):
             engine.run_cycle(cycle)
         before = len(engine.graph)
@@ -184,3 +189,108 @@ class TestConflictBookkeeping:
         assert all(
             engine.graph.cycle_of(node) >= 8 for node in engine.graph.nodes()
         )
+
+
+class TestServingPath:
+    """An engine wired by ``build_substrate`` keeps only what its audience
+    hears or its oracle replays."""
+
+    def test_inval_audience_tracks_no_conflicts(self):
+        server = ServerParameters()
+        substrate = build_substrate(
+            server, BroadcastRequirements(), random.Random(5)
+        )
+        engine = substrate.engine
+        outcome = None
+        for cycle in range(1, 6):
+            substrate.builder.build(cycle, outcome)
+            outcome = engine.run_cycle(cycle)
+        assert outcome.updated_items and outcome.first_writers
+        assert outcome.diff is None
+        assert engine.graph is None and engine.history is None
+        assert not engine._readers_since_write and not engine._last_writer
+        assert engine.outcomes == []
+        assert engine.prune_graph_before(3) == 0
+        # A mis-wired substrate is loud: an SGT builder refuses the outcome
+        # instead of airing an empty diff its clients would trust.
+        sgt_builder = ProgramBuilder(
+            server,
+            substrate.database,
+            requirements=BroadcastRequirements(needs_sgt=True),
+        )
+        with pytest.raises(ValueError, match="no graph diff"):
+            sgt_builder.build(6, outcome)
+
+    @pytest.mark.parametrize(
+        "requirements, keep_history, tracked",
+        [
+            (BroadcastRequirements(needs_old_versions=True), False, False),
+            (BroadcastRequirements(needs_sgt=True), False, True),
+            (BroadcastRequirements(), True, True),
+        ],
+        ids=["multiversion", "sgt", "oracle"],
+    )
+    def test_conflicts_tracked_iff_aired_or_replayed(
+        self, requirements, keep_history, tracked
+    ):
+        engine = build_substrate(
+            ServerParameters(),
+            requirements,
+            random.Random(5),
+            keep_history=keep_history,
+        ).engine
+        outcome = engine.run_cycle(1)
+        assert (outcome.diff is not None) == tracked
+        assert (engine.graph is not None) == keep_history
+        assert len(engine.outcomes) == int(keep_history)
+
+    def test_history_without_conflict_tracking_is_refused(self):
+        with pytest.raises(ValueError, match="track_conflicts"):
+            TransactionEngine(
+                ServerParameters(),
+                Database(1000),
+                keep_history=True,
+                track_conflicts=False,
+            )
+
+    def test_long_run_holds_engine_memory_flat(self):
+        """Without ``keep_history`` nothing the engine owns grows with
+        the cycle count (the database and the stores are not its own)."""
+        substrate = build_substrate(
+            ServerParameters(), BroadcastRequirements(), random.Random(5)
+        )
+        engine = substrate.engine
+        foreign = {id(substrate.database), id(substrate.item_state)}
+
+        def retained():
+            seen, stack = set(foreign), [engine]
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                    continue
+                seen.add(id(obj))
+                if isinstance(obj, types.FunctionType):
+                    # A closure owns its cells, not its module's globals.
+                    stack.extend(obj.__closure__ or ())
+                else:
+                    stack.extend(gc.get_referents(obj))
+            return len(seen)
+
+        counts = {}
+        for cycle in range(1, 301):
+            engine.run_cycle(cycle)
+            engine.prune_graph_before(cycle - 64)
+            if cycle in (100, 300):
+                counts[cycle] = retained()
+        assert counts[300] == counts[100]
+
+    def test_reader_sets_only_for_writable_items(self):
+        """Items outside the update generator's support are never
+        written, so a reader set kept for one would only ever grow."""
+        engine, _, _ = make_engine(update_range=10)
+        support = set(engine._update_gen.support())
+        assert support == set(range(6, 16))
+        for cycle in range(1, 40):
+            engine.run_cycle(cycle)
+        assert engine._readers_since_write
+        assert set(engine._readers_since_write) <= support
