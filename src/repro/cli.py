@@ -3,7 +3,6 @@
     python -m repro run --scheme sgt+cache --cycles 120 --clients 4
     python -m repro run --scheme inval --trace run.jsonl --trace-level read
     python -m repro trace summarize run.jsonl
-    python -m repro bench --scenario smoke
     python -m repro schemes
     python -m repro sizes --updates 50 --span 3
 
@@ -17,8 +16,6 @@ Subcommands
 ``trace``
     Analyze a recorded trace: ``summarize``, ``timeline``, ``aborts``,
     ``airtime``.
-``bench``
-    Throughput/overhead benchmark (see :mod:`repro.obs.bench`).
 ``experiments``
     Regenerate the paper's figures and tables; ``--jobs N`` shards each
     sweep's (scheme, x, seed) cells over N worker processes with
@@ -119,15 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4096,
         metavar="N",
         help="clients advanced per cohort chunk (default: 4096)",
-    )
-    run.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help=(
-            "use the dict-backed reference item-state store instead of "
-            "the array-backed columnar store (DESIGN §14); results are "
-            "bit-identical, only the server hot path slows down"
-        ),
     )
     shard = run.add_argument_group(
         "sharding", "partition items over K broadcast channels (see repro.shard)"
@@ -341,75 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="include warm-up (unmeasured) aborts",
             )
 
-    bench = sub.add_parser(
-        "bench", help="simulator throughput / tracing-overhead benchmark"
-    )
-    bench.add_argument(
-        "suite",
-        nargs="?",
-        default="overhead",
-        choices=["overhead", "hotpath"],
-        help="overhead: whole-run tracing cost (default); "
-        "hotpath: per-event kernel micro-suite (see repro.obs.hotpath)",
-    )
-    bench.add_argument("--scenario", default="fig5")
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--out", default=None)
-    bench.add_argument("--max-overhead", type=float, default=None)
-    bench.add_argument("--trace-sample", default=None)
-    hot = bench.add_argument_group(
-        "hotpath suite", "options for `repro bench hotpath`"
-    )
-    hot.add_argument(
-        "--quick", action="store_true", help="reduced sizes for smoke runs"
-    )
-    hot.add_argument(
-        "--before",
-        default=None,
-        metavar="FILE",
-        help="embed an earlier payload and record speedup ratios",
-    )
-    hot.add_argument(
-        "--against",
-        default=None,
-        metavar="FILE",
-        help="baseline JSON for the events/sec regression gate",
-    )
-    hot.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.2,
-        metavar="FRACTION",
-        help="allowed events/sec drop vs --against (default: 0.2)",
-    )
-    hot.add_argument(
-        "--max-shard-overhead",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="allowed K=1 sharded slowdown vs single-channel (target: 0.02)",
-    )
-    hot.add_argument(
-        "--max-columnar-regression",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "allowed columnar-lane slowdown vs the dict-reference twin "
-            "(target: 0.02)"
-        ),
-    )
-    hot.add_argument(
-        "--max-before-regression",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="with --before: allowed drop in any recorded speedup ratio",
-    )
-    hot.add_argument(
-        "--profile-top", type=int, default=15, help="profile rows kept"
-    )
-
     experiments = sub.add_parser(
         "experiments", help="regenerate the paper's figures and tables"
     )
@@ -519,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--report-window", type=int, default=0, help="w-window retransmission"
     )
-    serve.add_argument("--no-columnar", action="store_true")
 
     listen = sub.add_parser(
         "listen",
@@ -621,33 +539,6 @@ def _result_rows(result) -> List[List[str]]:
     return rows
 
 
-def _run_cohorts(args, params, schedule) -> int:
-    """`repro run --cohorts`: cohort-engine population run."""
-    from repro.cohort import CohortSimulation
-
-    try:
-        sim = CohortSimulation(
-            params,
-            scheme_factory=scheme_factory(args.scheme),
-            report_schedule=schedule,
-            cohort_size=args.cohort_size,
-            columnar=not args.no_columnar,
-        )
-    except ValueError as error:
-        print(f"--cohorts: {error}")
-        return 2
-    result = sim.run()
-    rows = _result_rows(result)
-    rows.append(["clients (cohort mode)", str(params.sim.num_clients)])
-    rows.append(["cohort size", str(args.cohort_size)])
-    rows.append(["client steps", str(sim.steps)])
-    if params.faults.active:
-        for name, value in sorted(result.metrics.fault_summary().items()):
-            rows.append([name, str(value)])
-    print(render_table(["measure", "value"], rows, title="simulation result"))
-    return 0
-
-
 def _make_tracer(args, params) -> Optional[Tracer]:
     """``--trace FILE``: tracer plus manifest, shared by every run path."""
     from repro import __version__
@@ -674,47 +565,116 @@ def _make_tracer(args, params) -> Optional[Tracer]:
     return tracer
 
 
-def _run_sharded(args, params, schedule) -> int:
-    """`repro run --shards K`: sharded multi-channel server run."""
-    from repro.shard import ShardedSimulation, sharded_violations
-    from repro.stats import names as metric_names
-
-    unsupported = [
-        flag
-        for flag, on in (
-            ("--interleaved-server", args.interleaved_server),
-            ("resilience knobs", params.resilience.active),
-        )
-        if on
-    ]
+def _refused(engine: str, why: str, flags) -> bool:
+    """Print the ``--cohorts`` / ``--shards`` rejection if any flag is on."""
+    unsupported = [flag for flag, on in flags if on]
     if unsupported:
-        print(
-            f"--shards is incompatible with {', '.join(unsupported)}: "
-            "sharded channels drive plain listeners (run the "
-            "single-channel server for 2PL interleaving and recovery)"
-        )
-        return 2
-    tracer = _make_tracer(args, params)
+        print(f"{engine} is incompatible with {', '.join(unsupported)}: {why}")
+    return bool(unsupported)
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    tracer = None
+    # One handler for every engine: a bad parameter is a ValueError out
+    # of parameter building or construction, never out of the run.
     try:
-        sim = ShardedSimulation(
-            params,
-            scheme_factory(args.scheme),
-            num_shards=args.shards,
-            partitioner=args.partitioner,
-            consistency=args.shard_consistency,
-            cross_shard_fraction=args.cross_shard_fraction,
-            report_schedule=schedule,
-            keep_history=args.verify,
-            tracer=tracer,
-            columnar=not args.no_columnar,
+        params = _params_from(args)
+        schedule = ReportSchedule(
+            per_cycle=args.reports_per_cycle, window=args.report_window
         )
+        if args.cohorts:
+            from repro.cohort import CohortSimulation
+
+            if _refused(
+                "--cohorts",
+                "the cohort engine aggregates a single-channel population "
+                "(use the discrete engine for per-event tooling and the "
+                "sharded server)",
+                (
+                    ("--trace", bool(args.trace)),
+                    ("--verify", args.verify),
+                    ("--interleaved-server", args.interleaved_server),
+                    ("--shards", args.shards is not None),
+                    (
+                        "--cross-shard-fraction",
+                        args.cross_shard_fraction is not None,
+                    ),
+                ),
+            ):
+                return 2
+            report = _report_cohorts
+            sim = CohortSimulation(
+                params,
+                scheme_factory=scheme_factory(args.scheme),
+                report_schedule=schedule,
+                cohort_size=args.cohort_size,
+            )
+        elif args.shards is not None:
+            from repro.shard import ShardedSimulation
+
+            if _refused(
+                "--shards",
+                "sharded channels drive plain listeners (run the "
+                "single-channel server for 2PL interleaving and recovery)",
+                (
+                    ("--interleaved-server", args.interleaved_server),
+                    ("resilience knobs", params.resilience.active),
+                ),
+            ):
+                return 2
+            report = _report_sharded
+            tracer = _make_tracer(args, params)
+            sim = ShardedSimulation(
+                params,
+                scheme_factory(args.scheme),
+                num_shards=args.shards,
+                partitioner=args.partitioner,
+                consistency=args.shard_consistency,
+                cross_shard_fraction=args.cross_shard_fraction,
+                report_schedule=schedule,
+                keep_history=args.verify,
+                tracer=tracer,
+            )
+        else:
+            report = _report_single
+            tracer = _make_tracer(args, params)
+            sim = Simulation(
+                params,
+                scheme_factory=scheme_factory(args.scheme),
+                report_schedule=schedule,
+                keep_history=args.verify,
+                interleaved_server=args.interleaved_server,
+                tracer=tracer,
+            )
     except ValueError as error:
-        print(f"--shards: {error}")
+        if tracer is not None:
+            tracer.close()
+        print(f"run: {error}")
         return 2
     result = sim.run()
     if tracer is not None:
         tracer.close()
         print(f"trace written to {args.trace}")
+    return report(args, params, sim, result)
+
+
+def _report_cohorts(args, params, sim, result) -> int:
+    """`repro run --cohorts`: cohort-engine population run."""
+    rows = _result_rows(result)
+    rows.append(["clients (cohort mode)", str(params.sim.num_clients)])
+    rows.append(["cohort size", str(args.cohort_size)])
+    rows.append(["client steps", str(sim.steps)])
+    if params.faults.active:
+        for name, value in sorted(result.metrics.fault_summary().items()):
+            rows.append([name, str(value)])
+    print(render_table(["measure", "value"], rows, title="simulation result"))
+    return 0
+
+
+def _report_sharded(args, params, sim, result) -> int:
+    """`repro run --shards K`: sharded multi-channel server run."""
+    from repro.shard import sharded_violations
+    from repro.stats import names as metric_names
 
     rows = _result_rows(result)
     rows.append(["shards", str(args.shards)])
@@ -751,52 +711,7 @@ def _run_sharded(args, params, schedule) -> int:
     return 0
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    params = _params_from(args)
-    schedule = ReportSchedule(
-        per_cycle=args.reports_per_cycle, window=args.report_window
-    )
-    if args.cohorts:
-        unsupported = [
-            flag
-            for flag, on in (
-                ("--trace", bool(args.trace)),
-                ("--verify", args.verify),
-                ("--interleaved-server", args.interleaved_server),
-                ("--shards", args.shards is not None),
-                (
-                    "--cross-shard-fraction",
-                    args.cross_shard_fraction is not None,
-                ),
-            )
-            if on
-        ]
-        if unsupported:
-            print(
-                f"--cohorts is incompatible with {', '.join(unsupported)}: "
-                "the cohort engine aggregates a single-channel population "
-                "(use the discrete engine for per-event tooling and the "
-                "sharded server)"
-            )
-            return 2
-        return _run_cohorts(args, params, schedule)
-    if args.shards is not None:
-        return _run_sharded(args, params, schedule)
-    tracer = _make_tracer(args, params)
-    sim = Simulation(
-        params,
-        scheme_factory=scheme_factory(args.scheme),
-        report_schedule=schedule,
-        keep_history=args.verify,
-        interleaved_server=args.interleaved_server,
-        tracer=tracer,
-        columnar=not args.no_columnar,
-    )
-    result = sim.run()
-    if tracer is not None:
-        tracer.close()
-        print(f"trace written to {args.trace}")
-
+def _report_single(args, params, sim, result) -> int:
     rows = _result_rows(result)
     if params.faults.active:
         for name, value in sorted(result.metrics.fault_summary().items()):
@@ -976,47 +891,6 @@ def _command_experiments(args: argparse.Namespace) -> int:
     return experiments_main(argv)
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    if args.suite == "hotpath":
-        from repro.obs import hotpath
-
-        argv = ["--repeats", str(args.repeats)]
-        if args.out:
-            argv += ["--out", args.out]
-        if args.quick:
-            argv.append("--quick")
-        if args.before:
-            argv += ["--before", args.before]
-        if args.against:
-            argv += ["--against", args.against]
-        argv += ["--max-regression", str(args.max_regression)]
-        if args.max_shard_overhead is not None:
-            argv += ["--max-shard-overhead", str(args.max_shard_overhead)]
-        if args.max_columnar_regression is not None:
-            argv += [
-                "--max-columnar-regression",
-                str(args.max_columnar_regression),
-            ]
-        if args.max_before_regression is not None:
-            argv += [
-                "--max-before-regression",
-                str(args.max_before_regression),
-            ]
-        argv += ["--profile-top", str(args.profile_top)]
-        return hotpath.main(argv)
-
-    from repro.obs import bench
-
-    argv = ["--scenario", args.scenario, "--repeats", str(args.repeats)]
-    if args.out:
-        argv += ["--out", args.out]
-    if args.max_overhead is not None:
-        argv += ["--max-overhead", str(args.max_overhead)]
-    if args.trace_sample:
-        argv += ["--trace-sample", args.trace_sample]
-    return bench.main(argv)
-
-
 def _serve_params(args: argparse.Namespace) -> ModelParameters:
     return (
         ModelParameters()
@@ -1064,7 +938,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             clock=clock,
-            columnar=not args.no_columnar,
             report_schedule=ReportSchedule(window=args.report_window),
         )
     except ValueError as error:
@@ -1172,8 +1045,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _command_run(args)
     if args.command == "trace":
         return _command_trace(args)
-    if args.command == "bench":
-        return _command_bench(args)
     if args.command == "experiments":
         return _command_experiments(args)
     if args.command == "serve":

@@ -190,7 +190,6 @@ class CohortSimulation:
         disconnect_factory: Optional[DisconnectFactory] = None,
         report_schedule: Optional[ReportSchedule] = None,
         cohort_size: int = 4096,
-        columnar: bool = True,
     ) -> None:
         params.validate()
         if params.resilience.active:
@@ -208,7 +207,6 @@ class CohortSimulation:
         self.scheme_factory = scheme_factory
         self.disconnect_factory = disconnect_factory
         self.cohort_size = max(1, cohort_size)
-        self.columnar = columnar
         self.metrics = MetricsRegistry()
         #: Total generator resumptions across all clients (the cohort
         #: analogue of the kernel's events-processed figure, for bench).
@@ -225,8 +223,7 @@ class CohortSimulation:
             report_window=self.report_schedule.window
         ).merge(probe.requirements())
         trace = self.trace = build_trace(
-            params, requirements, self.metrics, seeds.engine_rng(),
-            columnar=self.columnar,
+            params, requirements, self.metrics, seeds.engine_rng()
         )
         injector: Optional[FaultInjector] = None
         if params.faults.active:

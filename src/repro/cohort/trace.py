@@ -69,14 +69,12 @@ class KernellessServer:
         requirements: BroadcastRequirements,
         metrics: MetricsRegistry,
         rng: random.Random,
-        columnar: bool = True,
         keep_history: bool = False,
     ) -> None:
         self.substrate = build_substrate(
             params.server,
             requirements,
             rng,
-            columnar=columnar,
             keep_history=keep_history,
         )
         self.env = CohortEnv()
@@ -108,16 +106,13 @@ def build_trace(
     requirements: BroadcastRequirements,
     metrics: MetricsRegistry,
     rng: random.Random,
-    columnar: bool = True,
 ) -> ServerTrace:
     """Run the server loop for every cycle and record the programs.
 
     ``rng`` is the engine stream (:meth:`repro.seeds.SeedOrder.engine_rng`),
     so the update workload matches the discrete run's bit for bit.
     """
-    server = KernellessServer(
-        params, requirements, metrics, rng, columnar=columnar
-    )
+    server = KernellessServer(params, requirements, metrics, rng)
     records = list(server.cycles())
     cycles = server.backend.cycles_completed
     return ServerTrace(

@@ -35,8 +35,6 @@ The determinism contract is enforced by the oracle suite
 subcommand below, which CI runs::
 
     python -m repro.experiments.parallel check --jobs 2
-    python -m repro.experiments.parallel bench --jobs 4 \\
-        --out results/BENCH_parallel.json
 """
 
 from __future__ import annotations
@@ -58,9 +56,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.config import ModelParameters
 from repro.experiments.runner import (
     ExperimentProfile,
-    FULL_PROFILE,
     PointResult,
-    QUICK_PROFILE,
     SweepResult,
     SweepStats,
 )
@@ -595,7 +591,7 @@ SMOKE_PROFILE = ExperimentProfile(
 )
 
 
-# -- check / bench entry points (CI) -----------------------------------------
+# -- check entry point (CI) --------------------------------------------------
 
 
 def check_experiment(
@@ -651,68 +647,10 @@ def check_experiment(
     return identical
 
 
-def benchmark(
-    jobs: int = 4,
-    profile: ExperimentProfile = FULL_PROFILE,
-    out: Optional[str] = None,
-    schemes: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-) -> Dict[str, Any]:
-    """Serial vs ``--jobs N`` wall clock on the fig5 (left) FULL sweep.
-
-    Records both runs, the measured speedup, and the machine's CPU
-    count; on a >= 4-core machine the expected speedup is >= 2x (cells
-    dominate, the merge is O(cells) dict folds).
-    """
-    from repro.experiments import fig5
-    from repro.obs.manifest import git_revision
-
-    kwargs: Dict[str, Any] = {}
-    if schemes is not None:
-        kwargs["schemes"] = tuple(schemes)
-
-    start = time.perf_counter()
-    serial = fig5.run_left(profile=profile, verbose=verbose, **kwargs)
-    serial_wall = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = fig5.run_left(
-        profile=profile, executor=make_executor(jobs), verbose=verbose, **kwargs
-    )
-    parallel_wall = time.perf_counter() - start
-
-    from repro.experiments.render import sweep_to_csv
-
-    record = {
-        "benchmark": "parallel-sweep",
-        "sweep": "fig5-left",
-        "git_rev": git_revision(),
-        "cpu_count": os.cpu_count(),
-        "jobs": jobs,
-        "cells": serial.stats.cells if serial.stats else 0,
-        "profile": {
-            "num_cycles": profile.num_cycles,
-            "warmup_cycles": profile.warmup_cycles,
-            "num_clients": profile.num_clients,
-            "seeds": list(profile.seeds),
-        },
-        "serial_wall_s": round(serial_wall, 3),
-        "parallel_wall_s": round(parallel_wall, 3),
-        "speedup": round(serial_wall / parallel_wall, 3) if parallel_wall else None,
-        "output_identical": sweep_to_csv(serial) == sweep_to_csv(parallel),
-        "expectation": "speedup >= 2x with jobs=4 on >= 4 physical cores",
-    }
-    if out is not None:
-        target = Path(out)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return record
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.experiments.parallel",
-        description="parallel sweep executor: determinism check and benchmark",
+        description="parallel sweep executor: determinism check",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -732,47 +670,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write serial/parallel CSVs (and diffs on mismatch) here",
     )
 
-    bench = sub.add_parser(
-        "bench", help="serial vs parallel wall-clock on the fig5 FULL sweep"
-    )
-    bench.add_argument("--jobs", type=int, default=4)
-    bench.add_argument("--quick", action="store_true")
-    bench.add_argument(
-        "--schemes", nargs="*", default=None, help="restrict the scheme line-up"
-    )
-    bench.add_argument("--out", default=None, metavar="FILE")
-
     args = parser.parse_args(argv)
 
-    if args.command == "check":
-        registered = oracle_experiments()
-        names = args.names or sorted(registered)
-        unknown = [n for n in names if n not in registered]
-        if unknown:
-            known = ", ".join(sorted(registered))
-            print(f"Unknown experiment(s): {', '.join(unknown)}; known: {known}")
-            return 2
-        failures = []
-        for name in names:
-            ok = check_experiment(name, jobs=args.jobs, artifacts=args.artifacts)
-            print(f"{name}: {'identical' if ok else 'MISMATCH'} (jobs={args.jobs})")
-            if not ok:
-                failures.append(name)
-        if failures:
-            print(f"determinism oracle FAILED: {', '.join(failures)}")
-            return 1
-        print(f"determinism oracle green for {len(names)} experiment(s)")
-        return 0
-
-    if args.command == "bench":
-        profile = QUICK_PROFILE if args.quick else FULL_PROFILE
-        record = benchmark(
-            jobs=args.jobs, profile=profile, out=args.out, schemes=args.schemes
-        )
-        print(json.dumps(record, indent=2, sort_keys=True))
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    registered = oracle_experiments()
+    names = args.names or sorted(registered)
+    unknown = [n for n in names if n not in registered]
+    if unknown:
+        known = ", ".join(sorted(registered))
+        print(f"Unknown experiment(s): {', '.join(unknown)}; known: {known}")
+        return 2
+    failures = []
+    for name in names:
+        ok = check_experiment(name, jobs=args.jobs, artifacts=args.artifacts)
+        print(f"{name}: {'identical' if ok else 'MISMATCH'} (jobs={args.jobs})")
+        if not ok:
+            failures.append(name)
+    if failures:
+        print(f"determinism oracle FAILED: {', '.join(failures)}")
+        return 1
+    print(f"determinism oracle green for {len(names)} experiment(s)")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -55,7 +55,6 @@ class LiveBroadcastServer:
         host: str = "127.0.0.1",
         port: int = 0,
         clock: Optional[CycleClock] = None,
-        columnar: bool = True,
         engine_rng: Optional[random.Random] = None,
         metrics: Optional[MetricsRegistry] = None,
         keep_history: bool = False,
@@ -90,7 +89,6 @@ class LiveBroadcastServer:
             self.requirements,
             self.metrics,
             engine_rng,
-            columnar=columnar,
             keep_history=keep_history,
         )
         self.database = self._loop.substrate.database

@@ -1,17 +1,15 @@
 """repro.obs -- observability for the broadcast-push simulator.
 
-Three pillars, all optional and near-zero-cost when off:
+Two pillars, both optional and near-zero-cost when off:
 
 * :mod:`repro.obs.trace` -- a structured event/span tracer with a
   bounded ring-buffer sink and a JSONL file sink.  Emission sites are
   gated on precomputed level flags (see :func:`repro.obs.trace.gate`),
   so a simulation constructed without a tracer pays one ``is None``
-  branch per potential event at most.
+  branch per potential event at most (checked exactly by
+  ``tests/obs/test_disabled_tracer.py``).
 * :mod:`repro.obs.manifest` -- run-manifest capture (config, seed, git
   revision, package versions, fault knobs) for experiment provenance.
-* :mod:`repro.obs.bench` -- the performance harness timing the hot
-  simulation loop (events/sec, queries/sec) and the disabled-tracer
-  overhead contract; emits ``BENCH_<rev>.json``.
 
 Trace files are dissected by :mod:`repro.obs.analyze` (per-query
 timelines, abort-cause breakdowns, per-cycle airtime occupancy), which

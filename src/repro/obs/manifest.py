@@ -4,7 +4,7 @@ A manifest captures the complete provenance of one simulation or
 experiment run: the full parameter set (including fault knobs), the
 seed(s), the repro package version, the git revision the code ran at,
 interpreter/platform identifiers, and the versions of the optional
-test/bench packages when present.  Experiment CSVs reference their
+test packages when present.  Experiment CSVs reference their
 manifest in a leading comment row (see
 :func:`repro.experiments.runner.write_sweep_csv`), so a results file
 can always be traced back to the exact configuration that produced it.
@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional, Sequence
 from repro.config import ModelParameters
 
 #: Optional packages whose versions are worth recording when installed.
-_INTERESTING_PACKAGES = ("pytest", "hypothesis", "networkx", "pytest-benchmark")
+_INTERESTING_PACKAGES = ("pytest", "hypothesis", "networkx")
 
 
 def git_revision(short: bool = True, cwd: Optional[str] = None) -> str:

@@ -17,9 +17,12 @@ computed once at construction time via :func:`gate`::
         self._trace_q.emit(EV_QUERY_BEGIN, client=..., txn=...)
 
 so a simulation with no tracer -- or a tracer at a lower level -- pays
-exactly one ``is None`` test per potential event.  The bench harness
-(:mod:`repro.obs.bench`) measures this contract: disabled-mode overhead
-must stay within 5% of an untraced control run.
+exactly one ``is None`` test per potential event.  That is a structural
+property and is tested as one (``tests/obs/test_disabled_tracer.py``):
+under a tracer at ``OFF`` with a sink attached, every gated reference
+in the runtime is ``None``, the sink stays empty and the metrics equal
+the tracer-less run's exactly.  :meth:`Tracer.emit` itself never looks
+at the level, so an emit that bypasses :func:`gate` fails that test.
 
 Levels
 ------

@@ -196,14 +196,12 @@ class Simulation(KernelSimulation):
         report_schedule: Optional[ReportSchedule] = None,
         interleaved_server: bool = False,
         tracer: Optional[Tracer] = None,
-        columnar: bool = True,
     ) -> None:
         super().__init__(params, report_schedule, tracer)
         substrate = build_substrate(
             params.server,
             self._adopt_schemes(scheme_factory),
             self.seeds.engine_rng(),
-            columnar=columnar,
             keep_history=keep_history,
             interleaved=interleaved_server,
             tracer=tracer,

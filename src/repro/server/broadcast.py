@@ -54,8 +54,8 @@ class ProgramBuilder:
     store's dirty feed).  The clustered organization interleaves old
     versions with the data, shifting positions whenever the retained set
     changes, and keeps the full per-cycle rebuild.  ``incremental=False``
-    forces the full rebuild everywhere; the differential test suite and
-    the ``repro bench hotpath`` suite compare the two paths.
+    forces the full rebuild everywhere; the differential test suite
+    compares the two paths.
 
     When ``item_state`` is a columnar store (``item_state.columnar``),
     record construction and report-bucket projection run off its dense

@@ -72,6 +72,10 @@ class ColumnarVersionStore(ItemStateStore):
     """
 
     columnar = True
+    #: ``_old_count`` is a bytearray: one retained-version count per
+    #: item, and retention bounds how many supersedure cohorts can hold
+    #: a given item's versions at once.
+    MAX_RETENTION = 0xFF
 
     def __init__(
         self,
@@ -82,14 +86,11 @@ class ColumnarVersionStore(ItemStateStore):
     ) -> None:
         if retention < 0:
             raise ValueError(f"retention must be non-negative, got {retention}")
-        if retention > 0xFF:
-            # _old_count is a bytearray: one retained-version count per
-            # item, and retention bounds how many supersedure cohorts can
-            # hold a given item's versions at once.
+        if retention > self.MAX_RETENTION:
             raise ValueError(
                 f"retention {retention} exceeds the columnar store's "
-                "255-version has-old column; use the dict-backed store "
-                "(columnar=False) for deeper retention"
+                "255-version has-old column; make_item_state builds the "
+                "dict-backed store for retention this deep"
             )
         self.database = database
         self.retention = retention

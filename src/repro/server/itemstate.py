@@ -16,7 +16,8 @@ talk to this interface, so the two stores are *differentially testable*
 -- ``tests/server/test_columnar_oracle.py`` pins bit-identity of every
 program, report and metrics registry across the scheme x seed x fault
 matrix, and the Hypothesis suite replays arbitrary update/evict
-sequences through both.
+sequences through both.  Which one a server runs is not a setting:
+:func:`make_item_state` derives it from the retention.
 
 Seam contract (matches the transaction engine's call pattern):
 
@@ -105,20 +106,23 @@ class ItemStateStore(ABC):
 def make_item_state(
     database: "Database",
     retention: int,
-    columnar: bool = True,
     items: Optional[object] = None,
     items_per_bucket: Optional[int] = None,
 ) -> ItemStateStore:
-    """Build the configured store flavour.
+    """Build the store ``retention`` calls for.
+
+    The columnar store while ``retention`` fits its byte-wide old-count
+    column (``<= 255``), the dict-backed store beyond: the retention is
+    the one input that decides it, so nobody chooses.
 
     ``items`` restricts a columnar store to a dense slice of the item
     universe (the sharded server passes each shard's item set, so K
     stores together hold one universe's worth of columns, not K).  The
-    dict-backed reference ignores both columnar-only hints.
+    dict-backed store ignores both columnar-only hints.
     """
-    if columnar:
-        from repro.server.columnar import ColumnarVersionStore
+    from repro.server.columnar import ColumnarVersionStore
 
+    if retention <= ColumnarVersionStore.MAX_RETENTION:
         return ColumnarVersionStore(
             database,
             retention=retention,

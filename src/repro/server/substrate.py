@@ -46,7 +46,6 @@ def build_substrate(
     requirements: BroadcastRequirements,
     rng: Optional[random.Random],
     *,
-    columnar: bool = True,
     keep_history: bool = False,
     interleaved: bool = False,
     tracer: Optional[Tracer] = None,
@@ -73,7 +72,6 @@ def build_substrate(
     item_state = make_item_state(
         database,
         retention=retention if old_versions else 0,
-        columnar=columnar,
         items=items,
         items_per_bucket=server.items_per_bucket,
     )

@@ -52,7 +52,9 @@ class VersionStore(ItemStateStore):
     :class:`~repro.server.itemstate.ItemStateStore` seam (``columnar ==
     False``): it reads current values straight off the database, so
     :meth:`note_write` is a no-op.  The array-backed twin lives in
-    :mod:`repro.server.columnar`.
+    :mod:`repro.server.columnar`; this one is what the tests compare it
+    against and the only store that runs a retention beyond 255
+    (:func:`~repro.server.itemstate.make_item_state`).
 
     Parameters
     ----------

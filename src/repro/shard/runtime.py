@@ -244,7 +244,6 @@ class ShardedSimulation(KernelSimulation):
         report_schedule: Optional[ReportSchedule] = None,
         tracer: Optional[Tracer] = None,
         shard_retention: Optional[Sequence[int]] = None,
-        columnar: bool = True,
     ) -> None:
         super().__init__(params, report_schedule, tracer)
         if num_shards < 1:
@@ -269,14 +268,6 @@ class ShardedSimulation(KernelSimulation):
                 f"shard_retention needs one entry per shard "
                 f"({num_shards}), got {len(shard_retention)}"
             )
-        if shard_retention is not None and columnar:
-            deep = [s for s in shard_retention if s > 0xFF]
-            if deep:
-                raise ValueError(
-                    f"shard_retention entries {deep} exceed the columnar "
-                    "store's 255-version has-old column; pass "
-                    "columnar=False for deeper retention"
-                )
         self.num_shards = num_shards
         self.consistency = consistency
         self.cross_shard_fraction = cross_shard_fraction
@@ -328,7 +319,6 @@ class ShardedSimulation(KernelSimulation):
                 # A shard whose items carry no update mass commits
                 # nothing: no engine, and no draw off the master seed.
                 self.seeds.engine_rng() if txn_counts[k] > 0 else None,
-                columnar=columnar,
                 keep_history=keep_history,
                 tracer=tracer,
                 schedule=ShardSchedule(items) if sharded else schedule,

@@ -61,6 +61,53 @@ def test_run_with_subcycle_reports(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "engine",
+    [[], ["--shards", "2"], ["--cohorts"]],
+    ids=["single", "sharded", "cohorts"],
+)
+def test_bad_parameter_is_one_line_and_exit_2(engine, capsys):
+    """A ValueError out of parameter building or construction is
+    reported the same way whichever engine was asked for."""
+    assert main(["run", "--cycles", "5"] + engine) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "run: num_cycles must exceed warmup_cycles\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--reports-per-cycle", "0"], "run: "),
+        (["--cohorts", "--reports-per-cycle", "2"], "run: cohort mode requires"),
+        (["--shards", "2", "--reports-per-cycle", "2"], "run: sub-cycle reports"),
+        (
+            ["--scheme", "multiversion", "--retention", "-1"],
+            "run: retention must be non-negative",
+        ),
+    ],
+)
+def test_construction_errors_share_the_handler(argv, message, capsys):
+    assert main(RUN_SMALL + argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(message)
+    assert len(out.splitlines()) == 1
+
+
+def test_deep_retention_runs_on_the_dict_store(capsys, on_dict_store):
+    """``--retention 300`` is beyond the columnar store's column, so the
+    run gets the dict-backed store by itself -- the same table a run
+    forced onto that store prints."""
+    argv = RUN_SMALL + ["--scheme", "multiversion", "--retention", "300"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "multiversion" in out
+    with on_dict_store() as built:
+        assert main(argv) == 0
+    assert built
+    assert capsys.readouterr().out == out
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--scheme", "nonsense"])

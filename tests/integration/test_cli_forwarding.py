@@ -1,12 +1,10 @@
 """Argv re-forwarding audit (latent-bug regression).
 
-``repro bench`` and ``repro experiments`` are thin shells: they parse a
-user-facing flag set and re-forward it as argv to the underlying
-tools.  The bug class this pins: a flag *accepted* by the shell parser
-but silently dropped on the way through -- ``repro bench hotpath``
-accepted ``--max-columnar-regression``, ``--max-before-regression``
-and ``--profile-top`` and discarded all three, so the CI gates they
-name could never fire through the umbrella CLI.
+``repro experiments`` is a thin shell: it parses a user-facing flag set
+and re-forwards it as argv to the underlying tool.  The bug class this
+pins: a flag *accepted* by the shell parser but silently dropped on the
+way through, so the behaviour it names could never fire through the
+umbrella CLI.
 
 Every test sets each forwardable flag to a non-default value, captures
 the argv handed to the target, and (where the target exposes its
@@ -26,68 +24,6 @@ def _capture(monkeypatch, module, attr="main"):
 
     monkeypatch.setattr(module, attr, fake)
     return calls
-
-
-def test_bench_hotpath_forwards_every_flag(monkeypatch):
-    from repro.obs import hotpath
-
-    calls = _capture(monkeypatch, hotpath)
-    code = main(
-        [
-            "bench", "hotpath",
-            "--repeats", "5",
-            "--out", "payload.json",
-            "--quick",
-            "--before", "before.json",
-            "--against", "baseline.json",
-            "--max-regression", "0.3",
-            "--max-shard-overhead", "0.04",
-            "--max-columnar-regression", "0.05",
-            "--max-before-regression", "0.06",
-            "--profile-top", "7",
-        ]
-    )
-    assert code == 0
-    assert calls == [
-        [
-            "--repeats", "5",
-            "--out", "payload.json",
-            "--quick",
-            "--before", "before.json",
-            "--against", "baseline.json",
-            "--max-regression", "0.3",
-            "--max-shard-overhead", "0.04",
-            "--max-columnar-regression", "0.05",
-            "--max-before-regression", "0.06",
-            "--profile-top", "7",
-        ]
-    ]
-
-
-def test_bench_overhead_forwards_every_flag(monkeypatch):
-    from repro.obs import bench
-
-    calls = _capture(monkeypatch, bench)
-    code = main(
-        [
-            "bench",
-            "--scenario", "fig6",
-            "--repeats", "4",
-            "--out", "overhead.json",
-            "--max-overhead", "0.15",
-            "--trace-sample", "0.5",
-        ]
-    )
-    assert code == 0
-    assert calls == [
-        [
-            "--scenario", "fig6",
-            "--repeats", "4",
-            "--out", "overhead.json",
-            "--max-overhead", "0.15",
-            "--trace-sample", "0.5",
-        ]
-    ]
 
 
 def test_experiments_forwards_every_flag(monkeypatch):

@@ -58,7 +58,6 @@ def test_run_maps_every_flag_into_the_simulation(monkeypatch):
             "--reports-per-cycle", "2",
             "--report-window", "3",
             "--interleaved-server",
-            "--no-columnar",
             "--slot-loss", "0.01",
             "--burst-loss", "0.02",
             "--burst-length", "5.0",
@@ -108,6 +107,5 @@ def test_run_maps_every_flag_into_the_simulation(monkeypatch):
     assert kwargs["report_schedule"].per_cycle == 2
     assert kwargs["report_schedule"].window == 3
     assert kwargs["interleaved_server"] is True
-    assert kwargs["columnar"] is False
     assert kwargs["keep_history"] is False
     assert type(captured["scheme"]).__name__ == "MultiversionBroadcast"

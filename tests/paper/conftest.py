@@ -1,9 +1,9 @@
-"""Benchmark configuration: scaled-down experiment profiles.
+"""Paper-shape suite configuration: scaled-down experiment profiles.
 
-The benchmarks regenerate every figure and table of the paper on a
+These tests regenerate every figure and table of the paper on a
 reduced profile (fewer cycles, clients and sweep points than the full
-harness in ``repro.experiments``) so the whole bench suite runs in a few
-minutes.  The *shapes* asserted here are the paper's headline claims;
+harness in ``repro.experiments``) so the whole suite runs in a few
+seconds.  The *shapes* asserted here are the paper's headline claims;
 absolute numbers belong to EXPERIMENTS.md, produced by the full profile.
 """
 
@@ -14,14 +14,14 @@ import pytest
 from repro.config import ModelParameters
 from repro.experiments.runner import ExperimentProfile
 
-#: Profile used by all simulation benchmarks.
-BENCH_PROFILE = ExperimentProfile(
+#: Profile used by every sweep in this suite.
+PAPER_PROFILE = ExperimentProfile(
     num_cycles=60, warmup_cycles=6, num_clients=6, seeds=(17,)
 )
 
 #: A 4x-reduced world that preserves the paper's ratios:
 #: UpdateRange = D/2, ReadRange = D/4, CacheSize = D/8, U = D/20.
-BENCH_PARAMS = (
+PAPER_PARAMS = (
     ModelParameters()
     .with_server(
         broadcast_size=250,
@@ -43,10 +43,10 @@ BENCH_PARAMS = (
 
 
 @pytest.fixture(scope="session")
-def bench_profile() -> ExperimentProfile:
-    return BENCH_PROFILE
+def paper_profile() -> ExperimentProfile:
+    return PAPER_PROFILE
 
 
 @pytest.fixture(scope="session")
-def bench_params() -> ModelParameters:
-    return BENCH_PARAMS
+def paper_params() -> ModelParameters:
+    return PAPER_PARAMS

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices the paper discusses.
+"""Ablations of the design choices the paper discusses.
 
 Each ablation flips one mechanism and reports the metric the paper's
 prose predicts it moves:
@@ -25,19 +25,19 @@ from repro.experiments.runner import run_point
 from repro.experiments.render import render_table
 
 
-def test_ablation_multiversion_organization(benchmark, bench_profile, bench_params):
+def test_ablation_multiversion_organization(paper_profile, paper_params):
     def regenerate():
         points = {}
         for organization in ("overflow", "clustered"):
             points[organization] = run_point(
-                bench_params,
+                paper_params,
                 lambda: MultiversionBroadcast(organization=organization),
-                bench_profile,
+                paper_profile,
                 label=organization,
             )
         return points
 
-    points = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    points = regenerate()
     rows = [
         [
             org,
@@ -58,19 +58,19 @@ def test_ablation_multiversion_organization(benchmark, bench_profile, bench_para
     assert points["clustered"].abort_rate == 0.0
 
 
-def test_ablation_invalidation_granularity(benchmark, bench_profile, bench_params):
+def test_ablation_invalidation_granularity(paper_profile, paper_params):
     def regenerate():
         return {
             grain.value: run_point(
-                bench_params,
+                paper_params,
                 lambda: InvalidationOnly(use_cache=True, granularity=grain),
-                bench_profile,
+                paper_profile,
                 label=grain.value,
             )
             for grain in (Granularity.ITEM, Granularity.BUCKET)
         }
 
-    points = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    points = regenerate()
     print()
     print(
         render_table(
@@ -82,20 +82,20 @@ def test_ablation_invalidation_granularity(benchmark, bench_profile, bench_param
     assert points["bucket"].abort_rate >= points["item"].abort_rate - 0.03
 
 
-def test_ablation_transaction_optimization(benchmark, bench_profile, bench_params):
+def test_ablation_transaction_optimization(paper_profile, paper_params):
     def regenerate():
         results = {}
         for sort_reads in (False, True):
-            params = bench_params.with_client(sort_reads=sort_reads)
+            params = paper_params.with_client(sort_reads=sort_reads)
             results[sort_reads] = run_point(
                 params,
                 lambda: InvalidationOnly(use_cache=False),
-                bench_profile,
+                paper_profile,
                 label=str(sort_reads),
             )
         return results
 
-    points = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    points = regenerate()
     print()
     print(
         render_table(
@@ -115,20 +115,20 @@ def test_ablation_transaction_optimization(benchmark, bench_profile, bench_param
     assert points[True].mean_span <= points[False].mean_span + 0.2
 
 
-def test_ablation_subcycle_reports(benchmark, bench_profile, bench_params):
+def test_ablation_subcycle_reports(paper_profile, paper_params):
     def regenerate():
         return {
             k: run_point(
-                bench_params,
+                paper_params,
                 lambda: InvalidationOnly(use_cache=True),
-                bench_profile,
+                paper_profile,
                 label=f"k={k}",
                 report_schedule=ReportSchedule(per_cycle=k),
             )
             for k in (1, 4)
         }
 
-    points = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    points = regenerate()
     print()
     print(
         render_table(
@@ -143,7 +143,7 @@ def test_ablation_subcycle_reports(benchmark, bench_profile, bench_params):
     assert points[4].abort_rate >= points[1].abort_rate - 0.05
 
 
-def test_ablation_report_window(benchmark, bench_profile, bench_params):
+def test_ablation_report_window(paper_profile, paper_params):
     def flaky(rng):
         return RandomDisconnections(
             p_disconnect=0.12, mean_outage_cycles=1.5, rng=rng
@@ -152,9 +152,9 @@ def test_ablation_report_window(benchmark, bench_profile, bench_params):
     def regenerate():
         return {
             window: run_point(
-                bench_params,
+                paper_params,
                 lambda: InvalidationOnly(use_cache=True),
-                bench_profile,
+                paper_profile,
                 label=f"w={window}",
                 report_schedule=ReportSchedule(window=window),
                 disconnect_factory=flaky,
@@ -162,7 +162,7 @@ def test_ablation_report_window(benchmark, bench_profile, bench_params):
             for window in (0, 4)
         }
 
-    points = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    points = regenerate()
     print()
     print(
         render_table(

@@ -13,19 +13,17 @@ OFFSETS = (0, 30, 60)
 SCHEMES = ("inval", "versioned-cache", "sgt+cache")
 
 
-def regenerate(bench_profile, bench_params):
+def regenerate(paper_profile, paper_params):
     return fig5.run_right(
-        profile=bench_profile,
-        params=bench_params,
+        profile=paper_profile,
+        params=paper_params,
         schemes=SCHEMES,
         offset_sweep=OFFSETS,
     )
 
 
-def test_fig5_abort_vs_offset(benchmark, bench_profile, bench_params):
-    sweep = benchmark.pedantic(
-        regenerate, args=(bench_profile, bench_params), rounds=1, iterations=1
-    )
+def test_fig5_abort_vs_offset(paper_profile, paper_params):
+    sweep = regenerate(paper_profile, paper_params)
     print()
     print(render_sweep(sweep))
 

@@ -13,19 +13,17 @@ UPDATES = (12, 36, 80)
 SCHEMES = ("inval", "versioned-cache", "sgt")
 
 
-def regenerate(bench_profile, bench_params):
+def regenerate(paper_profile, paper_params):
     return fig6.run(
-        profile=bench_profile,
-        params=bench_params,
+        profile=paper_profile,
+        params=paper_params,
         schemes=SCHEMES,
         update_sweep=UPDATES,
     )
 
 
-def test_fig6_abort_vs_updates(benchmark, bench_profile, bench_params):
-    sweep = benchmark.pedantic(
-        regenerate, args=(bench_profile, bench_params), rounds=1, iterations=1
-    )
+def test_fig6_abort_vs_updates(paper_profile, paper_params):
+    sweep = regenerate(paper_profile, paper_params)
     print()
     print(render_sweep(sweep))
 

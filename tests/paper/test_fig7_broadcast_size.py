@@ -19,8 +19,8 @@ def regenerate():
     )
 
 
-def test_fig7_broadcast_size(benchmark):
-    vs_span, vs_updates = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+def test_fig7_broadcast_size():
+    vs_span, vs_updates = regenerate()
     print()
     print(render_sweep(vs_span, precision=2))
     print(render_sweep(vs_updates, precision=2))

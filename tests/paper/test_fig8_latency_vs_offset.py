@@ -13,16 +13,14 @@ from repro.experiments.render import render_sweep
 OFFSETS = (0, 30, 60)
 
 
-def regenerate(bench_profile, bench_params):
+def regenerate(paper_profile, paper_params):
     return fig8.run_right(
-        profile=bench_profile, params=bench_params, offset_sweep=OFFSETS
+        profile=paper_profile, params=paper_params, offset_sweep=OFFSETS
     )
 
 
-def test_fig8_latency_vs_offset(benchmark, bench_profile, bench_params):
-    sweep = benchmark.pedantic(
-        regenerate, args=(bench_profile, bench_params), rounds=1, iterations=1
-    )
+def test_fig8_latency_vs_offset(paper_profile, paper_params):
+    sweep = regenerate(paper_profile, paper_params)
     print()
     print(render_sweep(sweep, precision=2))
 

@@ -15,19 +15,17 @@ OPS = (4, 8, 16)
 SCHEMES = ("inval", "inval+cache", "multiversion")
 
 
-def regenerate(bench_profile, bench_params):
+def regenerate(paper_profile, paper_params):
     return fig8.run_left(
-        profile=bench_profile,
-        params=bench_params,
+        profile=paper_profile,
+        params=paper_params,
         schemes=SCHEMES,
         ops_sweep=OPS,
     )
 
 
-def test_fig8_latency_vs_ops(benchmark, bench_profile, bench_params):
-    sweep = benchmark.pedantic(
-        regenerate, args=(bench_profile, bench_params), rounds=1, iterations=1
-    )
+def test_fig8_latency_vs_ops(paper_profile, paper_params):
+    sweep = regenerate(paper_profile, paper_params)
     print()
     print(render_sweep(sweep, precision=2))
 

@@ -2,7 +2,7 @@
 
 The default engine executes each cycle's transactions serially in commit
 order, justified by strict 2PL's conflict-equivalence to that order.
-This bench runs the same workload with the actual lock-manager-driven
+This test runs the same workload with the actual lock-manager-driven
 interleaved executor and checks that the client-visible statistics are
 statistically indistinguishable -- the shortcut changes nothing a client
 can observe.
@@ -14,20 +14,20 @@ from repro.experiments.schemes import scheme_factory
 from repro.stats.compare import two_proportion_z
 
 
-def test_interleaved_server_equivalence(benchmark, bench_profile, bench_params):
+def test_interleaved_server_equivalence(paper_profile, paper_params):
     def regenerate():
         points = {}
         for interleaved in (False, True):
             points[interleaved] = run_point(
-                bench_params,
+                paper_params,
                 scheme_factory("sgt+cache"),
-                bench_profile,
+                paper_profile,
                 label="interleaved" if interleaved else "commit-order",
                 interleaved_server=interleaved,
             )
         return points
 
-    points = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    points = regenerate()
     rows = [
         [
             "interleaved" if mode else "commit-order",

@@ -13,16 +13,14 @@ from repro.experiments.render import render_sweep
 SWEEP = (1, 4, 16)
 
 
-def regenerate(bench_profile, bench_params):
+def regenerate(paper_profile, paper_params):
     return retention.run(
-        profile=bench_profile, params=bench_params, retention_sweep=SWEEP
+        profile=paper_profile, params=paper_params, retention_sweep=SWEEP
     )
 
 
-def test_retention_ablation(benchmark, bench_profile, bench_params):
-    sweep = benchmark.pedantic(
-        regenerate, args=(bench_profile, bench_params), rounds=1, iterations=1
-    )
+def test_retention_ablation(paper_profile, paper_params):
+    sweep = regenerate(paper_profile, paper_params)
     print()
     print(render_sweep(sweep, precision=3))
 

@@ -14,19 +14,17 @@ from repro.experiments.render import render_sweep
 CLIENTS = (2, 8, 16)
 
 
-def regenerate(bench_profile, bench_params):
+def regenerate(paper_profile, paper_params):
     return scalability.run(
-        profile=bench_profile,
-        params=bench_params,
+        profile=paper_profile,
+        params=paper_params,
         scheme="inval+cache",
         client_sweep=CLIENTS,
     )
 
 
-def test_scalability(benchmark, bench_profile, bench_params):
-    sweep = benchmark.pedantic(
-        regenerate, args=(bench_profile, bench_params), rounds=1, iterations=1
-    )
+def test_scalability(paper_profile, paper_params):
+    sweep = regenerate(paper_profile, paper_params)
     print()
     print(render_sweep(sweep, precision=3))
 

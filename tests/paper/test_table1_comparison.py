@@ -13,14 +13,12 @@ Paper's qualitative claims, checked quantitatively:
 from repro.experiments import table1
 
 
-def regenerate(bench_profile, bench_params):
-    return table1.run(profile=bench_profile, params=bench_params)
+def regenerate(paper_profile, paper_params):
+    return table1.run(profile=paper_profile, params=paper_params)
 
 
-def test_table1_comparison(benchmark, bench_profile, bench_params):
-    result = benchmark.pedantic(
-        regenerate, args=(bench_profile, bench_params), rounds=1, iterations=1
-    )
+def test_table1_comparison(paper_profile, paper_params):
+    result = regenerate(paper_profile, paper_params)
     print()
     print(result.render())
 

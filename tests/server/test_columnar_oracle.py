@@ -29,9 +29,10 @@ from repro.cohort.oracle import (
 from repro.core.control import BroadcastRequirements
 from repro.runtime import Simulation
 from repro.server.broadcast import ProgramBuilder
+from repro.server.columnar import ColumnarVersionStore
 from repro.server.database import Database
-from repro.server.itemstate import make_item_state
 from repro.server.transactions import TransactionEngine
+from repro.server.versions import VersionStore
 
 FULL_MATRIX = os.environ.get("REPRO_COLUMNAR_FULL") == "1"
 SEEDS = DEFAULT_SEEDS if FULL_MATRIX else DEFAULT_SEEDS[:2]
@@ -39,6 +40,16 @@ SEEDS = DEFAULT_SEEDS if FULL_MATRIX else DEFAULT_SEEDS[:2]
 #: set; the clustered organization has its own builder path, so it
 #: rides in this matrix.
 SCHEMES = DEFAULT_SCHEMES + ("multiversion/clustered",)
+
+
+def _store(columnar, database, retention, items_per_bucket):
+    """Builder-level cells construct the store under test directly; the
+    whole-run cells get the dict twin through ``on_dict_store``."""
+    if columnar:
+        return ColumnarVersionStore(
+            database, retention=retention, items_per_bucket=items_per_bucket
+        )
+    return VersionStore(database, retention=retention)
 
 
 def _build_pair(organization, incremental, cycles=40, db_size=None):
@@ -61,11 +72,11 @@ def _build_pair(organization, incremental, cycles=40, db_size=None):
 
             params = replace(params, broadcast_size=db_size)
         database = Database(params.broadcast_size)
-        store = make_item_state(
+        store = _store(
+            columnar,
             database,
-            retention=params.retention if organization else 0,
-            columnar=columnar,
-            items_per_bucket=params.items_per_bucket,
+            params.retention if organization else 0,
+            params.items_per_bucket,
         )
         version_store = store if organization else None
         engine = TransactionEngine(
@@ -122,11 +133,8 @@ class TestBuilderPrograms:
         runs = []
         for columnar, incremental in ((True, True), (False, False)):
             database = Database(params.broadcast_size)
-            store = make_item_state(
-                database,
-                retention=params.retention,
-                columnar=columnar,
-                items_per_bucket=params.items_per_bucket,
+            store = _store(
+                columnar, database, params.retention, params.items_per_bucket
             )
             engine = TransactionEngine(
                 params, database, version_store=store, rng=random.Random(5)
@@ -154,18 +162,17 @@ class TestEndToEndRegistry:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_registry_bit_identity(self, scheme, faults, seed):
+    def test_registry_bit_identity(self, scheme, faults, seed, on_dict_store):
         params = oracle_params(
             clients=4, seed=seed, faults=faults, num_cycles=30
         )
-        results = []
-        for columnar in (True, False):
-            sim = Simulation(
-                params,
-                scheme_factory=scheme_factory(scheme),
-                columnar=columnar,
-            )
-            results.append(sim.run())
+        sim = Simulation(params, scheme_factory=scheme_factory(scheme))
+        assert sim.item_state.columnar
+        results = [sim.run()]
+        with on_dict_store():
+            sim = Simulation(params, scheme_factory=scheme_factory(scheme))
+        assert not sim.item_state.columnar
+        results.append(sim.run())
         mismatches = registry_delta(results[0].metrics, results[1].metrics)
         assert mismatches == []
         assert results[0].cycles_completed == results[1].cycles_completed
@@ -186,7 +193,7 @@ class TestCliRun:
         ],
         ids=["single", "sharded", "cohorts"],
     )
-    def test_run_output_identical(self, extra, capsys):
+    def test_run_output_identical(self, extra, capsys, on_dict_store):
         from repro.cli import main
 
         argv = [
@@ -206,11 +213,12 @@ class TestCliRun:
             "--read-range",
             "80",
         ] + extra
-        outputs = []
-        for flag in ([], ["--no-columnar"]):
-            assert main(argv + flag) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert main(argv) == 0
+        columnar_out = capsys.readouterr().out
+        with on_dict_store() as built:
+            assert main(argv) == 0
+        assert built
+        assert capsys.readouterr().out == columnar_out
 
 
 class TestClusteredDirtyDrain:
@@ -225,11 +233,8 @@ class TestClusteredDirtyDrain:
 
         params = DEFAULTS.server
         database = Database(params.broadcast_size)
-        store = make_item_state(
-            database,
-            retention=params.retention,
-            columnar=columnar,
-            items_per_bucket=params.items_per_bucket,
+        store = _store(
+            columnar, database, params.retention, params.items_per_bucket
         )
         engine = TransactionEngine(
             params, database, version_store=store, rng=random.Random(3)

@@ -1,31 +1,48 @@
-"""Retention-depth limits of the columnar store (latent-bug regression).
+"""Store selection and the retention depth that decides it.
 
 ``ColumnarVersionStore`` keeps the has-old pointer column as a
 ``bytearray`` of retained-version counts, so it physically cannot track
-more than 255 retained versions per item.  Before this fix a retention
-deeper than 255 was accepted at construction and only blew up cycles
-later, mid-run, when some hot item's 256th supersedure overflowed the
-column.  Now the constructor rejects it with a pointed error that names
-the escape hatch (the dict-backed store), and the sharded runtime
-rejects deep ``shard_retention`` entries the same way.
+more than 255 retained versions per item.  Nobody picks a store:
+``make_item_state`` builds the columnar one while the retention fits
+that column and the dict-backed ``VersionStore`` beyond, so a deep
+retention runs instead of being refused -- on the single channel and
+shard by shard.
 """
 
 import pytest
 
 from repro.cohort.oracle import oracle_params
 from repro.experiments.schemes import scheme_factory
-from repro.server.database import Database, Version
 from repro.server.columnar import ColumnarVersionStore
+from repro.server.database import Database, Version
+from repro.server.itemstate import make_item_state
 from repro.server.versions import VersionStore
-from repro.shard.runtime import ShardedSimulation
+from repro.shard import ShardedSimulation, sharded_violations
+
+
+@pytest.mark.parametrize(
+    "retention, store_type",
+    [
+        (0, ColumnarVersionStore),  # no old versions needed
+        (16, ColumnarVersionStore),
+        (255, ColumnarVersionStore),
+        (256, VersionStore),
+        (1000, VersionStore),
+    ],
+)
+def test_the_retention_picks_the_store(retention, store_type):
+    store = make_item_state(Database(10), retention, items_per_bucket=5)
+    assert type(store) is store_type
+    assert store.columnar is (store_type is ColumnarVersionStore)
+    assert store.retention == retention
 
 
 def test_columnar_rejects_retention_beyond_the_byte_column():
     database = Database(10)
     with pytest.raises(ValueError, match="255-version has-old column"):
         ColumnarVersionStore(database, retention=256)
-    # The message points at the escape hatch.
-    with pytest.raises(ValueError, match="columnar=False"):
+    # The message names the rule that would have avoided it.
+    with pytest.raises(ValueError, match="make_item_state builds the dict"):
         ColumnarVersionStore(database, retention=1000)
 
 
@@ -57,22 +74,19 @@ def test_runtime_overflow_guard_survives_for_per_item_depth():
         )
 
 
-def test_sharded_runtime_rejects_deep_shard_retention():
-    params = oracle_params(2, seed=5, faults=False, num_cycles=10)
-    factory = scheme_factory("multiversion+cache")
-    with pytest.raises(ValueError, match=r"shard_retention entries \[300\]"):
-        ShardedSimulation(
-            params,
-            factory,
-            num_shards=2,
-            shard_retention=[8, 300],
-        )
-    # The dict-backed store has no such ceiling.
+def test_deep_shard_retention_mixes_the_stores_and_stays_serializable():
+    params = oracle_params(2, seed=5, faults=False, num_cycles=30)
     sim = ShardedSimulation(
         params,
-        factory,
+        scheme_factory("multiversion+cache"),
         num_shards=2,
         shard_retention=[8, 300],
-        columnar=False,
+        keep_history=True,
     )
-    assert sim is not None
+    assert [type(shard.version_store) for shard in sim.shards] == [
+        ColumnarVersionStore,
+        VersionStore,
+    ]
+    result = sim.run()
+    assert result.committed_attempts > 0
+    assert sharded_violations(sim) == []
