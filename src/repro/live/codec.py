@@ -56,6 +56,7 @@ import zlib
 from dataclasses import asdict, dataclass, is_dataclass
 from enum import Enum
 from math import ceil, log2
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from typing import get_args, get_type_hints
 
@@ -202,20 +203,23 @@ class Frame:
     payload: bytes
 
 
-def _frame(ftype: int, cycle: int, slot: int, payload: bytes, crc: int) -> bytes:
+def encode_frame(ftype: int, cycle: int, slot: int, payload: bytes) -> bytes:
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise CodecError(
             f"payload of {len(payload)} bytes exceeds the "
             f"{MAX_PAYLOAD_BYTES}-byte frame limit"
         )
-    return _HEADER.pack(MAGIC, ftype, 0, cycle, slot, len(payload), crc) + payload
+    return (
+        _HEADER.pack(
+            MAGIC, ftype, 0, cycle, slot, len(payload), zlib.crc32(payload)
+        )
+        + payload
+    )
 
 
-def encode_frame(ftype: int, cycle: int, slot: int, payload: bytes) -> bytes:
-    return _frame(ftype, cycle, slot, payload, zlib.crc32(payload))
-
-
-def decode_frame(buf: bytes, offset: int = 0) -> Tuple[Frame, int]:
+def decode_frame(
+    buf: Union[bytes, bytearray, memoryview], offset: int = 0
+) -> Tuple[Frame, int]:
     """Strictly decode one frame at ``offset``; returns (frame, consumed).
 
     Raises :class:`FrameTruncated` when the buffer ends mid-frame,
@@ -276,17 +280,21 @@ class FrameStream:
         self._buf += data
         out: List[Union[Frame, FrameCorrupt]] = []
         offset = 0
-        while True:
-            try:
-                frame, consumed = decode_frame(self._buf, offset)
-            except FrameTruncated:
-                break
-            except FrameCorrupt as corrupt:
-                out.append(corrupt)
-                offset += HEADER_BYTES + len(corrupt.frame.payload)
-                continue
-            out.append(frame)
-            offset += consumed
+        # Payloads are copied out of one view of the buffer (slicing the
+        # bytearray itself would copy each twice); the view must be
+        # released before the buffer can be resized below.
+        with memoryview(self._buf) as view:
+            while True:
+                try:
+                    frame, consumed = decode_frame(view, offset)
+                except FrameTruncated:
+                    break
+                except FrameCorrupt as corrupt:
+                    out.append(corrupt)
+                    offset += HEADER_BYTES + len(corrupt.frame.payload)
+                    continue
+                out.append(frame)
+                offset += consumed
         if offset:
             del self._buf[:offset]
         return out
@@ -421,6 +429,28 @@ _AGE_EXPLICIT_BITS = 32
 _FLAT = MultiversionOrganization.NONE
 _CLUSTERED = MultiversionOrganization.CLUSTERED
 
+#: A bucket's base rides in 32 bits, as an escaped age does: no template
+#: is good for a base, or an age, from here on.
+_BASE_LIMIT = 1 << _AGE_EXPLICIT_BITS
+
+#: The template memory is swept when it outgrows this many entries per
+#: record of the program being aired (and never below the floor).
+_TEMPLATE_SLACK = 1.25
+_TEMPLATE_FLOOR = 64
+
+_TOP = itemgetter(6)
+
+#: A bucket payload is assembled in one integer up to this many bits;
+#: past it whole bytes are set aside, as :class:`BitWriter` does.
+_SPILL_BITS = 8192
+
+
+def _top_stamp(record: Union[ItemRecord, OldVersionRecord]) -> int:
+    writer = record.writer
+    if writer is not None and writer.cycle > record.version:
+        return writer.cycle
+    return record.version
+
 
 def bucket_base(bucket: Bucket) -> int:
     """The largest cycle stamp a bucket carries, 0 if it has none: the
@@ -428,11 +458,9 @@ def bucket_base(bucket: Bucket) -> int:
     base = 0
     for records in (bucket.records, bucket.old_records):
         for record in records:
-            if record.version > base:
-                base = record.version
-            writer = record.writer
-            if writer is not None and writer.cycle > base:
-                base = writer.cycle
+            top = _top_stamp(record)
+            if top > base:
+                base = top
     return base
 
 
@@ -444,15 +472,22 @@ def _check_base(bucket: Bucket, base: int, cycle: int) -> None:
         )
 
 
-def _write_age(w: BitWriter, age: int, bits: int) -> None:
-    if age < 0:
-        raise CodecError(f"negative age {age} (field is age-relative)")
-    marker = (1 << bits) - 1
+def _age_field(age: int, bits: int, marker: int) -> Tuple[int, int]:
+    """An age as ``(field, width)``: itself in ``bits`` bits while it is
+    below the all-ones ``marker``, else the marker and 32 explicit bits."""
     if age < marker:
-        w.write(age, bits)
-    else:
-        w.write(marker, bits)
-        w.write(age, _AGE_EXPLICIT_BITS)
+        if age < 0:
+            raise CodecError(f"negative age {age} (field is age-relative)")
+        return age, bits
+    if age >> _AGE_EXPLICIT_BITS:
+        raise CodecError(
+            f"age {age} does not fit in {_AGE_EXPLICIT_BITS} bits"
+        )
+    return (marker << _AGE_EXPLICIT_BITS) | age, bits + _AGE_EXPLICIT_BITS
+
+
+def _write_age(w: BitWriter, age: int, bits: int) -> None:
+    w.write(*_age_field(age, bits, (1 << bits) - 1))
 
 
 def _read_age(r: BitReader, bits: int) -> int:
@@ -515,10 +550,55 @@ class CycleCodec:
     last program encoded, the 16-bit counts of the last CONTROL decoded
     -- and a fresh codec is the reference a long-lived one must equal,
     byte for byte and field for field.
+
+    Below the bucket the encoder works a record at a time.  While every
+    age ``base - stamp`` in a record stays on its side of the escape
+    marker the record's field widths are fixed and its bit string, read
+    as an integer, is linear in the base: ``T + base * K``, ``K`` the sum
+    of ``2 ** shift`` over its base-relative fields.  A record is packed
+    field by field once (:meth:`_cut`, which makes every width, sign and
+    layout check) into a *template* ``(record, T, nbits, K, lo, hi,
+    top)`` kept against the record's identity, and is re-aired in any
+    bucket, at any position, under any base in ``[lo, hi)`` by one
+    multiply-add; outside the interval it is cut again.  The template
+    memory holds one entry per record on the air plus bounded slack: it
+    is one dict, swept in place of the ids no longer in the program
+    whenever it outgrows ``_TEMPLATE_SLACK`` times the program's records
+    (``K`` is interned per record shape and ``hi`` is one shared integer
+    wherever only the 32-bit base field bounds it, so an entry is a
+    tuple and one integer of the record's width).  An entry holds its
+    record, so an ``id`` is never recycled under it.
     """
 
     def __init__(self, profile: WireProfile) -> None:
         self.profile = profile
+        version_bits, tid_bits = profile.version_bits, profile.tid_bits
+        #: The profile as the record packer and parser want it: widths,
+        #: escape markers, whether the has-old pointer bit rides.
+        self._widths = (
+            profile.key_bits,
+            profile.data_bits,
+            version_bits,
+            (1 << version_bits) - 1,
+            tid_bits,
+            (1 << tid_bits) - 1,
+            profile.organization is not _FLAT,
+        )
+        #: Bytes that cover the longest record (an old version with every
+        #: age escaped) from any bit offset: the parser's window.
+        self._window_bytes = (
+            profile.key_bits
+            + profile.data_bits
+            + 3 * (version_bits + _AGE_EXPLICIT_BITS)
+            + tid_bits
+            + _AGE_EXPLICIT_BITS
+            + 2  # version and writer flags
+            + 14  # a start inside a byte, then up to the next boundary
+        ) >> 3
+        # id(record) -> (record, T, nbits, K, lo, hi, top); see above.
+        self._templates: Dict[int, tuple] = {}
+        self._template_ks: Dict[int, int] = {}
+        self._sweep_above = _TEMPLATE_FLOOR
         # Per offset (bucket, base, payload, crc) of the last cycle
         # encoded, good for one organization and one pair of bucket counts.
         self._aired_organization: Optional[MultiversionOrganization] = None
@@ -554,81 +634,6 @@ class CycleCodec:
         if r.read(1):
             return self._read_txn(r, base)
         return None
-
-    def _write_value(self, w: BitWriter, value: int) -> None:
-        zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
-        w.write(zigzag, self.profile.data_bits)
-
-    def _read_value(self, r: BitReader) -> int:
-        zigzag = r.read(self.profile.data_bits)
-        return (zigzag >> 1) if not (zigzag & 1) else -((zigzag + 1) >> 1)
-
-    def _write_version(self, w: BitWriter, version: int, base: int) -> None:
-        # Versions are age-relative (Section 3.2); version 0 (the initial
-        # database load, whose age grows without bound) gets its own bit.
-        if version == 0:
-            w.write(0, 1)
-        else:
-            w.write(1, 1)
-            _write_age(w, base - version, self.profile.version_bits)
-
-    def _read_version(self, r: BitReader, base: int) -> int:
-        if not r.read(1):
-            return 0
-        version = _read_stamp(r, self.profile.version_bits, base)
-        if version == 0:
-            raise CodecError("version 0 rides as its flag bit, not as an age")
-        return version
-
-    def _write_record(self, w: BitWriter, record: ItemRecord, base: int) -> None:
-        w.write(record.item, self.profile.key_bits)
-        self._write_value(w, record.value)
-        self._write_version(w, record.version, base)
-        self._write_opt_txn(w, record.writer, base)
-        if self.profile.organization is not _FLAT:
-            w.write(1 if record.has_old_versions else 0, 1)
-        elif record.has_old_versions:
-            raise CodecError(
-                "has_old_versions pointers only exist where old versions "
-                "are on the air"
-            )
-
-    def _read_record(self, r: BitReader, base: int) -> ItemRecord:
-        item = r.read(self.profile.key_bits)
-        value = self._read_value(r)
-        version = self._read_version(r, base)
-        writer = self._read_opt_txn(r, base)
-        has_old = False
-        if self.profile.organization is not _FLAT:
-            has_old = bool(r.read(1))
-        return ItemRecord(
-            item=item,
-            value=value,
-            version=version,
-            writer=writer,
-            has_old_versions=has_old,
-        )
-
-    def _write_old(self, w: BitWriter, old: OldVersionRecord, base: int) -> None:
-        w.write(old.item, self.profile.key_bits)
-        self._write_value(w, old.value)
-        self._write_version(w, old.version, base)
-        _write_age(w, old.valid_to - old.version, self.profile.version_bits)
-        self._write_opt_txn(w, old.writer, base)
-
-    def _read_old(self, r: BitReader, base: int) -> OldVersionRecord:
-        item = r.read(self.profile.key_bits)
-        value = self._read_value(r)
-        version = self._read_version(r, base)
-        valid_to = version + _read_age(r, self.profile.version_bits)
-        writer = self._read_opt_txn(r, base)
-        return OldVersionRecord(
-            item=item,
-            value=value,
-            version=version,
-            valid_to=valid_to,
-            writer=writer,
-        )
 
     def _write_report(
         self, w: BitWriter, report: InvalidationReport, cycle: int
@@ -769,37 +774,180 @@ class CycleCodec:
 
     # -- buckets (base-relative: the same bytes in every cycle) --------------
 
+    def _cut(
+        self, record: Union[ItemRecord, OldVersionRecord], base: int, old: bool
+    ) -> tuple:
+        """Pack one record under ``base`` and cut its template.
+
+        Every check a record can fail is made here, once: a template is
+        only replayed under bases that keep each age inside the form it
+        was checked in.
+        """
+        key_bits, data_bits, vbits, vmark, tbits, tmark, pointer = self._widths
+        item, value = record.item, record.value
+        if item >> key_bits:
+            raise CodecError(f"key {item} does not fit in {key_bits} bits")
+        zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
+        if zigzag >> data_bits:
+            raise CodecError(f"value {value} does not fit in {data_bits} bits")
+        # Everything behind key and value is packed into ``tail`` (a short
+        # integer) and joined on at the end; ``k`` marks the low bit of
+        # each base-relative age in it.
+        lo, hi = 0, _BASE_LIMIT
+        # Versions are age-relative (Section 3.2); version 0 (the initial
+        # database load, whose age grows without bound) gets its own bit.
+        version = top = record.version
+        if version == 0:
+            tail, nbits, k = 0, 1, 0
+        else:
+            age = base - version
+            if 0 <= age < vmark:
+                field, width, lo, hi = age, vbits, version, version + vmark
+            else:  # escaped (or refused): good while the age stays so
+                field, width = _age_field(age, vbits, vmark)
+                lo, hi = version + vmark, version + _BASE_LIMIT
+            tail, nbits, k = (1 << width) | field, 1 + width, 1
+        if old:
+            field, width = _age_field(record.valid_to - version, vbits, vmark)
+            tail = (tail << width) | field
+            nbits += width
+            k <<= width
+        writer = record.writer
+        if writer is None:
+            tail <<= 1
+            nbits += 1
+            k <<= 1
+        else:
+            cycle, seq = writer
+            if cycle > top:
+                top = cycle
+            age = base - cycle
+            if 0 <= age < vmark:
+                field, width, first, last = age, vbits, cycle, cycle + vmark
+            else:
+                field, width = _age_field(age, vbits, vmark)
+                first, last = cycle + vmark, cycle + _BASE_LIMIT
+            if first > lo:
+                lo = first
+            if last < hi:
+                hi = last
+            seq_width = tbits
+            if not 0 <= seq < tmark:
+                seq, seq_width = _age_field(seq, tbits, tmark)
+            tail = (((((tail << 1) | 1) << width) | field) << seq_width) | seq
+            nbits += 1 + width + seq_width
+            k = ((k << (1 + width)) | 1) << seq_width
+        if not old:
+            if pointer:
+                tail = (tail << 1) | (1 if record.has_old_versions else 0)
+                nbits += 1
+                k <<= 1
+            elif record.has_old_versions:
+                raise CodecError(
+                    "has_old_versions pointers only exist where old versions "
+                    "are on the air"
+                )
+        return (
+            record,
+            ((((item << data_bits) | zigzag) << nbits) | tail) - base * k,
+            key_bits + data_bits + nbits,
+            self._template_ks.setdefault(k, k),
+            lo,
+            hi if hi < _BASE_LIMIT else _BASE_LIMIT,
+            top,
+        )
+
+    def _pack_records(
+        self,
+        acc: int,
+        nbits: int,
+        chunks: List[bytes],
+        found: List[tuple],
+        base: int,
+        old: bool,
+    ) -> Tuple[int, int]:
+        """Append a 16-bit count and the bits of each template's record
+        under ``base`` to the ``nbits`` low bits of ``acc``."""
+        if len(found) >> 16:
+            raise CodecError(f"{len(found)} records do not fit the 16-bit count")
+        acc = (acc << 16) | len(found)
+        nbits += 16
+        templates, cut = self._templates, self._cut
+        for record, t, width, k, lo, hi, _top in found:
+            if not lo <= base < hi:
+                entry = templates[id(record)] = cut(record, base, old)
+                _record, t, width, k, _lo, _hi, _top = entry
+            acc = (acc << width) | (t + base * k)
+            nbits += width
+            if nbits >= _SPILL_BITS:
+                spare = nbits & 7
+                chunks.append((acc >> spare).to_bytes(nbits >> 3, "big"))
+                acc &= (1 << spare) - 1
+                nbits = spare
+        return acc, nbits
+
     def _bucket_entry(
         self, bucket: Bucket, with_records: bool, with_old: bool
     ) -> tuple:
         """``(bucket, base, payload, crc)``: index, base, then records."""
-        base = bucket_base(bucket)
-        w = BitWriter()
-        w.write(bucket.index, 32)
-        w.write(base, 32)
-        if with_records:
-            w.write(len(bucket.records), 16)
-            for record in bucket.records:
-                self._write_record(w, record, base)
-        elif bucket.records:
+        records, old_records = bucket.records, bucket.old_records
+        if records and not with_records:
             raise CodecError("overflow buckets hold old versions only")
-        if with_old:
-            w.write(len(bucket.old_records), 16)
-            for old in bucket.old_records:
-                self._write_old(w, old, base)
-        elif bucket.old_records:
+        if old_records and not with_old:
             raise CodecError(
                 "old versions ride in data buckets only under the "
                 "clustered organization"
             )
-        payload = w.getvalue()
+        # One pass looks the templates up and finds the base they will be
+        # aired under; a record without one stands in with the empty
+        # interval, so that it is cut once that base is known.
+        rows = [*records, *old_records]
+        found = list(map(self._templates.get, map(id, rows)))
+        if None in found:
+            found = [
+                entry or (record, 0, 0, 0, 1, 0, _top_stamp(record))
+                for record, entry in zip(rows, found)
+            ]
+        base = max([0, *map(_TOP, found)])
+        if bucket.index >> 32 or base >> 32:
+            raise CodecError(
+                f"bucket index {bucket.index} or base {base} does not fit "
+                "in 32 bits"
+            )
+        # A payload is a few records of a few hundred bits: one integer
+        # and one ``to_bytes``.  (A long clustered bucket spills whole
+        # bytes into ``chunks``, so no shift pays for the bytes before.)
+        chunks: List[bytes] = []
+        acc, nbits = (bucket.index << 32) | base, 64
+        if with_records:
+            acc, nbits = self._pack_records(
+                acc, nbits, chunks, found[: len(records)], base, old=False
+            )
+        if with_old:
+            acc, nbits = self._pack_records(
+                acc, nbits, chunks, found[len(records) :], base, old=True
+            )
+        pad = -nbits & 7
+        payload = (acc << pad).to_bytes((nbits + pad) >> 3, "big")
+        if chunks:
+            chunks.append(payload)
+            payload = b"".join(chunks)
+        if len(payload) > MAX_PAYLOAD_BYTES:
+            raise CodecError(
+                f"payload of {len(payload)} bytes exceeds the "
+                f"{MAX_PAYLOAD_BYTES}-byte frame limit"
+            )
         return bucket, base, payload, zlib.crc32(payload)
 
     @staticmethod
     def _bucket_frame(ftype: int, cycle: int, slot: int, entry: tuple) -> bytes:
+        # The payload's length was checked when the entry was made.
         bucket, base, payload, crc = entry
         _check_base(bucket, base, cycle)
-        return _frame(ftype, cycle, slot, payload, crc)
+        return (
+            _HEADER.pack(MAGIC, ftype, 0, cycle, slot, len(payload), crc)
+            + payload
+        )
 
     def encode_data_bucket(
         self, program: BroadcastProgram, offset: int
@@ -809,6 +957,7 @@ class CycleCodec:
             with_records=True,
             with_old=program.organization is _CLUSTERED,
         )
+        self._sweep_templates(program)
         slot = program.control_slots + program.index_slots + offset
         return self._bucket_frame(DATA, program.cycle, slot, entry)
 
@@ -818,6 +967,7 @@ class CycleCodec:
         entry = self._bucket_entry(
             program.overflow_buckets[offset], with_records=False, with_old=True
         )
+        self._sweep_templates(program)
         slot = (
             program.control_slots
             + program.index_slots
@@ -825,6 +975,138 @@ class CycleCodec:
             + offset
         )
         return self._bucket_frame(OVERFLOW, program.cycle, slot, entry)
+
+    def _sweep_templates(self, program: BroadcastProgram) -> None:
+        """Forget the templates of records ``program`` no longer airs,
+        once there are enough of them to be worth a pass."""
+        templates = self._templates
+        if len(templates) <= self._sweep_above:
+            return
+        live = {
+            id(record)
+            for buckets in (program.data_buckets, program.overflow_buckets)
+            for bucket in buckets
+            for records in (bucket.records, bucket.old_records)
+            for record in records
+        }
+        for stale in [key for key in templates if key not in live]:
+            del templates[stale]
+        self._sweep_above = max(
+            _TEMPLATE_FLOOR, int(len(live) * _TEMPLATE_SLACK)
+        )
+
+    def _read_records(
+        self, payload: bytes, pos: int, base: int, old: bool
+    ) -> Tuple[tuple, int, int]:
+        """Parse a 16-bit count and that many records from bit ``pos``
+        of ``payload``: ``(records, end position, largest stamp)``.
+
+        One window of bytes per record, its fields sliced out of a local
+        integer; a window that ends before its record does shows as a
+        negative shift count.
+        """
+        key_bits, data_bits, vbits, vmark, tbits, tmark, pointer = self._widths
+        key_mask, data_mask = (1 << key_bits) - 1, (1 << data_bits) - 1
+        window_bytes = self._window_bytes
+        out: list = []
+        top = 0
+        try:
+            first = pos >> 3
+            chunk = payload[first : first + 3]
+            have = 8 * len(chunk) - (pos & 7) - 16
+            count = (int.from_bytes(chunk, "big") >> have) & 0xFFFF
+            pos += 16
+            for _ in range(count):
+                first = pos >> 3
+                chunk = payload[first : first + window_bytes]
+                window = int.from_bytes(chunk, "big")
+                start = have = 8 * len(chunk) - (pos & 7)
+                have -= key_bits
+                item = (window >> have) & key_mask
+                have -= data_bits
+                zigzag = (window >> have) & data_mask
+                value = -((zigzag + 1) >> 1) if zigzag & 1 else zigzag >> 1
+                have -= 1
+                if (window >> have) & 1:
+                    have -= vbits
+                    age = (window >> have) & vmark
+                    if age == vmark:
+                        have -= _AGE_EXPLICIT_BITS
+                        age = (window >> have) & 0xFFFFFFFF
+                        if age < vmark:
+                            raise CodecError(
+                                f"age {age} escaped although it fits its field"
+                            )
+                    version = base - age
+                    if version <= 0:
+                        if version < 0:
+                            raise CodecError(
+                                f"stamp is older than cycle 0 (base {base})"
+                            )
+                        raise CodecError(
+                            "version 0 rides as its flag bit, not as an age"
+                        )
+                    if version > top:
+                        top = version
+                else:
+                    version = 0
+                if old:
+                    have -= vbits
+                    span = (window >> have) & vmark
+                    if span == vmark:
+                        have -= _AGE_EXPLICIT_BITS
+                        span = (window >> have) & 0xFFFFFFFF
+                        if span < vmark:
+                            raise CodecError(
+                                f"age {span} escaped although it fits its field"
+                            )
+                have -= 1
+                if (window >> have) & 1:
+                    have -= vbits
+                    age = (window >> have) & vmark
+                    if age == vmark:
+                        have -= _AGE_EXPLICIT_BITS
+                        age = (window >> have) & 0xFFFFFFFF
+                        if age < vmark:
+                            raise CodecError(
+                                f"age {age} escaped although it fits its field"
+                            )
+                    cycle = base - age
+                    if cycle < 0:
+                        raise CodecError(
+                            f"stamp is older than cycle 0 (base {base})"
+                        )
+                    if cycle > top:
+                        top = cycle
+                    have -= tbits
+                    seq = (window >> have) & tmark
+                    if seq == tmark:
+                        have -= _AGE_EXPLICIT_BITS
+                        seq = (window >> have) & 0xFFFFFFFF
+                        if seq < tmark:
+                            raise CodecError(
+                                f"age {seq} escaped although it fits its field"
+                            )
+                    writer = TxnId(cycle, seq)
+                else:
+                    writer = None
+                if old:
+                    out.append(
+                        OldVersionRecord(item, value, version, version + span, writer)
+                    )
+                elif pointer:
+                    have -= 1
+                    out.append(
+                        ItemRecord(
+                            item, value, version, writer, bool((window >> have) & 1)
+                        )
+                    )
+                else:
+                    out.append(ItemRecord(item, value, version, writer))
+                pos += start - have
+        except ValueError:  # a negative shift count, nothing else in there
+            raise CodecError("bit stream truncated") from None
+        return tuple(out), pos, top
 
     def _decode_bucket(
         self,
@@ -840,27 +1122,33 @@ class CycleCodec:
         if known is not None and known[0] == payload:
             _payload, base, bucket = known
         else:
-            r = BitReader(payload)
-            index = r.read(32)
-            base = r.read(32)
+            if len(payload) < 8:
+                raise CodecError("bit stream truncated")
+            index = int.from_bytes(payload[:4], "big")
+            base = int.from_bytes(payload[4:8], "big")
+            pos = 64
             records: Tuple[ItemRecord, ...] = ()
-            if with_records:
-                records = tuple(
-                    [self._read_record(r, base) for _ in range(r.read(16))]
-                )
             old_records: Tuple[OldVersionRecord, ...] = ()
+            top = old_top = 0
+            if with_records:
+                records, pos, top = self._read_records(payload, pos, base, False)
             if with_old:
-                old_records = tuple(
-                    [self._read_old(r, base) for _ in range(r.read(16))]
+                old_records, pos, old_top = self._read_records(
+                    payload, pos, base, True
                 )
-            r.finish()
-            bucket = Bucket(
-                index=index, records=records, old_records=old_records
-            )
-            if bucket_base(bucket) != base:
+            # The payload must end here: under a byte of padding, all zero.
+            spare = 8 * len(payload) - pos
+            if spare >= 8:
+                raise CodecError("trailing bytes after the last field")
+            if payload[-1] & ((1 << spare) - 1):
+                raise CodecError("non-zero padding bits")
+            if max(top, old_top) != base:
                 raise CodecError(
                     f"base {base} is not the bucket's largest cycle stamp"
                 )
+            bucket = Bucket(
+                index=index, records=records, old_records=old_records
+            )
             if remembered:
                 heard[offset] = (payload, base, bucket)
         _check_base(bucket, base, frame.cycle)
@@ -923,6 +1211,7 @@ class CycleCodec:
                     )
                 frames.append(self._bucket_frame(ftype, cycle, slot, entry))
                 slot += 1
+        self._sweep_templates(program)
         return frames
 
     def assemble(
@@ -993,14 +1282,20 @@ class CycleCodec:
         """Payload bits per segment (frame headers excluded) -- the
         measured counterpart of the :class:`SizeModel` breakdowns."""
         control = len(self.encode_control(program, 0)) - HEADER_BYTES
-        data = sum(
-            len(self.encode_data_bucket(program, off)) - HEADER_BYTES
-            for off in range(len(program.data_buckets))
+
+        def payload_bytes(buckets, with_records: bool, with_old: bool) -> int:
+            total = 0
+            for bucket in buckets:
+                entry = self._bucket_entry(bucket, with_records, with_old)
+                _check_base(bucket, entry[1], program.cycle)
+                total += len(entry[2])
+            return total
+
+        data = payload_bytes(
+            program.data_buckets, True, program.organization is _CLUSTERED
         )
-        overflow = sum(
-            len(self.encode_overflow_bucket(program, off)) - HEADER_BYTES
-            for off in range(len(program.overflow_buckets))
-        )
+        overflow = payload_bytes(program.overflow_buckets, False, True)
+        self._sweep_templates(program)
         return {
             "control_bits": 8 * control,
             "data_bits": 8 * data,

@@ -342,6 +342,38 @@ def test_frame_stream_reassembles_split_and_corrupt_frames():
     assert stream.feed(b"") == []
 
 
+def test_frame_stream_releases_its_view_before_it_drops_what_it_parsed():
+    """``feed`` copies payloads out of one ``memoryview`` of its buffer;
+    a view still exported when the parsed prefix is deleted would make
+    the ``bytearray`` refuse to resize (``BufferError``).  A frame split
+    across three chunks, then a corrupt one whose exception (and the
+    traceback that goes with it) the caller keeps."""
+    first = encode_frame(DATA, 2, 3, b"alpha" * 40)
+    damaged = bytearray(encode_frame(DATA, 2, 4, b"beta" * 10))
+    damaged[-1] ^= 0xFF
+    third = encode_frame(DATA, 2, 5, b"gamma")
+
+    stream = FrameStream()
+    assert stream.feed(first[:9]) == []
+    assert stream.feed(first[9:120]) == []
+    events = stream.feed(first[120:] + bytes(damaged) + third[:7])
+    assert [type(event) for event in events] == [type(events[0]), FrameCorrupt]
+    assert events[0].payload == b"alpha" * 40
+    assert type(events[0].payload) is bytes
+    assert events[1].frame.slot == 4
+    assert events[1].frame.payload == bytes(damaged[HEADER_BYTES:])
+    # Kept across feeds, traceback and all: the buffer still resizes.
+    kept = events[1]
+    assert kept.__traceback__ is not None
+    assert [frame.payload for frame in stream.feed(third[7:])] == [b"gamma"]
+    assert stream.feed(b"") == []
+    # A fatal header error leaves no view behind either.
+    with pytest.raises(FrameError):
+        stream.feed(b"\0" * HEADER_BYTES)
+    with pytest.raises(FrameError):
+        stream.feed(b"more")
+
+
 def test_hostile_length_field_is_fatal_instead_of_buffered():
     """A header may not promise more than MAX_PAYLOAD_BYTES: the stream
     would otherwise buffer whatever follows, waiting for 4 GiB."""
@@ -559,7 +591,7 @@ def test_layout_violations_raise_codec_errors():
     codec = CycleCodec(flat)
     pointer = ItemRecord(item=1, value=0, version=0, writer=None, has_old_versions=True)
     with pytest.raises(CodecError):
-        codec._write_record(BitWriter(), pointer, base=0)
+        codec._cut(pointer, base=0, old=False)
 
     # Old versions in a data bucket only exist under CLUSTERED.
     old = OldVersionRecord(item=1, value=0, version=1, valid_to=2, writer=None)
@@ -577,11 +609,11 @@ def test_layout_violations_raise_codec_errors():
 
     # A value whose zigzag form overflows the data field.
     with pytest.raises(CodecError):
-        codec._write_value(BitWriter(), 2**40)
+        codec._cut(ItemRecord(item=1, value=2**40, version=0), base=0, old=False)
 
     # Ages count back from the bucket's largest stamp, never forward...
     with pytest.raises(CodecError):
-        codec._write_version(BitWriter(), version=9, base=3)
+        codec._cut(ItemRecord(item=1, value=0, version=9), base=3, old=False)
     # ...and that stamp may not lie after the cycle the bucket airs in.
     stamped = ItemRecord(item=1, value=0, version=9, writer=None)
     program.data_buckets[0] = Bucket(index=0, records=(stamped,))

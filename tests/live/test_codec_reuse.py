@@ -51,10 +51,10 @@ from tests.live.test_codec import wire_profiles, wire_programs
 CYCLES = 45
 
 
-def _built_programs(organization, sgt, seed=11):
+def _built_programs(organization, sgt, seed=11, cycles=CYCLES):
     """``(params, requirements, records)``: what the server loop airs under
     ``seed`` -- one ``(cycle, start, program)`` record per cycle."""
-    params = ModelParameters().with_sim(num_cycles=CYCLES, seed=seed)
+    params = ModelParameters().with_sim(num_cycles=cycles, seed=seed)
     requirements = BroadcastRequirements(
         needs_old_versions=organization is not None,
         organization=organization or "overflow",
@@ -258,3 +258,31 @@ def test_hostile_slots_and_indices_do_not_grow_the_memories():
     codec.decode_cycle(raw)
     assert memory() == (2, 0)
     assert (len(codec._aired_data), len(codec._aired_overflow)) == (2, 0)
+
+
+    # The encoder's third memory, one template per record on the air:
+    # 200 multiversion cycles, every one of them retiring a cohort of old
+    # versions and admitting another.  Once the overflow segment is full
+    # (retention 16) the memory is as large at cycle 200 as at cycle 40.
+    params, requirements, records = _built_programs("overflow", False, cycles=200)
+    codec = CycleCodec(WireProfile.from_params(params.server, requirements))
+    assert params.server.retention == 16
+    sizes, on_air = [], []
+    for record in records:
+        codec.encode_cycle(record.program, int(record.start))
+        sizes.append(len(codec._templates))
+        on_air.append(
+            sum(
+                len(bucket.records) + len(bucket.old_records)
+                for bucket in record.program.data_buckets
+                + record.program.overflow_buckets
+            )
+        )
+    assert len(sizes) == 200
+    for size, live in zip(sizes, on_air):
+        # Never fewer than what is aired, never more than the sweep's
+        # slack over the most that ever was.
+        assert live <= size <= 1.25 * max(on_air)
+    assert max(on_air[100:]) <= 1.05 * min(on_air[40:])  # the ramp is over
+    assert max(sizes[100:]) <= 1.25 * max(on_air[100:])
+    assert len(codec._template_ks) <= 32  # K is interned per record shape
