@@ -57,11 +57,6 @@ class ServerParameters:
         return max(1, self.updates_per_cycle // self.transactions_per_cycle)
 
     @property
-    def reads_per_transaction(self) -> int:
-        """Total reads per server transaction (includes read-before-write)."""
-        return self.updates_per_transaction * self.reads_per_update
-
-    @property
     def item_size(self) -> int:
         """Wire size of one item (key + payload) in units."""
         return self.key_size + self.data_size

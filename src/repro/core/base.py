@@ -14,12 +14,7 @@ from typing import TYPE_CHECKING, Any, Generator, Mapping, Optional, Tuple
 
 from repro.broadcast.program import BroadcastProgram, ItemRecord
 from repro.core.control import BroadcastRequirements
-from repro.core.transaction import (
-    AbortReason,
-    ReadOnlyTransaction,
-    ReadResult,
-    TransactionStatus,
-)
+from repro.core.transaction import AbortReason, ReadOnlyTransaction, ReadResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.client.machine import ClientRuntime
@@ -190,13 +185,6 @@ class Scheme:
         return None
 
     # -- shared helpers -------------------------------------------------------
-
-    def _check_not_aborted(self, txn: ReadOnlyTransaction) -> None:
-        if txn.status is TransactionStatus.ABORTED:
-            raise ReadAborted(
-                txn.abort_reason or AbortReason.INVALIDATED,
-                f"{txn.txn_id} aborted by an invalidation report",
-            )
 
     def _read_current(
         self, item: int

@@ -68,14 +68,6 @@ class _ItemLock:
         return LockMode.SHARED
 
 
-class DeadlockError(Exception):
-    """Raised (optionally) when a request would close a waits-for cycle."""
-
-    def __init__(self, victim: Txn) -> None:
-        super().__init__(f"Transaction {victim!r} chosen as deadlock victim")
-        self.victim = victim
-
-
 class LockManager:
     """A strict 2PL lock table with waits-for deadlock detection.
 

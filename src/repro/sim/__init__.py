@@ -2,20 +2,21 @@
 
 A self-contained, generator-based discrete-event simulation engine in the
 style of SimPy, built from scratch because the reproduction must not depend
-on packages that are unavailable offline.  The kernel provides:
+on packages that are unavailable offline.  It is exactly what the server,
+channel and client processes drive:
 
-* :class:`~repro.sim.engine.Environment` -- the event loop and simulation
-  clock.
-* :class:`~repro.sim.events.Event` and friends -- one-shot triggerable
-  events, timeouts, and condition events (``all_of`` / ``any_of``).
+* :class:`~repro.sim.engine.Environment` -- the simulation clock, the
+  event queue and the run loop (``now``, ``timeout``, ``event``,
+  ``process``, ``run``).
+* :class:`~repro.sim.events.Event` and :class:`~repro.sim.events.Timeout`
+  -- one-shot events, triggered with :meth:`~repro.sim.events.Event.succeed`
+  or after a delay.
 * :class:`~repro.sim.process.Process` -- cooperative processes written as
-  Python generators that ``yield`` events.
-* :class:`~repro.sim.resources.Resource` / :class:`~repro.sim.resources.Store`
-  -- contention primitives used by the broadcast channel and client models.
-* :class:`~repro.sim.monitor.Monitor` -- time-series instrumentation.
+  Python generators that ``yield`` events; a process is itself an event
+  that fires with the generator's return value.
 
-The semantics intentionally mirror SimPy's core so that the broadcast-cycle
-simulation reads like textbook simulation code:
+Events at one instant dispatch in ``(priority, insertion)`` order.  An
+exception raised inside a process propagates out of ``run`` at once.
 
 >>> from repro.sim import Environment
 >>> env = Environment()
@@ -27,37 +28,19 @@ simulation reads like textbook simulation code:
 >>> _ = env.process(clock(env, 'fast', 1))
 >>> env.run(until=3)
 >>> log
-[('fast', 1), ('fast', 2)]
+[('fast', 1.0), ('fast', 2.0)]
 """
 
 from repro.sim.engine import Environment, StopSimulation
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    EventPriority,
-    Interrupt,
-    Timeout,
-)
-from repro.sim.monitor import Monitor, TimeSeries
+from repro.sim.events import Event, EventPriority, Timeout
 from repro.sim.process import Process, ProcessGenerator
-from repro.sim.resources import Resource, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "Environment",
     "Event",
     "EventPriority",
-    "Interrupt",
-    "Monitor",
     "Process",
     "ProcessGenerator",
-    "Resource",
     "StopSimulation",
-    "Store",
-    "TimeSeries",
     "Timeout",
 ]

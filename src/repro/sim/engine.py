@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    EventPriority,
-    Timeout,
-)
+from repro.sim.events import Event, EventPriority, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 
@@ -22,14 +16,7 @@ class StopSimulation(Exception):
     @classmethod
     def callback(cls, event: Event) -> None:
         """Event callback that stops the simulation with the event value."""
-        if event.ok:
-            raise cls(event.value)
-        event.defused()
-        raise event.value
-
-
-class EmptySchedule(Exception):
-    """Raised when the event queue runs dry before ``until`` is reached."""
+        raise cls(event.value)
 
 
 class Environment:
@@ -49,7 +36,6 @@ class Environment:
         self._now = initial_time
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._active_process: Optional[Process] = None
         self._steps = 0
         self._trace_hook: Optional[Callable[[float, Event], None]] = None
 
@@ -59,20 +45,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    @property
-    def queue_length(self) -> int:
-        """Number of events currently scheduled (mainly for tests)."""
-        return len(self._queue)
 
     @property
     def events_processed(self) -> int:
@@ -104,15 +76,7 @@ class Environment:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition event that fires once every event in ``events`` has."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition event that fires once any event in ``events`` has."""
-        return AnyOf(self, events)
-
-    # -- scheduling and stepping -------------------------------------------
+    # -- scheduling and running --------------------------------------------
 
     def schedule(
         self,
@@ -125,31 +89,6 @@ class Environment:
             self._queue, (self._now + delay, int(priority), next(self._eid), event)
         )
 
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        Raises :class:`EmptySchedule` when nothing remains.
-        """
-        try:
-            self._now, _, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-
-        self._steps += 1
-        if self._trace_hook is not None:
-            self._trace_hook(self._now, event)
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:  # pragma: no cover - defensive
-            return
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # Unhandled failure: crash the run loudly rather than losing it.
-            exc = event._value
-            raise exc if isinstance(exc, BaseException) else RuntimeError(str(exc))
-
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
@@ -159,6 +98,9 @@ class Environment:
             ``None`` runs until the event queue is exhausted.  A number runs
             until the clock reaches that time.  An :class:`Event` runs until
             the event fires and returns its value.
+
+        An exception raised inside a process propagates out of this call
+        at the instant it is raised.
         """
         stop_event: Optional[Event] = None
         if until is not None:
@@ -173,44 +115,31 @@ class Environment:
                     # floats can legally land exactly on the current clock.
                     return None
                 stop_event = Event(self)
-                stop_event._ok = True
                 stop_event._value = None
                 # Urgent so the clock stops *before* events at `at` run.
                 self.schedule(stop_event, EventPriority.URGENT, at - self._now)
             if stop_event.callbacks is None:
-                return stop_event.value if stop_event.ok else None
+                return stop_event.value
             stop_event.callbacks.append(StopSimulation.callback)
 
-        # Inlined dispatch loop (same semantics as `step`, which stays the
-        # single-step API): the heappop/callback cycle runs millions of
-        # times per simulation, so bound lookups are hoisted out of it.
+        # The heappop/callback cycle runs millions of times per
+        # simulation, so bound lookups are hoisted out of it.
         queue = self._queue
         pop = heapq.heappop
         try:
-            while True:
-                if not queue:
-                    raise EmptySchedule()
+            while queue:
                 self._now, _, _, event = pop(queue)
                 self._steps += 1
                 if self._trace_hook is not None:
                     self._trace_hook(self._now, event)
 
                 callbacks, event.callbacks = event.callbacks, None
-                if callbacks is None:  # pragma: no cover - defensive
-                    continue
                 for callback in callbacks:
                     callback(event)
-
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    raise exc if isinstance(exc, BaseException) else RuntimeError(
-                        str(exc)
-                    )
         except StopSimulation as exc:
-            return exc.args[0] if exc.args else None
-        except EmptySchedule:
-            if stop_event is not None and not stop_event.triggered:
-                raise RuntimeError(
-                    f"No scheduled events left but {stop_event!r} was not triggered"
-                ) from None
+            return exc.args[0]
+        if stop_event is not None:
+            raise RuntimeError(
+                f"No scheduled events left but {stop_event!r} was not triggered"
+            )
         return None

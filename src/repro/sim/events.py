@@ -3,19 +3,18 @@
 An :class:`Event` is a one-shot occurrence with three lifecycle stages:
 
 1. *untriggered* -- freshly created, not yet scheduled;
-2. *triggered* -- given a value (or an exception) and placed on the
-   environment's event queue;
+2. *triggered* -- given a value and placed on the environment's event
+   queue;
 3. *processed* -- its callbacks have run and waiting processes resumed.
 
 Processes wait on events by ``yield``-ing them; the kernel resumes the
-process with the event's value, or throws the event's exception into the
-generator if the event failed.
+process with the event's value.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.engine import Environment
@@ -25,26 +24,13 @@ class EventPriority(enum.IntEnum):
     """Tie-break ordering for events scheduled at the same simulation time.
 
     Lower values run earlier.  ``URGENT`` is used internally for process
-    bootstrapping and interrupts so that they take effect before ordinary
-    events scheduled at the same instant.
+    bootstrapping and for :meth:`Environment.run`'s stop at a time, so
+    that they take effect before ordinary events scheduled at the same
+    instant.
     """
 
     URGENT = 0
     NORMAL = 1
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The interrupting party supplies an arbitrary ``cause`` that the
-    interrupted process can inspect, e.g. a "disconnection" marker in the
-    broadcast client model.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`repro.sim.process.Process.interrupt`."""
-        return self.args[0] if self.args else None
 
 
 class _PendingType:
@@ -62,34 +48,27 @@ PENDING = _PendingType()
 class Event:
     """A one-shot event that processes can wait for.
 
-    Events are triggered exactly once, either successfully via
-    :meth:`succeed` or with an exception via :meth:`fail`.  Once the
+    Events are triggered exactly once, via :meth:`succeed`.  Once the
     environment pops the event off its queue, the event's callbacks run and
     the event is *processed*.
 
     Events are the simulator's unit of allocation churn -- every timeout,
     wakeup and process step creates one -- so the whole hierarchy uses
-    ``__slots__``.  Subclasses outside this module that need ad-hoc
-    attributes (e.g. the resource request events) simply omit their own
-    ``__slots__`` and get a ``__dict__`` back.
+    ``__slots__``.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
+    __slots__ = ("env", "callbacks", "_value")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
-        self._ok: Optional[bool] = None
-        #: Set when a failure was handed to a waiting process or otherwise
-        #: consciously inspected; unhandled failures crash the simulation.
-        self._defused = False
 
     # -- state inspection ------------------------------------------------
 
     @property
     def triggered(self) -> bool:
-        """``True`` once the event has been given a value or an exception."""
+        """``True`` once the event has been given a value."""
         return self._value is not PENDING
 
     @property
@@ -98,63 +77,21 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """``True`` if the event succeeded.  Raises if not yet triggered."""
-        if self._ok is None:
-            raise RuntimeError(f"{self!r} has not yet been triggered")
-        return self._ok
-
-    @property
     def value(self) -> Any:
-        """The event's value (or exception instance for failed events)."""
+        """The event's value.  Raises if not yet triggered."""
         if self._value is PENDING:
             raise RuntimeError(f"Value of {self!r} is not yet available")
         return self._value
 
-    def defused(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
-
     # -- triggering ------------------------------------------------------
 
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
+        """Trigger the event with ``value``."""
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = True
         self._value = value
         self.env.schedule(self)
         return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with ``exception``.
-
-        Any process waiting on the event will have the exception thrown
-        into it.  If no process handles the failure the simulation stops
-        with the exception.
-        """
-        if not isinstance(exception, BaseException):
-            raise ValueError(f"{exception!r} is not an exception")
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = False
-        self._value = exception
-        self.env.schedule(self)
-        return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback helper)."""
-        self._ok = event.ok
-        self._value = event.value
-        self.env.schedule(self)
-
-    # -- composition -----------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_event, [self, other])
 
     def __repr__(self) -> str:
         state = (
@@ -183,10 +120,8 @@ class Timeout(Event):
         self.env = env
         self.callbacks = []
         self._delay = delay
-        self._ok = True
         self._value = value
-        self._defused = False
-        env.schedule(self, priority=EventPriority.NORMAL, delay=delay)
+        env.schedule(self, EventPriority.NORMAL, delay)
 
     @property
     def delay(self) -> float:
@@ -205,139 +140,5 @@ class Initialize(Event):
     def __init__(self, env: "Environment", process: "Any") -> None:
         self.env = env
         self.callbacks = [process._resume]
-        self._ok = True
         self._value = None
-        self._defused = False
-        env.schedule(self, priority=EventPriority.URGENT)
-
-
-class ConditionValue:
-    """Ordered mapping of the events collected by a condition.
-
-    Behaves like a read-only dict keyed by event instance, preserving the
-    original event order (useful when results of an ``AllOf`` need to be
-    consumed positionally).
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(str(key))
-        return key.value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()}>"
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self) -> List[Event]:
-        return list(self.events)
-
-    def values(self) -> List[Any]:
-        return [event.value for event in self.events]
-
-    def items(self):
-        return [(event, event.value) for event in self.events]
-
-    def todict(self) -> dict:
-        return {event: event.value for event in self.events}
-
-
-class Condition(Event):
-    """Composite event that triggers when ``evaluate`` says it is satisfied.
-
-    ``evaluate(events, count)`` receives the constituent events and the
-    number already processed; :meth:`all_events` and :meth:`any_event` are
-    the two standard predicates.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("Events from different environments cannot be mixed")
-
-        # Check if the condition is already met by pre-processed events.
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-        if not self._events and not self.triggered:
-            # An empty condition is trivially satisfied.
-            self.succeed(ConditionValue())
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None:
-                value.events.append(event)
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event.ok:
-            # Any failing constituent fails the whole condition.
-            event.defused()
-            self.fail(event.value)
-        elif self._evaluate(self._events, self._count):
-            value = ConditionValue()
-            self._populate_value(value)
-            self.succeed(value)
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        """Predicate: all constituent events processed."""
-        return len(events) == count
-
-    @staticmethod
-    def any_event(events: List[Event], count: int) -> bool:
-        """Predicate: at least one constituent event processed."""
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition satisfied when *all* of the given events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition satisfied when *any* of the given events has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_event, events)
+        env.schedule(self, EventPriority.URGENT)

@@ -3,16 +3,21 @@
 A :class:`Process` wraps a Python generator.  Each time the generator
 ``yield``\\ s an :class:`~repro.sim.events.Event`, the process suspends until
 the event is processed; the kernel then resumes the generator with the
-event's value (or throws the event's exception).  A process is itself an
-event that fires when the generator returns, carrying the generator's
-return value -- so processes can wait for each other.
+event's value.  A process is itself an event that fires when the generator
+returns, carrying the generator's return value -- so processes can wait for
+each other.
+
+An exception raised inside a process, or a yield of anything but an
+:class:`~repro.sim.events.Event`, propagates out of
+:meth:`Environment.run <repro.sim.engine.Environment.run>` at the instant
+it happens.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
-from repro.sim.events import Event, EventPriority, Initialize, Interrupt, PENDING
+from repro.sim.events import Event, Initialize
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -22,113 +27,42 @@ ProcessGenerator = Generator[Event, Any, Any]
 
 
 class Process(Event):
-    """A running simulation process.
+    """A running simulation process, awaitable like any other event."""
 
-    Besides being awaitable like any other event, a process supports
-    :meth:`interrupt`, which throws :class:`~repro.sim.events.Interrupt`
-    into the generator at the current simulation instant.
-    """
-
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: ProcessGenerator) -> None:
         if not hasattr(generator, "throw"):
             raise ValueError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event the process is currently waiting for (``None`` when
-        #: it is active or finished).
-        self._target: Optional[Event] = Initialize(env, self)
+        Initialize(env, self)
 
     @property
     def name(self) -> str:
         """The name of the wrapped generator function."""
         return self._generator.__name__  # type: ignore[attr-defined]
 
-    @property
-    def is_alive(self) -> bool:
-        """``True`` until the underlying generator has exited."""
-        return self._value is PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` with ``cause`` into this process.
-
-        The interrupt takes effect immediately (at the current simulation
-        time, before any other pending events).  Interrupting a finished
-        process is an error; interrupting a process waiting on another
-        process is allowed -- the waited-on process keeps running.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("A process is not allowed to interrupt itself")
-
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks = [self._resume]
-        self.env.schedule(interrupt_event, priority=EventPriority.URGENT)
-
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
-        env = self.env
-        env._active_process = self
-
+        """Feed ``event``'s value into the generator and run it until it
+        waits on an event not yet processed, or returns."""
         while True:
-            # Detach from the event that woke us; an interrupt may arrive
-            # while we were waiting on a still-pending target, in which
-            # case we must stop that target from also resuming us later.
-            if self._target is not None and self._target is not event:
-                if self._target.callbacks is not None:
-                    try:
-                        self._target.callbacks.remove(self._resume)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
-            self._target = None
-
             try:
-                if event.ok:
-                    next_event = self._generator.send(event.value)
-                else:
-                    # The event failed: throw its exception into the process.
-                    event.defused()
-                    next_event = self._generator.throw(event.value)
+                event = self._generator.send(event._value)
             except StopIteration as exc:
-                # Process finished normally.
-                self._ok = True
                 self._value = exc.value
-                env.schedule(self)
-                break
-            except BaseException as exc:
-                # Process crashed; propagate through the process event.
-                self._ok = False
-                self._value = exc
-                env.schedule(self)
-                break
+                self.env.schedule(self)
+                return
 
-            if not isinstance(next_event, Event):
-                error = RuntimeError(
-                    f"Process {self.name!r} yielded {next_event!r}, "
+            if not isinstance(event, Event):
+                raise RuntimeError(
+                    f"Process {self.name!r} yielded {event!r}, "
                     "which is not an Event"
                 )
-                self._ok = False
-                self._value = error
-                env.schedule(self)
-                break
 
-            if next_event.callbacks is not None:
+            if event.callbacks is not None:
                 # Event not yet processed: register and suspend.
-                next_event.callbacks.append(self._resume)
-                self._target = next_event
-                break
+                event.callbacks.append(self._resume)
+                return
 
             # Event already processed; feed its value in immediately.
-            event = next_event
-
-        env._active_process = None

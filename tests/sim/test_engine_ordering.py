@@ -29,7 +29,6 @@ _batches = st.lists(
 
 def _schedule_recording_event(env, fired, index, priority, delay):
     event = Event(env)
-    event._ok = True
     event._value = None
     event.callbacks.append(lambda _ev, index=index: fired.append(index))
     env.schedule(event, priority=priority, delay=delay)
