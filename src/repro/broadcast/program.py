@@ -98,6 +98,21 @@ class Bucket:
         return tuple(record.item for record in self.records)
 
 
+def index_data_buckets(
+    buckets: Sequence[Bucket],
+) -> Tuple[Dict[int, Tuple[int, ...]], Dict[int, ItemRecord]]:
+    """``(layout, records)`` of a data segment, by scanning it: item ->
+    every data-bucket offset it appears in, sorted ascending (broadcast
+    disks repeat items), and item -> its record at the last of them."""
+    offsets: Dict[int, List[int]] = {}
+    records: Dict[int, ItemRecord] = {}
+    for offset, bucket in enumerate(buckets):
+        for record in bucket.records:
+            offsets.setdefault(record.item, []).append(offset)
+            records[record.item] = record
+    return {item: tuple(offs) for item, offs in offsets.items()}, records
+
+
 class BroadcastProgram:
     """One cycle's fully laid-out broadcast.
 
@@ -116,9 +131,11 @@ class BroadcastProgram:
         The payload.
     layout / records:
         Fast path for the incremental cycle build (see
-        :class:`~repro.server.broadcast.ProgramBuilder`): ``layout`` maps
-        each item to its sorted tuple of data-bucket offsets and
-        ``records`` to its current :class:`ItemRecord`.  The layout is
+        :class:`~repro.server.broadcast.ProgramBuilder`) and the
+        listener's assembly (:meth:`~repro.live.codec.CycleCodec.assemble`):
+        ``layout`` maps each item to its sorted tuple of data-bucket
+        offsets and ``records`` to its current :class:`ItemRecord`, as
+        :func:`index_data_buckets` would find them.  The layout is
         *shared* between consecutive programs -- item positions inside the
         data segment are fixed in the flat and overflow organizations --
         so it must never be mutated; ``records`` is owned by this program.
@@ -153,24 +170,13 @@ class BroadcastProgram:
         self._overflow_start = self._data_start + len(self.data_buckets)
         self.total_slots = self._overflow_start + len(self.overflow_buckets)
 
-        # item -> every data-bucket offset it appears in, sorted ascending
-        # (broadcast disks repeat items).  Offsets are cycle-invariant even
-        # though absolute slots shift with the control segment's length.
+        # Offsets are cycle-invariant even though absolute slots shift
+        # with the control segment's length.
         scanned_data = layout is None or records is None
         if scanned_data:
-            offsets: Dict[int, List[int]] = {}
-            record_map: Dict[int, ItemRecord] = {}
-            for offset, bucket in enumerate(self.data_buckets):
-                for record in bucket.records:
-                    offsets.setdefault(record.item, []).append(offset)
-                    record_map[record.item] = record
-            self._item_offsets: Dict[int, Tuple[int, ...]] = {
-                item: tuple(offs) for item, offs in offsets.items()
-            }
-            self._item_records = record_map
-        else:
-            self._item_offsets = layout
-            self._item_records = records
+            layout, records = index_data_buckets(self.data_buckets)
+        self._item_offsets: Dict[int, Tuple[int, ...]] = layout
+        self._item_records: Dict[int, ItemRecord] = records
 
         # Old versions: item -> records, plus the slot each rides in.
         self._old_versions: Dict[int, List[Tuple[OldVersionRecord, int]]] = {}

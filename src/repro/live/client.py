@@ -107,6 +107,18 @@ class _PendingCycle:
             and len(self.overflow) == header.num_overflow_buckets
         )
 
+    def announced(self, ftype: int, slot: int) -> bool:
+        """Whether the CONTROL frame, once heard, has a DATA/OVERFLOW
+        frame of this type at ``slot``."""
+        header = self.header
+        if header is None or ftype == CONTROL:
+            return True
+        data_start = header.control_slots + header.index_slots
+        if ftype == DATA:
+            return data_start <= slot < data_start + header.num_data_buckets
+        overflow_start = data_start + header.num_data_buckets
+        return overflow_start <= slot < header.total_slots
+
 
 class LiveClient:
     """One listener: connects, decodes, runs the client protocol.
@@ -317,16 +329,40 @@ class LiveClient:
 
     # -- frame dispatch ------------------------------------------------------
 
+    def _admits(self, frame: Frame) -> bool:
+        """Whether a broadcast frame is addressed where it can belong: to
+        the cycle being assembled or a later one, and at a slot its
+        CONTROL frame announced.  Anything else -- a replayed frame of a
+        finished cycle, say -- is dropped before it can reopen a cycle or
+        re-address the codec's memory; under a client-side fault pipeline
+        it is a :class:`FrameError`, like every other wire anomaly there.
+        """
+        cycle, cur, last = frame.cycle, self._cur, self._last_cycle
+        if (last is None or cycle > last) and (
+            cur is None
+            or cycle > cur.cycle
+            or (cycle == cur.cycle and cur.announced(frame.type, frame.slot))
+        ):
+            return True
+        if self.pipeline is not None:
+            raise FrameError(
+                f"misaddressed frame (cycle={cycle}, slot={frame.slot}) "
+                "under a client-side fault pipeline; the exact lane "
+                "requires a clean transport"
+            )
+        return False
+
     def _on_event(self, event: Union[Frame, FrameCorrupt]) -> None:
         if isinstance(event, FrameCorrupt):
             frame = event.frame
             if frame.type == HELLO or self.member is None:
                 raise event
-            cur = self._open_cycle(frame.cycle)
-            if frame.type == CONTROL:
-                cur.control_corrupt = True
-            else:
-                cur.corrupt_slots.add(frame.slot)
+            if self._admits(frame):
+                cur = self._open_cycle(frame.cycle)
+                if frame.type == CONTROL:
+                    cur.control_corrupt = True
+                else:
+                    cur.corrupt_slots.add(frame.slot)
             return
         frame = event
         if frame.type == HELLO:
@@ -341,10 +377,16 @@ class LiveClient:
             self._end_time = float(blob["end_time"])
             self._done = True
             return
+        if not self._admits(frame):
+            return
         assert self.codec is not None
         if frame.type == CONTROL:
             cur = self._open_cycle(frame.cycle)
             cur.header = self.codec.decode_control(frame)
+            # Frames heard before their CONTROL keep only announced slots.
+            for ftype, heard in ((DATA, cur.data), (OVERFLOW, cur.overflow)):
+                for slot in [s for s in heard if not cur.announced(ftype, s)]:
+                    del heard[slot]
         elif frame.type == DATA:
             cur = self._open_cycle(frame.cycle)
             if cur.header is not None:
@@ -411,6 +453,10 @@ class LiveClient:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+        return self._finish()
+
+    def _finish(self) -> LiveClientResult:
+        """Close the session once the stream has ended."""
         if self.member is None:
             raise FrameError("connection closed before HELLO")
         self._finalize_cycle()

@@ -57,8 +57,8 @@ from dataclasses import asdict, dataclass, is_dataclass
 from enum import Enum
 from math import ceil, log2
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-from typing import get_args, get_type_hints
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Union, get_args, get_type_hints
 
 from repro.broadcast.program import (
     BroadcastProgram,
@@ -66,6 +66,7 @@ from repro.broadcast.program import (
     ItemRecord,
     MultiversionOrganization,
     OldVersionRecord,
+    index_data_buckets,
 )
 from repro.config import ServerParameters
 from repro.core.control import (
@@ -193,8 +194,7 @@ _FRAME_TYPES = frozenset((HELLO, CONTROL, DATA, OVERFLOW, END))
 MAX_PAYLOAD_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One decoded frame: type, (cycle, slot) address, payload bytes."""
 
     type: int
@@ -250,7 +250,7 @@ def decode_frame(
             f"have {len(buf) - start}"
         )
     payload = bytes(buf[start : start + length])
-    frame = Frame(type=ftype, cycle=cycle, slot=slot, payload=payload)
+    frame = Frame(ftype, cycle, slot, payload)
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise FrameCorrupt(
             f"payload CRC mismatch in frame (cycle={cycle}, slot={slot})",
@@ -464,6 +464,13 @@ def bucket_base(bucket: Bucket) -> int:
     return base
 
 
+def _bits(payload: bytes, start: int, end: int) -> int:
+    """Bits ``[start, end)`` of ``payload``, MSB first, as an integer."""
+    return (
+        int.from_bytes(payload[start >> 3 : (end + 7) >> 3], "big") >> (-end & 7)
+    ) & ((1 << (end - start)) - 1)
+
+
 def _check_base(bucket: Bucket, base: int, cycle: int) -> None:
     if base > cycle:
         raise CodecError(
@@ -568,6 +575,15 @@ class CycleCodec:
     wherever only the 32-bit base field bounds it, so an entry is a
     tuple and one integer of the record's width).  An entry holds its
     record, so an ``id`` is never recycled under it.
+
+    The listening side cuts the same templates, keyed by position
+    instead of identity: beside each data bucket it remembers it keeps
+    one template slot per record, and reads record *j* of a changed
+    payload as the remembered bucket's record *j* when the bits there
+    are that record's ``T + base * K`` (:meth:`_read_records`).  Old
+    versions shift position every cycle and are always parsed.  Above
+    the bucket, :meth:`assemble` patches the item lookups of the last
+    program it built instead of scanning the data segment again.
     """
 
     def __init__(self, profile: WireProfile) -> None:
@@ -604,12 +620,16 @@ class CycleCodec:
         self._aired_organization: Optional[MultiversionOrganization] = None
         self._aired_data: List[Optional[tuple]] = []
         self._aired_overflow: List[Optional[tuple]] = []
-        # Per offset (payload, base, bucket) of the last frame decoded
-        # there, sized and addressed by the last CONTROL decoded.
+        # Per offset (payload, base, bucket, templates) of the last frame
+        # decoded there, sized and addressed by the last CONTROL decoded;
+        # ``templates`` has one slot per record of the bucket.
         self._heard_organization: Optional[MultiversionOrganization] = None
         self._heard_data: List[Optional[tuple]] = []
         self._heard_overflow: List[Optional[tuple]] = []
         self._data_start = self._overflow_start = 0
+        # (data buckets, layout, records) of the last program assembled
+        # with fixed item positions; see ``assemble``.
+        self._assembled: Optional[tuple] = None
 
     # -- field helpers ------------------------------------------------------
 
@@ -996,19 +1016,39 @@ class CycleCodec:
         )
 
     def _read_records(
-        self, payload: bytes, pos: int, base: int, old: bool
-    ) -> Tuple[tuple, int, int]:
+        self,
+        payload: bytes,
+        pos: int,
+        base: int,
+        old: bool,
+        known: Sequence[Union[ItemRecord, OldVersionRecord]] = (),
+        templates: Sequence[Optional[tuple]] = (),
+    ) -> Tuple[tuple, int, int, list]:
         """Parse a 16-bit count and that many records from bit ``pos``
-        of ``payload``: ``(records, end position, largest stamp)``.
+        of ``payload``: ``(records, end position, largest stamp,
+        templates)``.
 
-        One window of bytes per record, its fields sliced out of a local
-        integer; a window that ends before its record does shows as a
-        negative shift count.
+        Record *j* is first tried as ``known[j]``, the record at its
+        position in the bucket last decoded at this offset: under
+        ``templates[j]`` it spells ``T + base * K`` in ``nbits`` bits,
+        and if the payload holds exactly those bits the record *is*
+        ``known[j]``.  That is the parse's verdict too: a template is cut
+        only from a record the parser produced, and the parser reads back
+        the one spelling ``_cut`` writes.  A template is cut when a
+        record is tried without one that holds for this base, and only
+        if the payload's key and value are the record's, so that a
+        changed record costs no cut.  Otherwise the record is parsed:
+        one window of bytes, its fields sliced out of a local integer; a
+        window that ends before its record does shows as a negative shift
+        count.  The templates returned are those of the records matched,
+        ``None`` for a record parsed.
         """
         key_bits, data_bits, vbits, vmark, tbits, tmark, pointer = self._widths
         key_mask, data_mask = (1 << key_bits) - 1, (1 << data_bits) - 1
         window_bytes = self._window_bytes
+        cut, size, matchable = self._cut, 8 * len(payload), len(known)
         out: list = []
+        kept: list = []
         top = 0
         try:
             first = pos >> 3
@@ -1016,7 +1056,34 @@ class CycleCodec:
             have = 8 * len(chunk) - (pos & 7) - 16
             count = (int.from_bytes(chunk, "big") >> have) & 0xFFFF
             pos += 16
-            for _ in range(count):
+            for j in range(count):
+                if j < matchable:
+                    entry = templates[j]
+                    if entry is None or not entry[4] <= base < entry[5]:
+                        record, entry = known[j], None
+                        value, end = record.value, pos + key_bits + data_bits
+                        if end <= size and _bits(payload, pos, end) == (
+                            record.item << data_bits
+                        ) | ((value << 1) if value >= 0 else ((-value << 1) - 1)):
+                            try:
+                                entry = cut(record, base, old)
+                            except CodecError:  # a stamp above this base
+                                pass
+                    if entry is not None:
+                        record, t, nbits, k, _lo, _hi, record_top = entry
+                        end = pos + nbits
+                        # ``_bits``, inlined: this runs for every record matched.
+                        if end <= size and (
+                            int.from_bytes(payload[pos >> 3 : (end + 7) >> 3], "big")
+                            >> (-end & 7)
+                        ) & ((1 << nbits) - 1) == t + base * k:
+                            out.append(record)
+                            kept.append(entry)
+                            if record_top > top:
+                                top = record_top
+                            pos = end
+                            continue
+                kept.append(None)
                 first = pos >> 3
                 chunk = payload[first : first + window_bytes]
                 window = int.from_bytes(chunk, "big")
@@ -1106,7 +1173,7 @@ class CycleCodec:
                 pos += start - have
         except ValueError:  # a negative shift count, nothing else in there
             raise CodecError("bit stream truncated") from None
-        return tuple(out), pos, top
+        return tuple(out), pos, top, kept
 
     def _decode_bucket(
         self,
@@ -1120,20 +1187,30 @@ class CycleCodec:
         remembered = 0 <= offset < len(heard)
         known = heard[offset] if remembered else None
         if known is not None and known[0] == payload:
-            _payload, base, bucket = known
+            _payload, base, bucket, _templates = known
         else:
             if len(payload) < 8:
                 raise CodecError("bit stream truncated")
             index = int.from_bytes(payload[:4], "big")
             base = int.from_bytes(payload[4:8], "big")
+            # Records hold their positions in the data buckets of the flat
+            # and overflow organizations; old versions shift every cycle.
+            known_records, templates = (
+                (known[2].records, known[3])
+                if known is not None and not with_old
+                else ((), ())
+            )
             pos = 64
             records: Tuple[ItemRecord, ...] = ()
             old_records: Tuple[OldVersionRecord, ...] = ()
+            kept: list = []
             top = old_top = 0
             if with_records:
-                records, pos, top = self._read_records(payload, pos, base, False)
+                records, pos, top, kept = self._read_records(
+                    payload, pos, base, False, known_records, templates
+                )
             if with_old:
-                old_records, pos, old_top = self._read_records(
+                old_records, pos, old_top, _unmatched = self._read_records(
                     payload, pos, base, True
                 )
             # The payload must end here: under a byte of padding, all zero.
@@ -1150,7 +1227,7 @@ class CycleCodec:
                 index=index, records=records, old_records=old_records
             )
             if remembered:
-                heard[offset] = (payload, base, bucket)
+                heard[offset] = (payload, base, bucket, kept)
         _check_base(bucket, base, frame.cycle)
         return bucket
 
@@ -1220,7 +1297,19 @@ class CycleCodec:
         data_buckets: Sequence[Bucket],
         overflow_buckets: Sequence[Bucket],
     ) -> BroadcastProgram:
-        """Rebuild the program from a fully received cycle."""
+        """Rebuild the program from a fully received cycle.
+
+        Item positions are fixed in the flat and overflow organizations,
+        so the program's item lookups (layout and records) are patched
+        from the last program assembled instead of scanned: a data bucket
+        that is the very object of last cycle's is skipped, and one whose
+        records name the same items in the same order updates the records
+        it changed in a copy of last cycle's item -> record map (for an
+        item aired at several offsets, only from the last of them, which
+        is the copy the scan keeps).  A different bucket count, an item
+        that moved, old versions in a data bucket or the clustered
+        organization scans, as a fresh codec does.
+        """
         if len(data_buckets) != header.num_data_buckets:
             raise CodecError(
                 f"cycle {header.cycle}: expected "
@@ -1233,15 +1322,37 @@ class CycleCodec:
                 f"{header.num_overflow_buckets} overflow buckets, got "
                 f"{len(overflow_buckets)}"
             )
+        data = list(data_buckets)
+        layout, records = self._index_data(header.organization, data)
         return BroadcastProgram(
             cycle=header.cycle,
             control=header.control,
-            data_buckets=list(data_buckets),
+            data_buckets=data,
             overflow_buckets=list(overflow_buckets),
             control_slots=header.control_slots,
             index_slots=header.index_slots,
             organization=header.organization,
+            layout=layout,
+            records=records,
         )
+
+    def _index_data(
+        self, organization: MultiversionOrganization, data: List[Bucket]
+    ) -> tuple:
+        """``(layout, records)`` of ``data`` for :meth:`assemble`, or
+        ``(None, None)`` to have the program scan its buckets."""
+        last, self._assembled = self._assembled, None
+        if organization is _CLUSTERED:
+            return None, None
+        index = None
+        if last is not None and len(last[0]) == len(data):
+            index = _patched_index(*last, data)
+        if index is None:
+            if any(bucket.old_records for bucket in data):
+                return None, None  # old versions the program must index
+            index = index_data_buckets(data)
+        self._assembled = (data, *index)
+        return index
 
     def decode_cycle(
         self, frames: Iterable[bytes]
@@ -1303,9 +1414,38 @@ class CycleCodec:
         }
 
 
+def _patched_index(
+    before: List[Bucket],
+    layout: Dict[int, Tuple[int, ...]],
+    records: Dict[int, ItemRecord],
+    data: List[Bucket],
+) -> Optional[tuple]:
+    """``(layout, records)`` of ``data`` from those of ``before``, the
+    data segment of as many buckets assembled last; ``None`` once a
+    bucket names other items than the one it replaces."""
+    patched = None
+    for offset, (old, new) in enumerate(zip(before, data)):
+        if new is old:
+            continue
+        if new.old_records or len(new.records) != len(old.records):
+            return None
+        if patched is None:
+            patched = dict(records)  # the last program keeps its own
+        # Every record is written, the unchanged too: an item may ride
+        # twice in one bucket, and the later copy is the one that counts.
+        for previous, record in zip(old.records, new.records):
+            item = record.item
+            if item != previous.item:
+                return None
+            if layout[item][-1] == offset:
+                patched[item] = record
+    return layout, records if patched is None else patched
+
+
 def programs_equal(a: BroadcastProgram, b: BroadcastProgram) -> bool:
-    """Field-level equality of two programs (the round-trip invariant)."""
-    return (
+    """Field-level equality of two programs (the round-trip invariant),
+    down to every lookup a client makes of them."""
+    if not (
         a.cycle == b.cycle
         and a.control == b.control
         and a.control_slots == b.control_slots
@@ -1313,4 +1453,22 @@ def programs_equal(a: BroadcastProgram, b: BroadcastProgram) -> bool:
         and a.organization == b.organization
         and a.data_buckets == b.data_buckets
         and a.overflow_buckets == b.overflow_buckets
-    )
+        and a.items == b.items
+        and a.total_old_versions == b.total_old_versions
+    ):
+        return False
+    for item in a.items:
+        olds = a.old_versions_of(item)
+        if (
+            a.record_of(item) != b.record_of(item)
+            or a.slots_of(item) != b.slots_of(item)
+            or a.page_of(item) != b.page_of(item)
+            or olds != b.old_versions_of(item)
+            or any(
+                a.old_version_at(item, old.version)
+                != b.old_version_at(item, old.version)
+                for old in olds
+            )
+        ):
+            return False
+    return True

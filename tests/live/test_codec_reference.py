@@ -2,7 +2,7 @@
 
 ``reference_codec.ReferenceCodec`` packs and parses a bucket payload one
 ``BitWriter.write`` / ``BitReader.read`` per field, as the codec did
-before it cut templates.  Four nets:
+before it cut templates.  Five nets:
 
 * *differential* -- over the built programs of the four families of
   ``test_codec_reuse`` a long-lived codec, a fresh codec and the
@@ -12,7 +12,11 @@ before it cut templates.  Four nets:
   reference's pack under that base, and so is the recut just outside;
 * *error parity* -- whatever the reference refuses, the codec refuses;
 * *the dict store* -- fresh record objects every cycle (every record a
-  miss) air the bytes the columnar store's long-lived records air.
+  miss) air the bytes the columnar store's long-lived records air;
+* *the listener's templates* (Hypothesis) -- a long-lived decoder that
+  reads unchanged records through templates parses, or refuses, every
+  payload as the reference does, with bases on the templates' edges and
+  bits flipped inside a record it would reuse.
 """
 
 import sys
@@ -494,3 +498,157 @@ def test_a_miss_is_one_straight_line_packer():
 
     # The cut, the record's top stamp, and a helper per escaped age.
     assert calls_per_record(CycleCodec) <= 5 < 15 < calls_per_record(ReferenceCodec)
+
+
+# -- (v) the listener's templates: a long-lived decoder is the reference ----------
+
+
+#: Per case, a profile and the sections of the one bucket that varies:
+#: (profile, records, old records).  Records are tried against templates
+#: where they hold their positions, in the data buckets of the flat and
+#: overflow organizations; the other two cases must simply parse.
+_LISTENER_PROFILES = {
+    "flat": (FLAT, True, False),
+    "overflow data": (RETAINED, True, False),
+    "clustered": (_profile(CLUSTERED, 2, 2, 3), True, True),
+    "overflow chunk": (RETAINED, False, True),
+}
+
+
+def _aired(profile, with_records, records, old_records, base):
+    """A one-bucket program airing ``records`` / ``old_records`` in the
+    bucket the profile puts them in, a few cycles after ``base``."""
+    cycle = base + 3
+    bucket = Bucket(index=0, records=records, old_records=old_records)
+    if with_records:
+        return _program(profile.organization, cycle, data=[bucket])
+    return _program(profile.organization, cycle, overflow=[bucket])
+
+
+def _spans(reference, bucket, base, with_records, with_old):
+    """``(first bit, bits)`` of every record of ``bucket``'s payload."""
+    spans, pos = [], 64
+    for present, rows in ((with_records, bucket.records), (with_old, bucket.old_records)):
+        if present:
+            pos += 16
+            for record in rows:
+                nbits = reference.pack(record, base)[1]
+                spans.append((pos, nbits))
+                pos += nbits
+    return spans
+
+
+def _flipped(raw, bits):
+    frame = decode_frame(raw)[0]
+    payload = bytearray(frame.payload)
+    for bit in bits:
+        payload[bit // 8] ^= 0x80 >> (bit % 8)
+    return encode_frame(frame.type, frame.cycle, frame.slot, bytes(payload))
+
+
+def _heard_templates(codec, with_records):
+    heard = codec._heard_data if with_records else codec._heard_overflow
+    if not heard or heard[0] is None:
+        return []
+    return [entry for entry in heard[0][3] if entry is not None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_long_lived_decoder_equals_the_reference_across_template_edges(data):
+    """One bucket whose kept records ride on while one more record moves
+    its base -- onto the edges (``lo - 1``, ``lo``, ``hi - 1``, ``hi``)
+    of the templates the decoder holds -- and payloads with bits flipped
+    inside the span of a record the decoder would reuse: every one
+    parses, or is refused, as the field-wise reference decides."""
+    name = data.draw(st.sampled_from(sorted(_LISTENER_PROFILES)))
+    profile, with_records, with_old = _LISTENER_PROFILES[name]
+    kept = data.draw(st.lists(_records(old=not with_records), min_size=1, max_size=4))
+    kept_old = (
+        data.draw(st.lists(_records(old=True), max_size=3))
+        if with_records and with_old
+        else []
+    )
+    kept_top = max(map(_top, kept + kept_old))
+    listener, reference = CycleCodec(profile), ReferenceCodec(profile)
+    for step in range(data.draw(st.integers(2, 7))):
+        edges = [
+            edge
+            for entry in _heard_templates(listener, with_records)
+            for edge in (entry[4] - 1, entry[4], entry[5] - 1, entry[5])
+            if kept_top <= edge < 2**32 - 8
+        ]
+        if step >= 2 and edges:
+            base = data.draw(st.sampled_from(edges))
+        else:
+            base = data.draw(st.integers(kept_top, kept_top + 70))
+        # The mover rides last, so the kept records keep their positions.
+        if with_records:
+            mover = ItemRecord(item=999, value=step, version=base)
+            records, old_records = (*kept, mover), tuple(kept_old)
+        else:
+            mover = OldVersionRecord(item=999, value=step, version=base, valid_to=base)
+            records, old_records = (), (*kept, mover)
+        program = _aired(profile, with_records, records, old_records, base)
+        frames = reference.encode_cycle(program, 0)
+        if data.draw(st.booleans()):
+            bucket = (program.data_buckets or program.overflow_buckets)[0]
+            spans = _spans(reference, bucket, base, with_records, with_old)
+            first, nbits = spans[data.draw(st.integers(0, len(kept) - 1))]
+            bits = data.draw(
+                st.sets(st.integers(first, first + nbits - 1), min_size=1, max_size=3)
+            )
+            frames = [frames[0], _flipped(frames[1], bits)]
+        try:
+            expected, _ = reference.decode_cycle(frames)
+        except CodecError:
+            with pytest.raises(CodecError):
+                listener.decode_cycle(frames)
+            continue
+        assert programs_equal(listener.decode_cycle(frames)[0], expected)
+
+
+def test_a_changed_bucket_reuses_its_unchanged_records():
+    """Record *j* of a changed payload is last payload's record *j*, the
+    very object, when its bits are that record's template under the new
+    base.  A template is cut the first time its record is tried, carried
+    while its record is matched, and cut again once the base leaves its
+    interval -- each time only if the payload's key and value there are
+    the record's."""
+    profile = RETAINED  # 4-bit ages: inline while base - stamp < 15
+    records = [
+        ItemRecord(item=j + 1, value=-j, version=11 + j, writer=TxnId(11 + j, j),
+                   has_old_versions=bool(j % 2))
+        for j in range(8)
+    ]
+    listener, cuts = CycleCodec(profile), []
+    cut = listener._cut
+
+    def counting(record, base, old):
+        cuts[-1] += 1
+        return cut(record, base, old)
+
+    listener._cut = counting
+    heard = []
+    for cycle, changed in ((20, None), (21, 3), (22, 5), (23, 3), (40, 0), (41, "all")):
+        cuts.append(0)
+        if changed == "all":  # every record one position on, as in an overflow chunk
+            records = records[-1:] + records[:-1]
+        elif changed is not None:
+            records[changed] = ItemRecord(item=changed + 1, value=cycle, version=cycle - 1)
+        program = _program(OVERFLOW_ORG, cycle, data=[Bucket(index=0, records=tuple(records))])
+        decoded, _ = listener.decode_cycle(CycleCodec(profile).encode_cycle(program, 0))
+        assert programs_equal(decoded, program)
+        heard.append(decoded.data_buckets[0].records)
+    reused = [
+        [a is b for a, b in zip(before, after)] for before, after in zip(heard, heard[1:])
+    ]
+    # Every record but the changed one is the object heard the cycle before.
+    assert reused[:4] == [[j != changed for j in range(8)] for changed in (3, 5, 3, 0)]
+    assert reused[4] == [False] * 8
+    # 20: all parsed.  21: all eight tried, seven cut (the changed value
+    # is seen first).  22 and 23: only the record parsed the cycle before
+    # is cut.  40: base 39 is past every interval (the newest stamp
+    # before it is 22), so the seven unchanged are recut.  41: no key is
+    # where it was, so nothing is cut.
+    assert cuts == [0, 7, 1, 1, 7, 0]

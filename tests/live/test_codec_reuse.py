@@ -12,7 +12,10 @@ payload bytes it decoded last cycle.  Neither shortcut may ever show:
   where the bucket object (encoder) or the payload bytes (decoder) are
   the same;
 * hostile slots and bucket indices leave the decoder's memory at the
-  size the last CONTROL frame announced.
+  size the last CONTROL frame announced, templates included;
+* the listener's assembly -- item lookups patched from the last
+  program -- equals a fresh scan over built cycles, back-filled lost
+  slots, layouts that lie and Hypothesis segments that repeat items.
 """
 
 import random
@@ -26,6 +29,7 @@ from repro.broadcast.program import (
     Bucket,
     ItemRecord,
     MultiversionOrganization,
+    OldVersionRecord,
 )
 from repro.cohort.trace import build_trace
 from repro.config import ModelParameters, ServerParameters
@@ -116,6 +120,202 @@ def _replaced(program: BroadcastProgram, cycle: int, data, overflow):
         index_slots=program.index_slots,
         organization=program.organization,
     )
+
+
+def _scanned(program: BroadcastProgram) -> BroadcastProgram:
+    """The same program with its item lookups found by a scan."""
+    return _replaced(
+        program, program.cycle, program.data_buckets, program.overflow_buckets
+    )
+
+
+def _heard(codec: CycleCodec, frames):
+    """``(header, data, overflow)``: one cycle decoded frame by frame, as
+    ``LiveClient`` does before it assembles."""
+    decoded = [decode_frame(raw)[0] for raw in frames]
+    header = codec.decode_control(decoded[0])
+    data = [codec.decode_data_bucket(f, header) for f in decoded if f.type == DATA]
+    overflow = [codec.decode_overflow_bucket(f) for f in decoded if f.type == OVERFLOW]
+    return header, data, overflow
+
+
+# -- the listener's assembly: patched lookups equal a scan ----------------------
+
+
+@pytest.mark.parametrize(
+    "organization, sgt",
+    [(None, False), ("overflow", False), ("clustered", False), (None, True)],
+    ids=["flat", "overflow", "clustered", "sgt"],
+)
+def test_a_long_lived_listener_assembles_what_a_fresh_scan_does(organization, sgt):
+    """Cycle for cycle, down to every lookup a client makes: items,
+    records, slots, pages and old versions."""
+    params, requirements, records = _built_programs(organization, sgt)
+    profile = WireProfile.from_params(params.server, requirements)
+    encoder, listener = CycleCodec(profile), CycleCodec(profile)
+    previous, patched = None, 0
+    for record in records:
+        frames = encoder.encode_cycle(record.program, int(record.start))
+        decoded, _ = listener.decode_cycle(frames)
+        assert programs_equal(decoded, _scanned(decoded))
+        assert programs_equal(decoded, record.program)
+        assert programs_equal(decoded, CycleCodec(profile).decode_cycle(frames)[0])
+        if previous is not None and decoded._item_offsets is previous._item_offsets:
+            patched += 1
+        previous = decoded
+    if organization == "clustered":
+        assert patched == 0 and listener._assembled is None
+    else:
+        # Every cycle after the first is patched: positions never move.
+        assert patched == len(records) - 1
+
+
+@pytest.mark.parametrize("organization", [None, "overflow"])
+def test_backfilled_buckets_assemble_as_the_scan(organization):
+    """A lost data slot is back-filled from the last program, as
+    ``LiveClient`` does: stale records in a new ``Bucket`` object."""
+    params, requirements, records = _built_programs(organization, False)
+    profile = WireProfile.from_params(params.server, requirements)
+    encoder, listener = CycleCodec(profile), CycleCodec(profile)
+    rng = random.Random(3)
+    previous = None
+    for record in records:
+        frames = encoder.encode_cycle(record.program, int(record.start))
+        header, data, overflow = _heard(listener, frames)
+        if previous is not None:
+            for offset in rng.sample(range(len(data)), 5):
+                stale = previous.data_buckets[offset]
+                data[offset] = Bucket(index=stale.index, records=stale.records)
+        previous = listener.assemble(header, data, overflow)
+        assert programs_equal(previous, _scanned(previous))
+
+
+def _liars(program: BroadcastProgram):
+    """Data segments that disagree with ``program``'s layout at one offset."""
+    data = program.data_buckets
+    first, second = data[3].records, data[4].records
+    yield "swapped records", [
+        *data[:3],
+        Bucket(index=3, records=(second[0], *first[1:])),
+        Bucket(index=4, records=(first[0], *second[1:])),
+        *data[5:],
+    ]
+    yield "one record fewer", [*data[:3], Bucket(index=3, records=first[1:]), *data[4:]]
+    yield "one record more", [
+        *data[:3], Bucket(index=3, records=(*first, second[0])), *data[4:]
+    ]
+    yield "one bucket fewer", data[:-1]
+
+
+@pytest.mark.parametrize("liar", ["swapped records", "one record fewer",
+                                  "one record more", "one bucket fewer"])
+def test_a_layout_liar_forces_a_rebuild(liar):
+    """A DATA bucket that names other items than the one it replaces:
+    the next program is scanned, and the one after it patched again."""
+    params, requirements, records = _built_programs(None, False, cycles=12)
+    profile = WireProfile.from_params(params.server, requirements)
+    encoder, listener = CycleCodec(profile), CycleCodec(profile)
+    programs = [record.program for record in records]
+    lying = dict(_liars(programs[5]))[liar]
+    liar_program = _replaced(programs[5], programs[5].cycle, lying, [])
+    sequence = [*programs[:5], liar_program, *programs[6:]]
+    layouts = []
+    for program in sequence:
+        decoded, _ = listener.decode_cycle(encoder.encode_cycle(program, 0))
+        assert programs_equal(decoded, _scanned(program))
+        layouts.append(decoded._item_offsets)
+    # Before the liar and after the truth is back, one layout object each.
+    assert len({id(layout) for layout in layouts[:5]}) == 1
+    assert layouts[5] is not layouts[4] and layouts[6] is not layouts[5]
+    assert all(layout is layouts[6] for layout in layouts[6:])
+
+
+def test_old_records_in_a_data_bucket_are_left_to_the_scan():
+    """Old versions ride in data buckets only under the clustered
+    organization, but ``assemble`` may be handed some elsewhere (a DATA
+    frame decoded before its CONTROL is); the program then indexes them
+    by its own scan, from a fresh codec and from a long-lived one."""
+    params, requirements, records = _built_programs(None, False, cycles=8)
+    profile = WireProfile.from_params(params.server, requirements)
+    encoder = CycleCodec(profile)
+    frames = [encoder.encode_cycle(r.program, 0) for r in records[-2:]]
+    long_lived = CycleCodec(profile)
+    long_lived.assemble(*_heard(long_lived, frames[0]))
+    for listener in (long_lived, CycleCodec(profile)):
+        header, data, overflow = _heard(listener, frames[1])
+        first = data[0].records[0]
+        old = OldVersionRecord(item=first.item, value=1, version=0, valid_to=0)
+        data[0] = Bucket(index=0, records=data[0].records, old_records=(old,))
+        program = listener.assemble(header, data, overflow)
+        assert programs_equal(program, _scanned(program))
+        assert program.old_version_at(first.item, 0) == (old, program.slots_of(first.item)[0])
+
+
+_LISTENER = WireProfile(
+    key_bits=32, data_bits=64, version_bits=3, tid_bits=2, items_per_bucket=4,
+    span=0, sgt=False, organization=MultiversionOrganization.NONE,
+)
+
+
+@st.composite
+def _evolving_segments(draw):
+    """Data segments over six items, repeated within and across buckets,
+    each after the first keeping some buckets (the same objects),
+    re-valuing others in place and now and then laying one out anew."""
+
+    def records(cycle, items):
+        return tuple(
+            ItemRecord(item, draw(st.integers(-50, 50)), draw(st.integers(0, cycle)))
+            for item in items
+        )
+
+    items = st.lists(st.integers(1, 6), min_size=0, max_size=4)
+    cycle = 1
+    segment = [
+        Bucket(index=i, records=records(cycle, draw(items)))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    segments = [segment]
+    for _ in range(draw(st.integers(1, 6))):
+        cycle += 1
+        step = []
+        for bucket in segment:
+            move = draw(st.sampled_from(["keep", "keep", "revalue", "revalue", "relay"]))
+            if move == "keep":
+                step.append(bucket)
+            elif move == "revalue":
+                # Some records kept as the same objects, others new.
+                kept = [draw(st.booleans()) for _ in bucket.records]
+                fresh = records(cycle, bucket.items)
+                step.append(Bucket(index=bucket.index, records=tuple(
+                    old if keep else new
+                    for old, new, keep in zip(bucket.records, fresh, kept)
+                )))
+            else:
+                step.append(Bucket(index=bucket.index, records=records(cycle, draw(items))))
+        if draw(st.integers(0, 9)) == 0:
+            step.append(Bucket(index=len(step), records=records(cycle, draw(items))))
+        segment = step
+        segments.append(segment)
+    return segments
+
+
+@settings(max_examples=200, deadline=None)
+@given(_evolving_segments())
+def test_patched_lookups_equal_the_scan_on_any_segment_sequence(segments):
+    """Of an item aired at several offsets the scan keeps the last
+    offset's record; so must a patch that touched only one of them."""
+    encoder, listener = CycleCodec(_LISTENER), CycleCodec(_LISTENER)
+    for cycle, segment in enumerate(segments, start=1):
+        program = BroadcastProgram(
+            cycle=cycle,
+            control=ControlInfo(
+                cycle=cycle, invalidation=report_from_updates(cycle, frozenset())
+            ),
+            data_buckets=segment,
+        )
+        decoded, _ = listener.decode_cycle(encoder.encode_cycle(program, 0))
+        assert programs_equal(decoded, program)
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,12 +464,15 @@ def test_hostile_slots_and_indices_do_not_grow_the_memories():
     # 200 multiversion cycles, every one of them retiring a cohort of old
     # versions and admitting another.  Once the overflow segment is full
     # (retention 16) the memory is as large at cycle 200 as at cycle 40.
+    # The listener's templates ride in its bucket memory, one slot per
+    # record of the buckets the last CONTROL announced, and nowhere else.
     params, requirements, records = _built_programs("overflow", False, cycles=200)
-    codec = CycleCodec(WireProfile.from_params(params.server, requirements))
+    profile = WireProfile.from_params(params.server, requirements)
+    codec, listener = CycleCodec(profile), CycleCodec(profile)
     assert params.server.retention == 16
-    sizes, on_air = [], []
+    sizes, on_air, held = [], [], []
     for record in records:
-        codec.encode_cycle(record.program, int(record.start))
+        listener.decode_cycle(codec.encode_cycle(record.program, int(record.start)))
         sizes.append(len(codec._templates))
         on_air.append(
             sum(
@@ -278,6 +481,12 @@ def test_hostile_slots_and_indices_do_not_grow_the_memories():
                 + record.program.overflow_buckets
             )
         )
+        templates = 0
+        for heard in (listener._heard_data, listener._heard_overflow):
+            for _payload, _base, bucket, kept in heard:
+                assert len(kept) == len(bucket.records)
+                templates += sum(entry is not None for entry in kept)
+        held.append(templates)
     assert len(sizes) == 200
     for size, live in zip(sizes, on_air):
         # Never fewer than what is aired, never more than the sweep's
@@ -286,3 +495,5 @@ def test_hostile_slots_and_indices_do_not_grow_the_memories():
     assert max(on_air[100:]) <= 1.05 * min(on_air[40:])  # the ramp is over
     assert max(sizes[100:]) <= 1.25 * max(on_air[100:])
     assert len(codec._template_ks) <= 32  # K is interned per record shape
+    assert all(templates <= live for templates, live in zip(held, on_air))
+    assert max(held[100:]) > 0 and not listener._templates
