@@ -15,24 +15,16 @@ metrics agree *exactly* under the shared seed:
 * the headline ``SimulationResult`` aggregates (cycles completed, mean
   cycle slots, committed/total attempts) equal.
 
-Usage::
-
-    python -m repro.cohort.oracle                  # full default matrix
-    python -m repro.cohort.oracle --clients 1 4 --seeds 7 11 --faults on
-    python -m repro.cohort.oracle --artifacts DIR  # dump failing cells
-
-Exits non-zero if any cell mismatches; a runtime budget caps the matrix
-(remaining cells are reported as skipped, not failed).
+The diff helpers name the two sides ``reference`` and ``candidate``:
+the shard and live oracles reuse them for their own pairs of runs.
+Run the matrix with ``python -m repro.oracle cohort`` (:mod:`repro.oracle`).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.cohort.engine import CohortSimulation
 from repro.config import ModelParameters
@@ -52,6 +44,7 @@ DEFAULT_SCHEMES: Tuple[str, ...] = (
 )
 DEFAULT_CLIENTS: Tuple[int, ...] = (1, 4, 16)
 DEFAULT_SEEDS: Tuple[int, ...] = (7, 11, 23, 42, 97)
+DEFAULT_CYCLES = 30
 
 #: Fault mix exercising every model: per-slot and burst loss, control
 #: loss, truncation, delayed reports, and disconnect storms.
@@ -65,9 +58,18 @@ FAULT_KNOBS = dict(
     storm_rate=0.02,
 )
 
+#: The headline ``SimulationResult`` fields :func:`result_delta` compares.
+RESULT_FIELDS = (
+    "scheme_label",
+    "cycles_completed",
+    "mean_cycle_slots",
+    "committed_attempts",
+    "total_attempts",
+)
+
 
 def oracle_params(
-    clients: int, seed: int, faults: bool, num_cycles: int = 30
+    clients: int, seed: int, faults: bool, num_cycles: int = DEFAULT_CYCLES
 ) -> ModelParameters:
     """Small-but-nontrivial configuration (mirrors the test fixtures):
     enough update pressure for invalidations, old versions and graph
@@ -102,66 +104,46 @@ def oracle_params(
     return params
 
 
+def value_delta(metric: str, kind: str, reference: Any, candidate: Any) -> List[Dict]:
+    """``[]`` if the two sides agree, else the one mismatch record."""
+    if reference == candidate:
+        return []
+    return [
+        {"metric": metric, "kind": kind, "reference": reference, "candidate": candidate}
+    ]
+
+
+#: How :func:`registry_delta` reads each metric family: the registry's
+#: iterator and the exact value compared per metric.
+_FAMILIES: Tuple[Tuple[str, Callable, Callable], ...] = (
+    ("counter", MetricsRegistry.counters, lambda c: c.value),
+    ("ratio", MetricsRegistry.ratios, lambda r: (r.hits, r.total)),
+    ("sampler", MetricsRegistry.samplers, lambda s: (s.count, s.exact_sum)),
+)
+
+
 def registry_delta(
-    discrete: MetricsRegistry, cohort: MetricsRegistry
+    reference: MetricsRegistry, candidate: MetricsRegistry
 ) -> List[Dict]:
     """Every metric on which the two registries disagree (exactly)."""
     mismatches: List[Dict] = []
-    d_counters = dict(discrete.counters())
-    c_counters = dict(cohort.counters())
-    for name in sorted(set(d_counters) | set(c_counters)):
-        d = d_counters[name].value if name in d_counters else None
-        c = c_counters[name].value if name in c_counters else None
-        if d != c:
-            mismatches.append(
-                {"metric": name, "kind": "counter", "discrete": d, "cohort": c}
-            )
-    d_ratios = dict(discrete.ratios())
-    c_ratios = dict(cohort.ratios())
-    for name in sorted(set(d_ratios) | set(c_ratios)):
-        d = (d_ratios[name].hits, d_ratios[name].total) if name in d_ratios else None
-        c = (c_ratios[name].hits, c_ratios[name].total) if name in c_ratios else None
-        if d != c:
-            mismatches.append(
-                {"metric": name, "kind": "ratio", "discrete": d, "cohort": c}
-            )
-    d_samplers = dict(discrete.samplers())
-    c_samplers = dict(cohort.samplers())
-    for name in sorted(set(d_samplers) | set(c_samplers)):
-        d = (
-            (d_samplers[name].count, d_samplers[name].exact_sum)
-            if name in d_samplers
-            else None
-        )
-        c = (
-            (c_samplers[name].count, c_samplers[name].exact_sum)
-            if name in c_samplers
-            else None
-        )
-        if d != c:
-            mismatches.append(
-                {"metric": name, "kind": "sampler", "discrete": d, "cohort": c}
-            )
+    for kind, family, exact in _FAMILIES:
+        ref = {name: exact(m) for name, m in family(reference)}
+        cand = {name: exact(m) for name, m in family(candidate)}
+        for name in sorted(set(ref) | set(cand)):
+            mismatches += value_delta(name, kind, ref.get(name), cand.get(name))
     return mismatches
 
 
 def result_delta(
-    discrete: SimulationResult, cohort: SimulationResult
+    reference: SimulationResult, candidate: SimulationResult
 ) -> List[Dict]:
     """Headline aggregate disagreements beyond the raw registries."""
     mismatches: List[Dict] = []
-    pairs = [
-        ("scheme_label", discrete.scheme_label, cohort.scheme_label),
-        ("cycles_completed", discrete.cycles_completed, cohort.cycles_completed),
-        ("mean_cycle_slots", discrete.mean_cycle_slots, cohort.mean_cycle_slots),
-        ("committed_attempts", discrete.committed_attempts, cohort.committed_attempts),
-        ("total_attempts", discrete.total_attempts, cohort.total_attempts),
-    ]
-    for field, d, c in pairs:
-        if d != c:
-            mismatches.append(
-                {"metric": field, "kind": "result", "discrete": d, "cohort": c}
-            )
+    for field in RESULT_FIELDS:
+        mismatches += value_delta(
+            field, "result", getattr(reference, field), getattr(candidate, field)
+        )
     return mismatches
 
 
@@ -170,7 +152,7 @@ def compare_cell(
     clients: int,
     seed: int,
     faults: bool,
-    num_cycles: int = 30,
+    num_cycles: int = DEFAULT_CYCLES,
     cohort_size: int = 1024,
 ) -> Dict:
     """Run one (scheme, N, seed, faults) cell both ways and diff.
@@ -179,16 +161,10 @@ def compare_cell(
     """
     params = oracle_params(clients, seed, faults, num_cycles=num_cycles)
     factory = scheme_factory(scheme)
-    t0 = time.perf_counter()
     discrete = Simulation(params, scheme_factory=factory).run()
-    t1 = time.perf_counter()
     cohort = CohortSimulation(
         params, scheme_factory=factory, cohort_size=cohort_size
     ).run()
-    t2 = time.perf_counter()
-    mismatches = result_delta(discrete, cohort) + registry_delta(
-        discrete.metrics, cohort.metrics
-    )
     return {
         "scheme": scheme,
         "clients": clients,
@@ -196,114 +172,23 @@ def compare_cell(
         "faults": faults,
         "num_cycles": num_cycles,
         "cohort_size": cohort_size,
-        "discrete_seconds": t1 - t0,
-        "cohort_seconds": t2 - t1,
         "total_attempts": discrete.total_attempts,
-        "mismatches": mismatches,
+        "mismatches": result_delta(discrete, cohort)
+        + registry_delta(discrete.metrics, cohort.metrics),
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cohort.oracle",
-        description="Differential oracle: cohort aggregates must equal "
-        "N discrete clients exactly under shared seeds.",
-    )
-    parser.add_argument(
-        "--schemes", nargs="+", default=list(DEFAULT_SCHEMES), metavar="S"
-    )
-    parser.add_argument(
-        "--clients", nargs="+", type=int, default=list(DEFAULT_CLIENTS),
-        metavar="N",
-    )
-    parser.add_argument(
-        "--seeds", nargs="+", type=int, default=list(DEFAULT_SEEDS),
-        metavar="SEED",
-    )
-    parser.add_argument(
-        "--faults",
-        choices=["both", "on", "off"],
-        default="both",
-        help="run the matrix with faults injected, clean, or both",
-    )
-    parser.add_argument("--cycles", type=int, default=30)
-    parser.add_argument(
-        "--cohort-size", type=int, default=1024,
-        help="members advanced per cohort chunk",
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=600.0,
-        help="runtime budget; remaining cells are skipped, not failed",
-    )
-    parser.add_argument(
-        "--artifacts",
-        type=Path,
-        default=None,
-        help="directory for per-failure JSON dumps",
-    )
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    fault_modes = {"both": (False, True), "on": (True,), "off": (False,)}[
-        args.faults
-    ]
-    cells = [
-        (scheme, clients, seed, faults)
-        for scheme in args.schemes
-        for faults in fault_modes
-        for clients in args.clients
-        for seed in args.seeds
-    ]
-    started = time.perf_counter()
-    failures: List[Dict] = []
-    run = 0
-    skipped = 0
-    for scheme, clients, seed, faults in cells:
-        if time.perf_counter() - started > args.max_seconds:
-            skipped += 1
-            continue
-        report = compare_cell(
-            scheme,
-            clients,
-            seed,
-            faults,
-            num_cycles=args.cycles,
-            cohort_size=args.cohort_size,
+def matrix(
+    schemes: Sequence[str],
+    seeds: Sequence[int],
+    clients: Sequence[int],
+    cycles: int,
+) -> Iterator[Tuple[str, Callable[[], Dict]]]:
+    """Every scheme x faults off/on x N x seed cell, clean ones first."""
+    for scheme, faults, n, seed in itertools.product(
+        schemes, (False, True), clients, seeds
+    ):
+        yield (
+            f"{scheme} N={n} seed={seed} faults={'on' if faults else 'off'}",
+            partial(compare_cell, scheme, n, seed, faults, num_cycles=cycles),
         )
-        run += 1
-        ok = not report["mismatches"]
-        tag = "ok" if ok else "FAIL"
-        print(
-            f"[{tag}] {scheme:<20} N={clients:<3} seed={seed:<4} "
-            f"faults={'on' if faults else 'off':<3} "
-            f"attempts={report['total_attempts']:<5} "
-            f"({report['discrete_seconds']:.2f}s vs "
-            f"{report['cohort_seconds']:.2f}s)"
-        )
-        if not ok:
-            failures.append(report)
-            for mismatch in report["mismatches"][:8]:
-                print(f"       {mismatch}")
-            if args.artifacts is not None:
-                args.artifacts.mkdir(parents=True, exist_ok=True)
-                name = (
-                    f"{scheme.replace('/', '_')}-n{clients}-s{seed}-"
-                    f"{'faults' if faults else 'clean'}.json"
-                )
-                (args.artifacts / name).write_text(
-                    json.dumps(report, indent=2, sort_keys=True)
-                )
-    verdict = "PASS" if not failures else "FAIL"
-    print(
-        f"{verdict}: {run - len(failures)}/{run} cells exact"
-        + (f", {skipped} skipped (runtime budget)" if skipped else "")
-    )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,7 +17,7 @@ This package bridges sim -> production (ROADMAP item 2):
 * :mod:`repro.live.chaos` -- a man-in-the-middle proxy lifting the
   :mod:`repro.faults` models to the byte stream;
 * :mod:`repro.live.oracle` -- the sim-vs-live differential oracle
-  (``python -m repro.live.oracle``).
+  (``python -m repro.oracle live``).
 
 The determinism seam stays in sim: the server's broadcast schedule is a
 pure function of the parameters and the seed (the cohort pre-pass

@@ -24,27 +24,22 @@ every committed read-only transaction passes the ground-truth
 correctness criterion (:func:`repro.verify.check_transaction`) against
 the server's version chains and operation history.
 
-Usage::
-
-    python -m repro.live.oracle                    # default matrix
-    python -m repro.live.oracle --schemes sgt+cache --seeds 7
-    python -m repro.live.oracle --chaos off --artifacts DIR
-
-Exits non-zero if any cell fails; a runtime budget caps the matrix
-(remaining cells are reported as skipped, not failed).
+Run the matrix with ``python -m repro.oracle live`` (:mod:`repro.oracle`).
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cohort.oracle import FAULT_KNOBS, oracle_params, registry_delta
+from repro.cohort.oracle import (
+    FAULT_KNOBS,
+    oracle_params,
+    registry_delta,
+    value_delta,
+)
 from repro.config import FaultParameters, ModelParameters
 from repro.experiments.schemes import scheme_factory
 from repro.faults.injector import FaultInjector
@@ -64,6 +59,8 @@ DEFAULT_SCHEMES: Tuple[str, ...] = (
     "sgt+cache",
 )
 DEFAULT_SEEDS: Tuple[int, ...] = (7, 11, 23)
+DEFAULT_CLIENTS: Tuple[int, ...] = (3,)
+DEFAULT_CYCLES = 30
 
 
 async def run_live(
@@ -157,29 +154,14 @@ def compare_exact_cell(
     faults: bool,
     *,
     clients: int = 3,
-    num_cycles: int = 30,
+    num_cycles: int = DEFAULT_CYCLES,
 ) -> Dict:
     """Run one (scheme, seed, faults) cell sim and live, then diff."""
     params = oracle_params(clients, seed, faults, num_cycles=num_cycles)
-    factory = scheme_factory(scheme)
-    t0 = time.perf_counter()
-    discrete = Simulation(params, scheme_factory=factory).run()
-    t1 = time.perf_counter()
+    discrete = Simulation(params, scheme_factory=scheme_factory(scheme)).run()
     server, _results, merged = asyncio.run(
         run_live(params, scheme, faults=faults)
     )
-    t2 = time.perf_counter()
-    mismatches = registry_delta(discrete.metrics, merged)
-    if discrete.cycles_completed != server.backend.cycles_completed:
-        mismatches.insert(
-            0,
-            {
-                "metric": "cycles_completed",
-                "kind": "result",
-                "discrete": discrete.cycles_completed,
-                "live": server.backend.cycles_completed,
-            },
-        )
     return {
         "lane": "exact",
         "scheme": scheme,
@@ -187,10 +169,14 @@ def compare_exact_cell(
         "seed": seed,
         "faults": faults,
         "num_cycles": num_cycles,
-        "discrete_seconds": t1 - t0,
-        "live_seconds": t2 - t1,
         "total_attempts": discrete.total_attempts,
-        "mismatches": mismatches,
+        "mismatches": value_delta(
+            "cycles_completed",
+            "result",
+            discrete.cycles_completed,
+            server.backend.cycles_completed,
+        )
+        + registry_delta(discrete.metrics, merged),
     }
 
 
@@ -199,16 +185,14 @@ def check_chaos_cell(
     seed: int,
     *,
     clients: int = 3,
-    num_cycles: int = 30,
+    num_cycles: int = DEFAULT_CYCLES,
 ) -> Dict:
     """One chaos-proxy cell: liveness + serializability contracts."""
     params = oracle_params(clients, seed, faults=False, num_cycles=num_cycles)
     chaos = FaultParameters(**FAULT_KNOBS)
-    t0 = time.perf_counter()
     server, results, _merged = asyncio.run(
         run_live(params, scheme, faults=False, keep_history=True, chaos=chaos)
     )
-    elapsed = time.perf_counter() - t0
     problems: List[Dict] = []
     if server.backend.cycles_completed != num_cycles:
         problems.append(
@@ -254,7 +238,6 @@ def check_chaos_cell(
         "clients": clients,
         "seed": seed,
         "num_cycles": num_cycles,
-        "live_seconds": elapsed,
         "total_attempts": attempts,
         "cycles_heard": heard,
         "cycles_missed": sum(r.cycles_missed for r in results),
@@ -262,119 +245,25 @@ def check_chaos_cell(
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.live.oracle",
-        description="Differential oracle: a loopback live broadcast must "
-        "match its DES twin exactly (lossless lanes) and keep the "
-        "correctness contracts under byte-stream chaos.",
-    )
-    parser.add_argument(
-        "--schemes", nargs="+", default=list(DEFAULT_SCHEMES), metavar="S"
-    )
-    parser.add_argument(
-        "--seeds", nargs="+", type=int, default=list(DEFAULT_SEEDS),
-        metavar="SEED",
-    )
-    parser.add_argument("--clients", type=int, default=3)
-    parser.add_argument("--cycles", type=int, default=30)
-    parser.add_argument(
-        "--faults",
-        choices=["both", "on", "off"],
-        default="both",
-        help="exact lanes: client-side fault pipelines on, off, or both",
-    )
-    parser.add_argument(
-        "--chaos",
-        choices=["on", "off"],
-        default="on",
-        help="also run the chaos-proxy contract lane",
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=600.0,
-        help="runtime budget; remaining cells are skipped, not failed",
-    )
-    parser.add_argument(
-        "--artifacts",
-        type=Path,
-        default=None,
-        help="directory for per-failure JSON dumps",
-    )
-    return parser
-
-
-def _cell_name(report: Dict) -> str:
-    scheme = report["scheme"].replace("/", "_")
-    if report["lane"] == "chaos":
-        return f"chaos-{scheme}-s{report['seed']}.json"
-    mode = "faults" if report["faults"] else "clean"
-    return f"exact-{scheme}-s{report['seed']}-{mode}.json"
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    fault_modes = {"both": (False, True), "on": (True,), "off": (False,)}[
-        args.faults
-    ]
-    cells: List[Tuple] = [
-        ("exact", scheme, seed, faults)
-        for scheme in args.schemes
-        for faults in fault_modes
-        for seed in args.seeds
-    ]
-    if args.chaos == "on":
-        cells += [
-            ("chaos", scheme, seed, None)
-            for scheme in args.schemes
-            for seed in args.seeds
-        ]
-    started = time.perf_counter()
-    failures: List[Dict] = []
-    run = 0
-    skipped = 0
-    for lane, scheme, seed, faults in cells:
-        if time.perf_counter() - started > args.max_seconds:
-            skipped += 1
-            continue
-        if lane == "exact":
-            report = compare_exact_cell(
-                scheme, seed, faults,
-                clients=args.clients, num_cycles=args.cycles,
-            )
-            label = f"faults={'on' if faults else 'off':<3}"
-        else:
-            report = check_chaos_cell(
-                scheme, seed, clients=args.clients, num_cycles=args.cycles
-            )
-            label = (
-                f"missed={report['cycles_missed']:<4}"
-            )
-        run += 1
-        ok = not report["mismatches"]
-        tag = "ok" if ok else "FAIL"
-        print(
-            f"[{tag}] {lane:<5} {scheme:<20} seed={seed:<4} {label} "
-            f"attempts={report['total_attempts']:<5} "
-            f"({report['live_seconds']:.2f}s live)"
+def matrix(
+    schemes: Sequence[str],
+    seeds: Sequence[int],
+    clients: Sequence[int],
+    cycles: int,
+) -> Iterator[Tuple[str, Callable[[], Dict]]]:
+    """The exact lanes (faults off, then on), then the chaos lane."""
+    for scheme, faults, seed, n in itertools.product(
+        schemes, (False, True), seeds, clients
+    ):
+        yield (
+            f"exact {scheme} N={n} seed={seed} faults={'on' if faults else 'off'}",
+            partial(
+                compare_exact_cell, scheme, seed, faults,
+                clients=n, num_cycles=cycles,
+            ),
         )
-        if not ok:
-            failures.append(report)
-            for mismatch in report["mismatches"][:8]:
-                print(f"       {mismatch}")
-            if args.artifacts is not None:
-                args.artifacts.mkdir(parents=True, exist_ok=True)
-                (args.artifacts / _cell_name(report)).write_text(
-                    json.dumps(report, indent=2, sort_keys=True, default=str)
-                )
-    verdict = "PASS" if not failures else "FAIL"
-    print(
-        f"{verdict}: {run - len(failures)}/{run} cells clean"
-        + (f", {skipped} skipped (runtime budget)" if skipped else "")
-    )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    for scheme, seed, n in itertools.product(schemes, seeds, clients):
+        yield (
+            f"chaos {scheme} N={n} seed={seed}",
+            partial(check_chaos_cell, scheme, seed, clients=n, num_cycles=cycles),
+        )

@@ -18,10 +18,9 @@ seed -- with four checks per cell:
 4. **replay** -- rebuilding and rerunning the exact configuration yields
    a bit-identical metrics snapshot (recovery stays deterministic).
 
-``python -m repro.resilience.oracle`` runs the CI smoke matrix and, on
-failure, writes one JSON evidence file per failing cell under
-``--artifacts`` so the workflow can upload them -- same contract as the
-parallel-vs-serial determinism oracle.
+``python -m repro.oracle resilience`` runs the CI smoke matrix
+(:mod:`repro.oracle`), then :func:`check` judges the finished matrix:
+group liveness across seeds, and no vacuous pass.
 
 The full-depth matrix (5 schemes x 3+ fault mixes x 10+ seeds) lives in
 ``tests/integration/test_resilience_oracle.py`` and is built from these
@@ -30,11 +29,9 @@ same helpers.
 
 from __future__ import annotations
 
-import argparse
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+import itertools
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.config import ModelParameters
 from repro.core.control import ReportSchedule
@@ -55,8 +52,10 @@ FAULT_MIXES: Dict[str, Dict[str, float]] = {
 POLICIES: Sequence[str] = ("immediate", "backoff", "cause-aware")
 
 #: CI smoke slice: one scheme per family crossed with everything above.
-SMOKE_SCHEMES: Sequence[str] = ("inval+cache", "sgt+cache", "mv-caching")
-SMOKE_SEEDS: Sequence[int] = (201, 202)
+DEFAULT_SCHEMES: Sequence[str] = ("inval+cache", "sgt+cache", "mv-caching")
+DEFAULT_SEEDS: Sequence[int] = (201, 202)
+DEFAULT_CLIENTS: Sequence[int] = (3,)
+DEFAULT_CYCLES = 50
 
 #: Don't demand post-recovery activity when the last crash ends with
 #: fewer cycles than this left -- the client may legitimately still be
@@ -68,7 +67,9 @@ LIVENESS_SLACK_CYCLES = 10
 CONVERGENCE_FRACTION = 0.2
 
 
-def oracle_params(seed: int, num_cycles: int = 50, num_clients: int = 3) -> ModelParameters:
+def crash_params(
+    seed: int, num_cycles: int = DEFAULT_CYCLES, num_clients: int = 3
+) -> ModelParameters:
     """A small, high-contention world mirroring the fault-oracle tests."""
     return (
         ModelParameters()
@@ -130,28 +131,6 @@ def build_sim(scheme: str, params: ModelParameters) -> Simulation:
     )
 
 
-@dataclass
-class CaseOutcome:
-    """Everything one oracle cell needs to judge itself."""
-
-    label: str
-    violation_count: int
-    committed: int
-    twin_committed: int
-    crashes: int
-    restores: int
-    stalled_clients: int
-    recovered_clients: int
-    expected_recoveries: int
-    snapshot: Dict[str, float]
-    replay_snapshot: Dict[str, float]
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _committed_count(clients) -> int:
     return sum(
         1
@@ -201,12 +180,16 @@ def run_case(
     fault_name: str,
     policy: str,
     seed: int,
-    num_cycles: int = 50,
+    num_cycles: int = DEFAULT_CYCLES,
+    num_clients: int = 3,
     convergence_fraction: float = CONVERGENCE_FRACTION,
-) -> CaseOutcome:
-    """Run one (scheme, fault mix, policy, seed) cell and judge it."""
+) -> Dict[str, Any]:
+    """Run one (scheme, fault mix, policy, seed) cell and judge it.
+
+    Returns a report dict; the cell passed iff ``mismatches`` is empty.
+    """
     fault_kwargs = FAULT_MIXES[fault_name]
-    base = oracle_params(seed, num_cycles=num_cycles)
+    base = crash_params(seed, num_cycles=num_cycles, num_clients=num_clients)
     crashed_params = resilient_params(base, policy, fault_kwargs)
 
     sim = build_sim(scheme, crashed_params)
@@ -228,187 +211,105 @@ def run_case(
         return c.value if c else 0
 
     stalled, recovered, expected = _crash_liveness(sim)
-    outcome = CaseOutcome(
-        label=f"{scheme}/{fault_name}/{policy}/seed={seed}",
-        violation_count=len(bad),
-        committed=committed,
-        twin_committed=twin_committed,
-        crashes=counter(metric_names.RESILIENCE_CRASHES),
-        restores=counter(metric_names.RESILIENCE_CHECKPOINT_RESTORES),
-        stalled_clients=stalled,
-        recovered_clients=recovered,
-        expected_recoveries=expected,
-        snapshot=result.metrics.snapshot(),
-        replay_snapshot=replay.metrics.snapshot(),
-    )
-    if outcome.violation_count:
-        outcome.failures.append(
-            f"{outcome.violation_count} committed readset(s) failed the "
+    snapshot = result.metrics.snapshot()
+    replay_snapshot = replay.metrics.snapshot()
+    failures: List[str] = []
+    if bad:
+        failures.append(
+            f"{len(bad)} committed readset(s) failed the "
             f"serializability oracle (e.g. {bad[0].txn_id})"
         )
-    if outcome.stalled_clients:
-        outcome.failures.append(
-            f"{outcome.stalled_clients} client(s) stalled after restart "
+    if stalled:
+        failures.append(
+            f"{stalled} client(s) stalled after restart "
             "(no completed attempts despite runway)"
         )
     if twin_committed and committed < convergence_fraction * twin_committed:
-        outcome.failures.append(
+        failures.append(
             f"commit volume collapsed: {committed} vs never-crashed twin's "
             f"{twin_committed} (< {convergence_fraction:.0%})"
         )
-    if outcome.snapshot != outcome.replay_snapshot:
+    if snapshot != replay_snapshot:
         changed = {
             key
-            for key in set(outcome.snapshot) | set(outcome.replay_snapshot)
-            if outcome.snapshot.get(key) != outcome.replay_snapshot.get(key)
+            for key in set(snapshot) | set(replay_snapshot)
+            if snapshot.get(key) != replay_snapshot.get(key)
         }
-        outcome.failures.append(
+        failures.append(
             f"replay diverged on {len(changed)} metric(s): "
             f"{sorted(changed)[:5]}"
         )
-    return outcome
+    return {
+        "scheme": scheme,
+        "fault_mix": fault_name,
+        "policy": policy,
+        "clients": num_clients,
+        "seed": seed,
+        "violations": len(bad),
+        "committed": committed,
+        "twin_committed": twin_committed,
+        "crashes": counter(metric_names.RESILIENCE_CRASHES),
+        "restores": counter(metric_names.RESILIENCE_CHECKPOINT_RESTORES),
+        "stalled_clients": stalled,
+        "recovered_clients": recovered,
+        "expected_recoveries": expected,
+        "snapshot": snapshot,
+        "replay_snapshot": replay_snapshot,
+        "mismatches": failures,
+    }
 
 
-def run_matrix(
-    schemes: Sequence[str] = SMOKE_SCHEMES,
-    fault_names: Sequence[str] = tuple(FAULT_MIXES),
-    policies: Sequence[str] = POLICIES,
-    seeds: Sequence[int] = SMOKE_SEEDS,
-    verbose: bool = False,
-) -> List[CaseOutcome]:
-    outcomes = []
-    for scheme in schemes:
-        for fault_name in fault_names:
-            for policy in policies:
-                for seed in seeds:
-                    outcome = run_case(scheme, fault_name, policy, seed)
-                    outcomes.append(outcome)
-                    if verbose:
-                        status = "ok" if outcome.ok else "FAIL"
-                        print(
-                            f"  {status:4} {outcome.label}: "
-                            f"committed={outcome.committed} "
-                            f"crashes={outcome.crashes} "
-                            f"restores={outcome.restores}"
-                        )
-    return outcomes
+def matrix(
+    schemes: Sequence[str],
+    seeds: Sequence[int],
+    clients: Sequence[int],
+    cycles: int,
+) -> Iterator[Tuple[str, Callable[[], Dict[str, Any]]]]:
+    """Every scheme x fault mix x retry policy x seed cell."""
+    for scheme, fault, policy, seed, n in itertools.product(
+        schemes, FAULT_MIXES, POLICIES, seeds, clients
+    ):
+        yield (
+            f"{scheme} {fault} {policy} N={n} seed={seed}",
+            partial(run_case, scheme, fault, policy, seed, cycles, n),
+        )
 
 
-def group_failures(outcomes: Sequence[CaseOutcome]) -> List[str]:
-    """Liveness judged per (scheme, fault, policy) group across seeds.
+def group_failures(reports: Sequence[Dict[str, Any]]) -> List[str]:
+    """Liveness judged per (scheme, fault, policy, N) group across seeds.
 
     A single cell has only a couple of crashed clients, so "did one of
     them commit again" is noise there; across every seed of a group it
     is signal -- if *no* crashed client with runway ever commits again,
     recovery is not completing for that configuration.
     """
-    groups: Dict[str, List[CaseOutcome]] = {}
-    for outcome in outcomes:
-        groups.setdefault(outcome.label.rsplit("/", 1)[0], []).append(outcome)
+    groups: Dict[Tuple, List[Dict[str, Any]]] = {}
+    for r in reports:
+        key = (r["scheme"], r["fault_mix"], r["policy"], r["clients"])
+        groups.setdefault(key, []).append(r)
     failures = []
-    for label, members in groups.items():
-        expected = sum(o.expected_recoveries for o in members)
-        recovered = sum(o.recovered_clients for o in members)
+    for (scheme, fault, policy, n), members in groups.items():
+        expected = sum(r["expected_recoveries"] for r in members)
+        recovered = sum(r["recovered_clients"] for r in members)
         if expected and not recovered:
             failures.append(
-                f"{label}: no crashed client ever committed after its last "
-                f"crash across {len(members)} seed(s) ({expected} had runway)"
+                f"{scheme} {fault} {policy} N={n}: no crashed client ever "
+                f"committed after its last crash across {len(members)} "
+                f"seed(s) ({expected} had runway)"
             )
     return failures
 
 
-def _write_artifacts(outcomes: List[CaseOutcome], artifacts: str) -> None:
-    out = Path(artifacts)
-    out.mkdir(parents=True, exist_ok=True)
-    for outcome in outcomes:
-        if outcome.ok:
-            continue
-        name = outcome.label.replace("/", "_").replace("=", "") + ".json"
-        record: Dict[str, Any] = {
-            "label": outcome.label,
-            "failures": outcome.failures,
-            "violations": outcome.violation_count,
-            "committed": outcome.committed,
-            "twin_committed": outcome.twin_committed,
-            "crashes": outcome.crashes,
-            "restores": outcome.restores,
-            "stalled_clients": outcome.stalled_clients,
-            "recovered_clients": outcome.recovered_clients,
-            "expected_recoveries": outcome.expected_recoveries,
-            "snapshot": outcome.snapshot,
-            "replay_snapshot": outcome.replay_snapshot,
-        }
-        (out / name).write_text(json.dumps(record, indent=2, sort_keys=True))
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.resilience.oracle",
-        description="recovery differential oracle (CI smoke matrix)",
-    )
-    parser.add_argument(
-        "--artifacts",
-        default=None,
-        metavar="DIR",
-        help="write JSON evidence for failing cells here",
-    )
-    parser.add_argument(
-        "--seeds",
-        type=int,
-        nargs="*",
-        default=list(SMOKE_SEEDS),
-        help=f"seeds to run (default: {list(SMOKE_SEEDS)})",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell lines"
-    )
-    args = parser.parse_args(argv)
-
-    print(
-        "Recovery oracle matrix: "
-        f"{len(SMOKE_SCHEMES)} schemes x {len(FAULT_MIXES)} fault mixes x "
-        f"{len(POLICIES)} policies x {len(args.seeds)} seeds"
-    )
-    outcomes = run_matrix(seeds=args.seeds, verbose=not args.quiet)
-    failing = [o for o in outcomes if not o.ok]
-    liveness = group_failures(outcomes)
-    total_crashes = sum(o.crashes for o in outcomes)
-    total_restores = sum(o.restores for o in outcomes)
-    total_recovered = sum(o.recovered_clients for o in outcomes)
-    print(
-        f"{len(outcomes)} cells, {total_crashes} crashes, "
-        f"{total_restores} checkpoint restores, "
-        f"{total_recovered} post-crash recoveries, {len(failing)} failing"
-    )
-    if liveness:
-        for failure in liveness:
-            print(f"FAIL {failure}")
-        if args.artifacts:
-            _write_artifacts(outcomes, args.artifacts)
-        return 1
-    # A passing matrix that never crashed, restored, or recovered
-    # proves nothing.
-    if not failing:
-        for count, what in (
-            (total_crashes, "no crashes fired"),
-            (total_restores, "no checkpoint restore exercised"),
-            (total_recovered, "no post-crash commit observed"),
-        ):
-            if count == 0:
-                print(f"matrix is vacuous: {what}")
-                return 1
-    if failing:
-        for outcome in failing:
-            print(f"FAIL {outcome.label}:")
-            for failure in outcome.failures:
-                print(f"  - {failure}")
-        if args.artifacts:
-            _write_artifacts(outcomes, args.artifacts)
-            print(f"evidence written under {args.artifacts}/")
-        return 1
-    print("recovery differential oracle: all cells clean")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def check(reports: Sequence[Dict[str, Any]]) -> List[str]:
+    """The matrix-wide rules over every cell that ran: group liveness,
+    and a matrix that never crashed, restored or recovered proves
+    nothing."""
+    problems = group_failures(reports)
+    for key, what in (
+        ("crashes", "no crashes fired"),
+        ("restores", "no checkpoint restore exercised"),
+        ("recovered_clients", "no post-crash commit observed"),
+    ):
+        if not sum(r[key] for r in reports):
+            problems.append(f"matrix is vacuous: {what}")
+    return problems

@@ -1,6 +1,6 @@
 """Differential oracle for the sharded broadcast server.
 
-Two claims, both checked mechanically (``python -m repro.shard.oracle``):
+Two claims, both checked mechanically (``python -m repro.oracle shard``):
 
 1. **K=1 bit-identity** -- a :class:`~repro.shard.runtime.ShardedSimulation`
    with one shard IS the single-channel :class:`~repro.runtime.Simulation`:
@@ -14,19 +14,13 @@ Two claims, both checked mechanically (``python -m repro.shard.oracle``):
    (:func:`repro.shard.verify.sharded_violations`): per-shard
    serializability always, plus a global snapshot for every
    snapshot-based scheme and for everything in ``epoch`` mode.
-
-Exit status 0 iff every cell passes; cells past the ``--max-seconds``
-budget are skipped (reported, not failed), like the cohort oracle.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-import time
-from typing import Dict, List, Optional, Sequence
+import itertools
+from functools import partial
+from typing import Callable, Dict, Iterator, Sequence, Tuple
 
 from repro.cohort.oracle import oracle_params, registry_delta, result_delta
 from repro.config import ModelParameters
@@ -44,19 +38,24 @@ DEFAULT_SCHEMES = (
     "multiversion+cache",
 )
 DEFAULT_SEEDS = (7, 11, 23, 42, 97)
+DEFAULT_CLIENTS = (4,)
+DEFAULT_CYCLES = 30
 
 #: Contract arm: one scheme per consistency behaviour class (plain
-#: invalidation, marked-abort salvage, SGT, pinned-snapshot multiversion).
+#: invalidation, marked-abort salvage, SGT, pinned-snapshot multiversion),
+#: crossed with every shard count, mode, partitioner and cross-shard
+#: fraction below at its own seeds.
 CONTRACT_SCHEMES = (
     "inval+cache",
     "versioned-cache",
     "sgt+cache",
     "multiversion+cache",
 )
-DEFAULT_SHARDS = (2, 4)
-DEFAULT_FRACTIONS = (0.1, 0.5)
-DEFAULT_MODES = ("local", "epoch")
-DEFAULT_CONTRACT_SEEDS = (42,)
+SHARDS = (2, 4)
+MODES = ("local", "epoch")
+PARTITIONERS = ("hash", "range")
+FRACTIONS = (0.1, 0.5)
+CONTRACT_SEEDS = (42,)
 
 
 def contract_params(
@@ -140,137 +139,32 @@ def check_contract_cell(
     }
 
 
-def _dump_artifact(directory: str, name: str, report: Dict) -> None:
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{name}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True, default=str)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.shard.oracle", description=__doc__
-    )
-    parser.add_argument(
-        "--schemes", nargs="+", default=list(DEFAULT_SCHEMES),
-        choices=sorted(SCHEME_FACTORIES),
-    )
-    parser.add_argument("--seeds", nargs="+", type=int, default=list(DEFAULT_SEEDS))
-    parser.add_argument(
-        "--contract-seeds", nargs="+", type=int,
-        default=list(DEFAULT_CONTRACT_SEEDS),
-    )
-    parser.add_argument("--shards", nargs="+", type=int, default=list(DEFAULT_SHARDS))
-    parser.add_argument(
-        "--fractions", nargs="+", type=float, default=list(DEFAULT_FRACTIONS)
-    )
-    parser.add_argument(
-        "--modes", nargs="+", default=list(DEFAULT_MODES), choices=DEFAULT_MODES
-    )
-    parser.add_argument(
-        "--partitioners", nargs="+", default=["hash", "range"],
-        choices=["hash", "range"],
-    )
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--cycles", type=int, default=30)
-    parser.add_argument(
-        "--max-seconds", type=float, default=None,
-        help="wall budget; remaining cells are skipped, not failed",
-    )
-    parser.add_argument(
-        "--artifacts", default=None,
-        help="directory for per-failure JSON dumps",
-    )
-    args = parser.parse_args(argv)
-
-    started = time.monotonic()
-
-    def out_of_budget() -> bool:
-        return (
-            args.max_seconds is not None
-            and time.monotonic() - started > args.max_seconds
+def matrix(
+    schemes: Sequence[str],
+    seeds: Sequence[int],
+    clients: Sequence[int],
+    cycles: int,
+) -> Iterator[Tuple[str, Callable[[], Dict]]]:
+    """The identity arm over ``seeds``, then the contract arm (for the
+    schemes among :data:`CONTRACT_SCHEMES`) over :data:`CONTRACT_SEEDS`."""
+    for scheme, seed, faults, n in itertools.product(
+        schemes, seeds, (False, True), clients
+    ):
+        yield (
+            f"identity {scheme} N={n} seed={seed} "
+            f"faults={'on' if faults else 'off'}",
+            partial(check_identity_cell, scheme, n, seed, faults, cycles),
         )
-
-    cells: List[tuple] = []
-    for scheme in args.schemes:
-        for seed in args.seeds:
-            for faults in (False, True):
-                cells.append(("identity", scheme, seed, faults, None))
-    for scheme in args.schemes:
-        if scheme not in CONTRACT_SCHEMES:
-            continue
-        for shards in args.shards:
-            for mode in args.modes:
-                for partitioner in args.partitioners:
-                    for fraction in args.fractions:
-                        for seed in args.contract_seeds:
-                            for faults in (False, True):
-                                cells.append(
-                                    (
-                                        "contract",
-                                        scheme,
-                                        seed,
-                                        faults,
-                                        (shards, mode, partitioner, fraction),
-                                    )
-                                )
-
-    passed = failed = skipped = 0
-    for cell in cells:
-        arm, scheme, seed, faults, extra = cell
-        if arm == "identity":
-            label = (
-                f"identity {scheme} seed={seed} "
-                f"faults={'on' if faults else 'off'}"
-            )
-        else:
-            shards, mode, partitioner, fraction = extra
-            label = (
-                f"contract {scheme} K={shards} {mode} {partitioner} "
-                f"f={fraction} seed={seed} faults={'on' if faults else 'off'}"
-            )
-        if out_of_budget():
-            skipped += 1
-            print(f"[skip] {label} (over --max-seconds budget)")
-            continue
-        if arm == "identity":
-            report = check_identity_cell(
-                scheme, args.clients, seed, faults, args.cycles
-            )
-        else:
-            report = check_contract_cell(
-                scheme,
-                shards,
-                mode,
-                fraction,
-                partitioner,
-                args.clients,
-                seed,
-                faults,
-                args.cycles,
-            )
-        if report["mismatches"]:
-            failed += 1
-            print(f"[FAIL] {label}: {len(report['mismatches'])} mismatch(es)")
-            for mismatch in report["mismatches"][:5]:
-                print(f"       {mismatch}")
-            if args.artifacts:
-                _dump_artifact(
-                    args.artifacts,
-                    label.replace(" ", "_").replace("=", ""),
-                    report,
-                )
-        else:
-            passed += 1
-            print(f"[ok] {label} (committed={report['committed']})")
-
-    total = passed + failed
-    print(
-        f"{'PASS' if failed == 0 else 'FAIL'}: {passed}/{total} cells clean"
-        + (f", {skipped} skipped" if skipped else "")
-    )
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    contract = [s for s in schemes if s in CONTRACT_SCHEMES]
+    for scheme, k, mode, part, frac, seed, faults, n in itertools.product(
+        contract, SHARDS, MODES, PARTITIONERS, FRACTIONS, CONTRACT_SEEDS,
+        (False, True), clients,
+    ):
+        yield (
+            f"contract {scheme} K={k} {mode} {part} f={frac} N={n} "
+            f"seed={seed} faults={'on' if faults else 'off'}",
+            partial(
+                check_contract_cell,
+                scheme, k, mode, frac, part, n, seed, faults, cycles,
+            ),
+        )

@@ -1,6 +1,6 @@
 """The differential oracle as a pytest matrix: cohort == discrete, exactly.
 
-The full matrix (``python -m repro.cohort.oracle``) runs 150 cells; this
+The full matrix (``python -m repro.oracle cohort``) runs 150 cells; this
 suite pins a representative slice into tier-1 so a regression in either
 engine fails the ordinary test run, not just the dedicated CI job.
 """
@@ -57,3 +57,9 @@ def test_registry_delta_reports_disagreements():
     assert len(delta) == 1
     assert delta[0]["metric"] == "client.commits"
     assert delta[0]["kind"] == "counter"
+    # The sides are named for their role, not for an engine: the shard
+    # and live oracles hand these helpers other pairs of runs.
+    # The perturbed counter exists on the candidate side only.
+    assert delta[0]["reference"] is None
+    assert delta[0]["candidate"] == 1
+    assert set(delta[0]) == {"metric", "kind", "reference", "candidate"}

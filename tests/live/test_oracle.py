@@ -1,7 +1,7 @@
 """Budgeted sim-vs-live oracle cells as regression tests.
 
-The full matrix lives in ``python -m repro.live.oracle`` (the CI
-``live-oracle`` job); these cells keep the core guarantee under the
+The full matrix lives in ``python -m repro.oracle live`` (the CI
+``oracle (live)`` job); these cells keep the core guarantee under the
 tier-1 suite at a small fixed cost: a loopback broadcast through the
 real codec and real sockets is *registry-identical* to its DES twin,
 and the chaos lane keeps its liveness/serializability contracts.

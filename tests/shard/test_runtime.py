@@ -1,6 +1,6 @@
 """The sharded runtime as a pytest slice of the shard oracle.
 
-The full matrix (``python -m repro.shard.oracle``) runs ~180 cells; this
+The full matrix (``python -m repro.oracle shard``) runs 178 cells; this
 suite pins a representative slice into tier-1: K=1 bit-identity against
 the single-channel simulator, clean consistency contracts at K>1 in
 both modes, workload apportionment invariants, and the constructor's
