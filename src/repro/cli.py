@@ -17,11 +17,9 @@ Subcommands
     Analyze a recorded trace: ``summarize``, ``timeline``, ``aborts``,
     ``airtime``.
 ``experiments``
-    Regenerate the paper's figures and tables; ``--jobs N`` shards each
-    sweep's (scheme, x, seed) cells over N worker processes with
-    byte-identical output, ``--cache DIR`` makes sweeps resumable, and
-    ``--check`` runs the parallel-vs-serial determinism oracle instead
-    (see :mod:`repro.experiments.parallel`).
+    The parser and ``run`` of ``python -m repro.experiments``
+    (:mod:`repro.experiments.__main__`): the paper's figures and tables,
+    or with ``--check`` the parallel-vs-serial determinism oracle.
 ``serve`` / ``listen``
     Live mode (:mod:`repro.live`): air a real broadcast over TCP /
     join one as a listening client.
@@ -30,26 +28,135 @@ Subcommands
 ``sizes``
     Print the analytic broadcast-size table (Figure 7 row) for the
     chosen operating point.
+
+Each :class:`~repro.config.ModelParameters` flag is one row of
+:data:`PARAMETER_FLAGS`, typed and defaulted by its dataclass field;
+which ``run`` flags need or refuse which is :data:`NEEDS` and
+:data:`REFUSES`, checked in one place before any parameter is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from typing import List, Optional, get_args, get_type_hints
 
-from repro.config import RETRY_POLICIES, ModelParameters
+from repro.config import DEFAULTS, RETRY_POLICIES, ModelParameters
 from repro.core.control import ReportSchedule
 from repro.faults.presets import get_preset, preset_names
+from repro.experiments import __main__ as experiments_main
 from repro.experiments.render import render_table
 from repro.experiments.schemes import SCHEME_FACTORIES, scheme_factory
 from repro.obs.analyze import TraceAnalyzer
 from repro.obs.manifest import git_revision, write_manifest
-from repro.obs.trace import JsonlSink, TraceLevel, Tracer
+from repro.obs.trace import JsonlSink, RingBufferSink, TraceLevel, Tracer
 from repro.runtime import Simulation
 from repro.server.sizing import SizeModel
 from repro.shard.partition import PARTITIONERS
 from repro.shard.scheme import CONSISTENCY_MODES
+
+# fmt: off
+#: One row per :class:`ModelParameters` flag: ``(flag, "section.field",
+#: help)``, in the order ``run --help`` lists them.  Type, default and
+#: choices come from the dataclass field; only ``--clients`` carries a
+#: default of its own, because the dataclass's is 1.
+PARAMETER_FLAGS = (
+    ("--cycles", "sim.num_cycles", "broadcast cycles"),
+    ("--warmup", "sim.warmup_cycles", "warm-up cycles"),
+    ("--clients", "sim.num_clients", "client count", 4),
+    ("--seed", "sim.seed", "RNG seed"),
+    ("--broadcast-size", "server.broadcast_size", "items (D)"),
+    ("--update-range", "server.update_range", None),
+    ("--updates", "server.updates_per_cycle", "updates per cycle (U)"),
+    ("--offset", "server.offset", None),
+    ("--ops", "client.ops_per_query", "reads per query"),
+    ("--read-range", "client.read_range", None),
+    ("--cache-size", "client.cache_size", None),
+    ("--think-time", "client.think_time", None),
+    ("--retention", "server.retention", "S / V versions"),
+    ("--slot-loss", "faults.slot_loss", "per-slot loss probability"),
+    ("--burst-loss", "faults.burst_rate", "burst (fade) start probability"),
+    ("--burst-length", "faults.burst_length", "mean burst length in slots"),
+    ("--control-loss", "faults.control_loss", "control-bucket corruption probability"),
+    ("--truncation", "faults.truncation", "cycle-truncation probability"),
+    ("--report-delay", "faults.report_delay", "late control-decode probability"),
+    ("--storm-rate", "faults.storm_rate",
+     "per-cycle disconnect-storm start probability"),
+    ("--fault-seed", "faults.seed", "fault RNG seed (default: derived from --seed)"),
+    ("--retry-policy", "resilience.retry_policy",
+     "retry scheduling between attempts (default: immediate)"),
+    ("--backoff-base", "resilience.backoff_base", "first backoff delay (cycles)"),
+    ("--backoff-cap", "resilience.backoff_cap", "max backoff delay (cycles)"),
+    ("--backoff-jitter", "resilience.backoff_jitter",
+     "jitter fraction added to each delay (seeded)"),
+    ("--deadline", "resilience.deadline_cycles",
+     "abandon a query after this many cycles (0 = never)"),
+    ("--watchdog", "resilience.watchdog_attempts",
+     "escalate after N consecutive aborted attempts (0 = off)"),
+    ("--checkpoint", "resilience.checkpoint_interval",
+     "checkpoint client state every N heard cycles (0 = off)"),
+    ("--catchup-window", "resilience.catchup_window",
+     "max outage length for incremental catch-up resync"),
+    ("--crash-rate", "resilience.crash_rate", "per-cycle client crash probability"),
+    ("--crash-length", "resilience.crash_length", "mean crash outage length in cycles"),
+    ("--degrade-after", "resilience.degrade_after",
+     "step the degradation ladder down after N faulty cycles (0 = off)"),
+    ("--recover-after", "resilience.recover_after",
+     "step the ladder back up after N clean cycles"),
+    ("--resilience-seed", "resilience.seed",
+     "resilience RNG seed (default: derived from --seed)"),
+)
+
+#: ``run``'s composition rule, checked by :func:`_refusal` before any
+#: parameter is built; a flag is *set* when its value differs from the
+#: parser default.  A flag that only one engine reads needs that
+#: engine's flag ...
+NEEDS = (
+    ("--cohort-size", "--cohorts"),
+    ("--partitioner", "--shards"),
+    ("--shard-consistency", "--shards"),
+    ("--cross-shard-fraction", "--shards"),
+    ("--severity", "--preset"),
+)
+
+#: ... and an engine flag refuses the flags its engine cannot honour.
+REFUSES = (
+    ("--cohorts", ("--trace", "--verify", "--interleaved-server", "--shards"),
+     "the cohort engine aggregates a single-channel population (use the "
+     "discrete engine for per-event tooling and the sharded server)"),
+    ("--shards", ("--interleaved-server",),
+     "sharded channels drive plain listeners (run the single-channel "
+     "server for 2PL interleaving)"),
+    ("--preset",
+     tuple(row[0] for row in PARAMETER_FLAGS if row[1].startswith("faults.")),
+     "a preset replaces the individual fault knobs"),
+)
+# fmt: on
+
+
+def _dest(flag: str) -> str:
+    """The namespace attribute argparse derives from ``flag``."""
+    return flag[2:].replace("-", "_")
+
+
+def _add_parameters(parser, *sections: str) -> None:
+    """Add the :data:`PARAMETER_FLAGS` rows of ``sections`` to ``parser``
+    (a parser or an argument group)."""
+    for flag, path, help_text, *own_default in PARAMETER_FLAGS:
+        section, name = path.split(".")
+        if section not in sections:
+            continue
+        part = getattr(DEFAULTS, section)
+        hint = get_type_hints(type(part))[name]
+        parser.add_argument(
+            flag,
+            # ``Optional[int]`` parses as ``int``, defaulting to ``None``.
+            type=next(iter(get_args(hint)), hint),
+            default=own_default[0] if own_default else getattr(part, name),
+            choices=sorted(RETRY_POLICIES) if name == "retry_policy" else None,
+            help=help_text,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,19 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(SCHEME_FACTORIES),
         help="processing scheme (default: sgt+cache)",
     )
-    run.add_argument("--cycles", type=int, default=120, help="broadcast cycles")
-    run.add_argument("--warmup", type=int, default=10, help="warm-up cycles")
-    run.add_argument("--clients", type=int, default=4, help="client count")
-    run.add_argument("--seed", type=int, default=42, help="RNG seed")
-    run.add_argument("--broadcast-size", type=int, default=1000, help="items (D)")
-    run.add_argument("--update-range", type=int, default=500)
-    run.add_argument("--updates", type=int, default=50, help="updates per cycle (U)")
-    run.add_argument("--offset", type=int, default=100)
-    run.add_argument("--ops", type=int, default=16, help="reads per query")
-    run.add_argument("--read-range", type=int, default=250)
-    run.add_argument("--cache-size", type=int, default=125)
-    run.add_argument("--think-time", type=float, default=2.0)
-    run.add_argument("--retention", type=int, default=16, help="S / V versions")
+    _add_parameters(run, "sim", "server", "client")
     run.add_argument(
         "--reports-per-cycle", type=int, default=1, help="sub-cycle reports (§7)"
     )
@@ -155,45 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     fault = run.add_argument_group(
         "fault injection", "degrade the air interface (see repro.faults)"
     )
-    fault.add_argument(
-        "--slot-loss", type=float, default=0.0, help="per-slot loss probability"
-    )
-    fault.add_argument(
-        "--burst-loss", type=float, default=0.0, help="burst (fade) start probability"
-    )
-    fault.add_argument(
-        "--burst-length", type=float, default=4.0, help="mean burst length in slots"
-    )
-    fault.add_argument(
-        "--control-loss",
-        type=float,
-        default=0.0,
-        help="control-bucket corruption probability",
-    )
-    fault.add_argument(
-        "--truncation", type=float, default=0.0, help="cycle-truncation probability"
-    )
-    fault.add_argument(
-        "--report-delay",
-        type=float,
-        default=0.0,
-        help="late control-decode probability",
-    )
-    fault.add_argument(
-        "--storm-rate",
-        type=float,
-        default=0.0,
-        help="per-cycle disconnect-storm start probability",
-    )
-    fault.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="fault RNG seed (default: derived from --seed)",
-    )
+    _add_parameters(fault, "faults")
     fault.add_argument(
         "--preset",
         default=None,
+        choices=preset_names(),
         metavar="NAME",
         help=(
             "named fault scenario; replaces the individual fault knobs "
@@ -206,80 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="scale the preset's probabilities (default: 1.0)",
     )
-    res = run.add_argument_group(
-        "resilience", "client recovery and retry (see repro.resilience)"
-    )
-    res.add_argument(
-        "--retry-policy",
-        default="immediate",
-        choices=sorted(RETRY_POLICIES),
-        help="retry scheduling between attempts (default: immediate)",
-    )
-    res.add_argument(
-        "--backoff-base", type=int, default=1, help="first backoff delay (cycles)"
-    )
-    res.add_argument(
-        "--backoff-cap", type=int, default=8, help="max backoff delay (cycles)"
-    )
-    res.add_argument(
-        "--backoff-jitter",
-        type=float,
-        default=0.0,
-        help="jitter fraction added to each delay (seeded)",
-    )
-    res.add_argument(
-        "--deadline",
-        type=int,
-        default=0,
-        help="abandon a query after this many cycles (0 = never)",
-    )
-    res.add_argument(
-        "--watchdog",
-        type=int,
-        default=0,
-        help="escalate after N consecutive aborted attempts (0 = off)",
-    )
-    res.add_argument(
-        "--checkpoint",
-        type=int,
-        default=0,
-        help="checkpoint client state every N heard cycles (0 = off)",
-    )
-    res.add_argument(
-        "--catchup-window",
-        type=int,
-        default=8,
-        help="max outage length for incremental catch-up resync",
-    )
-    res.add_argument(
-        "--crash-rate",
-        type=float,
-        default=0.0,
-        help="per-cycle client crash probability",
-    )
-    res.add_argument(
-        "--crash-length",
-        type=float,
-        default=2.0,
-        help="mean crash outage length in cycles",
-    )
-    res.add_argument(
-        "--degrade-after",
-        type=int,
-        default=0,
-        help="step the degradation ladder down after N faulty cycles (0 = off)",
-    )
-    res.add_argument(
-        "--recover-after",
-        type=int,
-        default=3,
-        help="step the ladder back up after N clean cycles",
-    )
-    res.add_argument(
-        "--resilience-seed",
-        type=int,
-        default=None,
-        help="resilience RNG seed (default: derived from --seed)",
+    _add_parameters(
+        run.add_argument_group(
+            "resilience", "client recovery and retry (see repro.resilience)"
+        ),
+        "resilience",
     )
     run.add_argument(
         "--verify",
@@ -329,72 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="include warm-up (unmeasured) aborts",
             )
 
-    experiments = sub.add_parser(
-        "experiments", help="regenerate the paper's figures and tables"
-    )
-    experiments.add_argument(
-        "names", nargs="*", metavar="NAME", help="experiments (default: all)"
-    )
-    experiments.add_argument(
-        "--quick", action="store_true", help="reduced profile for smoke runs"
-    )
-    experiments.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes per sweep (0 = one per CPU, default: serial)",
-    )
-    experiments.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="resumable cell cache directory",
-    )
-    experiments.add_argument(
-        "--progress",
-        action="store_true",
-        help="per-cell progress and speedup lines on stderr",
-    )
-    experiments.add_argument(
-        "--preset",
-        default=None,
-        metavar="NAME",
-        help="named fault scenario for the faults experiment",
-    )
-    experiments.add_argument(
-        "--cohorts",
-        action="store_true",
-        help=(
-            "scalability experiment only: sweep the cohort engine to "
-            "10^5 clients (see repro.cohort)"
-        ),
-    )
-    experiments.add_argument(
-        "--cohort-out",
-        default=None,
-        metavar="FILE",
-        help="with --cohorts: also write the sweep as a bench JSON",
-    )
-    experiments.add_argument(
-        "--shard-out",
-        default="results/BENCH_shard.json",
-        metavar="FILE",
-        help=(
-            "sharding experiment: where to write the sweep JSON "
-            "(default: results/BENCH_shard.json; empty string disables)"
-        ),
-    )
-    experiments.add_argument(
-        "--check",
-        action="store_true",
-        help="run the parallel-vs-serial determinism oracle instead",
-    )
-    experiments.add_argument(
-        "--artifacts",
-        default=None,
-        metavar="DIR",
-        help="with --check: write serial/parallel CSVs (and diffs) here",
+    experiments_main.add_arguments(
+        sub.add_parser(
+            "experiments", help="regenerate the paper's figures and tables"
+        )
     )
 
     serve = sub.add_parser(
@@ -417,24 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="wall-clock pacing per broadcast slot (0 = full speed)",
     )
-    serve.add_argument("--cycles", type=int, default=120)
-    serve.add_argument("--warmup", type=int, default=10)
-    serve.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        help="advertised population size (rides in the HELLO frame)",
-    )
-    serve.add_argument("--seed", type=int, default=42)
-    serve.add_argument("--broadcast-size", type=int, default=1000)
-    serve.add_argument("--update-range", type=int, default=500)
-    serve.add_argument("--updates", type=int, default=50)
-    serve.add_argument("--offset", type=int, default=100)
-    serve.add_argument("--retention", type=int, default=16)
-    serve.add_argument("--ops", type=int, default=16)
-    serve.add_argument("--read-range", type=int, default=250)
-    serve.add_argument("--cache-size", type=int, default=125)
-    serve.add_argument("--think-time", type=float, default=2.0)
+    _add_parameters(serve, "sim", "server", "client")
     serve.add_argument(
         "--report-window", type=int, default=0, help="w-window retransmission"
     )
@@ -470,55 +383,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from(args: argparse.Namespace) -> ModelParameters:
-    params = (
-        ModelParameters()
-        .with_server(
-            broadcast_size=args.broadcast_size,
-            update_range=args.update_range,
-            updates_per_cycle=args.updates,
-            offset=args.offset,
-            retention=args.retention,
-        )
-        .with_client(
-            ops_per_query=args.ops,
-            read_range=args.read_range,
-            cache_size=args.cache_size,
-            think_time=args.think_time,
-        )
-        .with_sim(
-            num_cycles=args.cycles,
-            warmup_cycles=args.warmup,
-            num_clients=args.clients,
-            seed=args.seed,
-        )
-        .with_resilience(
-            retry_policy=args.retry_policy,
-            backoff_base=args.backoff_base,
-            backoff_cap=args.backoff_cap,
-            backoff_jitter=args.backoff_jitter,
-            deadline_cycles=args.deadline,
-            watchdog_attempts=args.watchdog,
-            checkpoint_interval=args.checkpoint,
-            catchup_window=args.catchup_window,
-            crash_rate=args.crash_rate,
-            crash_length=args.crash_length,
-            degrade_after=args.degrade_after,
-            recover_after=args.recover_after,
-            seed=args.resilience_seed,
-        )
-    )
-    if args.preset is not None:
-        return get_preset(args.preset).apply(params, args.severity)
-    return params.with_faults(
-        slot_loss=args.slot_loss,
-        burst_rate=args.burst_loss,
-        burst_length=args.burst_length,
-        control_loss=args.control_loss,
-        truncation=args.truncation,
-        report_delay=args.report_delay,
-        storm_rate=args.storm_rate,
-        seed=args.fault_seed,
-    )
+    """Fold the :data:`PARAMETER_FLAGS` that ``args`` carries back into
+    :class:`ModelParameters`; sections it lacks keep their defaults."""
+    params = DEFAULTS
+    for flag, path, *_ in PARAMETER_FLAGS:
+        dest = _dest(flag)
+        if hasattr(args, dest):
+            section, name = path.split(".")
+            part = replace(getattr(params, section), **{name: getattr(args, dest)})
+            params = replace(params, **{section: part})
+    return params
+
+
+def _refusal(
+    args: argparse.Namespace, defaults: argparse.Namespace
+) -> Optional[str]:
+    """The first :data:`NEEDS` / :data:`REFUSES` rule ``args`` breaks, as
+    one line, or ``None``; ``defaults`` is the parser's ``run`` defaults."""
+
+    def is_set(flag: str) -> bool:
+        return getattr(args, _dest(flag)) != getattr(defaults, _dest(flag))
+
+    for flag, engine in NEEDS:
+        if is_set(flag) and not is_set(engine):
+            return f"{flag} needs {engine}"
+    for engine, flags, why in REFUSES:
+        clash = [flag for flag in flags if is_set(flag)]
+        if clash and is_set(engine):
+            return f"{engine} is incompatible with {', '.join(clash)}: {why}"
+    return None
 
 
 def _result_rows(result) -> List[List[str]]:
@@ -539,22 +432,18 @@ def _result_rows(result) -> List[List[str]]:
     return rows
 
 
-def _make_tracer(args, params) -> Optional[Tracer]:
-    """``--trace FILE``: tracer plus manifest, shared by every run path."""
+def _open_trace(args, params, tracer: Tracer) -> None:
+    """Write ``FILE.manifest.json``, then move ``tracer`` onto ``FILE``."""
     from repro import __version__
 
-    if not args.trace:
-        return None
     manifest_path = write_manifest(
         f"{args.trace}.manifest.json",
         params=params,
         scheme=args.scheme,
         extra={"trace": args.trace, "trace_level": args.trace_level},
     )
-    tracer = Tracer(
-        level=TraceLevel.parse(args.trace_level),
-        sinks=[JsonlSink(args.trace)],
-    )
+    (held,) = tracer.sinks
+    tracer.sinks = [JsonlSink(args.trace)]
     tracer.header(
         version=__version__,
         git_rev=git_revision(),
@@ -562,46 +451,32 @@ def _make_tracer(args, params) -> Optional[Tracer]:
         seed=args.seed,
         manifest=str(manifest_path),
     )
-    return tracer
+    for event in held.events:
+        tracer.sinks[0].write(event)
 
 
-def _refused(engine: str, why: str, flags) -> bool:
-    """Print the ``--cohorts`` / ``--shards`` rejection if any flag is on."""
-    unsupported = [flag for flag, on in flags if on]
-    if unsupported:
-        print(f"{engine} is incompatible with {', '.join(unsupported)}: {why}")
-    return bool(unsupported)
-
-
-def _command_run(args: argparse.Namespace) -> int:
+def _command_run(args: argparse.Namespace, defaults: argparse.Namespace) -> int:
+    refusal = _refusal(args, defaults)
+    if refusal is not None:
+        print(refusal)
+        return 2
+    # ``--trace`` events wait in memory until :func:`_open_trace`, once
+    # the engine accepted the run: a refused run writes no trace file.
     tracer = None
+    if args.trace:
+        tracer = Tracer(TraceLevel.parse(args.trace_level), sinks=[RingBufferSink()])
     # One handler for every engine: a bad parameter is a ValueError out
     # of parameter building or construction, never out of the run.
     try:
         params = _params_from(args)
+        if args.preset is not None:
+            params = get_preset(args.preset).apply(params, args.severity)
         schedule = ReportSchedule(
             per_cycle=args.reports_per_cycle, window=args.report_window
         )
         if args.cohorts:
             from repro.cohort import CohortSimulation
 
-            if _refused(
-                "--cohorts",
-                "the cohort engine aggregates a single-channel population "
-                "(use the discrete engine for per-event tooling and the "
-                "sharded server)",
-                (
-                    ("--trace", bool(args.trace)),
-                    ("--verify", args.verify),
-                    ("--interleaved-server", args.interleaved_server),
-                    ("--shards", args.shards is not None),
-                    (
-                        "--cross-shard-fraction",
-                        args.cross_shard_fraction is not None,
-                    ),
-                ),
-            ):
-                return 2
             report = _report_cohorts
             sim = CohortSimulation(
                 params,
@@ -612,18 +487,7 @@ def _command_run(args: argparse.Namespace) -> int:
         elif args.shards is not None:
             from repro.shard import ShardedSimulation
 
-            if _refused(
-                "--shards",
-                "sharded channels drive plain listeners (run the "
-                "single-channel server for 2PL interleaving and recovery)",
-                (
-                    ("--interleaved-server", args.interleaved_server),
-                    ("resilience knobs", params.resilience.active),
-                ),
-            ):
-                return 2
             report = _report_sharded
-            tracer = _make_tracer(args, params)
             sim = ShardedSimulation(
                 params,
                 scheme_factory(args.scheme),
@@ -637,7 +501,6 @@ def _command_run(args: argparse.Namespace) -> int:
             )
         else:
             report = _report_single
-            tracer = _make_tracer(args, params)
             sim = Simulation(
                 params,
                 scheme_factory=scheme_factory(args.scheme),
@@ -647,10 +510,10 @@ def _command_run(args: argparse.Namespace) -> int:
                 tracer=tracer,
             )
     except ValueError as error:
-        if tracer is not None:
-            tracer.close()
         print(f"run: {error}")
         return 2
+    if tracer is not None:
+        _open_trace(args, params, tracer)
     result = sim.run()
     if tracer is not None:
         tracer.close()
@@ -861,61 +724,6 @@ def _command_trace(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled trace command {args.trace_command!r}")
 
 
-def _command_experiments(args: argparse.Namespace) -> int:
-    if args.check:
-        from repro.experiments import parallel
-
-        argv: List[str] = ["check", "--jobs", str(max(args.jobs, 2))]
-        if args.artifacts:
-            argv += ["--artifacts", args.artifacts]
-        argv += args.names
-        return parallel.main(argv)
-
-    from repro.experiments.__main__ import main as experiments_main
-
-    argv = list(args.names)
-    if args.quick:
-        argv.append("--quick")
-    argv += ["--jobs", str(args.jobs)]
-    if args.cache:
-        argv += ["--cache", args.cache]
-    if args.progress:
-        argv.append("--progress")
-    if args.preset:
-        argv += ["--preset", args.preset]
-    if args.cohorts:
-        argv.append("--cohorts")
-    if args.cohort_out:
-        argv += ["--cohort-out", args.cohort_out]
-    argv += ["--shard-out", args.shard_out]
-    return experiments_main(argv)
-
-
-def _serve_params(args: argparse.Namespace) -> ModelParameters:
-    return (
-        ModelParameters()
-        .with_server(
-            broadcast_size=args.broadcast_size,
-            update_range=args.update_range,
-            updates_per_cycle=args.updates,
-            offset=args.offset,
-            retention=args.retention,
-        )
-        .with_client(
-            ops_per_query=args.ops,
-            read_range=args.read_range,
-            cache_size=args.cache_size,
-            think_time=args.think_time,
-        )
-        .with_sim(
-            num_cycles=args.cycles,
-            warmup_cycles=args.warmup,
-            num_clients=args.clients,
-            seed=args.seed,
-        )
-    )
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
@@ -923,7 +731,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.live.clock import ImmediateClock, RealTimeClock
     from repro.live.server import LiveBroadcastServer
 
-    params = _serve_params(args)
+    params = _params_from(args)
     scheme = scheme_factory(args.scheme)()
     clock = (
         RealTimeClock(args.slot_seconds)
@@ -1031,22 +839,23 @@ def _command_sizes(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(parser, args)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early; not an error.
         sys.stderr.close()
         return 0
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "run":
-        return _command_run(args)
+        return _command_run(args, parser.parse_args(["run"]))
     if args.command == "trace":
         return _command_trace(args)
     if args.command == "experiments":
-        return _command_experiments(args)
+        return experiments_main.run(args)
     if args.command == "serve":
         return _command_serve(args)
     if args.command == "listen":

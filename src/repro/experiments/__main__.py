@@ -6,12 +6,16 @@
     python -m repro.experiments fig5 --jobs 4    # shard cells over 4 workers
     python -m repro.experiments --jobs 0 --cache results/.cells
                                                  # one worker per CPU, resumable
+    python -m repro.experiments --check --jobs 4 # parallel-vs-serial oracle
 
 ``--jobs`` shards every sweep's (scheme, x, seed) cells over worker
 processes (see :mod:`repro.experiments.parallel`); output is
 byte-identical to the serial run.  ``--cache DIR`` makes sweeps
 resumable: finished cells are stored on disk and a re-run only
-simulates the missing ones.
+simulates the missing ones.  ``--check`` runs the determinism oracle
+(:func:`repro.experiments.parallel.check`) instead.  ``repro experiments``
+is this same parser: :mod:`repro.cli` registers :func:`add_arguments`
+and dispatches to :func:`run`.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from repro.experiments import (
     fig6,
     fig7,
     fig8,
+    parallel,
     resilience,
     retention,
     scalability,
     sharding,
     table1,
 )
-from repro.experiments.parallel import CellCache, make_executor
 from repro.faults.presets import preset_names
 
 #: Name -> module with a ``main(profile, ...)`` entry point, in run order.
@@ -51,11 +55,8 @@ EXPERIMENTS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments",
-        description="regenerate the paper's figures and tables",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Declare the experiment flags on ``parser``; returns it."""
     parser.add_argument(
         "names",
         nargs="*",
@@ -86,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--preset",
         default=None,
+        choices=preset_names(),
         metavar="NAME",
         help=(
             "named fault scenario for the faults experiment "
@@ -115,11 +117,25 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: results/BENCH_shard.json; empty string disables)"
         ),
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="run the parallel-vs-serial determinism oracle instead",
+    )
+    parser.add_argument(
+        "--artifacts",
+        metavar="DIR",
+        help="with --check: write serial/parallel CSVs (and diffs) here",
+    )
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Run the named experiments, or with ``--check`` the determinism oracle."""
+    if args.check:
+        # The oracle compares a pool against the serial path, so it
+        # needs at least two workers to mean anything.
+        return parallel.check(args.names, max(args.jobs, 2), args.artifacts)
     profile = QUICK_PROFILE if args.quick else FULL_PROFILE
     label = "quick" if args.quick else "full"
     unknown = [n for n in args.names if n not in EXPERIMENTS]
@@ -128,54 +144,50 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"Unknown experiment(s): {', '.join(unknown)}; known: {known}")
         return 2
     selected = args.names or list(EXPERIMENTS)
-    if args.preset is not None:
-        if args.preset not in preset_names():
-            known = ", ".join(preset_names())
-            print(f"Unknown fault preset {args.preset!r}; known: {known}")
+    # A flag that one experiment reads needs that experiment alone.
+    for flag, value, only in (
+        ("--preset", args.preset, "faults"),
+        ("--cohorts", args.cohorts, "scalability"),
+    ):
+        if value and selected != [only]:
+            print(f"{flag} only applies to the {only} experiment")
             return 2
-        if selected != ["faults"]:
-            print("--preset only applies to the faults experiment")
-            return 2
-    if args.cohorts and selected != ["scalability"]:
-        print("--cohorts only applies to the scalability experiment")
-        return 2
-    executor = make_executor(args.jobs)
-    cache = CellCache(args.cache) if args.cache else None
+    executor = parallel.make_executor(args.jobs)
+    cache = parallel.CellCache(args.cache) if args.cache else None
 
     start = time.time()
     print(
         f"Running {', '.join(selected)} at the {label} profile "
         f"(jobs={executor.jobs})\n"
     )
+    # The flags one experiment reads beyond the shared sweep knobs.
+    own_flags = {
+        "faults": {"preset": args.preset},
+        "scalability": {"cohorts": args.cohorts, "cohort_out": args.cohort_out},
+        "sharding": {"shard_out": args.shard_out},
+    }
     for name in selected:
         module = EXPERIMENTS[name]
         if name == "fig7":
             module.main()  # analytic; no simulation profile
-        elif name == "faults" and args.preset is not None:
+        else:
             module.main(
                 profile,
                 executor=executor,
                 cache=cache,
                 verbose=args.progress,
-                preset=args.preset,
-            )
-        elif name == "scalability" and args.cohorts:
-            module.main(
-                profile,
-                verbose=args.progress,
-                cohorts=True,
-                cohort_out=args.cohort_out,
-            )
-        elif name == "sharding":
-            module.main(
-                profile, verbose=args.progress, shard_out=args.shard_out
-            )
-        else:
-            module.main(
-                profile, executor=executor, cache=cache, verbose=args.progress
+                **own_flags.get(name, {}),
             )
     print(f"All experiments done in {time.time() - start:.0f}s")
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro.experiments",
+        description="regenerate the paper's figures and tables",
+    )
+    return run(add_arguments(parser).parse_args(argv))
 
 
 if __name__ == "__main__":

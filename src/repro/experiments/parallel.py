@@ -31,15 +31,14 @@ This module exploits that:
   cells.
 
 The determinism contract is enforced by the oracle suite
-(``tests/integration/test_parallel_oracle.py``) and by the ``check``
-subcommand below, which CI runs::
+(``tests/integration/test_parallel_oracle.py``) and by :func:`check`,
+which CI runs through the experiments entry point::
 
-    python -m repro.experiments.parallel check --jobs 2
+    python -m repro experiments --check --jobs 2
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import json
@@ -529,7 +528,7 @@ def oracle_experiments() -> Dict[str, Callable[..., SweepResult]]:
 
     Each value accepts ``(profile=..., params=..., executor=..., **kw)``
     and returns a :class:`SweepResult`; the determinism oracle (tests
-    and the ``check`` subcommand) runs each one serially and with
+    and :func:`check`) runs each one serially and with
     ``--jobs {1,2,4}`` and requires byte-identical CSV output.
 
     Imported lazily: the figure modules import this module for
@@ -570,7 +569,7 @@ TINY_OVERRIDES: Dict[str, Dict[str, Any]] = {
     "faults": {"schemes": ("inval", "multiversion"), "loss_sweep": (0.0, 0.1)},
 }
 
-#: Small world for the smoke/check CLI (mirrors the test suite's tiny
+#: Small world for :func:`check` (mirrors the test suite's tiny
 #: configurations: 100 items, 10 buckets/cycle, moderate contention).
 SMOKE_PARAMS = (
     ModelParameters()
@@ -647,33 +646,11 @@ def check_experiment(
     return identical
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.parallel",
-        description="parallel sweep executor: determinism check",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser(
-        "check", help="parallel-vs-serial byte-identity oracle"
-    )
-    check.add_argument(
-        "names",
-        nargs="*",
-        help="experiments to check (default: all registered)",
-    )
-    check.add_argument("--jobs", type=int, default=2)
-    check.add_argument(
-        "--artifacts",
-        default=None,
-        metavar="DIR",
-        help="write serial/parallel CSVs (and diffs on mismatch) here",
-    )
-
-    args = parser.parse_args(argv)
-
+def check(names: Sequence[str], jobs: int, artifacts: Optional[str]) -> int:
+    """Run :func:`check_experiment` over ``names`` (default: every
+    registered sweep); the exit code of ``repro experiments --check``."""
     registered = oracle_experiments()
-    names = args.names or sorted(registered)
+    names = list(names) or sorted(registered)
     unknown = [n for n in names if n not in registered]
     if unknown:
         known = ", ".join(sorted(registered))
@@ -681,8 +658,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     failures = []
     for name in names:
-        ok = check_experiment(name, jobs=args.jobs, artifacts=args.artifacts)
-        print(f"{name}: {'identical' if ok else 'MISMATCH'} (jobs={args.jobs})")
+        ok = check_experiment(name, jobs=jobs, artifacts=artifacts)
+        print(f"{name}: {'identical' if ok else 'MISMATCH'} (jobs={jobs})")
         if not ok:
             failures.append(name)
     if failures:
@@ -690,7 +667,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     print(f"determinism oracle green for {len(names)} experiment(s)")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

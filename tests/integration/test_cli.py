@@ -94,6 +94,45 @@ def test_construction_errors_share_the_handler(argv, message, capsys):
     assert len(out.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, needs",
+    [
+        ("--cohort-size", "7", "--cohorts"),
+        ("--partitioner", "range", "--shards"),
+        ("--shard-consistency", "epoch", "--shards"),
+        ("--cross-shard-fraction", "0.3", "--shards"),
+        ("--severity", "3.0", "--preset"),
+    ],
+)
+def test_a_flag_without_the_engine_that_reads_it_is_refused(
+    flag, value, needs, capsys
+):
+    assert main(RUN_SMALL + [flag, value]) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert flag in line and needs in line
+
+
+def test_preset_refuses_an_explicit_fault_knob(capsys):
+    assert main(RUN_SMALL + ["--preset", "deep-fade", "--slot-loss", "0.5"]) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert "--preset" in line and "--slot-loss" in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--shards", "2", "--crash-rate", "0.1"],
+        ["--scheme", "multiversion", "--retention", "-1"],
+    ],
+    ids=["sharded", "single"],
+)
+def test_a_run_the_engine_refuses_writes_no_trace(argv, tmp_path, capsys):
+    trace = tmp_path / "run.jsonl"
+    assert main(RUN_SMALL + argv + ["--trace", str(trace)]) == 2
+    assert capsys.readouterr().out.startswith("run: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_deep_retention_runs_on_the_dict_store(capsys, on_dict_store):
     """``--retention 300`` is beyond the columnar store's column, so the
     run gets the dict-backed store by itself -- the same table a run

@@ -1,84 +1,77 @@
-"""Argv re-forwarding audit (latent-bug regression).
+"""One experiments parser behind both entry points.
 
-``repro experiments`` is a thin shell: it parses a user-facing flag set
-and re-forwards it as argv to the underlying tool.  The bug class this
-pins: a flag *accepted* by the shell parser but silently dropped on the
-way through, so the behaviour it names could never fire through the
-umbrella CLI.
-
-Every test sets each forwardable flag to a non-default value, captures
-the argv handed to the target, and (where the target exposes its
-parser) re-parses it with the *real* downstream parser, so a renamed
-or retyped downstream flag also fails here.
+``repro experiments`` registers :func:`repro.experiments.__main__.add_arguments`
+and dispatches to its :func:`~repro.experiments.__main__.run`, so the two
+entry points cannot drift: these tests set every flag off its default
+and require both to hand ``run`` the same namespace, and pin how
+``--check`` reaches the parallel-vs-serial oracle.
 """
 
+import pytest
+
+import repro.experiments.__main__ as experiments
 from repro.cli import main
+from repro.experiments import parallel
+from repro.faults.presets import preset_names
+
+EVERY_FLAG = [
+    "fig5", "fig6",
+    "--quick",
+    "--jobs", "3",
+    "--cache", "cachedir",
+    "--progress",
+    "--preset", "deep-fade",
+    "--cohorts",
+    "--cohort-out", "cohort.json",
+    "--shard-out", "shard.json",
+    "--check",
+    "--artifacts", "outdir",
+]
 
 
-def _capture(monkeypatch, module, attr="main"):
+def _capture(monkeypatch, module, attr):
     calls = []
 
-    def fake(argv=None):
-        calls.append(list(argv))
+    def fake(*args):
+        calls.append(args)
         return 0
 
     monkeypatch.setattr(module, attr, fake)
     return calls
 
 
-def test_experiments_forwards_every_flag(monkeypatch):
-    import repro.experiments.__main__ as experiments
+def test_both_entry_points_hand_run_the_same_namespace(monkeypatch):
+    calls = _capture(monkeypatch, experiments, "run")
+    assert main(["experiments", *EVERY_FLAG]) == 0
+    assert experiments.main(EVERY_FLAG) == 0
+    (via_cli,), (via_module,) = calls
+    assert via_cli.command == "experiments"
+    del via_cli.command
+    assert via_cli == via_module
 
-    calls = _capture(monkeypatch, experiments)
-    code = main(
-        [
-            "experiments", "fig5", "fig6",
-            "--quick",
-            "--jobs", "3",
-            "--cache", "cachedir",
-            "--progress",
-            "--preset", "stormy",
-            "--cohorts",
-            "--cohort-out", "cohort.json",
-            "--shard-out", "shard.json",
-        ]
-    )
-    assert code == 0
-    (argv,) = calls
-    # The captured argv must survive the *real* downstream parser with
-    # every value intact.
-    parsed = experiments.build_parser().parse_args(argv)
-    assert parsed.names == ["fig5", "fig6"]
-    assert parsed.quick is True
-    assert parsed.jobs == 3
-    assert parsed.cache == "cachedir"
-    assert parsed.progress is True
-    assert parsed.preset == "stormy"
-    assert parsed.cohorts is True
-    assert parsed.cohort_out == "cohort.json"
-    assert parsed.shard_out == "shard.json"
+    # Every flag the parser declares is off its default above, so a flag
+    # added later without a case here fails this test.
+    assert experiments.main([]) == 0
+    defaults = vars(calls[-1][0])
+    assert sorted(defaults) == sorted(vars(via_module))
+    for dest, default in defaults.items():
+        assert getattr(via_module, dest) != default, dest
+    assert via_module.preset in preset_names()
 
 
-def test_experiments_check_forwards_to_the_parallel_oracle(monkeypatch):
-    from repro.experiments import parallel
-
-    calls = _capture(monkeypatch, parallel)
-    code = main(
-        [
-            "experiments", "fig5",
-            "--check",
-            "--jobs", "4",
-            "--artifacts", "outdir",
-        ]
-    )
-    assert code == 0
-    assert calls == [["check", "--jobs", "4", "--artifacts", "outdir", "fig5"]]
+@pytest.mark.parametrize("jobs, floored", [("4", 4), ("1", 2)])
+def test_experiments_check_forwards_to_the_parallel_oracle(
+    monkeypatch, jobs, floored
+):
+    """--check needs >= 2 workers to mean anything, so --jobs is floored."""
+    calls = _capture(monkeypatch, parallel, "check")
+    argv = ["experiments", "fig5-left", "--check", "--jobs", jobs]
+    assert main(argv + ["--artifacts", "outdir"]) == 0
+    assert calls == [(["fig5-left"], floored, "outdir")]
 
 
 def test_experiments_check_serial_request_still_runs_parallel_oracle(monkeypatch):
-    """--check needs >= 2 workers to mean anything; the shell floors it."""
-    from repro.experiments import parallel
-
-    calls = _capture(monkeypatch, parallel)
+    calls = _capture(monkeypatch, parallel, "check")
     assert main(["experiments", "--check"]) == 0
-    assert calls == [["check", "--jobs", "2"]]
+    assert experiments.main(["--check"]) == 0
+    assert calls == [([], 2, None), ([], 2, None)]

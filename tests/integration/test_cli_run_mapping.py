@@ -1,15 +1,20 @@
-"""``repro run`` flag mapping (latent-bug regression, same class as the
-argv-forwarding audit).
+"""``repro run`` / ``repro serve`` flag mapping (latent-bug regression).
 
-``repro run`` does not re-forward argv -- it maps every flag into
-``ModelParameters`` / ``Simulation`` keyword arguments directly.  The
-drift mode is identical though: a flag the parser accepts whose value
-never reaches the simulation.  This test sets *every* ``repro run``
-flag to a non-default value, intercepts the ``Simulation`` the CLI
-builds, and asserts each value landed where it belongs.
+Both commands map their flags into ``ModelParameters`` and constructor
+keyword arguments.  The drift mode: a flag the parser accepts whose
+value never reaches the simulation or the server.  Each test sets
+*every* flag of its command to a non-default value, intercepts what the
+CLI builds, and asserts each value landed where it belongs.
 """
 
+import argparse
+
+import pytest
+
 from repro import cli
+from repro.config import DEFAULTS
+from repro.faults.presets import get_preset
+from repro.live import server as live_server
 from repro.stats.metrics import MetricsRegistry
 
 
@@ -25,19 +30,25 @@ class _FakeResult:
     metrics = MetricsRegistry()
 
 
-def test_run_maps_every_flag_into_the_simulation(monkeypatch):
-    captured = {}
+@pytest.fixture
+def captured(monkeypatch):
+    """What ``repro run`` hands the (fake) single-channel simulation."""
+    box = {}
 
     class FakeSimulation:
         def __init__(self, params, scheme_factory=None, **kwargs):
-            captured["params"] = params
-            captured["kwargs"] = kwargs
-            captured["scheme"] = scheme_factory()
+            box["params"] = params
+            box["kwargs"] = kwargs
+            box["scheme"] = scheme_factory()
 
         def run(self):
             return _FakeResult()
 
     monkeypatch.setattr(cli, "Simulation", FakeSimulation)
+    return box
+
+
+def test_run_maps_every_flag_into_the_simulation(captured):
     code = cli.main(
         [
             "run",
@@ -109,3 +120,88 @@ def test_run_maps_every_flag_into_the_simulation(monkeypatch):
     assert kwargs["interleaved_server"] is True
     assert kwargs["keep_history"] is False
     assert type(captured["scheme"]).__name__ == "MultiversionBroadcast"
+
+
+def test_run_hands_the_scaled_preset_to_the_simulation(captured):
+    assert cli.main(["run", "--preset", "deep-fade", "--severity", "0.5"]) == 0
+    assert captured["params"].faults == get_preset("deep-fade").scaled(0.5)
+
+
+def _parameter_actions(command):
+    """``command``'s parameter-table flags, by option string."""
+    (subparsers,) = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    table = {row[0] for row in cli.PARAMETER_FLAGS}
+    return {
+        action.option_strings[0]: action
+        for action in subparsers.choices[command]._actions
+        if action.option_strings and action.option_strings[0] in table
+    }
+
+
+def test_serve_maps_every_flag_into_the_server(monkeypatch, capsys):
+    captured = {}
+
+    class FakeServer:
+        def __init__(self, params, requirements, **kwargs):
+            captured["params"] = params
+            captured["kwargs"] = kwargs
+            raise ValueError("stub")
+
+    monkeypatch.setattr(live_server, "LiveBroadcastServer", FakeServer)
+    code = cli.main(
+        [
+            "serve",
+            "--scheme", "multiversion+cache",
+            "--host", "0.0.0.0",
+            "--port", "9",
+            "--slot-seconds", "0.25",
+            "--cycles", "33",
+            "--warmup", "4",
+            "--clients", "7",
+            "--seed", "99",
+            "--broadcast-size", "222",
+            "--update-range", "111",
+            "--updates", "13",
+            "--offset", "17",
+            "--ops", "5",
+            "--read-range", "66",
+            "--cache-size", "44",
+            "--think-time", "1.5",
+            "--retention", "9",
+            "--report-window", "3",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().out == "serve: stub\n"
+
+    params = captured["params"]
+    server, client, sim = params.server, params.client, params.sim
+    assert (server.broadcast_size, server.update_range, server.updates_per_cycle) == (222, 111, 13)
+    assert (server.offset, server.retention) == (17, 9)
+    assert (client.ops_per_query, client.read_range, client.cache_size) == (5, 66, 44)
+    assert client.think_time == 1.5
+    assert (sim.num_cycles, sim.warmup_cycles, sim.num_clients, sim.seed) == (33, 4, 7, 99)
+    assert params.faults == DEFAULTS.faults
+    assert params.resilience == DEFAULTS.resilience
+
+    kwargs = captured["kwargs"]
+    assert kwargs["scheme_label"] == "multiversion+cache"
+    assert (kwargs["host"], kwargs["port"]) == ("0.0.0.0", 9)
+    assert kwargs["clock"].slot_seconds == 0.25
+    assert kwargs["report_schedule"].window == 3
+
+
+def test_serve_parameter_flags_parse_as_run_parses_them():
+    run, serve = _parameter_actions("run"), _parameter_actions("serve")
+    assert len(serve) == 13 and set(serve) < set(run)
+    for flag, action in serve.items():
+        twin = run[flag]
+        assert (action.dest, action.type, action.default) == (
+            twin.dest,
+            twin.type,
+            twin.default,
+        ), flag

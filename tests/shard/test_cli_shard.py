@@ -60,6 +60,21 @@ class TestRejections:
         )
         assert "--cross-shard-fraction" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--trace", "run.jsonl"], ["--verify"], ["--interleaved-server"]],
+        ids=["trace", "verify", "interleaved-server"],
+    )
+    def test_cohorts_rejects_per_event_tooling(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(RUN_SHARDED + ["--cohorts"] + flag) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert f"--cohorts is incompatible with {flag[0]}" in line
+        # Refused before anything is built: no trace, no manifest.
+        assert list(tmp_path.iterdir()) == []
+
     def test_shards_rejects_interleaved_server(self, capsys):
         assert (
             main(RUN_SHARDED + ["--shards", "2", "--interleaved-server"]) == 2
