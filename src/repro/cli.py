@@ -18,8 +18,7 @@ Subcommands
     ``airtime``.
 ``experiments``
     The parser and ``run`` of ``python -m repro.experiments``
-    (:mod:`repro.experiments.__main__`): the paper's figures and tables,
-    or with ``--check`` the parallel-vs-serial determinism oracle.
+    (:mod:`repro.experiments.__main__`): the paper's figures and tables.
 ``serve`` / ``listen``
     Live mode (:mod:`repro.live`): air a real broadcast over TCP /
     join one as a listening client.

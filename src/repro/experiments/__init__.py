@@ -17,51 +17,43 @@ Each module reproduces one artifact of Section 5:
 All experiments run through :func:`repro.experiments.runner.run_point`
 (multi-seed merge) and render via :mod:`repro.experiments.render`.
 Sweeps enumerate their (scheme, x, seed) cells as a
-:class:`repro.experiments.parallel.SweepPlan`, so every figure accepts
-an ``executor=`` to shard those cells over worker processes with
-byte-identical output (``--jobs`` on the command line).
+:class:`repro.experiments.runner.SweepPlan`, so every figure accepts
+``jobs=`` to map those cells over worker processes with byte-identical
+output (``--jobs`` on the command line).
 """
 
 from repro.experiments.runner import (
+    Cell,
+    CellOptions,
+    CellResult,
     ExperimentProfile,
     FULL_PROFILE,
     PointResult,
     QUICK_PROFILE,
+    SweepPlan,
     SweepResult,
     SweepStats,
-    run_point,
-)
-from repro.experiments.parallel import (
-    Cell,
-    CellCache,
-    CellOptions,
-    CellResult,
-    ProcessExecutor,
-    SerialExecutor,
-    SweepPlan,
-    make_executor,
     run_cell,
+    run_cells,
     run_plan,
+    run_point,
 )
 from repro.experiments.schemes import SCHEME_FACTORIES, scheme_factory
 
 __all__ = [
     "Cell",
-    "CellCache",
     "CellOptions",
     "CellResult",
     "ExperimentProfile",
     "FULL_PROFILE",
     "PointResult",
-    "ProcessExecutor",
     "QUICK_PROFILE",
     "SCHEME_FACTORIES",
-    "SerialExecutor",
     "SweepPlan",
     "SweepResult",
     "SweepStats",
-    "make_executor",
     "run_cell",
+    "run_cells",
     "run_plan",
     "run_point",
     "scheme_factory",

@@ -3,24 +3,20 @@
     python -m repro.experiments                  # everything, full profile
     python -m repro.experiments --quick          # everything, reduced profile
     python -m repro.experiments faults           # one experiment by name
-    python -m repro.experiments fig5 --jobs 4    # shard cells over 4 workers
-    python -m repro.experiments --jobs 0 --cache results/.cells
-                                                 # one worker per CPU, resumable
-    python -m repro.experiments --check --jobs 4 # parallel-vs-serial oracle
+    python -m repro.experiments fig5 --jobs 4    # map cells over 4 workers
+    python -m repro.experiments --jobs 0         # one worker per CPU
 
-``--jobs`` shards every sweep's (scheme, x, seed) cells over worker
-processes (see :mod:`repro.experiments.parallel`); output is
-byte-identical to the serial run.  ``--cache DIR`` makes sweeps
-resumable: finished cells are stored on disk and a re-run only
-simulates the missing ones.  ``--check`` runs the determinism oracle
-(:func:`repro.experiments.parallel.check`) instead.  ``repro experiments``
-is this same parser: :mod:`repro.cli` registers :func:`add_arguments`
-and dispatches to :func:`run`.
+``--jobs`` maps every sweep's (scheme, x, seed) cells over worker
+processes (:func:`repro.experiments.runner.run_cells`); output is
+byte-identical to the serial run.  ``repro experiments`` is this same
+parser: :mod:`repro.cli` registers :func:`add_arguments` and dispatches
+to :func:`run`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import time
 from typing import List, Optional
 
@@ -31,7 +27,6 @@ from repro.experiments import (
     fig6,
     fig7,
     fig8,
-    parallel,
     resilience,
     retention,
     scalability,
@@ -55,6 +50,14 @@ EXPERIMENTS = {
 }
 
 
+def non_negative_int(text: str) -> int:
+    """``--jobs``: a worker count, 0 meaning one per CPU."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Declare the experiment flags on ``parser``; returns it."""
     parser.add_argument(
@@ -68,16 +71,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=non_negative_int,
         default=1,
         metavar="N",
         help="worker processes per sweep (0 = one per CPU, default 1 = serial)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="resumable cell cache directory (restart a killed sweep for free)",
     )
     parser.add_argument(
         "--progress",
@@ -117,25 +114,11 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
             "(default: results/BENCH_shard.json; empty string disables)"
         ),
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="run the parallel-vs-serial determinism oracle instead",
-    )
-    parser.add_argument(
-        "--artifacts",
-        metavar="DIR",
-        help="with --check: write serial/parallel CSVs (and diffs) here",
-    )
     return parser
 
 
 def run(args: argparse.Namespace) -> int:
-    """Run the named experiments, or with ``--check`` the determinism oracle."""
-    if args.check:
-        # The oracle compares a pool against the serial path, so it
-        # needs at least two workers to mean anything.
-        return parallel.check(args.names, max(args.jobs, 2), args.artifacts)
+    """Run the named experiments; returns the exit code."""
     profile = QUICK_PROFILE if args.quick else FULL_PROFILE
     label = "quick" if args.quick else "full"
     unknown = [n for n in args.names if n not in EXPERIMENTS]
@@ -152,13 +135,10 @@ def run(args: argparse.Namespace) -> int:
         if value and selected != [only]:
             print(f"{flag} only applies to the {only} experiment")
             return 2
-    executor = parallel.make_executor(args.jobs)
-    cache = parallel.CellCache(args.cache) if args.cache else None
-
     start = time.time()
     print(
         f"Running {', '.join(selected)} at the {label} profile "
-        f"(jobs={executor.jobs})\n"
+        f"(jobs={args.jobs or os.cpu_count()})\n"
     )
     # The flags one experiment reads beyond the shared sweep knobs.
     own_flags = {
@@ -173,8 +153,7 @@ def run(args: argparse.Namespace) -> int:
         else:
             module.main(
                 profile,
-                executor=executor,
-                cache=cache,
+                jobs=args.jobs,
                 verbose=args.progress,
                 **own_flags.get(name, {}),
             )

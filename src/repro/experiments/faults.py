@@ -24,15 +24,18 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.config import DEFAULTS, ModelParameters
-from repro.experiments.parallel import Cell, SerialExecutor, SweepPlan, run_plan
-from repro.faults.presets import get_preset
 from repro.experiments.render import render_sweep, render_table
 from repro.experiments.runner import (
+    Cell,
     ExperimentProfile,
     FULL_PROFILE,
+    SweepPlan,
     SweepResult,
+    run_cells,
+    run_plan,
     write_sweep_csv,
 )
+from repro.faults.presets import get_preset
 from repro.stats.metrics import FAULT_COUNTERS
 
 #: Per-slot loss probabilities swept (0 = the perfect-channel baseline).
@@ -102,8 +105,7 @@ def run_loss_sweep(
     params: ModelParameters = DEFAULTS,
     schemes: Sequence[str] = FAULT_SCHEMES,
     loss_sweep: Sequence[float] = LOSS_SWEEP,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> SweepResult:
     """Abort rate vs. independent per-slot loss probability.
@@ -115,8 +117,7 @@ def run_loss_sweep(
     return run_plan(
         plan(params, schemes, loss_sweep),
         profile,
-        executor=executor,
-        cache=cache,
+        jobs=jobs,
         verbose=verbose,
     )
 
@@ -126,7 +127,7 @@ def fault_counter_rows(
     params: ModelParameters = DEFAULTS,
     schemes: Sequence[str] = FAULT_SCHEMES,
     slot_loss: float = 0.1,
-    executor=None,
+    jobs: int = 1,
 ):
     """One summary row of fault counters per scheme at a fixed loss rate."""
     cells = [
@@ -139,14 +140,13 @@ def fault_counter_rows(
         )
         for name in schemes
     ]
-    results = (executor or SerialExecutor()).run(cells)
     rows = []
-    for name, result in zip(schemes, results):
+    for result in run_cells(cells, jobs):
         summary = result.metrics.fault_summary()
         ratio = result.metrics.get_ratio("attempt.committed")
         abort_rate = ratio.complement if ratio and ratio.total else 0.0
         rows.append(
-            [name]
+            [result.scheme]
             + [str(summary[counter]) for counter in FAULT_COUNTERS]
             + [f"{abort_rate:.3f}"]
         )
@@ -170,8 +170,7 @@ def write_csv(
 
 def main(
     profile: ExperimentProfile = FULL_PROFILE,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
     preset: Optional[str] = None,
 ) -> None:
@@ -179,8 +178,7 @@ def main(
         sweep = run_plan(
             plan_preset(preset),
             profile,
-            executor=executor,
-            cache=cache,
+            jobs=jobs,
             verbose=verbose,
         )
         print(render_sweep(sweep))
@@ -197,14 +195,14 @@ def main(
         )
         print(f"Wrote {path}\n")
         return
-    sweep = run_loss_sweep(profile, executor=executor, cache=cache, verbose=verbose)
+    sweep = run_loss_sweep(profile, jobs=jobs, verbose=verbose)
     print(render_sweep(sweep))
     path = write_csv(sweep, profile=profile)
     print(f"Wrote {path}\n")
     headers = ["scheme"] + [c.removeprefix("fault.") for c in FAULT_COUNTERS] + [
         "abort_rate"
     ]
-    rows = fault_counter_rows(profile, executor=executor)
+    rows = fault_counter_rows(profile, jobs=jobs)
     print(
         render_table(
             headers, rows, title="Fault counters at slot_loss=0.1 (first seed)"

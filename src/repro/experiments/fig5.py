@@ -15,12 +15,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.config import DEFAULTS, ModelParameters
-from repro.experiments.parallel import SweepPlan, run_plan
 from repro.experiments.render import render_sweep
 from repro.experiments.runner import (
     ExperimentProfile,
     FULL_PROFILE,
+    SweepPlan,
     SweepResult,
+    run_plan,
 )
 from repro.experiments.schemes import ABORTING_SCHEMES
 
@@ -61,16 +62,14 @@ def run_left(
     params: ModelParameters = DEFAULTS,
     schemes: Sequence[str] = tuple(ABORTING_SCHEMES),
     ops_sweep: Sequence[int] = OPS_SWEEP,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> SweepResult:
     """Abort rate vs. number of operations per query."""
     return run_plan(
         plan_left(params, schemes, ops_sweep),
         profile,
-        executor=executor,
-        cache=cache,
+        jobs=jobs,
         verbose=verbose,
     )
 
@@ -97,27 +96,24 @@ def run_right(
     params: ModelParameters = DEFAULTS,
     schemes: Sequence[str] = tuple(ABORTING_SCHEMES),
     offset_sweep: Sequence[int] = OFFSET_SWEEP,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> SweepResult:
     """Abort rate vs. offset between read and update patterns."""
     return run_plan(
         plan_right(params, schemes, offset_sweep),
         profile,
-        executor=executor,
-        cache=cache,
+        jobs=jobs,
         verbose=verbose,
     )
 
 
 def main(
     profile: ExperimentProfile = FULL_PROFILE,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> None:
-    common = dict(executor=executor, cache=cache, verbose=verbose)
+    common = dict(jobs=jobs, verbose=verbose)
     print(render_sweep(run_left(profile, **common)))
     print(render_sweep(run_right(profile, **common)))
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.config import DEFAULTS, ModelParameters
-from repro.experiments.parallel import SweepPlan, run_plan
 from repro.experiments.render import render_sweep
 from repro.experiments.runner import (
     ExperimentProfile,
     FULL_PROFILE,
+    SweepPlan,
     SweepResult,
+    run_plan,
 )
 from repro.experiments.schemes import ABORTING_SCHEMES
 
@@ -52,26 +53,23 @@ def run(
     params: ModelParameters = DEFAULTS,
     schemes: Sequence[str] = tuple(ABORTING_SCHEMES),
     update_sweep: Sequence[int] = UPDATE_SWEEP,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> SweepResult:
     return run_plan(
         plan(params, schemes, update_sweep),
         profile,
-        executor=executor,
-        cache=cache,
+        jobs=jobs,
         verbose=verbose,
     )
 
 
 def main(
     profile: ExperimentProfile = FULL_PROFILE,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> None:
-    print(render_sweep(run(profile, executor=executor, cache=cache, verbose=verbose)))
+    print(render_sweep(run(profile, jobs=jobs, verbose=verbose)))
 
 
 if __name__ == "__main__":

@@ -18,12 +18,13 @@ from typing import Sequence
 
 from repro.config import DEFAULTS, ModelParameters
 from repro.experiments.fig5 import OFFSET_SWEEP, OPS_SWEEP, _retention_for
-from repro.experiments.parallel import SweepPlan, run_plan
 from repro.experiments.render import render_sweep
 from repro.experiments.runner import (
     ExperimentProfile,
     FULL_PROFILE,
+    SweepPlan,
     SweepResult,
+    run_plan,
 )
 from repro.experiments.schemes import LATENCY_SCHEMES
 
@@ -55,15 +56,13 @@ def run_left(
     params: ModelParameters = DEFAULTS,
     schemes: Sequence[str] = tuple(LATENCY_SCHEMES),
     ops_sweep: Sequence[int] = OPS_SWEEP,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> SweepResult:
     return run_plan(
         plan_left(params, schemes, ops_sweep),
         profile,
-        executor=executor,
-        cache=cache,
+        jobs=jobs,
         verbose=verbose,
     )
 
@@ -94,26 +93,23 @@ def run_right(
     profile: ExperimentProfile = FULL_PROFILE,
     params: ModelParameters = DEFAULTS,
     offset_sweep: Sequence[int] = OFFSET_SWEEP,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> SweepResult:
     return run_plan(
         plan_right(params, offset_sweep),
         profile,
-        executor=executor,
-        cache=cache,
+        jobs=jobs,
         verbose=verbose,
     )
 
 
 def main(
     profile: ExperimentProfile = FULL_PROFILE,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> None:
-    common = dict(executor=executor, cache=cache, verbose=verbose)
+    common = dict(jobs=jobs, verbose=verbose)
     print(render_sweep(run_left(profile, **common), precision=2))
     print(render_sweep(run_right(profile, **common), precision=2))
 

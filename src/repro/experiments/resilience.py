@@ -25,18 +25,16 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.config import DEFAULTS, ModelParameters
-from repro.experiments.parallel import (
-    Cell,
-    CellOptions,
-    SerialExecutor,
-    SweepPlan,
-    run_plan,
-)
 from repro.experiments.render import render_sweep, render_table
 from repro.experiments.runner import (
+    Cell,
+    CellOptions,
     ExperimentProfile,
     FULL_PROFILE,
+    SweepPlan,
     SweepResult,
+    run_cells,
+    run_plan,
     write_sweep_csv,
 )
 from repro.stats import names as metric_names
@@ -93,20 +91,17 @@ def plan(
 def run_policy_sweep(
     profile: ExperimentProfile = FULL_PROFILE,
     params: ModelParameters = DEFAULTS,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> SweepResult:
-    return run_plan(
-        plan(params), profile, executor=executor, cache=cache, verbose=verbose
-    )
+    return run_plan(plan(params), profile, jobs=jobs, verbose=verbose)
 
 
 def recovery_rows(
     profile: ExperimentProfile = FULL_PROFILE,
     params: ModelParameters = DEFAULTS,
     schemes: Sequence[str] = RECOVERY_SCHEMES,
-    executor=None,
+    jobs: int = 1,
 ):
     """Crash-recovery summary: one row per scheme at a fixed crash rate."""
     crashy = params.with_resilience(
@@ -126,9 +121,8 @@ def recovery_rows(
         )
         for name in schemes
     ]
-    results = (executor or SerialExecutor()).run(cells)
     rows = []
-    for name, result in zip(schemes, results):
+    for result in run_cells(cells, jobs):
         counters = {
             counter: (result.metrics.get_counter(counter).value
                       if result.metrics.get_counter(counter)
@@ -138,7 +132,7 @@ def recovery_rows(
         ttr = result.metrics.get_sampler(metric_names.TIME_TO_RECOVER_CYCLES)
         rows.append(
             [
-                name,
+                result.scheme,
                 str(counters[metric_names.RESILIENCE_CRASHES]),
                 str(counters[metric_names.RESILIENCE_CHECKPOINT_SAVES]),
                 str(counters[metric_names.RESILIENCE_CHECKPOINT_RESTORES]),
@@ -170,13 +164,10 @@ def write_csv(
 
 def main(
     profile: ExperimentProfile = FULL_PROFILE,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> None:
-    sweep = run_policy_sweep(
-        profile, executor=executor, cache=cache, verbose=verbose
-    )
+    sweep = run_policy_sweep(profile, jobs=jobs, verbose=verbose)
     print(render_sweep(sweep))
     path = write_csv(sweep, profile=profile)
     print(f"Wrote {path}\n")
@@ -188,7 +179,7 @@ def main(
         "retries",
         "ttr_cycles",
     ]
-    rows = recovery_rows(profile, executor=executor)
+    rows = recovery_rows(profile, jobs=jobs)
     print(
         render_table(
             headers,

@@ -14,12 +14,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.config import DEFAULTS, ModelParameters
-from repro.experiments.parallel import PointSpec, SweepPlan, run_plan
 from repro.experiments.render import render_sweep
 from repro.experiments.runner import (
     ExperimentProfile,
     FULL_PROFILE,
+    PointSpec,
+    SweepPlan,
     SweepResult,
+    run_plan,
 )
 
 RETENTION_SWEEP: Sequence[int] = (1, 2, 4, 8, 16, 24)
@@ -55,28 +57,25 @@ def run(
     profile: ExperimentProfile = FULL_PROFILE,
     params: ModelParameters = DEFAULTS,
     retention_sweep: Sequence[int] = RETENTION_SWEEP,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> SweepResult:
     return run_plan(
         plan(params, retention_sweep),
         profile,
-        executor=executor,
-        cache=cache,
+        jobs=jobs,
         verbose=verbose,
     )
 
 
 def main(
     profile: ExperimentProfile = FULL_PROFILE,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> None:
     print(
         render_sweep(
-            run(profile, executor=executor, cache=cache, verbose=verbose),
+            run(profile, jobs=jobs, verbose=verbose),
             precision=3,
         )
     )

@@ -26,13 +26,15 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import DEFAULTS, ModelParameters
-from repro.experiments.parallel import PointSpec, SweepPlan, run_plan
 from repro.experiments.render import render_sweep
 from repro.experiments.runner import (
     ExperimentProfile,
     FULL_PROFILE,
+    PointSpec,
     QUICK_PROFILE,
+    SweepPlan,
     SweepResult,
+    run_plan,
 )
 
 CLIENT_SWEEP: Sequence[int] = (1, 2, 4, 8, 16, 32)
@@ -80,15 +82,13 @@ def run(
     params: ModelParameters = DEFAULTS,
     scheme: str = "sgt+cache",
     client_sweep: Sequence[int] = CLIENT_SWEEP,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> SweepResult:
     return run_plan(
         plan(params, scheme, client_sweep),
         profile,
-        executor=executor,
-        cache=cache,
+        jobs=jobs,
         verbose=verbose,
     )
 
@@ -194,8 +194,7 @@ def cohort_bench_payload(
 
 def main(
     profile: ExperimentProfile = FULL_PROFILE,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
     cohorts: bool = False,
     cohort_out: Optional[str] = None,
@@ -212,7 +211,7 @@ def main(
         return
     print(
         render_sweep(
-            run(profile, executor=executor, cache=cache, verbose=verbose),
+            run(profile, jobs=jobs, verbose=verbose),
             precision=3,
         )
     )

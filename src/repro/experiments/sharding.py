@@ -152,8 +152,7 @@ def bench_payload(rows: Sequence[Dict]) -> Dict:
 
 def main(
     profile: ExperimentProfile = FULL_PROFILE,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
     shard_out: Optional[str] = "results/BENCH_shard.json",
 ) -> None:

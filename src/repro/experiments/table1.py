@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.config import DEFAULTS, ModelParameters
-from repro.experiments.parallel import CellOptions, DisconnectSpec
 from repro.experiments.render import render_table
 from repro.experiments.runner import (
+    CellOptions,
+    DisconnectSpec,
     ExperimentProfile,
     FULL_PROFILE,
     PointResult,
@@ -94,7 +95,7 @@ def run(
     profile: ExperimentProfile = FULL_PROFILE,
     params: ModelParameters = DEFAULTS,
     p_disconnect: float = 0.05,
-    executor=None,
+    jobs: int = 1,
 ) -> Table1Result:
     connected: Dict[str, PointResult] = {}
     disconnected: Dict[str, PointResult] = {}
@@ -111,14 +112,14 @@ def run(
     )
     for name in TABLE1_SCHEMES:
         connected[name] = run_point(
-            params, name, profile, label=name, executor=executor
+            params, name, profile, label=name, jobs=jobs
         )
         disconnected[name] = run_point(
             params,
             name,
             profile,
             label=name,
-            executor=executor,
+            jobs=jobs,
             options=disconnect_options,
         )
         size_increase[name] = sizing_row[_SIZING_KEY[name]]
@@ -138,11 +139,10 @@ def run(
 
 def main(
     profile: ExperimentProfile = FULL_PROFILE,
-    executor=None,
-    cache=None,
+    jobs: int = 1,
     verbose: bool = False,
 ) -> None:
-    print(run(profile, executor=executor).render())
+    print(run(profile, jobs=jobs).render())
 
 
 if __name__ == "__main__":

@@ -54,11 +54,6 @@ EV_PROGRAM_BUILD = "program.build"
 #: plain ``cycle.start`` carries the superframe totals.
 EV_SHARD_CYCLE_START = "shard.cycle.start"
 
-# CYCLE level, emitted by the sweep harness (O(cells), outside any one
-# simulation): per-cell completion and whole-sweep wall/cpu accounting.
-EV_SWEEP_CELL = "sweep.cell"
-EV_SWEEP_DONE = "sweep.done"
-
 # QUERY level (client side, O(attempts)).
 EV_QUERY_BEGIN = "query.begin"
 EV_QUERY_ACCEPT = "query.accept"

@@ -3,29 +3,25 @@
 ``repro experiments`` registers :func:`repro.experiments.__main__.add_arguments`
 and dispatches to its :func:`~repro.experiments.__main__.run`, so the two
 entry points cannot drift: these tests set every flag off its default
-and require both to hand ``run`` the same namespace, and pin how
-``--check`` reaches the parallel-vs-serial oracle.
+and require both to hand ``run`` the same namespace, and to refuse the
+same bad ``--jobs``.
 """
 
 import pytest
 
 import repro.experiments.__main__ as experiments
 from repro.cli import main
-from repro.experiments import parallel
 from repro.faults.presets import preset_names
 
 EVERY_FLAG = [
     "fig5", "fig6",
     "--quick",
     "--jobs", "3",
-    "--cache", "cachedir",
     "--progress",
     "--preset", "deep-fade",
     "--cohorts",
     "--cohort-out", "cohort.json",
     "--shard-out", "shard.json",
-    "--check",
-    "--artifacts", "outdir",
 ]
 
 
@@ -59,19 +55,17 @@ def test_both_entry_points_hand_run_the_same_namespace(monkeypatch):
     assert via_module.preset in preset_names()
 
 
-@pytest.mark.parametrize("jobs, floored", [("4", 4), ("1", 2)])
-def test_experiments_check_forwards_to_the_parallel_oracle(
-    monkeypatch, jobs, floored
-):
-    """--check needs >= 2 workers to mean anything, so --jobs is floored."""
-    calls = _capture(monkeypatch, parallel, "check")
-    argv = ["experiments", "fig5-left", "--check", "--jobs", jobs]
-    assert main(argv + ["--artifacts", "outdir"]) == 0
-    assert calls == [(["fig5-left"], floored, "outdir")]
-
-
-def test_experiments_check_serial_request_still_runs_parallel_oracle(monkeypatch):
-    calls = _capture(monkeypatch, parallel, "check")
-    assert main(["experiments", "--check"]) == 0
-    assert experiments.main(["--check"]) == 0
-    assert calls == [([], 2, None), ([], 2, None)]
+@pytest.mark.parametrize(
+    "entry",
+    [lambda argv: main(["experiments", *argv]), experiments.main],
+    ids=["repro-experiments", "python-m-repro.experiments"],
+)
+def test_both_entry_points_refuse_a_negative_job_count(monkeypatch, capsys, entry):
+    calls = _capture(monkeypatch, experiments, "run")
+    with pytest.raises(SystemExit) as exit_info:
+        entry(["fig6", "--jobs", "-1"])
+    assert exit_info.value.code == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "argument --jobs: must be >= 0, got -1" in err
+    assert err.count("error:") == 1

@@ -1,57 +1,128 @@
 """The parallel-vs-serial determinism oracle (the headline suite).
 
-For every registered sweep experiment, running the sweep through the
-process-pool executor with ``jobs`` in {1, 2, 4} must produce output
-*byte-identical* to the plain serial path: same CSV text, same
-:class:`PointResult` fields, same series values.  Any divergence means
-cell sharding leaked nondeterminism (completion-order merging, seed
-drift, unpicklable state reconstructed differently) and the whole
-"--jobs N is free" contract is void.
-
-Also covers the on-disk cell cache: a cached re-run must be a pure
-short-circuit -- every cell a hit, output unchanged.
+For every registered experiment, running its cells over a process pool
+with ``jobs`` in {1, 2, 4} must produce output *byte-identical* to the
+plain serial path: same rendered text, same :class:`PointResult` fields,
+same series values.  Any divergence means cell sharding leaked
+nondeterminism (completion-order merging, seed drift, unpicklable state
+reconstructed differently) and the whole "--jobs N is free" contract is
+void.
 """
 
 import dataclasses
+from typing import Any, Callable, Dict
 
 import pytest
 
-from repro.experiments import fig6
-from repro.experiments.parallel import (
-    CellCache,
-    SMOKE_PARAMS,
-    SMOKE_PROFILE,
-    check_experiment,
-    make_executor,
-    oracle_experiments,
-    TINY_OVERRIDES,
+from repro.config import ModelParameters
+from repro.experiments import (
+    faults,
+    fig5,
+    fig6,
+    fig8,
+    resilience,
+    retention,
+    scalability,
+    table1,
 )
 from repro.experiments.render import sweep_to_csv
+from repro.experiments.runner import (
+    Cell,
+    ExperimentProfile,
+    SweepResult,
+    run_cells,
+)
+from repro.experiments.table1 import Table1Result
 
-EXPERIMENTS = sorted(oracle_experiments())
+#: Every experiment that takes ``jobs``, by name.  Each accepts
+#: ``(profile=..., params=..., jobs=..., **TINY_OVERRIDES[name])``.
+ORACLE_EXPERIMENTS: Dict[str, Callable[..., Any]] = {
+    "fig5-left": fig5.run_left,
+    "fig5-right": fig5.run_right,
+    "fig6": fig6.run,
+    "fig8-left": fig8.run_left,
+    "fig8-right": fig8.run_right,
+    "scalability": scalability.run,
+    "retention": retention.run,
+    "faults": faults.run_loss_sweep,
+    "faults-counters": faults.fault_counter_rows,
+    "resilience": resilience.run_policy_sweep,
+    "resilience-recovery": resilience.recovery_rows,
+    "table1": table1.run,
+}
+
+#: Reduced sweep kwargs per experiment so the oracle stays fast; the
+#: determinism contract is scale-free, so small grids pin it as well as
+#: the paper-scale ones.
+TINY_OVERRIDES: Dict[str, Dict[str, Any]] = {
+    "fig5-left": {"schemes": ("inval", "sgt+cache"), "ops_sweep": (2, 4)},
+    "fig5-right": {"schemes": ("inval",), "offset_sweep": (0, 20)},
+    "fig6": {"schemes": ("inval", "mv-caching"), "update_sweep": (5, 15)},
+    "fig8-left": {"schemes": ("inval+cache",), "ops_sweep": (2, 4)},
+    "fig8-right": {"offset_sweep": (0, 20)},
+    "scalability": {"scheme": "inval+cache", "client_sweep": (1, 3)},
+    "retention": {"retention_sweep": (2, 6)},
+    "faults": {"schemes": ("inval", "multiversion"), "loss_sweep": (0.0, 0.1)},
+}
+
+#: A small world (100 items, 10 buckets/cycle, moderate contention).
+SMOKE_PARAMS = (
+    ModelParameters()
+    .with_server(
+        broadcast_size=100,
+        update_range=50,
+        offset=10,
+        updates_per_cycle=10,
+        transactions_per_cycle=5,
+        items_per_bucket=10,
+        retention=12,
+    )
+    .with_client(read_range=40, ops_per_query=4, think_time=0.5, cache_size=20)
+)
+
+SMOKE_PROFILE = ExperimentProfile(
+    num_cycles=30, warmup_cycles=3, num_clients=3, seeds=(5, 9)
+)
+
+EXPERIMENTS = sorted(ORACLE_EXPERIMENTS)
 JOBS = (1, 2, 4)
 
 _serial_memo = {}
 
 
+def _run(name, jobs):
+    return ORACLE_EXPERIMENTS[name](
+        profile=SMOKE_PROFILE,
+        params=SMOKE_PARAMS,
+        jobs=jobs,
+        **TINY_OVERRIDES.get(name, {}),
+    )
+
+
 def _serial(name):
-    """Serial reference sweep, computed once per experiment."""
+    """Serial reference run, computed once per experiment."""
     if name not in _serial_memo:
-        runner = oracle_experiments()[name]
-        _serial_memo[name] = runner(
-            profile=SMOKE_PROFILE, params=SMOKE_PARAMS, **TINY_OVERRIDES.get(name, {})
-        )
+        _serial_memo[name] = _run(name, 1)
     return _serial_memo[name]
 
 
-def _parallel(name, jobs):
-    runner = oracle_experiments()[name]
-    return runner(
-        profile=SMOKE_PROFILE,
-        params=SMOKE_PARAMS,
-        executor=make_executor(jobs),
-        **TINY_OVERRIDES.get(name, {}),
-    )
+def _rendered(result) -> str:
+    if isinstance(result, SweepResult):
+        return sweep_to_csv(result)
+    if isinstance(result, Table1Result):
+        return result.render()
+    return "\n".join(",".join(row) for row in result)
+
+
+def _points(result) -> Dict[str, list]:
+    if isinstance(result, SweepResult):
+        return result.points
+    if isinstance(result, Table1Result):
+        return {
+            "connected": list(result.connected.values()),
+            "disconnected": list(result.disconnected.values()),
+        }
+    return {}
 
 
 def test_registry_covers_every_sweep_experiment():
@@ -65,6 +136,10 @@ def test_registry_covers_every_sweep_experiment():
             "scalability",
             "retention",
             "faults",
+            "faults-counters",
+            "resilience",
+            "resilience-recovery",
+            "table1",
         ]
     )
 
@@ -73,67 +148,29 @@ def test_registry_covers_every_sweep_experiment():
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_parallel_output_is_byte_identical(name, jobs):
     serial = _serial(name)
-    parallel = _parallel(name, jobs)
+    parallel = _run(name, jobs)
 
-    assert sweep_to_csv(parallel) == sweep_to_csv(serial)
+    assert _rendered(parallel) == _rendered(serial)
 
-    # Same claim again at the object level, field by field, so a CSV
+    # Same claim again at the object level, field by field, so a
     # formatting coincidence can never mask a real divergence.
-    assert parallel.xs == serial.xs
-    assert parallel.series == serial.series
-    assert sorted(parallel.points) == sorted(serial.points)
-    for series, serial_points in serial.points.items():
-        parallel_points = parallel.points[series]
-        assert len(parallel_points) == len(serial_points)
-        for got, want in zip(parallel_points, serial_points):
+    if isinstance(serial, SweepResult):
+        assert parallel.xs == serial.xs
+        assert parallel.series == serial.series
+    serial_points, parallel_points = _points(serial), _points(parallel)
+    assert sorted(parallel_points) == sorted(serial_points)
+    for series, want_points in serial_points.items():
+        got_points = parallel_points[series]
+        assert len(got_points) == len(want_points)
+        for got, want in zip(got_points, want_points):
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
-def test_check_experiment_agrees_with_the_suite(tmp_path):
-    """The CI entry point reports the same verdict and writes artifacts."""
-    artifacts = tmp_path / "oracle"
-    assert check_experiment("fig6", jobs=2, artifacts=str(artifacts))
-    assert (artifacts / "fig6.serial.csv").is_file()
-    assert (artifacts / "fig6.jobs2.csv").is_file()
-    assert not (artifacts / "fig6.diff").exists()
-
-
-def test_cell_cache_resume_is_pure_short_circuit(tmp_path):
-    cache = CellCache(tmp_path / "cells")
-    kwargs = dict(TINY_OVERRIDES["fig6"])
-
-    first = fig6.run(
-        profile=SMOKE_PROFILE, params=SMOKE_PARAMS, cache=cache, **kwargs
-    )
-    cold_misses = cache.misses
-    assert cold_misses > 0 and cache.hits == 0
-
-    resumed = fig6.run(
-        profile=SMOKE_PROFILE, params=SMOKE_PARAMS, cache=cache, **kwargs
-    )
-    assert cache.hits == cold_misses
-    assert cache.misses == cold_misses  # no new misses on the resume
-
-    assert sweep_to_csv(resumed) == sweep_to_csv(first)
-    assert resumed.stats is not None
-    assert resumed.stats.cached == cold_misses
-
-
-def test_cell_cache_is_shared_across_executors(tmp_path):
-    """Cells computed serially satisfy a later parallel run, and vice versa."""
-    cache = CellCache(tmp_path / "cells")
-    kwargs = dict(TINY_OVERRIDES["fig6"])
-
-    serial = fig6.run(
-        profile=SMOKE_PROFILE, params=SMOKE_PARAMS, cache=cache, **kwargs
-    )
-    warm = cache.misses
-    parallel = fig6.run(
-        profile=SMOKE_PROFILE,
-        params=SMOKE_PARAMS,
-        executor=make_executor(2),
-        cache=cache,
-        **kwargs,
-    )
-    assert cache.hits == warm
-    assert sweep_to_csv(parallel) == sweep_to_csv(serial)
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_a_raising_cell_raises_in_the_caller(jobs):
+    cells = [
+        Cell(scheme, SMOKE_PROFILE.apply(SMOKE_PARAMS, 5), seed=5)
+        for scheme in ("inval", "no-such-scheme")
+    ]
+    with pytest.raises(KeyError, match="no-such-scheme"):
+        list(run_cells(cells, jobs))

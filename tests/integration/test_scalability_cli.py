@@ -1,29 +1,13 @@
 """Smoke/regression coverage for the scalability experiment's CLI
-surfaces: serial-vs-parallel byte identity for the discrete sweep, and
-the cohort sweep's table/JSON wiring."""
+surfaces: the cohort sweep's table/JSON wiring.  The discrete sweep's
+serial-vs-parallel byte identity is the parallel oracle's
+(``tests/integration/test_parallel_oracle.py``)."""
 
 import json
 
 from repro.experiments import __main__ as experiments_cli
 from repro.experiments import scalability
-from repro.experiments.parallel import check_experiment
 from repro.experiments.runner import ExperimentProfile
-
-
-def test_discrete_sweep_identical_serial_vs_two_jobs(tmp_path):
-    """`--jobs 2` must render the byte-identical CSV the serial run does
-    (the property `python -m repro experiments --check` gates on)."""
-    assert check_experiment("scalability", jobs=2, artifacts=str(tmp_path))
-
-    def data_lines(name):
-        text = (tmp_path / name).read_text()
-        return [l for l in text.splitlines() if not l.startswith("#")]
-
-    # The manifest header may differ (it records the worker count); the
-    # data rows must be byte-identical.
-    assert data_lines("scalability.serial.csv") == data_lines(
-        "scalability.jobs2.csv"
-    )
 
 
 def test_run_cohorts_tiny_smoke():

@@ -1,7 +1,7 @@
 """Property tests pinning the engine's deterministic dispatch order.
 
-The parallel sweep executor (:mod:`repro.experiments.parallel`) promises
-byte-identical output regardless of worker count.  That contract bottoms
+The parallel sweep map (:func:`repro.experiments.runner.run_cells`)
+promises byte-identical output regardless of worker count.  That contract bottoms
 out here: the :class:`~repro.sim.engine.Environment` must dispatch
 equal-time events in ``(priority, eid)`` order, where ``eid`` is the
 monotonically increasing insertion counter.  If that order ever became
