@@ -16,7 +16,9 @@ whose read values happen to be mutually consistent commits even though
 items it read were updated.  The space bound of the paper's
 "Space Efficiency" paragraph is honoured by pruning every server subgraph
 older than the earliest first-invalidation cycle among active queries
-(Lemma 1 makes those unreachable from any future cycle through ``R``).
+(Lemma 1 makes those unreachable from any future cycle through ``R``)
+before each diff is folded in, and folding in only the part of the diff
+at or above that horizon.
 
 The ``enhanced_disconnections`` flag implements the §5.2.2 enhancement:
 version numbers are broadcast with items, and after missing cycles a
@@ -76,9 +78,6 @@ class SerializationGraphTesting(Scheme):
 
     def on_cycle_start(self, program: BroadcastProgram) -> None:
         control = program.control
-        if control.graph_diff is not None:
-            self.graph.apply_diff(control.graph_diff)
-
         report = control.invalidation
         for txn in self._active.values():
             if not txn.is_active:
@@ -107,17 +106,19 @@ class SerializationGraphTesting(Scheme):
                     }
                 )
 
-        self._prune(program.cycle)
-        self._last_heard = program.cycle
-
-    def _prune(self, current_cycle: int) -> None:
-        """Space efficiency: only subgraphs since the earliest ``o`` of an
-        active query can participate in a future cycle through a query."""
+        # Space efficiency: only subgraphs since the earliest ``o`` of an
+        # active query can join a future cycle through a query (Lemma 1).
+        # Drop the older ones first, then fold in only the part of the
+        # new diff at or above that horizon: most of its edges come from
+        # writers and readers of long-gone cycles.
         if self._first_invalidation:
             horizon = min(self._first_invalidation.values()) - 1
         else:
-            horizon = current_cycle - 1
+            horizon = program.cycle - 1
         self.graph.prune_before(horizon)
+        if control.graph_diff is not None:
+            self.graph.apply_diff(control.graph_diff, horizon)
+        self._last_heard = program.cycle
 
     def on_missed_cycle(self, cycle: int) -> None:
         if not self.enhanced_disconnections:

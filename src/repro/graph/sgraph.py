@@ -16,8 +16,11 @@ Terminology follows Section 3.3 of the paper:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import (
     Dict,
     FrozenSet,
@@ -85,6 +88,30 @@ class GraphDiff:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    def above(
+        self, horizon: float
+    ) -> Tuple[List[TxnId], List[Tuple[TxnId, TxnId]]]:
+        """The part of this diff at or above ``horizon``: every node it
+        names (its own and its edges' ends) committed at or after
+        ``horizon``, and every edge whose two ends both were."""
+        node_cycles, nodes, edge_floors, edges = self._ladder
+        return (
+            nodes[bisect_left(node_cycles, horizon):],
+            edges[bisect_left(edge_floors, horizon):],
+        )
+
+    @cached_property
+    def _ladder(self) -> tuple:
+        # Sorted once per diff and shared by every client that folds it
+        # in, so each of them pays only for the part it keeps.
+        nodes = sorted(self.nodes.union(*self.edges))
+        edges = sorted(self.edges, key=_edge_floor)
+        return [n.cycle for n in nodes], nodes, list(map(_edge_floor, edges)), edges
+
+
+def _edge_floor(edge: Tuple[TxnId, TxnId]) -> int:
+    return min(edge[0].cycle, edge[1].cycle)
+
 
 class SerializationGraph:
     """A directed graph over transactions with cycle-test insertion.
@@ -97,8 +124,11 @@ class SerializationGraph:
     def __init__(self) -> None:
         self._successors: Dict[Node, Set[Node]] = {}
         self._predecessors: Dict[Node, Set[Node]] = {}
-        #: commit cycle per server node; client read-only txns have None.
-        self._node_cycle: Dict[Node, Optional[int]] = {}
+        #: commit cycle per server node; client read-only txns have none.
+        self._node_cycle: Dict[Node, int] = {}
+        #: ``SG^i`` membership, commit cycle -> its nodes: pruning visits
+        #: only the subgraphs it drops, never the ones it keeps.
+        self._by_cycle: Dict[int, Set[Node]] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -135,18 +165,30 @@ class SerializationGraph:
         if node not in self._successors:
             self._successors[node] = set()
             self._predecessors[node] = set()
-        if cycle is not None:
+        if cycle is not None and self._node_cycle.get(node) != cycle:
+            self._untag(node)
             self._node_cycle[node] = cycle
+            self._by_cycle.setdefault(cycle, set()).add(node)
+
+    def _untag(self, node: Node) -> None:
+        cycle = self._node_cycle.pop(node, None)
+        if cycle is not None:
+            group = self._by_cycle[cycle]
+            group.discard(node)
+            if not group:
+                del self._by_cycle[cycle]
 
     def remove_node(self, node: Node) -> None:
         """Remove ``node`` and all incident edges."""
-        if node not in self._successors:
-            return
+        if node in self._successors:
+            self._untag(node)
+            self._unlink(node)
+
+    def _unlink(self, node: Node) -> None:
         for succ in self._successors.pop(node):
             self._predecessors[succ].discard(node)
         for pred in self._predecessors.pop(node):
             self._successors[pred].discard(node)
-        self._node_cycle.pop(node, None)
 
     def has_edge(self, u: Node, v: Node) -> bool:
         return v in self._successors.get(u, ())
@@ -254,15 +296,25 @@ class SerializationGraph:
 
     # -- broadcast integration ------------------------------------------------
 
-    def apply_diff(self, diff: GraphDiff) -> None:
-        """Fold a per-cycle server diff into this (client-side) graph."""
-        for node in diff.nodes:
-            self.add_node(node, cycle=node.cycle)
-        for u, v in diff.edges:
-            self.add_node(u, cycle=u.cycle if isinstance(u, TxnId) else None)
-            self.add_node(v, cycle=v.cycle if isinstance(v, TxnId) else None)
-            self._successors[u].add(v)
-            self._predecessors[v].add(u)
+    def apply_diff(self, diff: GraphDiff, horizon: Optional[int] = None) -> None:
+        """Fold a per-cycle server diff into this (client-side) graph.
+
+        With ``horizon``, only the part at or above it: a node committed
+        before ``horizon`` and every edge touching one stay out.  That is
+        exactly what ``prune_before(horizon)`` would take out again, so
+        ``prune_before(h); apply_diff(d, h)`` leaves the graph that
+        ``apply_diff(d); prune_before(h)`` leaves, without building and
+        tearing down the old writers and readers the diff's edges name.
+        """
+        nodes, edges = diff.above(-math.inf if horizon is None else horizon)
+        tags = self._node_cycle
+        for node in nodes:
+            if tags.get(node) != node.cycle:
+                self.add_node(node, node.cycle)
+        successors, predecessors = self._successors, self._predecessors
+        for u, v in edges:
+            successors[u].add(v)
+            predecessors[v].add(u)
 
     def prune_before(self, cycle: int, keep: Iterable[Node] = ()) -> int:
         """Drop all server subgraphs ``SG^k`` with ``k < cycle``.
@@ -271,30 +323,32 @@ class SerializationGraph:
         neighbours) from removal.  Returns the number of nodes removed.
         Per the paper's space-efficiency argument, subgraphs older than the
         first invalidation cycle of every active query are irrelevant.
+        The cost is the dropped subgraphs' size, not the graph's.
         """
         protected = set(keep)
-        victims = [
-            node
-            for node, node_cycle in self._node_cycle.items()
-            if node_cycle is not None and node_cycle < cycle and node not in protected
-        ]
-        for node in victims:
-            self.remove_node(node)
-        return len(victims)
+        removed = 0
+        for k in [k for k in self._by_cycle if k < cycle]:
+            group = self._by_cycle.pop(k)
+            kept = group & protected
+            if kept:
+                self._by_cycle[k] = kept
+                group -= kept
+            for node in group:
+                del self._node_cycle[node]
+                self._unlink(node)
+            removed += len(group)
+        return removed
 
     def subgraph_cycles(self) -> Dict[int, Set[Node]]:
         """Server nodes grouped by commit cycle (``SG^i`` membership map)."""
-        groups: Dict[int, Set[Node]] = {}
-        for node, cycle in self._node_cycle.items():
-            if cycle is not None:
-                groups.setdefault(cycle, set()).add(node)
-        return groups
+        return {cycle: set(group) for cycle, group in self._by_cycle.items()}
 
     def copy(self) -> "SerializationGraph":
         clone = SerializationGraph()
         clone._successors = {n: set(s) for n, s in self._successors.items()}
         clone._predecessors = {n: set(p) for n, p in self._predecessors.items()}
         clone._node_cycle = dict(self._node_cycle)
+        clone._by_cycle = self.subgraph_cycles()
         return clone
 
     def __repr__(self) -> str:
