@@ -136,7 +136,10 @@ class ClientView:
 
     @property
     def current_cycle(self) -> int:
-        return self.program.cycle
+        program = self._program
+        if program is None:
+            raise RuntimeError("The channel is not broadcasting yet")
+        return program.cycle
 
     @property
     def cycle_start_time(self) -> float:

@@ -25,6 +25,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.sgraph import TxnId
@@ -172,26 +173,32 @@ class BroadcastProgram:
 
         # Offsets are cycle-invariant even though absolute slots shift
         # with the control segment's length.
-        scanned_data = layout is None or records is None
-        if scanned_data:
+        self._scanned_data = layout is None or records is None
+        if self._scanned_data:
             layout, records = index_data_buckets(self.data_buckets)
         self._item_offsets: Dict[int, Tuple[int, ...]] = layout
         self._item_records: Dict[int, ItemRecord] = records
 
-        # Old versions: item -> records, plus the slot each rides in.
-        self._old_versions: Dict[int, List[Tuple[OldVersionRecord, int]]] = {}
+    @cached_property
+    def _old_versions(self) -> Dict[int, List[Tuple[OldVersionRecord, int]]]:
+        """Old versions: item -> records, plus the slot each rides in.
+
+        Built on the first old-version lookup: a server that only airs
+        the program never asks for it."""
+        old_versions: Dict[int, List[Tuple[OldVersionRecord, int]]] = {}
         for offset, bucket in enumerate(self.overflow_buckets):
             slot = self._overflow_start + offset
             for old in bucket.old_records:
-                self._old_versions.setdefault(old.item, []).append((old, slot))
+                old_versions.setdefault(old.item, []).append((old, slot))
         # Clustered organization: old versions ride in the data buckets.
         # The incremental path never carries old records there (flat and
         # overflow layouts only), so the scan is skipped with the layout.
-        if scanned_data:
+        if self._scanned_data:
             for offset, bucket in enumerate(self.data_buckets):
                 slot = self._data_start + offset
                 for old in bucket.old_records:
-                    self._old_versions.setdefault(old.item, []).append((old, slot))
+                    old_versions.setdefault(old.item, []).append((old, slot))
+        return old_versions
 
     # -- lookups --------------------------------------------------------------
 
@@ -213,6 +220,14 @@ class BroadcastProgram:
             raise KeyError(f"Item {item} is not in this broadcast")
         start = self._data_start
         return [start + offset for offset in offsets]
+
+    def first_slot_of(self, item: int) -> int:
+        """The first slot carrying ``item``'s current value: where a
+        cache autoprefetch armed at the cycle start takes it."""
+        offsets = self._item_offsets.get(item)
+        if not offsets:
+            raise KeyError(f"Item {item} is not in this broadcast")
+        return self._data_start + offsets[0]
 
     def next_slot_of(self, item: int, after: float) -> Optional[int]:
         """First slot of ``item`` delivered *at or after* cycle-relative

@@ -622,20 +622,28 @@ class BroadcastClient:
     def _attempt(self, txn: ReadOnlyTransaction) -> Generator:
         self._current_txn = txn
         self.scheme.begin(txn)
+        # Bound once per attempt: these run once or twice per read.
+        think_time = self.generator.think_time
+        timeout = self.env.timeout
+        read = self.scheme.read
+        record_read = txn.record_read
+        doomed = TransactionStatus.ABORTED
         try:
             for item in txn.items:
-                think = self.generator.think_time()
+                think = think_time()
                 if think > 0:
-                    yield self.env.timeout(think)
+                    yield timeout(think)
                 # A disconnected client receives nothing: block until the
                 # first cycle start it actually hears (its cache is also
                 # unsafe until the resynchronization there has run).
                 if not self.listening:
                     yield from self._await_readable(item)
-                self._raise_if_doomed(txn)
-                result = yield from self.scheme.read(txn, item)
-                self._raise_if_doomed(txn)
-                txn.record_read(result)
+                if txn.status is doomed:
+                    self._raise_if_doomed(txn)
+                result = yield from read(txn, item)
+                if txn.status is doomed:
+                    self._raise_if_doomed(txn)
+                record_read(result)
                 if self._trace_r is not None:
                     self._trace_r.emit(
                         EV_QUERY_READ,

@@ -192,22 +192,18 @@ class Scheme:
         """Shared read path for current values: cache first, else air.
 
         Returns ``(record, read_cycle, from_cache)``.  A value read off
-        the air is inserted into the cache (demand caching).
+        the air is inserted into the cache (demand caching); a hit hands
+        back the very record the entry was installed from.
         """
         ctx = self.ctx
-        if self.use_cache and ctx.cache is not None:
-            entry = ctx.cache.get_current(item, ctx.env.now)
+        cache = ctx.cache if self.use_cache else None
+        if cache is not None:
+            entry = cache.get_current(item, ctx.env.now)
             if entry is not None:
-                record = ItemRecord(
-                    item=item,
-                    value=entry.value,
-                    version=entry.version,
-                    writer=entry.writer,
-                )
-                return (record, ctx.current_cycle, True)
+                return (entry.record, ctx.current_cycle, True)
         record, cycle = yield from ctx.channel.await_item(item)
-        if self.use_cache and ctx.cache is not None:
-            ctx.cache.insert_current(record, ctx.env.now)
+        if cache is not None:
+            cache.insert_current(record, ctx.env.now)
         return (record, cycle, False)
 
     def _result_from_record(
@@ -216,11 +212,9 @@ class Scheme:
         read_cycle: int,
         from_cache: bool,
     ) -> ReadResult:
+        # Positional, as ReadResult declares them: once per read, and
+        # keyword parsing would cost as much again as the construction.
         return ReadResult(
-            item=record.item,
-            value=record.value,
-            version=record.version,
-            read_cycle=read_cycle,
-            writer=record.writer,
-            from_cache=from_cache,
+            record.item, record.value, record.version, read_cycle,
+            record.writer, from_cache,
         )

@@ -16,7 +16,17 @@ Every scheme's correctness rests on some slice of this structure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.graph.sgraph import GraphDiff, TxnId
 
@@ -42,6 +52,18 @@ class InvalidationReport:
 
     def invalidates_buckets(self, buckets: FrozenSet[int]) -> FrozenSet[int]:
         return buckets & self.updated_buckets
+
+    def ordered(self, items: Iterable[int]) -> List[int]:
+        """``items``, all of them updated items, in the order iterating
+        ``updated_items`` visits them: a client can intersect the report
+        with what it holds and still act in the report's own order."""
+        return sorted(items, key=self._rank.__getitem__)
+
+    @cached_property
+    def _rank(self) -> Dict[int, int]:
+        # Built once per report and shared by every client that hears it.
+        # Not a field: equality, repr and the wire ignore it.
+        return {item: rank for rank, item in enumerate(self.updated_items)}
 
 
 def report_from_updates(

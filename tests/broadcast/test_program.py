@@ -8,7 +8,12 @@ from repro.broadcast.program import (
     ItemRecord,
     OldVersionRecord,
 )
-from repro.core.control import ControlInfo, InvalidationReport
+from repro.cohort.trace import build_trace
+from repro.config import ModelParameters
+from repro.core.control import BroadcastRequirements, ControlInfo, InvalidationReport
+from repro.live.codec import CycleCodec, WireProfile
+from repro.seeds import SeedOrder
+from repro.stats.metrics import MetricsRegistry
 
 
 def make_control(cycle=1):
@@ -46,7 +51,17 @@ class TestLayout:
         # Layout: slots 0-1 control, slot 2 index, slots 3-4 data.
         assert program.slots_of(1) == [3]
         assert program.slots_of(3) == [4]
+        assert program.first_slot_of(1) == 3 and program.first_slot_of(3) == 4
         assert program.total_slots == 5
+
+    def test_first_slot_of_a_repeated_item(self):
+        data = [
+            Bucket(index=i, records=(ItemRecord(item, item, 0),))
+            for i, item in enumerate([1, 2, 1, 3, 1])
+        ]
+        program = BroadcastProgram(cycle=1, control=make_control(), data_buckets=data)
+        assert program.first_slot_of(1) == program.slots_of(1)[0] == 1
+        assert program.first_slot_of(3) == program.slots_of(3)[0] == 4
 
     def test_total_slots_includes_overflow(self):
         program = make_program(with_overflow=True)
@@ -68,6 +83,8 @@ class TestLayout:
             program.record_of(99)
         with pytest.raises(KeyError):
             program.slots_of(99)
+        with pytest.raises(KeyError):
+            program.first_slot_of(99)
         with pytest.raises(KeyError):
             program.page_of(99)
 
@@ -125,3 +142,68 @@ def test_bucket_items_property():
 
 def test_repr_smoke():
     assert "BroadcastProgram" in repr(make_program())
+
+
+# -- the old-version index is built on first use ------------------------------
+
+
+def eager_old_versions(program):
+    """The index as the constructor used to build it, for comparison."""
+    index = {}
+    start = program.total_slots - len(program.overflow_buckets)
+    for offset, bucket in enumerate(program.overflow_buckets):
+        for old in bucket.old_records:
+            index.setdefault(old.item, []).append((old, start + offset))
+    if program._scanned_data:
+        start -= len(program.data_buckets)
+        for offset, bucket in enumerate(program.data_buckets):
+            for old in bucket.old_records:
+                index.setdefault(old.item, []).append((old, start + offset))
+    return index
+
+
+def _aired(organization):
+    """What the server loop airs for ``organization`` over 40 cycles."""
+    params = ModelParameters().with_sim(num_cycles=40, seed=11)
+    requirements = BroadcastRequirements(
+        needs_old_versions=True, organization=organization
+    )
+    trace = build_trace(
+        params, requirements, MetricsRegistry(), SeedOrder(11).engine_rng()
+    )
+    return params, requirements, [record.program for record in trace.records]
+
+
+@pytest.mark.parametrize("organization", ["overflow", "clustered"])
+def test_lazy_old_version_index_equals_the_eager_one(organization):
+    params, requirements, programs = _aired(organization)
+    profile = WireProfile.from_params(params.server, requirements)
+    encoder, listener = CycleCodec(profile), CycleCodec(profile)
+    total = 0
+    for program in programs:
+        # The server airs a program without ever asking for the index.
+        assert "_old_versions" not in vars(program)
+        frames = encoder.encode_cycle(program, 0)
+        heard = listener.decode_cycle(frames)[0]  # CycleCodec.assemble
+        for built in (program, heard):
+            want = eager_old_versions(built)
+            assert built.total_old_versions == sum(map(len, want.values()))
+            assert built._old_versions == want
+            for item, olds in want.items():
+                assert built.old_versions_of(item) == [old for old, _ in olds]
+                for old, slot in olds:
+                    assert built.old_version_at(item, old.version) == (old, slot)
+        total += program.total_old_versions
+    assert total > 0
+
+
+def test_old_version_index_waits_for_the_first_lookup():
+    for lookup in (
+        lambda p: p.old_version_at(1, 3),
+        lambda p: p.old_versions_of(1),
+        lambda p: p.total_old_versions,
+    ):
+        program = make_program(with_overflow=True)
+        assert "_old_versions" not in vars(program)
+        lookup(program)
+        assert program._old_versions == eager_old_versions(program)
