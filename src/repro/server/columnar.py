@@ -269,7 +269,7 @@ class ColumnarVersionStore(ItemStateStore):
         if self.retention == 0:
             return
         idx = self.dense_index(old.item)
-        rv = RetainedVersion(version=old, superseded_at=superseded_at)
+        rv = RetainedVersion(old, superseded_at)
         self._retained.setdefault(old.item, []).append(rv)
         self._cohorts.setdefault(superseded_at, []).append(rv)
         self._cohort_records.pop(superseded_at, None)

@@ -65,7 +65,7 @@ def build_substrate(
     carrying its apportioned share of the update workload.
     """
     if database is None:
-        database = Database(server.broadcast_size)
+        database = Database(server.broadcast_size, keep_history=keep_history)
     if retention is None:
         retention = server.retention
     old_versions = requirements.needs_old_versions

@@ -12,15 +12,13 @@ for ``retention`` further cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
 from repro.server.database import Database, Version
 from repro.server.itemstate import ItemStateStore
 
 
-@dataclass(frozen=True)
-class RetainedVersion:
+class RetainedVersion(NamedTuple):
     """An old version together with the cycle at which it was overwritten.
 
     ``superseded_at`` is the visibility cycle of the *successor* value,
@@ -90,7 +88,7 @@ class VersionStore(ItemStateStore):
         if self.retention == 0:
             return
         bucket = self._retained.setdefault(old.item, [])
-        bucket.append(RetainedVersion(version=old, superseded_at=superseded_at))
+        bucket.append(RetainedVersion(old, superseded_at))
         self._dirty.add(old.item)
 
     def evict_expired(self, current_cycle: int) -> int:

@@ -284,7 +284,9 @@ class ShardedSimulation(KernelSimulation):
             )
 
         # -- shared server substrate ---------------------------------------
-        self.database = Database(params.server.broadcast_size)
+        self.database = Database(
+            params.server.broadcast_size, keep_history=keep_history
+        )
 
         sharded = num_shards > 1
         self.requirements = requirements = self._adopt_schemes(

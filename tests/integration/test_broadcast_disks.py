@@ -35,6 +35,7 @@ def test_correctness_holds_on_disk_schedule(small_params):
         small_params,
         scheme_factory=lambda: InvalidationOnly(use_cache=True),
         schedule=schedule,
+        keep_history=True,
     )
     sim.run()
     committed = committed_transactions(sim.clients)
@@ -49,6 +50,7 @@ def test_multiversion_on_disk_schedule(small_params):
         small_params,
         scheme_factory=lambda: MultiversionBroadcast(),
         schedule=schedule,
+        keep_history=True,
     )
     sim.run()
     committed = committed_transactions(sim.clients)

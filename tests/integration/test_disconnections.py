@@ -49,6 +49,7 @@ def test_multiversion_tolerates_missed_cycles(small_params):
         params,
         scheme_factory=lambda: MultiversionBroadcast(),
         disconnect_factory=flaky,
+        keep_history=True,
     )
     result = sim.run()
     assert result.abort_count("disconnected") == 0
@@ -157,6 +158,7 @@ def test_correctness_holds_for_all_schemes_under_disconnections(hot_params):
             hot_params.with_sim(num_clients=3),
             scheme_factory=factory,
             disconnect_factory=flaky,
+            keep_history=True,
         )
         sim.run()
         for txn in committed_transactions(sim.clients):

@@ -95,6 +95,7 @@ def test_unsafe_baseline_commits_inconsistent_readsets(hot_params):
     sim = Simulation(
         hot_params.with_sim(num_clients=4),
         scheme_factory=lambda: NoConsistency(),
+        keep_history=True,
     )
     sim.run()
     committed = committed_transactions(sim.clients)

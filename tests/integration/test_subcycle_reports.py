@@ -53,7 +53,7 @@ class TestCorrectness:
         ],
     )
     def test_commits_still_consistent(self, medium_params, factory, per_cycle):
-        sim, _ = run(medium_params, factory, per_cycle)
+        sim, _ = run(medium_params, factory, per_cycle, keep_history=True)
         committed = committed_transactions(sim.clients)
         assert committed
         for txn in committed:
@@ -64,6 +64,7 @@ class TestCorrectness:
             hot_params.with_sim(num_clients=4),
             lambda: InvalidationWithVersionedCache(),
             per_cycle=4,
+            keep_history=True,
         )
         from helpers import readset_matches_snapshot
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import committed_transactions
+from repro.core import InvalidationOnly, SerializationGraphTesting
 from repro.core.transaction import (
     ReadOnlyTransaction,
     ReadResult,
@@ -9,7 +11,8 @@ from repro.core.transaction import (
 )
 from repro.graph.history import History
 from repro.graph.sgraph import TxnId
-from repro.server.database import Database
+from repro.runtime import Simulation
+from repro.server.database import Database, TrimmedHistoryError
 from repro.verify import (
     check_transaction,
     is_serializable_with_server,
@@ -132,3 +135,35 @@ class TestCheckAndViolations:
 
         found = violations([FakeClient([good, bad, ignored])], db)
         assert [t.txn_id for t in found] == ["bad"]
+
+
+class TestTrimmedServerHistory:
+    """A run built without ``keep_history`` keeps only the versions the
+    air can still ask for; the oracle must refuse to judge it, never
+    pass it."""
+
+    @staticmethod
+    def _trimmed_run(params, factory):
+        sim = Simulation(params, scheme_factory=factory)
+        sim.run()
+        assert not sim.database.keep_history
+        committed = committed_transactions(sim.clients)
+        assert committed
+        return sim, committed
+
+    def test_snapshot_path_raises(self, small_params):
+        sim, _ = self._trimmed_run(
+            small_params, lambda: InvalidationOnly(use_cache=True)
+        )
+        with pytest.raises(TrimmedHistoryError, match="keep_history=True"):
+            violations(sim.clients, sim.database)
+
+    def test_serializability_path_raises(self, small_params):
+        sim, committed = self._trimmed_run(
+            small_params, lambda: SerializationGraphTesting()
+        )
+        with pytest.raises(TrimmedHistoryError):
+            violations(sim.clients, sim.database, History())
+        for txn in committed:
+            with pytest.raises(TrimmedHistoryError, match="chain_of"):
+                is_serializable_with_server(txn, sim.database, History())

@@ -1,9 +1,11 @@
 """Tests for the versioned database and its snapshot semantics."""
 
+import random
+
 import pytest
 
 from repro.graph.sgraph import TxnId
-from repro.server.database import Database
+from repro.server.database import Database, TrimmedHistoryError
 
 
 @pytest.fixture
@@ -87,3 +89,85 @@ def test_chain_of_is_a_copy(db):
     chain = db.chain_of(1)
     chain.append("garbage")
     assert len(db.chain_of(1)) == 1
+
+
+# -- chains trimmed to the build horizon (keep_history=False) --------------
+
+
+@pytest.fixture
+def trimmed():
+    return Database(10, keep_history=False)
+
+
+def _random_writes(seed, stamps=30, size=10):
+    """A write sequence the engine could make: non-decreasing stamps,
+    several writes per stamp, some stamps skipped."""
+    rng = random.Random(seed)
+    writes = []
+    stamp = 0
+    for seq in range(stamps * 4):
+        stamp += rng.choice((0, 0, 1, 1, 2))
+        writes.append((rng.randint(1, size), stamp, TxnId(stamp, seq)))
+    return writes
+
+
+def test_trimmed_database_keeps_history_off(trimmed, db):
+    assert db.keep_history and not trimmed.keep_history
+    assert trimmed.horizon == 0 and trimmed.versions_held == 10
+
+
+def test_trimmed_value_at_at_or_above_horizon_answers_as_full_chain():
+    for seed in range(8):
+        full, cut = Database(10), Database(10, keep_history=False)
+        for item, stamp, writer in _random_writes(seed):
+            assert full.write(item, stamp, writer) == cut.write(
+                item, stamp, writer
+            )
+            assert cut.horizon == max(stamp - 1, 0)
+            for probe in full.items():
+                assert cut.current(probe) == full.current(probe)
+                for cycle in range(cut.horizon, stamp + 2):
+                    assert cut.value_at(probe, cycle) == full.value_at(
+                        probe, cycle
+                    )
+
+
+def test_trimmed_chains_hold_one_version_per_item_plus_the_newest_stamp():
+    for seed in range(8):
+        cut = Database(10, keep_history=False)
+        newest = at_newest = 0
+        for item, stamp, writer in _random_writes(seed):
+            at_newest = at_newest + 1 if stamp == newest else 1
+            newest = stamp
+            cut.write(item, stamp, writer)
+            assert cut.versions_held == 10 + at_newest
+
+
+def test_trimmed_value_at_below_horizon_raises(trimmed):
+    trimmed.write(3, visible_cycle=2, writer=TxnId(1, 0))
+    trimmed.write(3, visible_cycle=5, writer=TxnId(4, 0))
+    trimmed.write(4, visible_cycle=7, writer=TxnId(6, 0))
+    assert trimmed.horizon == 6
+    with pytest.raises(TrimmedHistoryError, match=r"horizon \(cycle 6\)") as err:
+        trimmed.value_at(3, 5)
+    assert "keep_history=True" in str(err.value)
+    # Still a ValueError, and a negative cycle is still "no version".
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(ValueError, match="no version visible"):
+        trimmed.value_at(3, -1)
+    assert trimmed.value_at(3, 6).value == 2
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda d: d.chain_of(1),
+        lambda d: d.snapshot(5),
+        lambda d: d.was_updated_between(1, 0, 9),
+    ],
+    ids=["chain_of", "snapshot", "was_updated_between"],
+)
+def test_trimmed_history_questions_raise(trimmed, ask):
+    trimmed.write(1, visible_cycle=2, writer=TxnId(1, 0))
+    with pytest.raises(TrimmedHistoryError, match="keep_history=True"):
+        ask(trimmed)
