@@ -59,6 +59,7 @@ from repro.obs.trace import (
 from repro.resilience import ClientResilience
 from repro.resilience.checkpoint import ClientCheckpoint, select_resync
 from repro.resilience.degradation import DegradationLevel
+from repro.server.database import TrimmedHistoryError
 from repro.sim.engine import Environment
 from repro.stats import names as metric_names
 from repro.stats.metrics import MetricsRegistry
@@ -98,6 +99,7 @@ class BroadcastClient:
         warmup_cycles: int = 0,
         tracer: Optional[Tracer] = None,
         resilience: Optional[ClientResilience] = None,
+        keep_history: bool = True,
     ) -> None:
         self.env = env
         self.channel = channel
@@ -137,14 +139,27 @@ class BroadcastClient:
         #: The attempt currently executing, for fault-abort attribution.
         self._current_txn: Optional[ReadOnlyTransaction] = None
         self._txn_counter = 0
-        #: Every finished attempt, in completion order (the correctness
-        #: oracle in the test suite replays these against the database).
-        self.completed: list = []
+        #: Every finished attempt, in completion order, under
+        #: ``keep_history`` only; see :attr:`completed`.
+        self._completed: Optional[list] = [] if keep_history else None
 
         runtime = ClientRuntime(env, channel, self.cache, self.metrics, params)
         scheme.attach(ReadContext(runtime))
         channel.subscribe(self)
         self.process = env.process(self.run())
+
+    @property
+    def completed(self) -> list:
+        """Every finished attempt, in completion order: what the
+        correctness oracle replays against the database.  A client built
+        without ``keep_history`` keeps none, and asking raises rather
+        than answer with an empty list an oracle would pass."""
+        if self._completed is None:
+            raise TrimmedHistoryError(
+                f"client {self.client_id} kept no finished attempts; "
+                "build the run with keep_history=True to read completed"
+            )
+        return self._completed
 
     # -- channel listener -----------------------------------------------------
 
@@ -472,7 +487,8 @@ class BroadcastClient:
                     measured=measured,
                 )
             yield from self._attempt(txn)
-            self.completed.append(txn)
+            if self._completed is not None:
+                self._completed.append(txn)
             committed = txn.status is TransactionStatus.COMMITTED
             if self._trace_q is not None:
                 self._emit_outcome(txn, attempts, measured)

@@ -148,11 +148,13 @@ def make_member(
     scheme: Scheme,
     params: ModelParameters,
     metrics: MetricsRegistry,
+    keep_history: bool = False,
 ) -> Member:
     """Assemble one kernel-less client -- clock, channel, protocol
     machine -- and prime it: it parks on ``cycle_started`` (nothing is on
     the air yet), like the kernel's Initialize event before the server's
-    first cycle."""
+    first cycle.  Its finished attempts are kept only under
+    ``keep_history``."""
     env = CohortEnv()
     channel = CohortChannel(
         env, metrics, pipeline=seed.pipeline, client_id=seed.client_id
@@ -167,6 +169,7 @@ def make_member(
         disconnect=seed.disconnect,
         client_id=seed.client_id,
         warmup_cycles=params.sim.warmup_cycles,
+        keep_history=keep_history,
     )
     member = Member(client, channel, env)
     member.advance()
@@ -244,12 +247,8 @@ class CohortSimulation:
                 program = record.program
                 for member in members:
                     member.deliver(start, program)
-                    # The oracle suite replays `completed` lists only in
-                    # discrete mode; here they would grow without bound.
-                    member.client.completed.clear()
             for member in members:
                 member.finish(trace.end_time)
-                member.client.completed.clear()
                 self.steps += member.steps
 
         return SimulationResult(

@@ -140,6 +140,7 @@ class LiveClient:
         pipeline: Optional[Sequence[FaultModel]] = None,
         disconnect: Optional[DisconnectionModel] = None,
         params: Optional[ModelParameters] = None,
+        keep_history: bool = False,
     ) -> None:
         self.host = host
         self.port = port
@@ -150,6 +151,7 @@ class LiveClient:
         self.pipeline = pipeline
         self.disconnect = disconnect
         self._params_override = params
+        self._keep_history = keep_history
 
         self.params: Optional[ModelParameters] = None
         self.scheme_label = ""
@@ -214,7 +216,9 @@ class LiveClient:
 
         rng = self.rng or listener_rng(self.params.sim.seed, self.client_id)
         seed = ClientSeed(self.client_id, self.disconnect, self.pipeline, rng)
-        self.member = make_member(seed, scheme, self.params, self.metrics)
+        self.member = make_member(
+            seed, scheme, self.params, self.metrics, self._keep_history
+        )
 
     # -- cycle reassembly ----------------------------------------------------
 

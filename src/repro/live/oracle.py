@@ -121,6 +121,7 @@ async def run_live(
             pipeline=spec.pipeline,
             disconnect=spec.disconnect,
             params=params,
+            keep_history=keep_history,
         )
         for spec in specs
     ]

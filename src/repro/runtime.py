@@ -259,6 +259,7 @@ class Simulation(KernelSimulation):
                     warmup_cycles=params.sim.warmup_cycles,
                     tracer=tracer,
                     resilience=resilience,
+                    keep_history=keep_history,
                 )
             )
 

@@ -139,6 +139,7 @@ class ShardedClient(BroadcastClient):
         tracer=None,
         cross_fraction: Optional[float] = None,
         shaper_rng: Optional[random.Random] = None,
+        keep_history: bool = True,
     ) -> None:
         self._shard_channels = dict(channels)
         self._partitioner = partitioner
@@ -162,6 +163,7 @@ class ShardedClient(BroadcastClient):
             warmup_cycles=warmup_cycles,
             tracer=tracer,
             resilience=None,
+            keep_history=keep_history,
         )
         for shard, channel in sorted(self._shard_channels.items()):
             if shard != primary:

@@ -408,6 +408,7 @@ class ShardedSimulation(KernelSimulation):
                         if shaper_rng is not None
                         else None
                     ),
+                    keep_history=keep_history,
                 )
             )
 

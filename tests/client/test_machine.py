@@ -30,7 +30,11 @@ def test_query_completion_tracked(hot_params):
 
 
 def test_retry_repeats_the_same_item_set(small_params):
-    sim = Simulation(small_params, scheme_factory=lambda: InvalidationOnly())
+    sim = Simulation(
+        small_params,
+        scheme_factory=lambda: InvalidationOnly(),
+        keep_history=True,
+    )
     sim.run()
     client = sim.clients[0]
     by_query = {}
@@ -70,7 +74,9 @@ def test_abort_reason_counters_sum_to_aborts(small_params):
 
 def test_span_never_exceeds_latency(small_params):
     sim = Simulation(
-        small_params, scheme_factory=lambda: MultiversionBroadcast()
+        small_params,
+        scheme_factory=lambda: MultiversionBroadcast(),
+        keep_history=True,
     )
     sim.run()
     for client in sim.clients:

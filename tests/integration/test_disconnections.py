@@ -111,6 +111,7 @@ def test_enhanced_sgt_rejects_post_gap_values(small_params):
             enhanced_disconnections=True
         ),
         disconnect_factory=outage,
+        keep_history=True,
     )
     sim.run()
     # Queries that span the outage and tried to read post-gap values
@@ -134,6 +135,7 @@ def test_scheduled_outage_aborts_only_active_spanning_queries(small_params):
         small_params.with_sim(num_clients=2, num_cycles=35),
         scheme_factory=lambda: InvalidationOnly(),
         disconnect_factory=outage,
+        keep_history=True,
     )
     sim.run()
     for txn in aborted_transactions(sim.clients):

@@ -76,7 +76,11 @@ def test_interval_schedule_runs_to_completion(small_params):
 
 def test_mixed_metrics_shared_across_clients(small_params):
     params = small_params.with_sim(num_clients=4)
-    sim = Simulation(params, scheme_factory=lambda: InvalidationOnly(use_cache=True))
+    sim = Simulation(
+        params,
+        scheme_factory=lambda: InvalidationOnly(use_cache=True),
+        keep_history=True,
+    )
     result = sim.run()
     per_client = sum(
         1

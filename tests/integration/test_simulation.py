@@ -39,7 +39,9 @@ def test_every_scheme_completes_a_run(small_params, name):
     "name", ["inval+cache", "versioned-cache", "multiversion", "sgt", "mv-caching"]
 )
 def test_every_scheme_commits_something(small_params, name):
-    sim = Simulation(small_params, scheme_factory=ALL_FACTORIES[name])
+    sim = Simulation(
+        small_params, scheme_factory=ALL_FACTORIES[name], keep_history=True
+    )
     sim.run()
     assert committed_transactions(sim.clients)
 

@@ -108,8 +108,12 @@ class TestBehaviour:
                 return None
             return sum(t.end_time - t.start_time for t in aborted) / len(aborted)
 
-        sim_base, _ = run(medium_params, lambda: InvalidationOnly(), 1)
-        sim_fast, _ = run(medium_params, lambda: InvalidationOnly(), 5)
+        sim_base, _ = run(
+            medium_params, lambda: InvalidationOnly(), 1, keep_history=True
+        )
+        sim_fast, _ = run(
+            medium_params, lambda: InvalidationOnly(), 5, keep_history=True
+        )
         base = mean_time_to_abort(sim_base)
         fast = mean_time_to_abort(sim_fast)
         assert base is not None and fast is not None

@@ -140,30 +140,45 @@ class TestCheckAndViolations:
 class TestTrimmedServerHistory:
     """A run built without ``keep_history`` keeps only the versions the
     air can still ask for; the oracle must refuse to judge it, never
-    pass it."""
+    pass it.  The attempts it is asked about come from a same-seed twin
+    that kept history: the clients of the trimmed run keep none."""
 
     @staticmethod
     def _trimmed_run(params, factory):
+        twin = Simulation(params, scheme_factory=factory, keep_history=True)
+        twin.run()
+        committed = committed_transactions(twin.clients)
+        assert committed
         sim = Simulation(params, scheme_factory=factory)
         sim.run()
         assert not sim.database.keep_history
-        committed = committed_transactions(sim.clients)
-        assert committed
-        return sim, committed
+        return sim, twin, committed
 
     def test_snapshot_path_raises(self, small_params):
-        sim, _ = self._trimmed_run(
+        sim, twin, _ = self._trimmed_run(
             small_params, lambda: InvalidationOnly(use_cache=True)
         )
-        with pytest.raises(TrimmedHistoryError, match="keep_history=True"):
-            violations(sim.clients, sim.database)
+        with pytest.raises(
+            TrimmedHistoryError, match="keep_history=True to look further back"
+        ):
+            violations(twin.clients, sim.database)
 
     def test_serializability_path_raises(self, small_params):
-        sim, committed = self._trimmed_run(
+        sim, twin, committed = self._trimmed_run(
             small_params, lambda: SerializationGraphTesting()
         )
-        with pytest.raises(TrimmedHistoryError):
-            violations(sim.clients, sim.database, History())
+        with pytest.raises(TrimmedHistoryError, match="build horizon"):
+            violations(twin.clients, sim.database, History())
         for txn in committed:
             with pytest.raises(TrimmedHistoryError, match="chain_of"):
                 is_serializable_with_server(txn, sim.database, History())
+
+
+def test_default_run_raises_from_completed(small_params):
+    """A default run keeps no finished attempts on its clients: the
+    oracle cannot even list them, let alone pass them."""
+    sim = Simulation(small_params, scheme_factory=lambda: InvalidationOnly())
+    result = sim.run()
+    assert result.total_attempts > 0
+    with pytest.raises(TrimmedHistoryError, match="read completed"):
+        violations(sim.clients, sim.database, sim.engine.history)
