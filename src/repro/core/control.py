@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -71,26 +70,20 @@ def report_from_updates(
     updated_items: FrozenSet[int],
     first_writers: Optional[Mapping[int, TxnId]] = None,
     items_per_bucket: int = 1,
-    buckets_of: Optional[Callable[[Iterable[int]], FrozenSet[int]]] = None,
 ) -> InvalidationReport:
     """Assemble one cycle's invalidation report from the commit outcome.
 
-    ``buckets_of`` lets a columnar item-state store project the updated
-    items onto data buckets off its precomputed bucket column; without
-    it the flat-layout page arithmetic applies.  ``first_writers`` is
-    only carried when the server runs the SGT method (augmented report).
+    Updated items are projected onto data buckets by the flat-layout
+    page arithmetic.  ``first_writers`` is only carried when the server
+    runs the SGT method (augmented report).
     """
-    if buckets_of is not None:
-        buckets = buckets_of(updated_items)
-    else:
-        buckets = frozenset(
-            (item - 1) // items_per_bucket for item in updated_items
-        )
     return InvalidationReport(
         cycle=cycle,
         updated_items=updated_items,
         first_writers=dict(first_writers) if first_writers else {},
-        updated_buckets=buckets,
+        updated_buckets=frozenset(
+            (item - 1) // items_per_bucket for item in updated_items
+        ),
     )
 
 

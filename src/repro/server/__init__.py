@@ -4,8 +4,9 @@ Everything the paper assumes exists on the stationary server side:
 
 * :class:`~repro.server.database.Database` -- the versioned store whose
   content is broadcast each cycle, with consistent per-cycle snapshots.
-* :class:`~repro.server.versions.VersionStore` -- retention of the last
-  ``S`` versions per item for the multiversion broadcast method (§3.2).
+* :class:`~repro.server.columnar.ColumnarVersionStore` -- the item state:
+  every item's current value in dense columns, and the last ``S``
+  versions per item for the multiversion broadcast method (§3.2).
 * :class:`~repro.server.transactions.TransactionEngine` -- the update
   workload: ``N`` strict-2PL transactions per cycle with Zipf access,
   reads four times as frequent as updates, producing the conflict edges,
@@ -18,21 +19,16 @@ Everything the paper assumes exists on the stationary server side:
 """
 
 from repro.server.database import Database, Version
-from repro.server.itemstate import ItemStateStore, make_item_state
-from repro.server.transactions import CycleOutcome, ServerTransaction, TransactionEngine
-from repro.server.versions import VersionStore
 from repro.server.columnar import ColumnarVersionStore
+from repro.server.transactions import CycleOutcome, ServerTransaction, TransactionEngine
 from repro.server.broadcast import ProgramBuilder
 
 __all__ = [
     "ColumnarVersionStore",
     "CycleOutcome",
     "Database",
-    "ItemStateStore",
     "ProgramBuilder",
     "ServerTransaction",
     "TransactionEngine",
     "Version",
-    "VersionStore",
-    "make_item_state",
 ]

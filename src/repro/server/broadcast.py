@@ -31,8 +31,7 @@ from repro.core.control import (
 )
 from repro.graph.sgraph import GraphDiff
 from repro.obs.trace import EV_PROGRAM_BUILD, Tracer, gate
-from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore
+from repro.server.columnar import ColumnarVersionStore
 from repro.server.sizing import SizeModel
 from repro.server.transactions import CycleOutcome
 
@@ -57,38 +56,23 @@ class ProgramBuilder:
     forces the full rebuild everywhere; the differential test suite
     compares the two paths.
 
-    When ``item_state`` is a columnar store (``item_state.columnar``),
-    record construction and report-bucket projection run off its dense
-    arrays instead of per-item version-chain searches; the dict-backed
-    reference path is bit-identical (pinned by the columnar oracle
-    suite).  ``version_store`` remains the old-version store and is
-    ``None`` for schemes that broadcast no old versions -- it may be the
-    same object as ``item_state``.
+    Records and the overflow directory come off ``item_state``'s columns;
+    its old versions go on the air only when the requirements ask for
+    them.
     """
 
     def __init__(
         self,
         params: ServerParameters,
-        database: Database,
-        version_store: Optional[ItemStateStore] = None,
+        item_state: ColumnarVersionStore,
         schedule: Optional[Schedule] = None,
         requirements: Optional[BroadcastRequirements] = None,
         bits_per_unit: int = 32,
         tracer: Optional[Tracer] = None,
         incremental: bool = True,
-        item_state: Optional[ItemStateStore] = None,
     ) -> None:
         self.params = params
-        self.database = database
-        self.version_store = version_store
-        self.item_state = item_state if item_state is not None else version_store
-        #: The columnar store to read fast paths off, or None for the
-        #: dict-backed reference path.
-        self._columnar = (
-            self.item_state
-            if self.item_state is not None and self.item_state.columnar
-            else None
-        )
+        self.item_state = item_state
         self.schedule = schedule or FlatSchedule(params.broadcast_size)
         self.requirements = requirements or BroadcastRequirements()
         self.size_model = SizeModel(params, bits_per_unit=bits_per_unit)
@@ -108,11 +92,6 @@ class ProgramBuilder:
         self._cached_buckets: List[Bucket] = []
         self._cached_records: Dict[int, ItemRecord] = {}
 
-        if self.requirements.needs_old_versions and self.version_store is None:
-            raise ValueError(
-                "Old versions requested but no VersionStore supplied"
-            )
-
     # -- control segment -----------------------------------------------------
 
     def _build_report(
@@ -120,12 +99,6 @@ class ProgramBuilder:
     ) -> InvalidationReport:
         if outcome is None:
             return InvalidationReport(cycle=cycle)
-        store = self._columnar
-        buckets_of = (
-            store.buckets_of
-            if store is not None and store.has_bucket_column
-            else None
-        )
         return report_from_updates(
             cycle=cycle,
             updated_items=outcome.updated_items,
@@ -133,14 +106,17 @@ class ProgramBuilder:
                 outcome.first_writers if self.requirements.needs_sgt else None
             ),
             items_per_bucket=self.params.items_per_bucket,
-            buckets_of=buckets_of,
         )
 
     def _control_units(self, report: InvalidationReport, diff: Optional[GraphDiff]) -> int:
         p = self.params
         units = len(report.updated_items) * p.key_size
         if self.requirements.needs_sgt and diff is not None:
-            span = self.version_store.retention if self.version_store else 8
+            span = (
+                self.item_state.retention
+                if self.requirements.needs_old_versions
+                else 8
+            )
             edge_bits = (
                 self.size_model.tid_bits()
                 + self.size_model.tid_with_cycle_bits(max(2, span))
@@ -152,49 +128,6 @@ class ProgramBuilder:
         for windowed in self._recent_reports:
             units += len(windowed.updated_items) * p.key_size
         return max(1, units)
-
-    # -- data segment -----------------------------------------------------------
-
-    def _item_record(self, item: int, cycle: int) -> ItemRecord:
-        version = self.database.value_at(item, cycle)
-        has_old = bool(
-            self.version_store is not None
-            and self.requirements.needs_old_versions
-            and self.version_store.on_air(item)
-        )
-        return ItemRecord(
-            item=item,
-            value=version.value,
-            version=version.cycle,
-            writer=version.writer,
-            has_old_versions=has_old,
-        )
-
-    def _old_records(self) -> List[OldVersionRecord]:
-        """All retained versions, newest supersedure first (Figure 2(b))."""
-        assert self.version_store is not None
-        if self.version_store.columnar:
-            # The columnar store keeps the directory incrementally, in
-            # exactly this order (cohorts by descending supersedure
-            # cycle, items ascending within a cohort).
-            return list(self.version_store.overflow_records())
-        records: List[Tuple[int, OldVersionRecord]] = []
-        for item, retained in self.version_store.all_on_air().items():
-            for rv in retained:
-                records.append(
-                    (
-                        rv.superseded_at,
-                        OldVersionRecord(
-                            item=item,
-                            value=rv.version.value,
-                            version=rv.version.cycle,
-                            valid_to=rv.valid_to,
-                            writer=rv.version.writer,
-                        ),
-                    )
-                )
-        records.sort(key=lambda pair: (-pair[0], pair[1].item))
-        return [record for _, record in records]
 
     # -- assembly ---------------------------------------------------------------
 
@@ -246,9 +179,8 @@ class ProgramBuilder:
         if organization is MultiversionOrganization.CLUSTERED:
             data_buckets = self._clustered_data_buckets(order, cycle)
             # Item positions shift, so a directory segment rides along.
-            span = self.version_store.retention if self.version_store else 1
             index_units = self.size_model.multiversion_clustered(
-                len(report.updated_items), max(1, span)
+                len(report.updated_items), max(1, self.item_state.retention)
             ).index_units
             index_slots = max(1, math.ceil(index_units / p.bucket_size))
         else:
@@ -285,28 +217,17 @@ class ProgramBuilder:
 
     def _flat_data_buckets(self, order: List[int], cycle: int) -> List[Bucket]:
         per_bucket = self.params.items_per_bucket
-        store = self._columnar
-        buckets: List[Bucket] = []
-        if store is not None:
-            needs_old = (
-                self.version_store is not None
-                and self.requirements.needs_old_versions
+        needs_old = self.requirements.needs_old_versions
+        records_for = self.item_state.records_for
+        return [
+            Bucket(
+                index=index,
+                records=records_for(
+                    order[start : start + per_bucket], cycle, needs_old
+                ),
             )
-            records_for = store.records_for
-            for index, start in enumerate(range(0, len(order), per_bucket)):
-                chunk = order[start : start + per_bucket]
-                buckets.append(
-                    Bucket(
-                        index=index,
-                        records=records_for(chunk, cycle, needs_old),
-                    )
-                )
-            return buckets
-        for index, start in enumerate(range(0, len(order), per_bucket)):
-            chunk = order[start : start + per_bucket]
-            records = tuple(self._item_record(item, cycle) for item in chunk)
-            buckets.append(Bucket(index=index, records=records))
-        return buckets
+            for index, start in enumerate(range(0, len(order), per_bucket))
+        ]
 
     def _cycle_data_buckets(
         self, order: List[int], cycle: int, outcome: Optional[CycleOutcome]
@@ -322,11 +243,7 @@ class ProgramBuilder:
         # Items whose on-air old-version set changed since the last build:
         # their records' has_old_versions pointer must be recomputed even
         # when the value itself did not change (retention evictions).
-        dirty = (
-            self.version_store.consume_dirty()
-            if self.version_store is not None
-            else frozenset()
-        )
+        dirty = self.item_state.consume_dirty()
         if not self.incremental:
             return self._flat_data_buckets(order, cycle), None, None
         if self._layout is None or order != self._layout_order:
@@ -349,20 +266,13 @@ class ProgramBuilder:
                 buckets = list(buckets)
                 touched: set = set()
                 layout = self._layout
-                store = self._columnar
-                needs_old = (
-                    self.version_store is not None
-                    and self.requirements.needs_old_versions
-                )
+                item_record = self.item_state.item_record
+                needs_old = self.requirements.needs_old_versions
                 for item in changed:
                     offsets = layout.get(item)
                     if offsets is None:
                         continue  # updated item is not on the air
-                    records[item] = (
-                        store.item_record(item, cycle, needs_old)
-                        if store is not None
-                        else self._item_record(item, cycle)
-                    )
+                    records[item] = item_record(item, cycle, needs_old)
                     touched.update(offsets)
                 for offset in touched:
                     chunk = self._bucket_chunks[offset]
@@ -393,12 +303,11 @@ class ProgramBuilder:
         Buckets are filled greedily by record count; current and old
         records share bucket capacity, so positions drift between cycles.
         """
-        assert self.version_store is not None
+        store = self.item_state
         # Drain the change feed even though clustered rebuilds fully:
         # only the incremental flat/overflow path consumes it, so without
         # this the dirty set grows for the whole run.
-        self.version_store.consume_dirty()
-        store = self._columnar
+        store.consume_dirty()
         per_bucket = self.params.items_per_bucket
         buckets: List[Bucket] = []
         cur_records: List[ItemRecord] = []
@@ -426,16 +335,12 @@ class ProgramBuilder:
                     valid_to=rv.valid_to,
                     writer=rv.version.writer,
                 )
-                for rv in reversed(self.version_store.on_air(item))
+                for rv in reversed(store.on_air(item))
             ]
             needed = 1 + len(olds)
             if used and used + needed > per_bucket:
                 flush()
-            cur_records.append(
-                store.item_record(item, cycle, True)
-                if store is not None
-                else self._item_record(item, cycle)
-            )
+            cur_records.append(store.item_record(item, cycle, True))
             cur_old.extend(olds)
             used += needed
             if used >= per_bucket:
@@ -445,9 +350,11 @@ class ProgramBuilder:
 
     def _overflow_buckets(self) -> List[Bucket]:
         per_bucket = self.params.items_per_bucket
-        old_records = self._old_records()
-        buckets: List[Bucket] = []
-        for index, start in enumerate(range(0, len(old_records), per_bucket)):
-            chunk = tuple(old_records[start : start + per_bucket])
-            buckets.append(Bucket(index=index, old_records=chunk))
-        return buckets
+        # Figure 2(b) order (newest supersedure first), kept by the store.
+        old_records = self.item_state.overflow_records()
+        return [
+            Bucket(
+                index=index, old_records=old_records[start : start + per_bucket]
+            )
+            for index, start in enumerate(range(0, len(old_records), per_bucket))
+        ]

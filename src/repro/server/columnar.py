@@ -1,13 +1,18 @@
-"""Array-backed columnar item state (ROADMAP item 4).
+"""The server's item state: current values and retained old versions.
 
-The reference :class:`~repro.server.versions.VersionStore` answers the
-program builder's per-item questions -- "what is the current value?",
-"does this item have old versions on the air?", "which versions expired
-this cycle?" -- by walking per-object dicts and version chains.  At
-10^5+ item databases that per-object churn dominates every cycle build.
+The paper's multiversion broadcast (§3.2) keeps, besides the current
+value of every item, the versions that were current during the previous
+``retention`` cycles.  Its rule "at each cycle k the server discards the
+k - S version" works out to: an overwritten value stays on the air for
+``retention`` cycles after the cycle in which its successor became
+current.  That is what guarantees Theorem 2 -- a transaction whose first
+read happened at cycle ``c0`` finds the version current-at-``c0`` of
+every item it touches for ``retention`` further cycles.
 
-This store keeps the same state in dense columns, indexed by *dense id*
-(the item's rank in the store's sorted item slice):
+The store answers the program builder's per-item questions -- "what is
+the current value?", "does this item have old versions on the air?",
+"which versions expired this cycle?" -- off dense columns indexed by
+*dense id* (the item's rank in the store's sorted item slice):
 
 ``_cur_cycle`` / ``_cur_value``
     ``array('q')`` -- the version number (visibility cycle) and payload
@@ -16,43 +21,74 @@ This store keeps the same state in dense columns, indexed by *dense id*
     of a version-chain bisect.
 ``_writers``
     The last-writer transaction tags (object column; SGT's item tags).
-``_old_count``
-    ``bytearray`` -- the ``has_old_versions`` bits of Figure 2(b),
-    stored as retained-version counts so supersedure/eviction are
-    increments and the pointer bit is ``count > 0``.
-``_bucket_col``
-    ``array('l')`` -- each item's data-bucket (page) number, so
-    bucket-level invalidation reports are column lookups, not per-item
-    divisions.
+
+The ``has_old_versions`` bit of Figure 2(b) is membership in
+``_retained``: an item's list is deleted the moment it empties, so the
+bit needs no column of its own and no retention is too deep for it.
 
 Old-version bookkeeping is organized by *supersedure cohort*: all
 versions superseded at cycle ``w`` expire together at ``w + retention``
 (the paper's "at cycle k discard the k - S version"), so eviction pops
-whole cohorts -- O(evicted), where the reference store re-scans every
-retained item each cycle -- and the overflow version directory
-(Figure 2(b): newest supersedure first) is the cached concatenation of
-cohorts in descending ``w``.  Each cohort's records are built once and
-kept until that cohort is appended to or evicted, so a cycle's rebuild
-constructs only the newest cohort's records and re-joins the rest.
+whole cohorts -- O(evicted), not a re-scan of every retained item each
+cycle -- and the overflow version directory (Figure 2(b): newest
+supersedure first) is the cached concatenation of cohorts in descending
+``w``.  Each cohort's records are built once and kept until that cohort
+is appended to or evicted, so a cycle's rebuild constructs only the
+newest cohort's records and re-joins the rest.
 
-Semantics are pinned to the reference store by the differential oracle
+Semantics are pinned to the dict-backed reference
+(``tests/server/reference_versions.py``) by the differential oracle
 (``tests/server/test_columnar_oracle.py``) and the Hypothesis suite
-(``tests/server/test_columnar_store.py``); the seam contract this store
-assumes is documented in :mod:`repro.server.itemstate`.
+(``tests/server/test_columnar_store.py``).  The contract both keep:
+
+* ``record_supersedure(old, superseded_at)`` is called at most once per
+  ``(item, superseded_at)`` pair -- the engine skips the second write of
+  an item within one cycle -- and ``superseded_at`` is non-decreasing
+  per item.
+* ``evict_expired(c)`` is called with non-decreasing ``c`` on the server
+  loop; arbitrary ``c`` sequences must still converge to the same
+  retained set as the reference.
+* Every ``Database.write`` is observed (the store registers itself as a
+  database observer), so the current-value columns never go stale.
+* ``consume_dirty()`` drains the change feed; membership is exact: an
+  item is dirty iff its on-air old-version set changed.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.broadcast.program import ItemRecord, OldVersionRecord
 from repro.server.database import Database, Version
-from repro.server.itemstate import ItemStateStore
-from repro.server.versions import RetainedVersion
 
 
-class ColumnarVersionStore(ItemStateStore):
+class RetainedVersion(NamedTuple):
+    """An old version together with the cycle at which it was overwritten.
+
+    ``superseded_at`` is the visibility cycle of the *successor* value,
+    so this version was the current one during cycles
+    ``[version.cycle, superseded_at - 1]``.
+    """
+
+    version: Version
+    superseded_at: int
+
+    @property
+    def valid_from(self) -> int:
+        return self.version.cycle
+
+    @property
+    def valid_to(self) -> int:
+        """Last cycle during which this value was the current one."""
+        return self.superseded_at - 1
+
+    def covers(self, cycle: int) -> bool:
+        """Was this value the current one at ``cycle``?"""
+        return self.valid_from <= cycle <= self.valid_to
+
+
+class ColumnarVersionStore:
     """Dense-array item state over (a slice of) the item universe.
 
     Parameters
@@ -66,32 +102,16 @@ class ColumnarVersionStore(ItemStateStore):
         The item slice this store owns (a shard's partition); ``None``
         means the whole universe ``1..database.size``.  Only owned items
         occupy columns; writes to other items are ignored.
-    items_per_bucket:
-        When given, precompute the per-item data-bucket column used for
-        bucket-level invalidation reports.
     """
-
-    columnar = True
-    #: ``_old_count`` is a bytearray: one retained-version count per
-    #: item, and retention bounds how many supersedure cohorts can hold
-    #: a given item's versions at once.
-    MAX_RETENTION = 0xFF
 
     def __init__(
         self,
         database: Database,
         retention: int,
         items: Optional[Iterable[int]] = None,
-        items_per_bucket: Optional[int] = None,
     ) -> None:
         if retention < 0:
             raise ValueError(f"retention must be non-negative, got {retention}")
-        if retention > self.MAX_RETENTION:
-            raise ValueError(
-                f"retention {retention} exceeds the columnar store's "
-                "255-version has-old column; make_item_state builds the "
-                "dict-backed store for retention this deep"
-            )
         self.database = database
         self.retention = retention
 
@@ -118,23 +138,14 @@ class ColumnarVersionStore(ItemStateStore):
         self._cur_cycle = array("q", bytes(8 * n))
         self._cur_value = array("q", bytes(8 * n))
         self._writers: List[Optional[object]] = [None] * n
-        self._old_count = bytearray(n)
         for idx, item in enumerate(self._items):
             current = database.current(item)
             self._cur_cycle[idx] = current.cycle
             self._cur_value[idx] = current.value
             self._writers[idx] = current.writer
 
-        self._bucket_col: Optional[array] = None
-        if items_per_bucket is not None and items_per_bucket > 0:
-            self._bucket_col = array(
-                "l",
-                ((item - 1) // items_per_bucket for item in self._items),
-            )
-
-        #: item -> retained old versions, oldest first (same shape as the
-        #: reference store; the objects surface through on_air and the
-        #: overflow directory, so equality is structural).
+        #: item -> retained old versions, oldest first; an item is a key
+        #: exactly while it has old versions on the air (its has-old bit).
         self._retained: Dict[int, List[RetainedVersion]] = {}
         #: supersedure cycle w -> that cohort's versions, in call order.
         #: The whole cohort expires at w + retention.
@@ -201,14 +212,14 @@ class ColumnarVersionStore(ItemStateStore):
                 value=version.value,
                 version=version.cycle,
                 writer=version.writer,
-                has_old_versions=needs_old and self._old_count[idx] > 0,
+                has_old_versions=needs_old and item in self._retained,
             )
         return ItemRecord(
             item=item,
             value=self._cur_value[idx],
             version=self._cur_cycle[idx],
             writer=self._writers[idx],
-            has_old_versions=needs_old and self._old_count[idx] > 0,
+            has_old_versions=needs_old and item in self._retained,
         )
 
     def records_for(
@@ -226,7 +237,7 @@ class ColumnarVersionStore(ItemStateStore):
         cur_cycle = self._cur_cycle
         cur_value = self._cur_value
         writers = self._writers
-        old_count = self._old_count
+        retained = self._retained
         slow = self.item_record
         make = ItemRecord
         out = []
@@ -243,43 +254,23 @@ class ColumnarVersionStore(ItemStateStore):
                         value=cur_value[idx],
                         version=version,
                         writer=writers[idx],
-                        has_old_versions=needs_old and old_count[idx] > 0,
+                        has_old_versions=needs_old and item in retained,
                     )
                 )
         return tuple(out)
 
     def has_old(self, item: int) -> bool:
-        return self._old_count[self.dense_index(item)] > 0
-
-    @property
-    def has_bucket_column(self) -> bool:
-        return self._bucket_col is not None
-
-    def buckets_of(self, items: Iterable[int]) -> FrozenSet[int]:
-        """Data-bucket (page) numbers of ``items`` via the bucket column."""
-        if self._bucket_col is None:
-            raise ValueError("store built without items_per_bucket")
-        column = self._bucket_col
-        dense = self.dense_index
-        return frozenset(column[dense(item)] for item in items)
+        return item in self._retained
 
     # -- old-version bookkeeping --------------------------------------------
 
     def record_supersedure(self, old: Version, superseded_at: int) -> None:
         if self.retention == 0:
             return
-        idx = self.dense_index(old.item)
         rv = RetainedVersion(old, superseded_at)
         self._retained.setdefault(old.item, []).append(rv)
         self._cohorts.setdefault(superseded_at, []).append(rv)
         self._cohort_records.pop(superseded_at, None)
-        count = self._old_count[idx] + 1
-        if count > 0xFF:
-            raise ValueError(
-                f"more than 255 retained versions for item {old.item}; "
-                "retention this deep needs a wider has-old column"
-            )
-        self._old_count[idx] = count
         self._total_retained += 1
         self._dirty.add(old.item)
         self._directory = None
@@ -299,7 +290,6 @@ class ColumnarVersionStore(ItemStateStore):
                 assert front is rv, "cohort eviction out of supersedure order"
                 if not bucket:
                     del self._retained[item]
-                self._old_count[self.dense_index(item)] -= 1
                 self._dirty.add(item)
                 evicted += 1
         if evicted:

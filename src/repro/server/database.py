@@ -17,7 +17,7 @@ cycle the server can still build a program for.  A program for cycle
 once a write visible at ``L`` has landed, the server is in cycle
 ``L - 1`` and never builds an earlier cycle again: of the versions
 visible at or before ``L - 1``, only the last can still be asked for.  The old-version area of the broadcast
-holds its own references (:mod:`repro.server.versions`), so trimming a
+holds its own references (:mod:`repro.server.columnar`), so trimming a
 chain never takes a version off the air.
 """
 
@@ -96,15 +96,15 @@ class Database:
         #: Chains grown past one version since the stamp last moved: the
         #: ones to trim when it moves again.
         self._grown: List[List[Version]] = []
-        #: Write observers (columnar stores keeping current-value columns
-        #: in sync); see :meth:`add_observer`.
+        #: Write observers (item stores keeping current-value columns in
+        #: sync); see :meth:`add_observer`.
         self._observers: List[object] = []
 
     def add_observer(self, observer: object) -> None:
         """Register ``observer.note_write(version)`` to run on every write.
 
-        This is how array-backed item-state stores stay coherent without
-        the transaction engine knowing about them -- any write, including
+        This is how the array-backed item store stays coherent without
+        the transaction engine knowing about it -- any write, including
         ones tests make directly, reaches every attached store.
         """
         self._observers.append(observer)

@@ -3,13 +3,13 @@
 ``Database -> item-state store -> TransactionEngine -> ProgramBuilder``
 is the same chain whoever drives it, so it is wired here and nowhere
 else.  This function alone knows the two rules that fit the commit path
-to its audience.  Old versions: the builder and the engine see the item
-store as their ``version_store`` iff the merged requirements ask for old
-versions; otherwise the store still exists (its current-value columns
-feed record and report assembly) but retains nothing.  Conflicts: the
-engine tracks them iff the requirements air an SG diff or the oracle's
-history is kept; otherwise its outcomes carry ``diff=None``, which an
-SGT builder refuses.
+to its audience.  Old versions: the engine sees the item store as its
+``version_store`` iff the merged requirements ask for old versions;
+otherwise the store still exists (its current-value columns feed record
+assembly) but retains nothing.  Conflicts: the engine tracks them iff
+the requirements air an SG diff or the oracle's history is kept;
+otherwise its outcomes carry ``diff=None``, which an SGT builder
+refuses.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from repro.config import ServerParameters
 from repro.core.control import BroadcastRequirements
 from repro.obs.trace import Tracer
 from repro.server.broadcast import ProgramBuilder
+from repro.server.columnar import ColumnarVersionStore
 from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore, make_item_state
 from repro.server.transactions import TransactionEngine
 
 
@@ -33,9 +33,9 @@ class ServerSubstrate:
     """One server's (or one shard's) state, engine and builder."""
 
     database: Database
-    item_state: ItemStateStore
+    item_state: ColumnarVersionStore
     #: ``item_state`` when old versions go on the air, else ``None``.
-    version_store: Optional[ItemStateStore]
+    version_store: Optional[ColumnarVersionStore]
     #: ``None`` for a shard that commits nothing (built without an RNG).
     engine: Optional[TransactionEngine]
     builder: ProgramBuilder
@@ -69,11 +69,8 @@ def build_substrate(
     if retention is None:
         retention = server.retention
     old_versions = requirements.needs_old_versions
-    item_state = make_item_state(
-        database,
-        retention=retention if old_versions else 0,
-        items=items,
-        items_per_bucket=server.items_per_bucket,
+    item_state = ColumnarVersionStore(
+        database, retention=retention if old_versions else 0, items=items
     )
     version_store = item_state if old_versions else None
     engine = None
@@ -90,11 +87,9 @@ def build_substrate(
         )
     builder = ProgramBuilder(
         server,
-        database,
-        version_store=version_store,
+        item_state,
         schedule=schedule,
         requirements=requirements,
         tracer=tracer,
-        item_state=item_state,
     )
     return ServerSubstrate(database, item_state, version_store, engine, builder)

@@ -49,7 +49,7 @@ from repro.config import ServerParameters
 from repro.graph.history import History
 from repro.graph.sgraph import GraphDiff, SerializationGraph, TxnId
 from repro.server.database import Database, Version
-from repro.server.versions import VersionStore
+from repro.server.columnar import ColumnarVersionStore
 from repro.stats.zipf import OffsetZipfGenerator
 
 
@@ -217,7 +217,7 @@ class TransactionEngine:
         self,
         params: ServerParameters,
         database: Database,
-        version_store: Optional[VersionStore] = None,
+        version_store: Optional[ColumnarVersionStore] = None,
         rng: Optional[random.Random] = None,
         keep_history: bool = False,
         interleaved: bool = False,

@@ -49,7 +49,7 @@ from repro.runtime import KernelSimulation
 from repro.server.backend import ServerBackend
 from repro.server.broadcast import ProgramBuilder
 from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore
+from repro.server.columnar import ColumnarVersionStore
 from repro.server.substrate import build_substrate
 from repro.server.transactions import TransactionEngine
 from repro.shard.client import ShardedClient
@@ -87,7 +87,7 @@ class ShardState:
     channel: BroadcastChannel
     builder: ProgramBuilder
     engine: Optional[TransactionEngine]
-    version_store: Optional[ItemStateStore]
+    version_store: Optional[ColumnarVersionStore]
     retention: int
     #: Server transactions committed per cycle on this shard.
     txn_count: int

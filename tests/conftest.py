@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.config import ModelParameters
 from repro.server import substrate
-from repro.server.versions import VersionStore
+from tests.server.reference_versions import VersionStore
 
 
 @pytest.fixture
@@ -27,26 +27,25 @@ def on_dict_store(monkeypatch):
     """Whole runs on the dict-backed reference store.
 
     ``with on_dict_store() as built:`` substitutes the one place a
-    server picks its item store (``build_substrate``'s
-    ``make_item_state``), so every substrate built inside the block --
-    by ``Simulation``, ``ShardedSimulation``, ``CohortSimulation.run``,
-    a live server or ``repro run`` -- keeps its state in a
-    :class:`VersionStore`.  ``built`` collects those stores; assert it
-    is non-empty so a moved construction site cannot pass vacuously.
+    server builds its item store (``build_substrate``'s
+    ``ColumnarVersionStore``), so every substrate built inside the block
+    -- by ``Simulation``, ``ShardedSimulation``, ``CohortSimulation.run``,
+    a live server or ``repro run`` -- keeps its state in the reference
+    :class:`VersionStore` (``tests/server/reference_versions.py``).
+    ``built`` collects those stores; assert it is non-empty so a moved
+    construction site cannot pass vacuously.
     """
 
     @contextmanager
     def swap():
         built = []
 
-        def make_dict_store(
-            database, retention, items=None, items_per_bucket=None
-        ):
+        def make_dict_store(database, retention, items=None):
             built.append(VersionStore(database, retention=retention))
             return built[-1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(substrate, "make_item_state", make_dict_store)
+            patch.setattr(substrate, "ColumnarVersionStore", make_dict_store)
             yield built
 
     return swap

@@ -1,7 +1,7 @@
 """Property tests of the consistency substrate the schemes stand on.
 
 Hypothesis drives random read/update interleavings through the server's
-:class:`~repro.server.versions.VersionStore` and through the two client
+:class:`~repro.server.columnar.ColumnarVersionStore` and through the two client
 caches (plain/versioned and multiversion-partitioned), checking the
 invariants the correctness proofs of Theorems 2, 4, and 5 quantify over:
 
@@ -26,7 +26,7 @@ from repro.client.cache import ClientCache
 from repro.core.control import ControlInfo, InvalidationReport
 from repro.graph.sgraph import TxnId
 from repro.server.database import Database
-from repro.server.versions import VersionStore
+from repro.server.columnar import ColumnarVersionStore
 from repro.sim import Environment
 
 N_ITEMS = 6
@@ -42,11 +42,11 @@ update_schedules = st.lists(
 
 
 class ServerModel:
-    """Database + VersionStore driven cycle by cycle, like the engine."""
+    """Database + ColumnarVersionStore driven cycle by cycle, like the engine."""
 
     def __init__(self, retention: int) -> None:
         self.database = Database(N_ITEMS)
-        self.store = VersionStore(self.database, retention=retention)
+        self.store = ColumnarVersionStore(self.database, retention=retention)
         self.cycle = 0
 
     def advance(self, updates) -> None:

@@ -133,10 +133,9 @@ def test_a_run_the_engine_refuses_writes_no_trace(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_deep_retention_runs_on_the_dict_store(capsys, on_dict_store):
-    """``--retention 300`` is beyond the columnar store's column, so the
-    run gets the dict-backed store by itself -- the same table a run
-    forced onto that store prints."""
+def test_deep_retention_output_equals_the_reference(capsys, on_dict_store):
+    """``--retention 300`` runs on the one item store and prints the
+    same table as a run forced onto the dict reference store."""
     argv = RUN_SMALL + ["--scheme", "multiversion", "--retention", "300"]
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -429,9 +429,9 @@ def test_what_the_reference_refuses_to_decode_the_codec_refuses(case, data):
 
 
 def test_fresh_records_every_cycle_air_the_same_bytes():
-    """The dict ``VersionStore`` (the only store past retention 255)
-    builds its ``OldVersionRecord`` s anew each cycle; the columnar
-    store keeps them.  Same values, same bytes -- from templates on one
+    """The dict reference ``VersionStore`` builds its
+    ``OldVersionRecord`` s anew each cycle; the columnar store keeps
+    them.  Same values, same bytes -- from templates on one
     side, from a cut per record on the other."""
     requirements = BroadcastRequirements(needs_old_versions=True, organization="overflow")
     profile = WireProfile.from_params(ServerParameters(), requirements)

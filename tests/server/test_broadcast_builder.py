@@ -8,9 +8,9 @@ from repro.broadcast.program import MultiversionOrganization
 from repro.config import ServerParameters
 from repro.core.control import BroadcastRequirements
 from repro.server.broadcast import ProgramBuilder, bucket_of_item
+from repro.server.columnar import ColumnarVersionStore
 from repro.server.database import Database
 from repro.server.transactions import TransactionEngine
-from repro.server.versions import VersionStore
 
 
 def make_world(requirements=None, retention=4, **overrides):
@@ -26,16 +26,20 @@ def make_world(requirements=None, retention=4, **overrides):
     params = ServerParameters(**defaults)
     db = Database(params.broadcast_size)
     requirements = requirements or BroadcastRequirements()
-    store = None
-    if requirements.needs_old_versions or requirements.needs_versions_on_items:
-        store = VersionStore(db, retention=retention)
+    store = _store(db, requirements, retention)
     engine = TransactionEngine(
         params, db, version_store=store, rng=random.Random(3)
     )
-    builder = ProgramBuilder(
-        params, db, version_store=store, requirements=requirements
-    )
+    builder = ProgramBuilder(params, store, requirements=requirements)
     return params, db, engine, builder
+
+
+def _store(db, requirements, retention):
+    """The item store the way a server builds it: it keeps old versions
+    only when the requirements air them."""
+    return ColumnarVersionStore(
+        db, retention=retention if requirements.needs_old_versions else 0
+    )
 
 
 def test_bucket_of_item_layout():
@@ -223,12 +227,9 @@ class TestWindowReports:
 
 def test_old_versions_requested_without_store_rejected():
     params = ServerParameters(broadcast_size=10, update_range=10, updates_per_cycle=2)
-    db = Database(10)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ProgramBuilder(
-            params,
-            db,
-            requirements=BroadcastRequirements(needs_old_versions=True),
+            params, requirements=BroadcastRequirements(needs_old_versions=True)
         )
 
 
@@ -260,18 +261,12 @@ def build_run(incremental, requirements=None, cycles=12, retention=2, seed=7):
     )
     db = Database(params.broadcast_size)
     requirements = requirements or BroadcastRequirements()
-    store = None
-    if requirements.needs_old_versions or requirements.needs_versions_on_items:
-        store = VersionStore(db, retention=retention)
+    store = _store(db, requirements, retention)
     engine = TransactionEngine(
         params, db, version_store=store, rng=random.Random(seed)
     )
     builder = ProgramBuilder(
-        params,
-        db,
-        version_store=store,
-        requirements=requirements,
-        incremental=incremental,
+        params, store, requirements=requirements, incremental=incremental
     )
     programs = []
     outcome = None
@@ -330,7 +325,9 @@ class TestIncrementalBuild:
         )
         db = Database(params.broadcast_size)
         engine = TransactionEngine(params, db, rng=random.Random(3))
-        builder = ProgramBuilder(params, db, incremental=True)
+        builder = ProgramBuilder(
+            params, ColumnarVersionStore(db, retention=0), incremental=True
+        )
         previous = builder.build(1, None)
         frozen = fingerprint(previous)
         outcome = engine.run_cycle(1)
@@ -357,7 +354,12 @@ class TestIncrementalBuild:
         )
         db = Database(params.broadcast_size)
         schedule = MutableSchedule(params.broadcast_size)
-        builder = ProgramBuilder(params, db, schedule=schedule, incremental=True)
+        builder = ProgramBuilder(
+            params,
+            ColumnarVersionStore(db, retention=0),
+            schedule=schedule,
+            incremental=True,
+        )
         first = builder.build(1, None)
         assert first.slots_of(1) == [1]  # first data slot after control
         schedule.order.reverse()
@@ -370,5 +372,7 @@ class TestIncrementalBuild:
         params = ServerParameters(
             broadcast_size=10, update_range=10, updates_per_cycle=2
         )
-        builder = ProgramBuilder(params, Database(10))
+        builder = ProgramBuilder(
+            params, ColumnarVersionStore(Database(10), retention=0)
+        )
         assert builder.incremental

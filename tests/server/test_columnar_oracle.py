@@ -1,15 +1,16 @@
-"""Columnar-vs-dict differential oracle (DESIGN §14).
+"""Item store vs dict reference: the differential oracle (DESIGN §14).
 
 The :class:`~repro.server.columnar.ColumnarVersionStore` must be
-*bit-identical* to the dict-backed reference through every surface a run
+*bit-identical* to the dict-backed reference
+(``tests/server/reference_versions.py``) through every surface a run
 touches: the programs the builder assembles cycle by cycle, the metrics
 registry of a full simulation (every counter, every (hits, total) ratio,
 every (count, exact_sum) sampler), the headline result aggregates, and
 the rendered ``repro run`` output.
 
 Tier-1 runs a representative slice of the scheme x seed x fault matrix;
-the ``columnar-oracle`` CI job sets ``REPRO_COLUMNAR_FULL=1`` to sweep
-all 5 schemes x 5 seeds x faults on/off.
+the ``columnar`` CI oracle job sets ``REPRO_COLUMNAR_FULL=1`` to sweep
+all 6 schemes x 5 seeds x faults on/off.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.server.broadcast import ProgramBuilder
 from repro.server.columnar import ColumnarVersionStore
 from repro.server.database import Database
 from repro.server.transactions import TransactionEngine
-from repro.server.versions import VersionStore
+from tests.server.reference_versions import VersionStore
 
 FULL_MATRIX = os.environ.get("REPRO_COLUMNAR_FULL") == "1"
 SEEDS = DEFAULT_SEEDS if FULL_MATRIX else DEFAULT_SEEDS[:2]
@@ -42,14 +43,11 @@ SEEDS = DEFAULT_SEEDS if FULL_MATRIX else DEFAULT_SEEDS[:2]
 SCHEMES = DEFAULT_SCHEMES + ("multiversion/clustered",)
 
 
-def _store(columnar, database, retention, items_per_bucket):
+def _store(columnar, database, retention):
     """Builder-level cells construct the store under test directly; the
     whole-run cells get the dict twin through ``on_dict_store``."""
-    if columnar:
-        return ColumnarVersionStore(
-            database, retention=retention, items_per_bucket=items_per_bucket
-        )
-    return VersionStore(database, retention=retention)
+    store = ColumnarVersionStore if columnar else VersionStore
+    return store(database, retention=retention)
 
 
 def _build_pair(organization, incremental, cycles=40, db_size=None):
@@ -73,10 +71,7 @@ def _build_pair(organization, incremental, cycles=40, db_size=None):
             params = replace(params, broadcast_size=db_size)
         database = Database(params.broadcast_size)
         store = _store(
-            columnar,
-            database,
-            params.retention if organization else 0,
-            params.items_per_bucket,
+            columnar, database, params.retention if organization else 0
         )
         version_store = store if organization else None
         engine = TransactionEngine(
@@ -86,12 +81,7 @@ def _build_pair(organization, incremental, cycles=40, db_size=None):
             rng=random.Random(97),
         )
         builder = ProgramBuilder(
-            params,
-            database,
-            version_store=version_store,
-            requirements=requirements,
-            incremental=incremental,
-            item_state=store,
+            params, store, requirements=requirements, incremental=incremental
         )
         built = []
         outcome = None
@@ -133,19 +123,12 @@ class TestBuilderPrograms:
         runs = []
         for columnar, incremental in ((True, True), (False, False)):
             database = Database(params.broadcast_size)
-            store = _store(
-                columnar, database, params.retention, params.items_per_bucket
-            )
+            store = _store(columnar, database, params.retention)
             engine = TransactionEngine(
                 params, database, version_store=store, rng=random.Random(5)
             )
             builder = ProgramBuilder(
-                params,
-                database,
-                version_store=store,
-                requirements=requirements,
-                incremental=incremental,
-                item_state=store,
+                params, store, requirements=requirements, incremental=incremental
             )
             built, outcome = [], None
             for cycle in range(1, 31):
@@ -166,12 +149,31 @@ class TestEndToEndRegistry:
         params = oracle_params(
             clients=4, seed=seed, faults=faults, num_cycles=30
         )
+        self._assert_same_registry(params, scheme, on_dict_store)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+    @pytest.mark.parametrize(
+        "scheme", ["multiversion", "multiversion/clustered"]
+    )
+    def test_retention_300_bit_identity(
+        self, scheme, faults, seed, on_dict_store
+    ):
+        """Past the depth a byte-wide has-old column could count: runs
+        keeping 300 cycles of old versions, both organizations."""
+        params = oracle_params(
+            clients=4, seed=seed, faults=faults, num_cycles=30
+        ).with_server(retention=300)
+        self._assert_same_registry(params, scheme, on_dict_store)
+
+    @staticmethod
+    def _assert_same_registry(params, scheme, on_dict_store):
         sim = Simulation(params, scheme_factory=scheme_factory(scheme))
-        assert sim.item_state.columnar
+        assert isinstance(sim.item_state, ColumnarVersionStore)
         results = [sim.run()]
-        with on_dict_store():
+        with on_dict_store() as built:
             sim = Simulation(params, scheme_factory=scheme_factory(scheme))
-        assert not sim.item_state.columnar
+        assert built == [sim.item_state]
         results.append(sim.run())
         mismatches = registry_delta(results[0].metrics, results[1].metrics)
         assert mismatches == []
@@ -233,20 +235,16 @@ class TestClusteredDirtyDrain:
 
         params = DEFAULTS.server
         database = Database(params.broadcast_size)
-        store = _store(
-            columnar, database, params.retention, params.items_per_bucket
-        )
+        store = _store(columnar, database, params.retention)
         engine = TransactionEngine(
             params, database, version_store=store, rng=random.Random(3)
         )
         builder = ProgramBuilder(
             params,
-            database,
-            version_store=store,
+            store,
             requirements=BroadcastRequirements(
                 needs_old_versions=True, organization="clustered"
             ),
-            item_state=store,
         )
         outcome = None
         for cycle in range(1, 41):
@@ -289,5 +287,5 @@ class TestScaleLane:
         )
         result = sim.run()
         assert result.cycles_completed == 6
-        assert sim.item_state.columnar
+        assert isinstance(sim.item_state, ColumnarVersionStore)
         assert len(sim.item_state.items) == self.DB_SIZE

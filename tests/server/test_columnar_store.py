@@ -12,11 +12,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ServerParameters
-from repro.server.broadcast import ProgramBuilder
 from repro.server.columnar import ColumnarVersionStore
 from repro.server.database import Database
-from repro.server.versions import VersionStore
+from tests.server.reference_versions import VersionStore
 
 DB_SIZE = 12
 
@@ -52,11 +50,6 @@ def _drive(store, database, script):
     """Replay ``script`` through one store the way the engine would:
     write -> record_supersedure(previous) -> evict at cycle end."""
     observations = []
-    # The builder derives the overflow directory (Figure 2(b) order) from
-    # either store: off overflow_records() or by sorting all_on_air().
-    builder = ProgramBuilder(
-        ServerParameters(broadcast_size=DB_SIZE), database, version_store=store
-    )
     for cycle, (writes, evict) in enumerate(script, start=1):
         visible = cycle + 1
         _commit(store, database, writes, visible)
@@ -75,7 +68,8 @@ def _drive(store, database, script):
                     item: store.best_version_at(item, max(1, visible - 2))
                     for item in range(1, DB_SIZE + 1)
                 },
-                builder._old_records(),
+                # Figure 2(b) order: kept by cohort, or re-sorted.
+                store.overflow_records(),
             )
         )
     return observations

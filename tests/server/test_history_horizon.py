@@ -7,7 +7,8 @@ nets hold that change to "memory only":
 * the chain bound: the versions held stay under ``D`` plus the writes
   visible at the last two cycles, at 200 cycles and at 800 alike;
 * a differential: every program and every registry of a run is the
-  same with history kept and trimmed, in every mode and store;
+  same with history kept and trimmed, in every mode, and against the
+  dict reference store;
 * a ``slow`` lane (``REPRO_SCALE_TESTS=1``): 10^4 server cycles with
   the server's traced memory flat.
 """
@@ -30,6 +31,7 @@ from repro.core.control import BroadcastRequirements, ReportSchedule
 from repro.live.codec import programs_equal
 from repro.runtime import Simulation
 from repro.server.broadcast import ProgramBuilder
+from repro.server.columnar import ColumnarVersionStore
 from repro.shard.runtime import ShardedSimulation
 from repro.stats.metrics import MetricsRegistry
 
@@ -91,7 +93,7 @@ def aired(monkeypatch):
 
     def recording(self, cycle, outcome):
         program = build(self, cycle, outcome)
-        built.append((self.database, program))
+        built.append((self.item_state.database, program))
         return program
 
     monkeypatch.setattr(ProgramBuilder, "build", recording)
@@ -192,17 +194,26 @@ def test_clustered_organization_identical_with_history_trimmed(aired):
     )
 
 
-def test_dict_store_at_retention_300_identical_with_history_trimmed(aired):
+def test_retention_300_trimmed_airs_what_the_reference_keeps(
+    aired, on_dict_store
+):
+    """The one store, history trimmed, against the dict reference with
+    history kept, 300 cycles deep."""
     params = _params(retention=300)
     factory = scheme_factory("multiversion+cache")
-    sims = []
 
-    def run(keep_history):
-        sims.append(Simulation(params, factory, keep_history=keep_history))
-        return sims[-1].run()
+    def on_reference():
+        with on_dict_store() as built:
+            sim = Simulation(params, factory, keep_history=True)
+        assert built == [sim.item_state]
+        return sim.run()
 
-    _assert_same_air(aired, lambda: run(True), lambda: run(False))
-    assert not any(sim.item_state.columnar for sim in sims)
+    def on_the_store():
+        sim = Simulation(params, factory)
+        assert isinstance(sim.item_state, ColumnarVersionStore)
+        return sim.run()
+
+    _assert_same_air(aired, on_reference, on_the_store)
 
 
 # -- the scale lane ---------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.server.broadcast import ProgramBuilder
 from repro.server.database import Database
 from repro.server.substrate import build_substrate
 from repro.server.transactions import ServerTransaction, TransactionEngine
-from repro.server.versions import VersionStore
+from repro.server.columnar import ColumnarVersionStore
 
 
 def make_engine(keep_history=False, version_store=False, **overrides):
@@ -29,7 +29,7 @@ def make_engine(keep_history=False, version_store=False, **overrides):
     defaults.update(overrides)
     params = ServerParameters(**defaults)
     db = Database(params.broadcast_size)
-    store = VersionStore(db, retention=4) if version_store else None
+    store = ColumnarVersionStore(db, retention=4) if version_store else None
     engine = TransactionEngine(
         params,
         db,
@@ -215,7 +215,7 @@ class TestServingPath:
         # instead of airing an empty diff its clients would trust.
         sgt_builder = ProgramBuilder(
             server,
-            substrate.database,
+            substrate.item_state,
             requirements=BroadcastRequirements(needs_sgt=True),
         )
         with pytest.raises(ValueError, match="no graph diff"):

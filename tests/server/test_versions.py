@@ -4,7 +4,7 @@ import pytest
 
 from repro.graph.sgraph import TxnId
 from repro.server.database import Database
-from repro.server.versions import RetainedVersion, VersionStore
+from repro.server.columnar import ColumnarVersionStore
 
 
 @pytest.fixture
@@ -13,12 +13,12 @@ def db():
 
 
 def make_store(db, retention=3):
-    return VersionStore(db, retention=retention)
+    return ColumnarVersionStore(db, retention=retention)
 
 
 def test_negative_retention_rejected(db):
     with pytest.raises(ValueError):
-        VersionStore(db, retention=-1)
+        ColumnarVersionStore(db, retention=-1)
 
 
 def test_supersedure_records_validity_interval(db):
