@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.broadcast.program import BroadcastProgram, ItemRecord
 from repro.graph.sgraph import TxnId
@@ -34,40 +34,46 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(slots=True)
 class CacheEntry:
-    """One cached value with its validity interval and arrival time."""
+    """One cached record with its validity interval and arrival time.
 
-    item: int
-    value: int
-    #: Broadcast cycle at whose beginning the value became current.
-    version: int
+    The entry is the :class:`ItemRecord` it cached, handed back as is on
+    a hit, plus what the client learnt about it since: the record's
+    ``item``, ``value``, ``version`` and ``writer`` are read through.
+    """
+
+    record: ItemRecord
     #: Last cycle the value was current for; ``None`` = still current.
     valid_to: Optional[int]
-    writer: Optional[TxnId]
     #: Simulation time from which the value is usable (autoprefetched
     #: values only exist once their bucket has flown by).
     available_at: float
-    #: The record the value was installed from as current, handed back
-    #: as is on a hit; ``None`` for an old version cached as one.
-    record: Optional[ItemRecord] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    @property
+    def item(self) -> int:
+        return self.record.item
+
+    @property
+    def value(self) -> int:
+        return self.record.value
+
+    @property
+    def version(self) -> int:
+        """Broadcast cycle at whose beginning the value became current."""
+        return self.record.version
+
+    @property
+    def writer(self) -> Optional[TxnId]:
+        return self.record.writer
 
     def covers(self, cycle: int) -> bool:
         """Was this value the current one at ``cycle``?"""
-        if cycle < self.version:
+        if cycle < self.record.version:
             return False
         return self.valid_to is None or cycle <= self.valid_to
 
     @property
     def is_current(self) -> bool:
         return self.valid_to is None
-
-
-def replace_entry(entry: CacheEntry) -> CacheEntry:
-    """An independent copy of one entry (checkpoints must not alias)."""
-    copied = replace(entry)
-    copied.record = entry.record
-    return copied
 
 
 @dataclass(slots=True)
@@ -228,13 +234,9 @@ class ClientCache:
         self._due = due
 
     def _install_current(self, record: ItemRecord, available_at: float) -> None:
-        # Positional: parsing six keywords would cost as much again as
-        # the construction itself, once per refresh and demand insert.
-        entry = CacheEntry(
-            record.item, record.value, record.version, None, record.writer,
-            available_at,
-        )
-        entry.record = record
+        # Positional: parsing keywords would cost as much again as the
+        # construction itself, once per refresh and demand insert.
+        entry = CacheEntry(record, None, available_at)
         stale = self._current.get(record.item)
         if stale is not None and self.multiversion and not stale.is_current:
             self._demote(stale)
@@ -246,15 +248,16 @@ class ClientCache:
         """Move a superseded value into the old-version partition."""
         if entry.valid_to is None:  # pragma: no cover - defensive
             raise ValueError("Cannot demote a still-current entry")
-        self._old[(entry.item, entry.version)] = entry
-        self._old.move_to_end((entry.item, entry.version))
+        key = (entry.record.item, entry.record.version)
+        self._old[key] = entry
+        self._old.move_to_end(key)
         while len(self._old) > self.old_capacity:
             self._old.popitem(last=False)
 
     def _evict_current(self) -> None:
         while len(self._current) > self.current_capacity:
-            _, evicted = self._current.popitem(last=False)
-            self._pending.pop(evicted.item, None)
+            item, _ = self._current.popitem(last=False)
+            self._pending.pop(item, None)
 
     # -- lookups -------------------------------------------------------------
 
@@ -289,8 +292,10 @@ class ClientCache:
             self.hits += 1
             return entry
         for key in reversed(self._old):
+            if key[0] != item:
+                continue
             old = self._old[key]
-            if old.item == item and old.available_at <= now and old.covers(cycle):
+            if old.available_at <= now and old.covers(cycle):
                 self._old.move_to_end(key)
                 self.hits += 1
                 return old
@@ -310,15 +315,7 @@ class ClientCache:
         """Cache an old version (multiversion partition only)."""
         if not self.multiversion or self.bypass:
             return
-        entry = CacheEntry(
-            item=record.item,
-            value=record.value,
-            version=record.version,
-            valid_to=valid_to,
-            writer=record.writer,
-            available_at=now,
-        )
-        self._demote(entry)
+        self._demote(CacheEntry(record, valid_to, now))
 
     # -- checkpointing (see repro.resilience) ---------------------------------
 
@@ -329,8 +326,8 @@ class ClientCache:
         only become safe once their bucket has flown by, and a restart
         happens cycles later when that broadcast is long gone.
         """
-        current = [replace_entry(e) for e in self._current.values()]
-        old = [replace_entry(e) for e in self._old.values()]
+        current = [replace(e) for e in self._current.values()]
+        old = [replace(e) for e in self._old.values()]
         return current, old
 
     def restore_entries(
@@ -345,17 +342,11 @@ class ClientCache:
         """
         self.clear()
         for entry in old:
-            copied = replace_entry(entry)
-            self._old[(copied.item, copied.version)] = copied
+            self._old[(entry.item, entry.version)] = replace(entry)
         while len(self._old) > self.old_capacity:
             self._old.popitem(last=False)
         for entry in current:
-            copied = replace_entry(entry)
-            if copied.record is None:  # built by hand, not by this cache
-                copied.record = ItemRecord(
-                    copied.item, copied.value, copied.version, copied.writer
-                )
-            self._current[copied.item] = copied
+            self._current[entry.item] = replace(entry)
         self._evict_current()
 
     # -- introspection -----------------------------------------------------------

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.client.machine import BroadcastClient
 from repro.cohort.channel import CohortChannel
@@ -46,7 +46,7 @@ from repro.config import ModelParameters
 from repro.core.base import Scheme
 from repro.core.control import BroadcastRequirements, ReportSchedule
 from repro.faults.injector import FaultInjector
-from repro.cohort.trace import ServerTrace, build_trace
+from repro.cohort.trace import CycleRecord, KernellessServer
 from repro.runtime import SimulationResult
 from repro.seeds import ClientSeed, DisconnectFactory, SeedOrder
 from repro.stats.metrics import MetricsRegistry
@@ -176,14 +176,29 @@ def make_member(
     return member
 
 
+def build_trace(cycles: Iterator[CycleRecord]) -> Optional[CycleRecord]:
+    """Step a chunk's server one cycle: the next cycle on the air, or
+    ``None`` once the run is over.
+
+    The benchmark's ``trace_build.*`` span wraps this module global by
+    name, so the driver calls it through the global, and the name is
+    held for that span until ROADMAP item 12(e)'s benchmark revision
+    renames it.
+    """
+    return next(cycles, None)
+
+
 class CohortSimulation:
     """Drop-in alternative to :class:`~repro.runtime.Simulation` that
-    replays one server trace to chunked cohorts of clients.
+    streams the server's air past chunked cohorts of clients.
 
-    Memory stays bounded in the cohort size, not the population: each
-    cohort's clients are built lazily (in client-id order, as the seed
-    order yields them), run to completion against the shared trace, and
-    released.
+    Memory stays bounded in the cohort size, not the population, and
+    flat in the run's length: each cohort's clients are built lazily (in
+    client-id order, as the seed order yields them), fed each cycle as
+    the server loop yields it, and released.  The air is a pure function
+    of ``(params, seed)``, so every chunk after the first re-derives it
+    from a fresh server on the same engine stream instead of anyone
+    holding it.
     """
 
     def __init__(
@@ -214,7 +229,6 @@ class CohortSimulation:
         #: Total generator resumptions across all clients (the cohort
         #: analogue of the kernel's events-processed figure, for bench).
         self.steps = 0
-        self.trace: Optional[ServerTrace] = None
 
     def run(self) -> SimulationResult:
         params = self.params
@@ -225,9 +239,9 @@ class CohortSimulation:
         requirements = BroadcastRequirements(
             report_window=self.report_schedule.window
         ).merge(probe.requirements())
-        trace = self.trace = build_trace(
-            params, requirements, self.metrics, seeds.engine_rng()
-        )
+        # The engine stream comes off the seed order before any client's.
+        rng = seeds.engine_rng()
+        server_metrics = self.metrics
         injector: Optional[FaultInjector] = None
         if params.faults.active:
             injector = FaultInjector(params.faults, params.sim, self.metrics)
@@ -236,26 +250,37 @@ class CohortSimulation:
         client_seeds = seeds.clients(
             num_clients, self.disconnect_factory, injector
         )
-        records = trace.records
         for _ in range(0, num_clients, self.cohort_size):
             members = [
                 make_member(seed, self.scheme_factory(), params, self.metrics)
                 for seed in islice(client_seeds, self.cohort_size)
             ]
-            for record in records:
+            server = KernellessServer(params, requirements, server_metrics, rng)
+            cycles = server.cycles()
+            while (record := build_trace(cycles)) is not None:
                 start = record.start
                 program = record.program
                 for member in members:
                     member.deliver(start, program)
             for member in members:
-                member.finish(trace.end_time)
+                member.finish(server.env.now)
                 self.steps += member.steps
+            # Later chunks re-derive the same air; only the first
+            # chunk's server counts into the run's registry.
+            rng = SeedOrder(params.sim.seed).engine_rng()
+            server_metrics = MetricsRegistry()
 
+        backend = server.backend
+        cycles_completed = backend.cycles_completed
         return SimulationResult(
             params=params,
             scheme_label=probe.label,
             metrics=self.metrics,
-            cycles_completed=trace.cycles_completed,
-            mean_cycle_slots=trace.mean_cycle_slots,
+            cycles_completed=cycles_completed,
+            mean_cycle_slots=(
+                backend.total_slots / cycles_completed
+                if cycles_completed
+                else 0.0
+            ),
             clients=[],
         )

@@ -1,21 +1,21 @@
-"""Server pre-pass: compute the whole broadcast schedule once, up front.
+"""The broadcast as a stream: the server loop, one cycle at a time.
 
 Clients never influence the server (the paper's scalability property,
 asserted by the test suite), so the server's entire output -- one
 :class:`~repro.broadcast.program.BroadcastProgram` per cycle plus its
-start instant -- is a pure function of the parameters and the seed.  The
-cohort engine exploits that: it runs the server loop *once*, records the
-per-cycle programs, and then replays the trace to any number of client
-cohorts.
+start instant -- is a pure function of the parameters and the seed.
+Nothing needs to hold it: :class:`KernellessServer` yields each cycle
+while it is on the air, the cohort engine (:mod:`repro.cohort.engine`)
+feeds it to a chunk of members and steps on, and a later chunk
+re-derives the same air from a fresh server on the same engine stream.
 
 The loop is the event-driven one: :class:`KernellessServer` steps the
 unmodified :meth:`SingleChannelBackend.process
 <repro.server.backend.SingleChannelBackend.process>` on a
 :class:`~repro.cohort.shim.CohortEnv`, whose clock computes every wake
-with the kernel's own float expression, so the recorded instants are
-bit-identical to the discrete run's.  :func:`build_trace` collects its
-steps; the live server (:mod:`repro.live.server`) encodes and awaits
-between them.
+with the kernel's own float expression, so the yielded instants are
+bit-identical to the discrete run's.  The live server
+(:mod:`repro.live.server`) encodes and awaits between the same steps.
 
 Programs are safe to retain: the incremental builder copy-on-writes its
 records and buckets, and every record type is frozen.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.broadcast.program import BroadcastProgram
 from repro.cohort.shim import CohortEnv
@@ -43,16 +43,6 @@ class CycleRecord:
     cycle: int
     start: float
     program: BroadcastProgram
-
-
-@dataclass
-class ServerTrace:
-    """The server's complete, replayable output for one run."""
-
-    records: List[CycleRecord]
-    end_time: float
-    cycles_completed: int
-    mean_cycle_slots: float
 
 
 class KernellessServer:
@@ -100,26 +90,3 @@ class KernellessServer:
             yield CycleRecord(self.program.cycle, self.env.now, self.program)
             self.env.now = wake.at
 
-
-def build_trace(
-    params: ModelParameters,
-    requirements: BroadcastRequirements,
-    metrics: MetricsRegistry,
-    rng: random.Random,
-) -> ServerTrace:
-    """Run the server loop for every cycle and record the programs.
-
-    ``rng`` is the engine stream (:meth:`repro.seeds.SeedOrder.engine_rng`),
-    so the update workload matches the discrete run's bit for bit.
-    """
-    server = KernellessServer(params, requirements, metrics, rng)
-    records = list(server.cycles())
-    cycles = server.backend.cycles_completed
-    return ServerTrace(
-        records=records,
-        end_time=server.env.now,
-        cycles_completed=cycles,
-        mean_cycle_slots=(
-            server.backend.total_slots / cycles if cycles else 0.0
-        ),
-    )

@@ -16,9 +16,8 @@ penalty Figure 8 measures.
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Generator
 
-from repro.broadcast.program import BroadcastProgram, ItemRecord
 from repro.core.base import ReadAborted, Scheme
 from repro.core.control import BroadcastRequirements
 from repro.core.transaction import (
@@ -79,14 +78,8 @@ class MultiversionBroadcast(Scheme):
         if self.use_cache and ctx.cache is not None:
             entry = ctx.cache.get_covering(item, c0, ctx.env.now)
             if entry is not None:
-                record = ItemRecord(
-                    item=item,
-                    value=entry.value,
-                    version=entry.version,
-                    writer=entry.writer,
-                )
                 return self._result_from_record(
-                    record, ctx.current_cycle, from_cache=True
+                    entry.record, ctx.current_cycle, from_cache=True
                 )
 
         record, found, valid_to = yield from ctx.channel.await_old_version(item, c0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator
 
-from repro.broadcast.program import BroadcastProgram, ItemRecord
+from repro.broadcast.program import BroadcastProgram
 from repro.core.base import ReadAborted, Scheme
 from repro.core.control import BroadcastRequirements
 from repro.core.transaction import (
@@ -138,13 +138,7 @@ class MultiversionCaching(Scheme):
 
         entry = ctx.cache.get_covering(item, target, ctx.env.now)
         if entry is not None:
-            record = ItemRecord(
-                item=item,
-                value=entry.value,
-                version=entry.version,
-                writer=entry.writer,
-            )
-            return self._result_from_record(record, ctx.current_cycle, True)
+            return self._result_from_record(entry.record, ctx.current_cycle, True)
 
         # Not cached: the broadcast current value qualifies iff the item
         # has not been updated since the deadline (checkable because the

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator
 
-from repro.broadcast.program import BroadcastProgram, ItemRecord
+from repro.broadcast.program import BroadcastProgram
 from repro.core.base import ReadAborted, Scheme
 from repro.core.control import BroadcastRequirements
 from repro.core.transaction import (
@@ -135,13 +135,7 @@ class InvalidationWithVersionedCache(Scheme):
 
         entry = ctx.cache.get_covering(item, target, ctx.env.now)
         if entry is not None:
-            record = ItemRecord(
-                item=item,
-                value=entry.value,
-                version=entry.version,
-                writer=entry.writer,
-            )
-            return self._result_from_record(record, ctx.current_cycle, True)
+            return self._result_from_record(entry.record, ctx.current_cycle, True)
 
         if ctx.current_cycle <= target:
             record, cycle = yield from ctx.channel.await_item(item)
@@ -152,13 +146,9 @@ class InvalidationWithVersionedCache(Scheme):
             # (the autoprefetched old value may still cover the target).
             entry = ctx.cache.get_covering(item, target, ctx.env.now)
             if entry is not None:
-                record = ItemRecord(
-                    item=item,
-                    value=entry.value,
-                    version=entry.version,
-                    writer=entry.writer,
+                return self._result_from_record(
+                    entry.record, ctx.current_cycle, True
                 )
-                return self._result_from_record(record, ctx.current_cycle, True)
 
         raise ReadAborted(
             AbortReason.STALE_CACHE,

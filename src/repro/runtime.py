@@ -209,7 +209,6 @@ class Simulation(KernelSimulation):
         )
         self.database = substrate.database
         self.item_state = substrate.item_state
-        self.version_store = substrate.version_store
         self.engine = substrate.engine
         self.builder = substrate.builder
 

@@ -155,7 +155,6 @@ class ColumnarVersionStore:
         self._cohort_records: Dict[int, Tuple[OldVersionRecord, ...]] = {}
         #: Cached overflow directory (Figure 2(b) order); None = stale.
         self._directory: Optional[Tuple[OldVersionRecord, ...]] = None
-        self._total_retained = 0
         self._dirty: Set[int] = set()
 
         database.add_observer(self)
@@ -170,15 +169,6 @@ class ColumnarVersionStore:
                 return idx
             raise KeyError(f"Item {item} not owned by this store")
         return self._index[item]
-
-    def item_at(self, index: int) -> int:
-        """Inverse of :meth:`dense_index` (for the bijection tests)."""
-        return self._items[index]
-
-    def owns(self, item: int) -> bool:
-        if self._base is not None:
-            return 0 <= item - self._base < len(self._items)
-        return item in self._index
 
     @property
     def items(self) -> Tuple[int, ...]:
@@ -259,9 +249,6 @@ class ColumnarVersionStore:
                 )
         return tuple(out)
 
-    def has_old(self, item: int) -> bool:
-        return item in self._retained
-
     # -- old-version bookkeeping --------------------------------------------
 
     def record_supersedure(self, old: Version, superseded_at: int) -> None:
@@ -271,7 +258,6 @@ class ColumnarVersionStore:
         self._retained.setdefault(old.item, []).append(rv)
         self._cohorts.setdefault(superseded_at, []).append(rv)
         self._cohort_records.pop(superseded_at, None)
-        self._total_retained += 1
         self._dirty.add(old.item)
         self._directory = None
 
@@ -293,7 +279,6 @@ class ColumnarVersionStore:
                 self._dirty.add(item)
                 evicted += 1
         if evicted:
-            self._total_retained -= evicted
             self._directory = None
         return evicted
 
@@ -303,9 +288,6 @@ class ColumnarVersionStore:
 
     def on_air(self, item: int) -> List[RetainedVersion]:
         return list(self._retained.get(item, ()))
-
-    def all_on_air(self) -> Dict[int, List[RetainedVersion]]:
-        return {item: list(rvs) for item, rvs in self._retained.items()}
 
     def overflow_records(self) -> Tuple[OldVersionRecord, ...]:
         """The overflow version directory, newest supersedure first
@@ -330,16 +312,3 @@ class ColumnarVersionStore:
                 records.extend(cohort)
             self._directory = tuple(records)
         return self._directory
-
-    def best_version_at(self, item: int, cycle: int) -> Optional[Version]:
-        current = self.database.current(item)
-        if current.cycle <= cycle:
-            return current
-        for rv in reversed(self._retained.get(item, [])):
-            if rv.covers(cycle):
-                return rv.version
-        return None
-
-    @property
-    def total_retained(self) -> int:
-        return self._total_retained

@@ -49,7 +49,6 @@ from repro.runtime import KernelSimulation
 from repro.server.backend import ServerBackend
 from repro.server.broadcast import ProgramBuilder
 from repro.server.database import Database
-from repro.server.columnar import ColumnarVersionStore
 from repro.server.substrate import build_substrate
 from repro.server.transactions import TransactionEngine
 from repro.shard.client import ShardedClient
@@ -87,7 +86,6 @@ class ShardState:
     channel: BroadcastChannel
     builder: ProgramBuilder
     engine: Optional[TransactionEngine]
-    version_store: Optional[ColumnarVersionStore]
     retention: int
     #: Server transactions committed per cycle on this shard.
     txn_count: int
@@ -340,7 +338,6 @@ class ShardedSimulation(KernelSimulation):
                     channel=BroadcastChannel(self.env),
                     builder=substrate.builder,
                     engine=substrate.engine,
-                    version_store=substrate.version_store,
                     retention=retention,
                     txn_count=txn_counts[k],
                     seq_base=seq_bases[k],

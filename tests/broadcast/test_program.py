@@ -8,7 +8,7 @@ from repro.broadcast.program import (
     ItemRecord,
     OldVersionRecord,
 )
-from repro.cohort.trace import build_trace
+from repro.cohort.trace import KernellessServer
 from repro.config import ModelParameters
 from repro.core.control import BroadcastRequirements, ControlInfo, InvalidationReport
 from repro.live.codec import CycleCodec, WireProfile
@@ -168,10 +168,10 @@ def _aired(organization):
     requirements = BroadcastRequirements(
         needs_old_versions=True, organization=organization
     )
-    trace = build_trace(
+    server = KernellessServer(
         params, requirements, MetricsRegistry(), SeedOrder(11).engine_rng()
     )
-    return params, requirements, [record.program for record in trace.records]
+    return params, requirements, [record.program for record in server.cycles()]
 
 
 @pytest.mark.parametrize("organization", ["overflow", "clustered"])

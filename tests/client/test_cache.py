@@ -202,15 +202,11 @@ class TestMultiversionPartition:
 
 class TestCacheEntry:
     def test_covers_semantics(self):
-        entry = CacheEntry(
-            item=1, value=0, version=3, valid_to=6, writer=None, available_at=0.0
-        )
+        entry = CacheEntry(record(1, 0, 3), valid_to=6, available_at=0.0)
         assert not entry.covers(2)
         assert entry.covers(3) and entry.covers(6)
         assert not entry.covers(7)
-        current = CacheEntry(
-            item=1, value=0, version=3, valid_to=None, writer=None, available_at=0.0
-        )
+        current = CacheEntry(record(1, 0, 3), valid_to=None, available_at=0.0)
         assert current.covers(99)
         assert not current.covers(2)
 

@@ -218,13 +218,11 @@ def test_cache_agrees_with_its_reference(capacity, old_share, ops):
 
 def test_a_restored_hand_built_entry_hits_with_a_record():
     cache = ClientCache(4)
-    hand = CacheEntry(
-        item=5, value=9, version=2, valid_to=None, writer=None, available_at=0.0
-    )
+    hand = CacheEntry(ItemRecord(5, 9, 2, None), valid_to=None, available_at=0.0)
     cache.restore_entries([hand], [])
     hit = cache.get_current(5, now=1.0)
+    assert hit is not hand  # the checkpoint itself is never cached
     assert hit.record == ItemRecord(5, 9, 2, None)
-    assert hand.record is None  # the checkpoint itself is not touched
 
 
 class ScanCounting(dict):
@@ -367,14 +365,20 @@ class RebuiltRecords(ReferenceCache):
     carry a record rebuilt from the entry's fields, as reads did before
     the cache kept the record it installed."""
 
-    def get_current(self, item, now):
-        entry = super().get_current(item, now)
+    @staticmethod
+    def _rebuilt(entry):
         if entry is not None:
             entry.record = ItemRecord(
-                item=item, value=entry.value, version=entry.version,
+                item=entry.item, value=entry.value, version=entry.version,
                 writer=entry.writer,
             )
         return entry
+
+    def get_current(self, item, now):
+        return self._rebuilt(super().get_current(item, now))
+
+    def get_covering(self, item, cycle, now):
+        return self._rebuilt(super().get_covering(item, cycle, now))
 
 
 ENGINES = {"discrete": Simulation, "cohort": CohortSimulation}

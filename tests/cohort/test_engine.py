@@ -12,6 +12,7 @@ from repro.cohort.oracle import oracle_params, registry_delta, result_delta
 from repro.core.control import ReportSchedule
 from repro.experiments.schemes import scheme_factory
 from repro.runtime import Simulation
+from repro.stats import names as metric_names
 
 
 def test_rejects_resilience_bundles():
@@ -60,6 +61,25 @@ def test_chunking_invariance(sizes):
     ]
     assert result_delta(runs[0], runs[1]) == []
     assert registry_delta(runs[0].metrics, runs[1].metrics) == []
+
+
+@pytest.mark.parametrize("cohort_size", [1, 7])
+def test_rebuilt_air_counts_once(cohort_size):
+    """Every chunk after the first re-derives the air from a fresh server
+    on the same engine stream: the run equals a one-chunk run exactly,
+    and the server's samplers count each cycle once, not once a chunk."""
+    params = oracle_params(20, seed=11, faults=True, num_cycles=15)
+    factory = scheme_factory("inval+cache")
+    one = CohortSimulation(params, factory, cohort_size=20).run()
+    chunked = CohortSimulation(params, factory, cohort_size=cohort_size).run()
+    assert result_delta(one, chunked) == []
+    assert registry_delta(one.metrics, chunked.metrics) == []
+    for name in (
+        metric_names.BROADCAST_SLOTS,
+        metric_names.BROADCAST_CONTROL_SLOTS,
+        metric_names.BROADCAST_OVERFLOW_SLOTS,
+    ):
+        assert chunked.metrics.get_sampler(name).count == 15, name
 
 
 def test_disconnect_factory_matches_discrete():

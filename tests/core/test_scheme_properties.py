@@ -28,6 +28,7 @@ from repro.graph.sgraph import TxnId
 from repro.server.database import Database
 from repro.server.columnar import ColumnarVersionStore
 from repro.sim import Environment
+from tests.server.store_probes import best_version_at
 
 N_ITEMS = 6
 ITEMS = list(range(1, N_ITEMS + 1))
@@ -83,7 +84,7 @@ def test_version_store_invariants(schedule, retention):
                 assert model.cycle - rv.superseded_at < retention
 
             for probe in range(0, model.cycle + 1):
-                best = model.store.best_version_at(item, probe)
+                best = best_version_at(model.store, item, probe)
                 truth = model.database.value_at(item, probe)
                 if best is not None:
                     # Never newer than the pinned cycle...

@@ -2,10 +2,10 @@
 
 ``SingleChannelBackend.process()`` is the only server loop: the event
 kernel runs it for :class:`Simulation`, and :class:`KernellessServer`
-steps it for the cohort trace and for the live socket.  Under one seed
+steps it for cohort replay and for the live socket.  Under one seed
 the three must therefore air the same programs at the same instants,
-cycle for cycle -- the trace being "collect the loop's steps" and the
-live server "encode and await between them".
+cycle for cycle -- cohort replay being "feed members between the loop's
+steps" and the live server "encode and await between them".
 """
 
 import asyncio

@@ -45,12 +45,12 @@ def test_each_client_gets_its_own_scheme_instance(small_params):
 
 def test_version_store_only_when_needed(small_params):
     plain = Simulation(small_params, scheme_factory=lambda: InvalidationOnly())
-    assert plain.version_store is None
+    assert plain.engine.version_store is None
     multi = Simulation(
         small_params, scheme_factory=lambda: MultiversionBroadcast()
     )
-    assert multi.version_store is not None
-    assert multi.version_store.retention == small_params.server.retention
+    assert multi.engine.version_store is multi.item_state
+    assert multi.engine.version_store.retention == small_params.server.retention
 
 
 def test_report_schedule_window_reaches_builder(small_params):

@@ -31,7 +31,7 @@ from repro.broadcast.program import (
     MultiversionOrganization,
     OldVersionRecord,
 )
-from repro.cohort.trace import build_trace
+from repro.cohort.trace import KernellessServer
 from repro.config import ModelParameters, ServerParameters
 from repro.core.control import (
     BroadcastRequirements,
@@ -64,10 +64,10 @@ def _built_programs(organization, sgt, seed=11, cycles=CYCLES):
         organization=organization or "overflow",
         needs_sgt=sgt,
     )
-    trace = build_trace(
+    server = KernellessServer(
         params, requirements, MetricsRegistry(), SeedOrder(seed).engine_rng()
     )
-    return params, requirements, trace.records
+    return params, requirements, list(server.cycles())
 
 
 def _payloads(frames):

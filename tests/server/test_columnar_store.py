@@ -15,6 +15,14 @@ from hypothesis import strategies as st
 from repro.server.columnar import ColumnarVersionStore
 from repro.server.database import Database
 from tests.server.reference_versions import VersionStore
+from tests.server.store_probes import (
+    all_on_air,
+    best_version_at,
+    has_old,
+    item_at,
+    owns,
+    total_retained,
+)
 
 DB_SIZE = 12
 
@@ -57,7 +65,7 @@ def _drive(store, database, script):
         observations.append(
             (
                 evicted,
-                store.total_retained,
+                total_retained(store),
                 frozenset(store.consume_dirty()),
                 {
                     item: tuple(store.on_air(item))
@@ -65,7 +73,7 @@ def _drive(store, database, script):
                     if store.on_air(item)
                 },
                 {
-                    item: store.best_version_at(item, max(1, visible - 2))
+                    item: best_version_at(store, item, max(1, visible - 2))
                     for item in range(1, DB_SIZE + 1)
                 },
                 # Figure 2(b) order: kept by cohort, or re-sorted.
@@ -101,7 +109,7 @@ class TestStateForStateEquality:
             )
             _drive(store, database, script)
             stores.append(store)
-        assert stores[0].all_on_air() == stores[1].all_on_air()
+        assert all_on_air(stores[0]) == all_on_air(stores[1])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -125,8 +133,8 @@ class TestStateForStateEquality:
             for cycle in evictions:
                 store.evict_expired(cycle)
             stores.append(store)
-        assert stores[0].all_on_air() == stores[1].all_on_air()
-        assert stores[0].total_retained == stores[1].total_retained
+        assert all_on_air(stores[0]) == all_on_air(stores[1])
+        assert total_retained(stores[0]) == total_retained(stores[1])
         assert stores[0].consume_dirty() == stores[1].consume_dirty()
 
 
@@ -209,9 +217,9 @@ class TestDenseIdBijection:
         # A bijection onto 0..n-1, order-preserving over sorted items.
         assert indices == list(range(len(items)))
         for item in items:
-            assert store.item_at(store.dense_index(item)) == item
+            assert item_at(store, store.dense_index(item)) == item
         for index in range(len(items)):
-            assert store.dense_index(store.item_at(index)) == index
+            assert store.dense_index(item_at(store, index)) == index
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -224,9 +232,9 @@ class TestDenseIdBijection:
         database = Database(200)
         store = ColumnarVersionStore(database, retention=1, items=items)
         if probe in items:
-            assert store.owns(probe)
+            assert owns(store, probe)
         else:
-            assert not store.owns(probe)
+            assert not owns(store, probe)
             try:
                 store.dense_index(probe)
             except KeyError:
@@ -251,16 +259,16 @@ class TestHasOldMonotonicity:
         database = Database(DB_SIZE)
         store = ColumnarVersionStore(database, retention=2)
         last_cycle = _replay_writes(store, database, script)
-        before = [store.has_old(item) for item in range(1, DB_SIZE + 1)]
+        before = [has_old(store, item) for item in range(1, DB_SIZE + 1)]
         for cycle in range(last_cycle, last_cycle + 6):
             store.evict_expired(cycle)
-            after = [store.has_old(item) for item in range(1, DB_SIZE + 1)]
+            after = [has_old(store, item) for item in range(1, DB_SIZE + 1)]
             assert all(not a or b for a, b in zip(after, before))
             before = after
         # Far enough past the horizon everything is gone.
         store.evict_expired(last_cycle + 100)
-        assert store.total_retained == 0
-        assert not any(store.has_old(item) for item in range(1, DB_SIZE + 1))
+        assert total_retained(store) == 0
+        assert not any(has_old(store, item) for item in range(1, DB_SIZE + 1))
 
     @settings(max_examples=60, deadline=None)
     @given(script=steps)
@@ -269,7 +277,7 @@ class TestHasOldMonotonicity:
         store = ColumnarVersionStore(database, retention=3)
         _replay_writes(store, database, script)
         for item in range(1, DB_SIZE + 1):
-            assert store.has_old(item) == bool(store.on_air(item))
+            assert has_old(store, item) == bool(store.on_air(item))
 
 
 def _replay_writes(store, database, script):
@@ -310,4 +318,4 @@ class TestObserverColumns:
         database.write(3, visible_cycle=5, writer=None)  # not owned
         database.write(4, visible_cycle=5, writer=None)
         assert store.item_record(4, 5, False).value == 1
-        assert not store.owns(3)
+        assert not owns(store, 3)

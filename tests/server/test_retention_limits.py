@@ -16,6 +16,7 @@ from repro.server.columnar import ColumnarVersionStore
 from repro.server.database import Database, Version
 from repro.server.substrate import build_substrate
 from repro.shard import ShardedSimulation, sharded_violations
+from tests.server.store_probes import has_old, total_retained
 
 
 @pytest.mark.parametrize("retention", [0, 16, 255, 256, 1000])
@@ -42,19 +43,19 @@ def test_one_item_keeps_a_thousand_versions_on_air():
             superseded_at=n + 2,
         )
         assert store.evict_expired(n + 2) == 0
-    assert len(store.on_air(1)) == store.total_retained == 1000
+    assert len(store.on_air(1)) == total_retained(store) == 1000
     assert len(store.overflow_records()) == 1000
-    assert store.has_old(1)
+    assert has_old(store, 1)
     assert store.item_record(1, 1001, needs_old=True).has_old_versions
-    assert not store.has_old(2)
+    assert not has_old(store, 2)
 
     assert store.evict_expired(1001) == 0
     assert store.evict_expired(1002) == 1  # superseded at 2 expires at 1002
-    assert len(store.on_air(1)) == 999 and store.has_old(1)
+    assert len(store.on_air(1)) == 999 and has_old(store, 1)
     assert store.evict_expired(2001) == 999
-    assert store.on_air(1) == [] and store.total_retained == 0
+    assert store.on_air(1) == [] and total_retained(store) == 0
     assert store.overflow_records() == ()
-    assert not store.has_old(1)
+    assert not has_old(store, 1)
     assert not store.item_record(1, 2001, needs_old=True).has_old_versions
 
 
@@ -67,11 +68,12 @@ def test_deep_shard_retention_runs_on_two_columnar_shards():
         shard_retention=[8, 300],
         keep_history=True,
     )
-    assert [type(shard.version_store) for shard in sim.shards] == [
+    stores = [shard.engine.version_store for shard in sim.shards]
+    assert [type(store) for store in stores] == [
         ColumnarVersionStore,
         ColumnarVersionStore,
     ]
-    assert [shard.version_store.retention for shard in sim.shards] == [8, 300]
+    assert [store.retention for store in stores] == [8, 300]
     result = sim.run()
     assert result.committed_attempts > 0
     assert sharded_violations(sim) == []

@@ -15,6 +15,7 @@ from repro.server.database import Database
 from repro.server.substrate import build_substrate
 from repro.server.transactions import ServerTransaction, TransactionEngine
 from repro.server.columnar import ColumnarVersionStore
+from tests.server.store_probes import all_on_air
 
 
 def make_engine(keep_history=False, version_store=False, **overrides):
@@ -106,7 +107,7 @@ class TestDatabaseEffects:
         # park their intermediate (never-broadcast) values.
         for cycle in range(1, 5):
             engine.run_cycle(cycle)
-        for item, rvs in store.all_on_air().items():
+        for item, rvs in all_on_air(store).items():
             values = [rv.version.value for rv in rvs]
             assert len(set(values)) == len(values)
             for rv in rvs:

@@ -5,6 +5,11 @@ import pytest
 from repro.graph.sgraph import TxnId
 from repro.server.database import Database
 from repro.server.columnar import ColumnarVersionStore
+from tests.server.store_probes import (
+    all_on_air,
+    best_version_at,
+    total_retained,
+)
 
 
 @pytest.fixture
@@ -39,7 +44,7 @@ def test_zero_retention_keeps_nothing(db):
     db.write(1, visible_cycle=2, writer=TxnId(1, 0))
     store.record_supersedure(old, superseded_at=2)
     assert store.on_air(1) == []
-    assert store.total_retained == 0
+    assert total_retained(store) == 0
 
 
 def test_eviction_after_retention_cycles(db):
@@ -56,9 +61,9 @@ def test_eviction_after_retention_cycles(db):
 
 def test_best_version_at_prefers_current(db):
     store = make_store(db)
-    assert store.best_version_at(1, 0).value == 0
+    assert best_version_at(store, 1, 0).value == 0
     db.write(1, visible_cycle=2, writer=TxnId(1, 0))
-    assert store.best_version_at(1, 5).value == 1
+    assert best_version_at(store, 1, 5).value == 1
 
 
 def test_best_version_at_falls_back_to_retained(db):
@@ -67,7 +72,7 @@ def test_best_version_at_falls_back_to_retained(db):
     db.write(1, visible_cycle=3, writer=TxnId(2, 0))
     store.record_supersedure(old, superseded_at=3)
     # Need the value current at cycle 2: the retained version 0.
-    assert store.best_version_at(1, 2).value == 0
+    assert best_version_at(store, 1, 2).value == 0
 
 
 def test_best_version_at_none_when_discarded(db):
@@ -76,7 +81,7 @@ def test_best_version_at_none_when_discarded(db):
     db.write(1, visible_cycle=3, writer=TxnId(2, 0))
     store.record_supersedure(old, superseded_at=3)
     store.evict_expired(4)
-    assert store.best_version_at(1, 2) is None
+    assert best_version_at(store, 1, 2) is None
 
 
 def test_multiple_versions_chain(db):
@@ -89,12 +94,12 @@ def test_multiple_versions_chain(db):
         store.record_supersedure(old, superseded_at=k)
         store.evict_expired(k)
     # At cycle 6: value-0 (superseded at 2) is already evicted at 6.
-    assert store.best_version_at(1, 1) is None
+    assert best_version_at(store, 1, 1) is None
     # value-1 (current cycles 2..3, superseded at 4): on air until cycle 7.
-    assert store.best_version_at(1, 3).value == 1
+    assert best_version_at(store, 1, 3).value == 1
     # value-2 (current cycles 4..5, superseded at 6): on air.
-    assert store.best_version_at(1, 5).value == 2
-    assert store.best_version_at(1, 6).value == 3
+    assert best_version_at(store, 1, 5).value == 2
+    assert best_version_at(store, 1, 6).value == 3
 
 
 def test_all_on_air_returns_copies(db):
@@ -102,7 +107,7 @@ def test_all_on_air_returns_copies(db):
     old = db.current(2)
     db.write(2, visible_cycle=2, writer=TxnId(1, 0))
     store.record_supersedure(old, superseded_at=2)
-    snapshot = store.all_on_air()
+    snapshot = all_on_air(store)
     snapshot[2].clear()
     assert store.on_air(2)
 
@@ -114,7 +119,7 @@ def test_total_retained_counts_everything(db):
             old = db.current(item)
             db.write(item, visible_cycle=k, writer=TxnId(k - 1, item))
             store.record_supersedure(old, superseded_at=k)
-    assert store.total_retained == 4
+    assert total_retained(store) == 4
 
 
 class TestDirtyTracking:
