@@ -141,6 +141,11 @@ class BroadcastProgram:
         data segment are fixed in the flat and overflow organizations --
         so it must never be mutated; ``records`` is owned by this program.
         When omitted, both indexes are built by scanning the buckets.
+        A listener's program may hold, in ``data_buckets``, a payload it
+        has not parsed yet (see
+        :meth:`~repro.live.codec.CycleCodec.hear_data`): an object whose
+        ``parse()`` returns the :class:`Bucket`, whose items are in
+        ``layout`` but not in ``records`` until a lookup misses on one.
     """
 
     def __init__(
@@ -204,14 +209,31 @@ class BroadcastProgram:
 
     @property
     def items(self) -> Sequence[int]:
-        return list(self._item_records)
+        return list(self._item_offsets)
 
     def record_of(self, item: int) -> ItemRecord:
         """The current-value record of ``item`` in this cycle."""
         record = self._item_records.get(item)
         if record is None:
-            raise KeyError(f"Item {item} is not in this broadcast")
+            return self._parse_held(item)
         return record
+
+    def _parse_held(self, item: int) -> ItemRecord:
+        """The lookup miss: parse the payload held unparsed where
+        ``item``'s record rides (its last offset), and file every record
+        it is the copy of."""
+        offsets = self._item_offsets.get(item)
+        if offsets:
+            offset = offsets[-1]
+            held = self.data_buckets[offset]
+            if type(held) is not Bucket:
+                bucket = self.data_buckets[offset] = held.parse()
+                layout, records = self._item_offsets, self._item_records
+                for record in bucket.records:
+                    if layout[record.item][-1] == offset:
+                        records[record.item] = record
+                return records[item]
+        raise KeyError(f"Item {item} is not in this broadcast")
 
     def slots_of(self, item: int) -> List[int]:
         """All slots (cycle-relative) carrying ``item``'s current value."""

@@ -808,6 +808,8 @@ def _command_listen(args: argparse.Namespace) -> int:
         ["scheme", result.scheme_label],
         ["cycles heard", str(result.cycles_heard)],
         ["cycles missed", str(result.cycles_missed)],
+        ["data buckets heard", str(result.buckets_heard)],
+        ["data buckets parsed", str(result.buckets_parsed)],
         ["attempts", str(ratio.total if ratio else 0)],
         ["committed", str(ratio.hits if ratio else 0)],
         ["end time (slots)", f"{result.end_time:.0f}"],

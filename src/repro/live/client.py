@@ -19,7 +19,7 @@ sim's fault semantics at reassembly:
 * a corrupt or missing CONTROL frame is a lost control segment --
   ``on_signal_lost`` fires, the cycle is missed;
 * a corrupt or missing DATA/OVERFLOW frame marks its slot lost; the
-  bucket's *position* is back-filled from the previous cycle's program
+  slot is back-filled with the previous cycle's entry at its offset
   (item positions are cycle-invariant in the flat and overflow
   organizations), and lost slots are never receivable, so stale
   back-fill content can never surface in a read;
@@ -27,6 +27,12 @@ sim's fault semantics at reassembly:
   lost data slot conservatively degrades to a missed cycle;
 * wholly missing cycles (every frame dropped) are signalled lost, in
   order, when the next decodable cycle arrives.
+
+Tuning is selective, as the paper's client's is: once a layout is
+known, a changed DATA payload is held raw and parsed only when a read
+names one of its items (:meth:`~repro.live.codec.CycleCodec.hear_data`);
+a DATA frame heard before its CONTROL stays raw until that header
+addresses it.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from repro.live.codec import (
     FrameCorrupt,
     FrameError,
     FrameStream,
+    HeldPayload,
     WireProfile,
     dataclass_from_wire,
     decode_json_payload,
@@ -84,6 +91,11 @@ class LiveClientResult:
     cycles_heard: int = 0
     cycles_missed: int = 0
     end_time: float = 0.0
+    #: Measured tuning: DATA payloads resolved against their cycle's
+    #: CONTROL, and how many of them were parsed (eagerly, or when a read
+    #: named one of their items).
+    buckets_heard: int = 0
+    buckets_parsed: int = 0
 
 
 @dataclass
@@ -93,7 +105,10 @@ class _PendingCycle:
     cycle: int
     header: Optional[ControlHeader] = None
     control_corrupt: bool = False
-    data: Dict[int, Bucket] = dataclass_field(default_factory=dict)
+    #: A bucket or held payload per slot; a raw frame until the header.
+    data: Dict[int, Union[Bucket, HeldPayload, Frame]] = dataclass_field(
+        default_factory=dict
+    )
     overflow: Dict[int, Bucket] = dataclass_field(default_factory=dict)
     corrupt_slots: set = dataclass_field(default_factory=set)
 
@@ -164,6 +179,7 @@ class LiveClient:
         self._next_start = 0.0
         self._cycles_heard = 0
         self._cycles_missed = 0
+        self._buckets_heard = 0
         self._end_time: Optional[float] = None
         self._done = False
 
@@ -265,7 +281,7 @@ class LiveClient:
         data_start = header.control_slots + header.index_slots
         overflow_start = data_start + header.num_data_buckets
         lost: set = set(cur.corrupt_slots)
-        data: List[Bucket] = []
+        data: List[Union[Bucket, HeldPayload]] = []
         for off in range(header.num_data_buckets):
             slot = data_start + off
             bucket = cur.data.get(slot)
@@ -314,22 +330,23 @@ class LiveClient:
 
     def _backfill_data(
         self, header: ControlHeader, offset: int
-    ) -> Optional[Bucket]:
-        """Positions for a lost data bucket, from the previous cycle.
+    ) -> Optional[Union[Bucket, HeldPayload]]:
+        """The previous cycle's entry (bucket or held payload) at a lost
+        data bucket's offset: it keeps the items addressable (layout,
+        autoprefetch arming), and the lost slot is never receivable, so
+        its stale content cannot reach a read.
 
         Sound in the flat and overflow organizations (item positions are
         cycle-invariant); impossible in the clustered one.
         """
-        if header.organization is MultiversionOrganization.CLUSTERED:
-            return None
         prev = self._prev_program
-        if prev is None or offset >= len(prev.data_buckets):
+        if (
+            header.organization is MultiversionOrganization.CLUSTERED
+            or prev is None
+            or offset >= len(prev.data_buckets)
+        ):
             return None
-        stale = prev.data_buckets[offset]
-        # Stale records keep items addressable (layout, autoprefetch
-        # arming); the lost slot is never receivable, so the stale
-        # content cannot reach a read.
-        return Bucket(index=stale.index, records=stale.records)
+        return prev.data_buckets[offset]
 
     # -- frame dispatch ------------------------------------------------------
 
@@ -386,20 +403,22 @@ class LiveClient:
         assert self.codec is not None
         if frame.type == CONTROL:
             cur = self._open_cycle(frame.cycle)
-            cur.header = self.codec.decode_control(frame)
-            # Frames heard before their CONTROL keep only announced slots.
+            cur.header = header = self.codec.decode_control(frame)
+            # Frames heard before their CONTROL keep only announced slots;
+            # the DATA frames among them were kept raw until now.
             for ftype, heard in ((DATA, cur.data), (OVERFLOW, cur.overflow)):
                 for slot in [s for s in heard if not cur.announced(ftype, s)]:
                     del heard[slot]
+            for slot, early in cur.data.items():
+                if type(early) is Frame:
+                    cur.data[slot] = self._hear_data(early, header)
         elif frame.type == DATA:
             cur = self._open_cycle(frame.cycle)
-            if cur.header is not None:
-                cur.data[frame.slot] = self.codec.decode_data_bucket(
-                    frame, cur.header
-                )
-            else:
-                # Header not (yet) decodable: remember raw, decode later.
-                cur.data[frame.slot] = self._decode_data_headerless(frame)
+            cur.data[frame.slot] = (
+                frame
+                if cur.header is None
+                else self._hear_data(frame, cur.header)
+            )
         elif frame.type == OVERFLOW:
             cur = self._open_cycle(frame.cycle)
             cur.overflow[frame.slot] = self.codec.decode_overflow_bucket(
@@ -408,34 +427,12 @@ class LiveClient:
         if self._cur is not None and self._cur.complete():
             self._finalize_cycle()
 
-    def _decode_data_headerless(self, frame: Frame) -> Bucket:
-        """Data arriving before its control frame decodes.
-
-        Only reachable on a lossy wire (TCP preserves order, the server
-        sends control first), where the cycle is headed for a miss
-        anyway; old-record sections exist only under the clustered
-        organization, which the codec profile knows without the header.
-        """
+    def _hear_data(
+        self, frame: Frame, header: ControlHeader
+    ) -> Union[Bucket, HeldPayload]:
         assert self.codec is not None
-        clustered = (
-            self.codec.profile.organization
-            is MultiversionOrganization.CLUSTERED
-        )
-        pseudo = ControlHeader(
-            cycle=frame.cycle,
-            start_slot=0,
-            control_slots=1,
-            index_slots=0,
-            organization=(
-                MultiversionOrganization.CLUSTERED
-                if clustered
-                else self.codec.profile.organization
-            ),
-            num_data_buckets=0,
-            num_overflow_buckets=0,
-            control=None,  # type: ignore[arg-type]
-        )
-        return self.codec.decode_data_bucket(frame, pseudo)
+        self._buckets_heard += 1
+        return self.codec.hear_data(frame, header)
 
     # -- the session ---------------------------------------------------------
 
@@ -468,7 +465,7 @@ class LiveClient:
             self._end_time if self._end_time is not None else self._next_start
         )
         self.member.finish(end_time)
-        assert self.params is not None
+        assert self.params is not None and self.codec is not None
         return LiveClientResult(
             scheme_label=self.scheme_label,
             params=self.params,
@@ -477,4 +474,6 @@ class LiveClient:
             cycles_heard=self._cycles_heard,
             cycles_missed=self._cycles_missed,
             end_time=end_time,
+            buckets_heard=self._buckets_heard,
+            buckets_parsed=self.codec.data_parsed,
         )

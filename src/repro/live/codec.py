@@ -56,7 +56,8 @@ import zlib
 from dataclasses import asdict, dataclass, is_dataclass
 from enum import Enum
 from math import ceil, log2
-from operator import itemgetter
+from itertools import compress, count
+from operator import ge, is_not, itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from typing import Union, get_args, get_type_hints
 
@@ -517,7 +518,7 @@ def _read_stamp(r: BitReader, bits: int, base: int) -> int:
 
 def _ascending(values: Sequence, what: str) -> None:
     """Sets ride sorted, so that one set has one encoding."""
-    if any(a >= b for a, b in zip(values, values[1:])):
+    if any(map(ge, values, values[1:])):
         raise CodecError(f"{what} are not in strictly ascending order")
 
 
@@ -542,6 +543,66 @@ class ControlHeader:
             + self.num_data_buckets
             + self.num_overflow_buckets
         )
+
+
+class HeldPayload:
+    """A changed DATA payload a listener keeps raw until a read names one
+    of its items (:meth:`CycleCodec.hear_data`).
+
+    ``items`` are what the layout puts at its offset, in bucket order.
+    :meth:`parse` reads the payload through
+    :meth:`CycleCodec.decode_data_bucket` on its first call, refuses a
+    bucket that names other items with a :class:`CodecError`, and keeps
+    the bucket for every later call: one held payload stands at its
+    offset in every consecutive program that hears the same bytes there.
+    """
+
+    __slots__ = (
+        "payload", "items", "_bucket", "_codec", "_header", "_cycle", "_offset"
+    )
+
+    def __init__(
+        self,
+        codec: "CycleCodec",
+        frame: Frame,
+        offset: int,
+        items: Tuple[int, ...],
+    ) -> None:
+        self.payload = frame.payload
+        self.items = items
+        self._bucket: Optional[Bucket] = None
+        self._codec: Optional[CycleCodec] = codec
+        # The header that sized the data memory this payload was heard
+        # into: the organization it parses under.
+        self._header: Optional[ControlHeader] = codec._data_header
+        self._cycle = frame.cycle
+        self._offset = offset
+
+    def parse(self) -> Bucket:
+        bucket = self._bucket
+        if bucket is None:
+            codec, header = self._codec, self._header
+            assert codec is not None and header is not None
+            # The data segment moves with each cycle's control segment:
+            # address the frame where its offset lies now, or outside any
+            # memory once the bucket geometry has changed.
+            slot = (
+                codec._data_start + self._offset
+                if codec._data_header is header
+                else 0
+            )
+            codec.data_parsed += 1
+            bucket = codec.decode_data_bucket(
+                Frame(DATA, self._cycle, slot, self.payload), header
+            )
+            if bucket.items != self.items:
+                raise CodecError(
+                    f"cycle {self._cycle}: data bucket {self._offset} names "
+                    "other items than the layout puts there"
+                )
+            self._bucket = bucket
+            self._codec = self._header = None
+        return bucket
 
 
 class CycleCodec:
@@ -584,6 +645,11 @@ class CycleCodec:
     versions shift position every cycle and are always parsed.  Above
     the bucket, :meth:`assemble` patches the item lookups of the last
     program it built instead of scanning the data segment again.
+
+    Once such a layout exists a listener parses only what its client
+    reads: :meth:`hear_data` keeps a changed DATA payload raw, as a
+    :class:`HeldPayload` the program parses when a lookup first names
+    one of its items.
     """
 
     def __init__(self, profile: WireProfile) -> None:
@@ -626,10 +692,17 @@ class CycleCodec:
         self._heard_organization: Optional[MultiversionOrganization] = None
         self._heard_data: List[Optional[tuple]] = []
         self._heard_overflow: List[Optional[tuple]] = []
+        # Per data offset the last payload held raw there (``hear_data``),
+        # sized with ``_heard_data`` by ``_data_header``.
+        self._held_data: List[Optional[HeldPayload]] = []
+        self._data_header: Optional[ControlHeader] = None
         self._data_start = self._overflow_start = 0
         # (data buckets, layout, records) of the last program assembled
-        # with fixed item positions; see ``assemble``.
+        # with fixed item positions since the data memory was sized; see
+        # ``assemble``.
         self._assembled: Optional[tuple] = None
+        #: DATA payloads :meth:`hear_data` had parsed, eagerly or on a read.
+        self.data_parsed = 0
 
     # -- field helpers ------------------------------------------------------
 
@@ -668,15 +741,23 @@ class CycleCodec:
 
     def _read_report(self, r: BitReader, cycle: int) -> InvalidationReport:
         report_cycle = _read_stamp(r, self.profile.version_bits, cycle)
-        items = []
+        key_bits, count = self.profile.key_bits, r.read(32)
         writers: Dict[int, TxnId] = {}
-        for _ in range(r.read(32)):
-            item = r.read(self.profile.key_bits)
-            items.append(item)
-            if self.profile.sgt:
+        if self.profile.sgt:
+            items = []
+            for _ in range(count):
+                item = r.read(key_bits)
+                items.append(item)
                 writer = self._read_opt_txn(r, cycle)
                 if writer is not None:
                     writers[item] = writer
+        else:
+            # Keys alone ride back to back: one read, sliced apart.
+            run, mask = r.read(key_bits * count), (1 << key_bits) - 1
+            items = [
+                (run >> shift) & mask
+                for shift in range(key_bits * (count - 1), -1, -key_bits)
+            ]
         _ascending(items, "report items")
         # Bucket-level projection is derived, not transmitted: clients map
         # items to pages with the same flat arithmetic as the builder.
@@ -764,23 +845,26 @@ class CycleCodec:
         r.finish()
         if control_slots < 1:
             raise CodecError("control_slots must be at least 1")
-        # The bucket memory is as large as this header says, no larger.
-        if (
-            _ORGS[org_code] is not self._heard_organization
-            or num_data != len(self._heard_data)
-            or num_overflow != len(self._heard_overflow)
-        ):
-            self._heard_organization = _ORGS[org_code]
+        # The bucket memory is as large as this header says, no larger;
+        # each segment's starts over when its own count changes.
+        organization = _ORGS[org_code]
+        moved = organization is not self._heard_organization
+        resized = moved or num_data != len(self._heard_data)
+        if resized:
             self._heard_data = [None] * num_data
+            self._held_data = [None] * num_data
+            self._assembled = None
+        if moved or num_overflow != len(self._heard_overflow):
             self._heard_overflow = [None] * num_overflow
+        self._heard_organization = organization
         self._data_start = control_slots + index_slots
         self._overflow_start = self._data_start + num_data
-        return ControlHeader(
+        header = ControlHeader(
             cycle=cycle,
             start_slot=start_slot,
             control_slots=control_slots,
             index_slots=index_slots,
-            organization=_ORGS[org_code],
+            organization=organization,
             num_data_buckets=num_data,
             num_overflow_buckets=num_overflow,
             control=ControlInfo(
@@ -791,6 +875,9 @@ class CycleCodec:
                 size_units=size_units,
             ),
         )
+        if resized:
+            self._data_header = header
+        return header
 
     # -- buckets (base-relative: the same bytes in every cycle) --------------
 
@@ -1245,6 +1332,44 @@ class CycleCodec:
             with_old=header.organization is _CLUSTERED,
         )
 
+    def hear_data(
+        self, frame: Frame, header: ControlHeader
+    ) -> Union[Bucket, HeldPayload]:
+        """A DATA frame as a listener keeps it for :meth:`assemble`.
+
+        Bytes equal to the payload last heard (parsed) or held at the
+        frame's offset resolve to that bucket or held payload.  Other
+        bytes are parsed by :meth:`decode_data_bucket` while there is no
+        layout to trust -- the first cycle of a bucket geometry, the
+        clustered organization -- and held raw once there is one, named
+        by the items the last program assembled has at that offset.
+        """
+        if frame.type != DATA:
+            raise CodecError(f"expected a DATA frame, got 0x{frame.type:02x}")
+        offset = frame.slot - self._data_start
+        heard = self._heard_data
+        if (
+            header.organization is self._heard_organization
+            and 0 <= offset < len(heard)
+        ):
+            payload = frame.payload
+            # Held first: a payload held in the last program stays the very
+            # object there, parsed or not, which ``assemble`` skips.
+            held = self._held_data[offset]
+            if held is not None and held.payload == payload:
+                return held
+            known = heard[offset]
+            if known is not None and known[0] == payload:
+                _check_base(known[2], known[1], frame.cycle)
+                return known[2]
+            last = self._assembled
+            if last is not None and len(last[0]) == len(heard):
+                held = HeldPayload(self, frame, offset, last[0][offset].items)
+                self._held_data[offset] = held
+                return held
+        self.data_parsed += 1
+        return self.decode_data_bucket(frame, header)
+
     def decode_overflow_bucket(self, frame: Frame) -> Bucket:
         if frame.type != OVERFLOW:
             raise CodecError(
@@ -1294,7 +1419,7 @@ class CycleCodec:
     def assemble(
         self,
         header: ControlHeader,
-        data_buckets: Sequence[Bucket],
+        data_buckets: Sequence[Union[Bucket, HeldPayload]],
         overflow_buckets: Sequence[Bucket],
     ) -> BroadcastProgram:
         """Rebuild the program from a fully received cycle.
@@ -1306,9 +1431,12 @@ class CycleCodec:
         records name the same items in the same order updates the records
         it changed in a copy of last cycle's item -> record map (for an
         item aired at several offsets, only from the last of them, which
-        is the copy the scan keeps).  A different bucket count, an item
-        that moved, old versions in a data bucket or the clustered
-        organization scans, as a fresh codec does.
+        is the copy the scan keeps).  A :class:`HeldPayload` (see
+        :meth:`hear_data`) takes its items out of that map instead; the
+        program parses it when a lookup first misses on one of them.  A
+        different data-bucket count or organization, an item that moved,
+        old versions in a data bucket or the clustered organization scans,
+        as a fresh codec does, and parses whatever is held to do so.
         """
         if len(data_buckets) != header.num_data_buckets:
             raise CodecError(
@@ -1337,10 +1465,13 @@ class CycleCodec:
         )
 
     def _index_data(
-        self, organization: MultiversionOrganization, data: List[Bucket]
+        self,
+        organization: MultiversionOrganization,
+        data: List[Union[Bucket, HeldPayload]],
     ) -> tuple:
         """``(layout, records)`` of ``data`` for :meth:`assemble`, or
-        ``(None, None)`` to have the program scan its buckets."""
+        ``(None, None)`` to have the program scan its buckets; held
+        payloads are parsed in place when the layout must be rebuilt."""
         last, self._assembled = self._assembled, None
         if organization is _CLUSTERED:
             return None, None
@@ -1348,6 +1479,11 @@ class CycleCodec:
         if last is not None and len(last[0]) == len(data):
             index = _patched_index(*last, data)
         if index is None:
+            for offset, entry in enumerate(data):
+                if type(entry) is HeldPayload:
+                    data[offset] = entry.parse()
+            # What is held was named by a layout this segment breaks.
+            self._held_data = [None] * len(self._held_data)
             if any(bucket.old_records for bucket in data):
                 return None, None  # old versions the program must index
             index = index_data_buckets(data)
@@ -1415,31 +1551,35 @@ class CycleCodec:
 
 
 def _patched_index(
-    before: List[Bucket],
+    before: List[Union[Bucket, HeldPayload]],
     layout: Dict[int, Tuple[int, ...]],
     records: Dict[int, ItemRecord],
-    data: List[Bucket],
+    data: List[Union[Bucket, HeldPayload]],
 ) -> Optional[tuple]:
     """``(layout, records)`` of ``data`` from those of ``before``, the
     data segment of as many buckets assembled last; ``None`` once a
     bucket names other items than the one it replaces."""
-    patched = None
-    for offset, (old, new) in enumerate(zip(before, data)):
-        if new is old:
+    changed = list(compress(count(), map(is_not, before, data)))
+    if not changed:
+        return layout, records
+    patched = dict(records)  # the last program keeps its own
+    for offset in changed:
+        old, new = before[offset], data[offset]
+        if type(new) is HeldPayload:
+            # Named by the layout, parsed on the first lookup that misses.
+            for item in new.items:
+                if layout[item][-1] == offset:
+                    patched.pop(item, None)
             continue
-        if new.old_records or len(new.records) != len(old.records):
+        if new.old_records or new.items != old.items:
             return None
-        if patched is None:
-            patched = dict(records)  # the last program keeps its own
         # Every record is written, the unchanged too: an item may ride
         # twice in one bucket, and the later copy is the one that counts.
-        for previous, record in zip(old.records, new.records):
+        for record in new.records:
             item = record.item
-            if item != previous.item:
-                return None
             if layout[item][-1] == offset:
                 patched[item] = record
-    return layout, records if patched is None else patched
+    return layout, patched
 
 
 def programs_equal(a: BroadcastProgram, b: BroadcastProgram) -> bool:

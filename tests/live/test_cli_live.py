@@ -73,6 +73,8 @@ def test_listen_reports_a_session_summary(capsys):
     # longer than the registry key aired in the HELLO).
     assert "invalidation-only+cache" in out
     assert "cycles heard" in out
+    # Measured tuning: what was heard, and how much of it was parsed.
+    assert "data buckets heard" in out and "data buckets parsed" in out
 
 
 def test_listen_against_a_dead_port_exits_1(capsys):

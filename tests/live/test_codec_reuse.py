@@ -232,8 +232,8 @@ def test_a_layout_liar_forces_a_rebuild(liar):
 
 def test_old_records_in_a_data_bucket_are_left_to_the_scan():
     """Old versions ride in data buckets only under the clustered
-    organization, but ``assemble`` may be handed some elsewhere (a DATA
-    frame decoded before its CONTROL is); the program then indexes them
+    organization, but ``assemble`` may be handed some elsewhere (by a
+    caller that decoded them itself); the program then indexes them
     by its own scan, from a fresh codec and from a long-lived one."""
     params, requirements, records = _built_programs(None, False, cycles=8)
     profile = WireProfile.from_params(params.server, requirements)
