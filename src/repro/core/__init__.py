@@ -17,7 +17,14 @@ consistent database state, without ever contacting the server:
 
 All schemes share the :class:`~repro.core.base.Scheme` interface and the
 :class:`~repro.core.transaction.ReadOnlyTransaction` bookkeeping, and are
-driven by :class:`~repro.client.machine.BroadcastClient`.
+driven by :class:`~repro.client.machine.BroadcastClient`.  Two bases
+write each rule once: :class:`~repro.core.base.ReportCheckedScheme` keeps
+the active queries of every scheme that checks each report (all but
+multiversion broadcast and the unsafe baseline) and aborts them all on a
+missed one, and :class:`~repro.core.versioned_cache.MarkedQueryScheme`
+holds the §4 marking rule, leaving §4.1 and §4.2 only their test of
+whether a delivered value is current at ``u - 1`` and their off-air
+fallback.
 """
 
 from repro.core.base import ReadAborted, ReadContext, Scheme

@@ -10,7 +10,9 @@ paper's scalability property, and the test suite asserts it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Generator, List, Mapping, Optional, Tuple,
+)
 
 from repro.broadcast.program import BroadcastProgram, ItemRecord
 from repro.core.control import BroadcastRequirements
@@ -120,8 +122,8 @@ class Scheme:
         """The client was disconnected during ``cycle`` and heard nothing.
 
         Default: no protocol state to lose.  Schemes that depend on hearing
-        every report (invalidation-only, SGT) override this to doom their
-        active transactions (Section 5.2.2, Table 1 last row).
+        every report derive from :class:`ReportCheckedScheme`, which dooms
+        their active transactions (Section 5.2.2, Table 1 last row).
         """
 
     def begin(self, txn: ReadOnlyTransaction) -> None:
@@ -218,3 +220,39 @@ class Scheme:
             record.item, record.value, record.version, read_cycle,
             record.writer, from_cache,
         )
+
+
+class ReportCheckedScheme(Scheme):
+    """A scheme that validates its active queries against every
+    invalidation report: invalidation-only, SGT and the two §4 schemes.
+
+    It keeps the active queries by id, and a missed report dooms every
+    one of them (Table 1: no tolerance to disconnections).
+    """
+
+    def __init__(self, use_cache: bool = True) -> None:
+        super().__init__(use_cache=use_cache)
+        self._active: Dict[str, ReadOnlyTransaction] = {}
+
+    def begin(self, txn: ReadOnlyTransaction) -> None:
+        self._active[txn.txn_id] = txn
+
+    def end(self, txn: ReadOnlyTransaction) -> None:
+        self._active.pop(txn.txn_id, None)
+
+    def on_missed_cycle(self, cycle: int) -> None:
+        # Without the report there is no way to validate: every active
+        # query dies.
+        self._doom_active(cycle)
+
+    def _doom_active(self, cycle: int) -> List[ReadOnlyTransaction]:
+        """Abort every active query for missing ``cycle``; the doomed."""
+        doomed = [txn for txn in self._active.values() if txn.is_active]
+        for txn in doomed:
+            txn.abort(
+                AbortReason.DISCONNECTED,
+                self.ctx.env.now,
+                cycle,
+                cause={"event": "missed_cycle", "missed_cycle": cycle},
+            )
+        return doomed

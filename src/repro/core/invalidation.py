@@ -15,11 +15,10 @@ for a smaller report.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator
 
 from repro.broadcast.program import BroadcastProgram
-from repro.core.base import ReadAborted, Scheme
-from repro.core.control import BroadcastRequirements
+from repro.core.base import ReportCheckedScheme
 from repro.core.transaction import (
     AbortReason,
     ReadOnlyTransaction,
@@ -34,24 +33,7 @@ class Granularity(enum.Enum):
     BUCKET = "bucket"
 
 
-def _invalidation_cause(
-    report_cycle: int,
-    granularity: Granularity,
-    hit: frozenset,
-    interim: bool = False,
-):
-    """Cause-chain entry for an invalidation-report abort."""
-    cause = {
-        "event": "invalidation",
-        "report_cycle": report_cycle,
-        ("pages" if granularity is Granularity.BUCKET else "items"): sorted(hit),
-    }
-    if interim:
-        cause["interim"] = True
-    return cause
-
-
-class InvalidationOnly(Scheme):
+class InvalidationOnly(ReportCheckedScheme):
     """Abort-on-invalidation processing of read-only transactions."""
 
     name = "invalidation-only"
@@ -63,12 +45,8 @@ class InvalidationOnly(Scheme):
     ) -> None:
         super().__init__(use_cache=use_cache)
         self.granularity = granularity
-        self._active: Dict[str, ReadOnlyTransaction] = {}
         #: item -> logical page, learned from the broadcast layout.
         self._page_of: Dict[int, int] = {}
-
-    def requirements(self) -> BroadcastRequirements:
-        return BroadcastRequirements()
 
     @property
     def label(self) -> str:
@@ -79,30 +57,10 @@ class InvalidationOnly(Scheme):
     # -- protocol ------------------------------------------------------------
 
     def on_cycle_start(self, program: BroadcastProgram) -> None:
-        report = program.control.invalidation
         if self.granularity is Granularity.BUCKET:
             for item in program.items:
                 self._page_of[item] = program.page_of(item)
-        for txn in list(self._active.values()):
-            if not txn.is_active:
-                continue
-            hit = self._invalidated(txn, report, program)
-            if hit:
-                txn.abort(
-                    AbortReason.INVALIDATED,
-                    self.ctx.env.now,
-                    program.cycle,
-                    cause=_invalidation_cause(report.cycle, self.granularity, hit),
-                )
-
-    def _invalidated(self, txn, report, program) -> frozenset:
-        """The invalidated items (or pages) of ``txn``; empty = survives."""
-        if self.granularity is Granularity.ITEM:
-            return report.invalidates(txn.readset)
-        pages = frozenset(
-            self._page_of[item] for item in txn.readset if item in self._page_of
-        )
-        return report.invalidates_buckets(pages)
+        self._abort_invalidated(program.control.invalidation, program.cycle)
 
     def on_interim_report(self, report) -> None:
         """Sub-cycle reports (§7): learn about invalidations within ``h``
@@ -115,39 +73,35 @@ class InvalidationOnly(Scheme):
         the current cycle is killed early.  The fig5 ablation bench
         measures the trade.
         """
-        for txn in list(self._active.values()):
+        self._abort_invalidated(report, self.ctx.current_cycle, interim=True)
+
+    def _abort_invalidated(self, report, cycle: int, interim: bool = False):
+        """Abort, at ``cycle``, every active query ``report`` invalidates."""
+        for txn in self._active.values():
             if not txn.is_active:
                 continue
-            if self.granularity is Granularity.ITEM:
-                hit = report.invalidates(txn.readset)
-            else:
-                pages = frozenset(
-                    self._page_of[item]
-                    for item in txn.readset
-                    if item in self._page_of
-                )
-                hit = report.invalidates_buckets(pages)
+            hit = self._invalidated(txn, report)
             if hit:
+                grain = self.granularity is Granularity.BUCKET
+                cause = {
+                    "event": "invalidation",
+                    "report_cycle": report.cycle,
+                    ("pages" if grain else "items"): sorted(hit),
+                }
+                if interim:
+                    cause["interim"] = True
                 txn.abort(
-                    AbortReason.INVALIDATED,
-                    self.ctx.env.now,
-                    self.ctx.current_cycle,
-                    cause=_invalidation_cause(
-                        report.cycle, self.granularity, hit, interim=True
-                    ),
+                    AbortReason.INVALIDATED, self.ctx.env.now, cycle, cause=cause
                 )
 
-    def on_missed_cycle(self, cycle: int) -> None:
-        # Without the report there is no way to validate: every active
-        # query dies (Table 1: no tolerance to disconnections).
-        for txn in list(self._active.values()):
-            if txn.is_active:
-                txn.abort(
-                    AbortReason.DISCONNECTED,
-                    self.ctx.env.now,
-                    cycle,
-                    cause={"event": "missed_cycle", "missed_cycle": cycle},
-                )
+    def _invalidated(self, txn, report) -> frozenset:
+        """The invalidated items (or pages) of ``txn``; empty = survives."""
+        if self.granularity is Granularity.ITEM:
+            return report.invalidates(txn.readset)
+        pages = frozenset(
+            self._page_of[item] for item in txn.readset if item in self._page_of
+        )
+        return report.invalidates_buckets(pages)
 
     # -- checkpoint / recovery (see repro.resilience) -------------------------
 
@@ -165,9 +119,6 @@ class InvalidationOnly(Scheme):
     def reset_state(self) -> None:
         self._page_of.clear()
 
-    def begin(self, txn: ReadOnlyTransaction) -> None:
-        self._active[txn.txn_id] = txn
-
     def read(
         self, txn: ReadOnlyTransaction, item: int
     ) -> Generator[object, object, ReadResult]:
@@ -177,6 +128,3 @@ class InvalidationOnly(Scheme):
     def state_cycle(self, txn: ReadOnlyTransaction):
         # Theorem 1: the state broadcast during the cycle of the last read.
         return txn.end_cycle
-
-    def end(self, txn: ReadOnlyTransaction) -> None:
-        self._active.pop(txn.txn_id, None)

@@ -59,11 +59,8 @@ class MultiversionBroadcast(Scheme):
     # No on_cycle_start logic at all: invalidation reports never abort a
     # multiversion query, and a client may even sleep through cycles
     # (Table 1's disconnection-tolerance row) -- it only loses if the
-    # version it needs ages off the air meanwhile.
-
-    def on_missed_cycle(self, cycle: int) -> None:
-        """Tolerated: reads are validated against explicit version numbers,
-        so missing a report loses nothing."""
+    # version it needs ages off the air meanwhile.  Reads are validated
+    # against explicit version numbers, so a missed report loses nothing.
 
     def read(
         self, txn: ReadOnlyTransaction, item: int

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional
 
 from repro.broadcast.program import BroadcastProgram
-from repro.core.base import ReadAborted, Scheme
+from repro.core.base import ReadAborted, ReportCheckedScheme
 from repro.core.control import BroadcastRequirements
 from repro.core.transaction import (
     AbortReason,
@@ -41,7 +41,7 @@ from repro.core.transaction import (
 from repro.graph.sgraph import SerializationGraph
 
 
-class SerializationGraphTesting(Scheme):
+class SerializationGraphTesting(ReportCheckedScheme):
     """Accept a read iff it keeps the local serialization graph acyclic."""
 
     name = "sgt"
@@ -54,7 +54,6 @@ class SerializationGraphTesting(Scheme):
         super().__init__(use_cache=use_cache)
         self.enhanced_disconnections = enhanced_disconnections
         self.graph = SerializationGraph()
-        self._active: Dict[str, ReadOnlyTransaction] = {}
         #: First-invalidation cycle per active query (the paper's ``o``).
         self._first_invalidation: Dict[str, int] = {}
         #: Enhanced mode: per-query upper bound on acceptable versions,
@@ -125,15 +124,8 @@ class SerializationGraphTesting(Scheme):
             # The graph can no longer be kept consistent: every active
             # query dies and the stale graph is dropped; future diffs
             # rebuild what future queries can possibly need.
-            for txn in list(self._active.values()):
-                if txn.is_active:
-                    txn.abort(
-                        AbortReason.DISCONNECTED,
-                        self.ctx.env.now,
-                        cycle,
-                        cause={"event": "missed_cycle", "missed_cycle": cycle},
-                    )
-                    self._forget(txn)
+            for txn in self._doom_active(cycle):
+                self.end(txn)
             self.graph = SerializationGraph()
             return
         # Enhanced mode: freeze each spanning query's acceptable-version
@@ -172,7 +164,7 @@ class SerializationGraphTesting(Scheme):
     # -- transaction lifecycle ------------------------------------------------------
 
     def begin(self, txn: ReadOnlyTransaction) -> None:
-        self._active[txn.txn_id] = txn
+        super().begin(txn)
         self.graph.add_node(txn.txn_id)
 
     def read(
@@ -213,10 +205,7 @@ class SerializationGraphTesting(Scheme):
         return self._result_from_record(record, cycle, from_cache)
 
     def end(self, txn: ReadOnlyTransaction) -> None:
-        self._forget(txn)
-
-    def _forget(self, txn: ReadOnlyTransaction) -> None:
-        self._active.pop(txn.txn_id, None)
+        super().end(txn)
         self._first_invalidation.pop(txn.txn_id, None)
         self._version_bound.pop(txn.txn_id, None)
         self.graph.remove_node(txn.txn_id)

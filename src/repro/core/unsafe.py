@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.base import Scheme
-from repro.core.control import BroadcastRequirements
 from repro.core.transaction import ReadOnlyTransaction, ReadResult
 
 
@@ -22,12 +21,6 @@ class NoConsistency(Scheme):
     """The null protocol: current values, no validation, no aborts."""
 
     name = "no-consistency"
-
-    def requirements(self) -> BroadcastRequirements:
-        return BroadcastRequirements()
-
-    def on_missed_cycle(self, cycle: int) -> None:
-        """Nothing to lose: the scheme never validates anything."""
 
     def read(
         self, txn: ReadOnlyTransaction, item: int

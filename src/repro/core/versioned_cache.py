@@ -10,15 +10,18 @@ than plain invalidation-only, in exchange for far fewer aborts.
 The cache tracks, per entry, the interval of cycles its value was current
 for (see :class:`~repro.client.cache.ClientCache`); "old enough" is the
 interval-containment test the proof of Theorem 4 quantifies over.
+
+:class:`MarkedQueryScheme` holds the marking rule both §4 schemes share;
+multiversion caching (§4.2) differs only where Theorem 5 differs from
+Theorem 4: version numbers ride on the air.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Generator, Optional
 
-from repro.broadcast.program import BroadcastProgram
-from repro.core.base import ReadAborted, Scheme
-from repro.core.control import BroadcastRequirements
+from repro.broadcast.program import BroadcastProgram, ItemRecord
+from repro.core.base import ReadAborted, ReportCheckedScheme
 from repro.core.transaction import (
     AbortReason,
     ReadOnlyTransaction,
@@ -27,129 +30,83 @@ from repro.core.transaction import (
 )
 
 
-def _mark_cause(report, hit, interim: bool = False):
-    """Cause-chain entry for the first invalidation that marks a query."""
-    cause = {
-        "event": "invalidation",
-        "report_cycle": report.cycle,
-        "items": sorted(hit),
-        "terminal": False,
-    }
-    if interim:
-        cause["interim"] = True
-    return cause
+class MarkedQueryScheme(ReportCheckedScheme):
+    """§4's rule: the first invalidation marks a query with deadline
+    ``u``, and every later read must be current at ``u - 1``.
 
-
-class InvalidationWithVersionedCache(Scheme):
-    """Marked-abort processing: continue on old-enough cached values."""
-
-    name = "inval-versioned-cache"
+    A subclass says when a value delivered off the air is still current
+    at that target (:meth:`_current_at`) and where a marked read goes when
+    no cached value covers the target (:meth:`_off_air`).
+    """
 
     def __init__(self) -> None:
         # The whole point of the scheme is the cache; it is mandatory.
         super().__init__(use_cache=True)
-        self._active: Dict[str, ReadOnlyTransaction] = {}
-
-    def requirements(self) -> BroadcastRequirements:
-        return BroadcastRequirements()
 
     @property
     def label(self) -> str:
         return self.name
 
-    def attach(self, ctx) -> None:
-        super().attach(ctx)
-        if ctx.cache is None:
-            raise RuntimeError(f"{self.name} requires a client cache")
-
     # -- protocol -------------------------------------------------------------
 
     def on_cycle_start(self, program: BroadcastProgram) -> None:
-        report = program.control.invalidation
-        for txn in self._active.values():
-            if txn.status is not TransactionStatus.ACTIVE:
-                continue
-            hit = report.invalidates(txn.readset)
-            if hit:
-                # First invalidation: mark, do not abort (Section 4.1).
-                txn.mark(deadline=report.cycle, cause=_mark_cause(report, hit))
+        self._mark_invalidated(program.control.invalidation)
 
     def on_interim_report(self, report) -> None:
         """Sub-cycle reports (§7): mark affected queries immediately.
 
         ``report.cycle`` equals the deadline the next main report would
-        set, so marking early is behaviour-preserving for the values read
-        -- it only lets the query switch to the old-value path (and detect
-        a hopeless cache) sooner.
+        set, so marking early changes no value read -- it only lets the
+        query switch to the old-value path (and detect a hopeless cache)
+        sooner.
         """
+        self._mark_invalidated(report, interim=True)
+
+    def _mark_invalidated(self, report, interim: bool = False) -> None:
+        """First invalidation: mark, do not abort (Section 4.1)."""
         for txn in self._active.values():
             if txn.status is not TransactionStatus.ACTIVE:
                 continue
             hit = report.invalidates(txn.readset)
             if hit:
-                txn.mark(
-                    deadline=report.cycle,
-                    cause=_mark_cause(report, hit, interim=True),
-                )
-
-    def on_missed_cycle(self, cycle: int) -> None:
-        for txn in list(self._active.values()):
-            if txn.is_active:
-                txn.abort(
-                    AbortReason.DISCONNECTED,
-                    self.ctx.env.now,
-                    cycle,
-                    cause={"event": "missed_cycle", "missed_cycle": cycle},
-                )
-
-    def begin(self, txn: ReadOnlyTransaction) -> None:
-        self._active[txn.txn_id] = txn
+                cause = {
+                    "event": "invalidation",
+                    "report_cycle": report.cycle,
+                    "items": sorted(hit),
+                    "terminal": False,
+                }
+                if interim:
+                    cause["interim"] = True
+                txn.mark(deadline=report.cycle, cause=cause)
 
     def read(
         self, txn: ReadOnlyTransaction, item: int
     ) -> Generator[object, object, ReadResult]:
-        while True:
-            if txn.is_marked:
-                result = yield from self._read_marked(txn, item)
-                return result
+        if not txn.is_marked:
             record, cycle, from_cache = yield from self._read_current(item)
-            if txn.is_marked and not from_cache:
-                if txn.deadline is not None and cycle == txn.deadline - 1:
-                    # Marked mid-wait by an *interim* report: the value
-                    # just delivered still belongs to the target state.
-                    return self._result_from_record(record, cycle, from_cache)
-                # Marked by a cycle-start report: the delivered value is
-                # from a cycle at or past the deadline and versions are
-                # not on the air in this scheme -- retry via the cache.
-                continue
-            return self._result_from_record(record, cycle, from_cache)
+            # A query marked while it waited on the channel keeps the
+            # delivered value only if it is still current at the target.
+            if not txn.is_marked or self._current_at(
+                record, cycle, txn.deadline - 1
+            ):
+                return self._result_from_record(record, cycle, from_cache)
+        result = yield from self._read_marked(txn, item)
+        return result
 
-    def _read_marked(self, txn: ReadOnlyTransaction, item: int):
+    def _read_marked(
+        self, txn: ReadOnlyTransaction, item: int
+    ) -> Generator[object, object, ReadResult]:
         """Serve a read for a marked query: a value current at
-        ``deadline - 1``, from the cache or (while the target cycle is
-        still on the air -- possible only with interim marking) from the
-        broadcast; otherwise abort."""
+        ``deadline - 1``, from the cache or :meth:`_off_air`; otherwise
+        abort."""
         ctx = self.ctx
-        assert txn.deadline is not None
         target = txn.deadline - 1
-
         entry = ctx.cache.get_covering(item, target, ctx.env.now)
         if entry is not None:
             return self._result_from_record(entry.record, ctx.current_cycle, True)
-
-        if ctx.current_cycle <= target:
-            record, cycle = yield from ctx.channel.await_item(item)
-            if cycle == target:
-                ctx.cache.insert_current(record, ctx.env.now)
-                return self._result_from_record(record, cycle, False)
-            # Delivered only in a later cycle; last chance via the cache
-            # (the autoprefetched old value may still cover the target).
-            entry = ctx.cache.get_covering(item, target, ctx.env.now)
-            if entry is not None:
-                return self._result_from_record(
-                    entry.record, ctx.current_cycle, True
-                )
-
+        result = yield from self._off_air(item, target)
+        if result is not None:
+            return result
         raise ReadAborted(
             AbortReason.STALE_CACHE,
             f"{txn.txn_id}: no value of item {item} current at cycle "
@@ -161,11 +118,59 @@ class InvalidationWithVersionedCache(Scheme):
             },
         )
 
+    def _current_at(self, record: ItemRecord, cycle: int, target: int) -> bool:
+        """Whether ``record``, delivered in ``cycle``, is current at
+        ``target``."""
+        raise NotImplementedError
+
+    def _off_air(
+        self, item: int, target: int
+    ) -> Generator[object, object, Optional[ReadResult]]:
+        """A value of ``item`` current at ``target`` that the cache did not
+        hold, or ``None`` when none is obtainable.  By default, the value
+        the broadcast delivers next, if it is current at ``target``."""
+        ctx = self.ctx
+        record, cycle = yield from ctx.channel.await_item(item)
+        if self._current_at(record, cycle, target):
+            ctx.cache.insert_current(record, ctx.env.now)
+            return self._result_from_record(record, cycle, False)
+        return None
+
     def state_cycle(self, txn: ReadOnlyTransaction):
-        # Theorem 4: DS^{u-1} once marked, else the most current state.
+        # Theorems 4 and 5: DS^{u-1} once marked, else the most current
+        # state.
         if txn.deadline is not None:
             return txn.deadline - 1
         return txn.end_cycle
 
-    def end(self, txn: ReadOnlyTransaction) -> None:
-        self._active.pop(txn.txn_id, None)
+
+class InvalidationWithVersionedCache(MarkedQueryScheme):
+    """Marked-abort processing: continue on old-enough cached values."""
+
+    name = "inval-versioned-cache"
+
+    def attach(self, ctx) -> None:
+        super().attach(ctx)
+        if ctx.cache is None:
+            raise RuntimeError(f"{self.name} requires a client cache")
+
+    def _current_at(self, record: ItemRecord, cycle: int, target: int) -> bool:
+        # Versions are not on the air: only a value delivered during the
+        # target cycle itself is known to belong to the target state.
+        return cycle == target
+
+    def _off_air(self, item: int, target: int):
+        # The target cycle is still on the air only when an interim report
+        # marked the query.
+        ctx = self.ctx
+        if ctx.current_cycle > target:
+            return None
+        result = yield from super()._off_air(item, target)
+        if result is not None:
+            return result
+        # Delivered only in a later cycle; last chance via the cache (the
+        # autoprefetched old value may still cover the target).
+        entry = ctx.cache.get_covering(item, target, ctx.env.now)
+        if entry is not None:
+            return self._result_from_record(entry.record, ctx.current_cycle, True)
+        return None

@@ -610,14 +610,16 @@ class CycleCodec:
 
     A DATA/OVERFLOW payload is a pure function of its :class:`Bucket`
     (ages count back from the bucket's own base, not from the cycle), so
-    a codec remembers, per bucket offset, the last payload it encoded
-    and the last it decoded: ``encode_cycle`` packs only the frame
-    header for a bucket object it aired last time, and ``decode_*``
-    returns the bucket it parsed last time when the payload bytes are
-    equal.  Either memory holds one cycle's buckets -- the counts of the
-    last program encoded, the 16-bit counts of the last CONTROL decoded
-    -- and a fresh codec is the reference a long-lived one must equal,
-    byte for byte and field for field.
+    a codec remembers, per data-bucket offset, the last payload it
+    encoded and the last it decoded: ``encode_cycle`` packs only the
+    frame header for a bucket object it aired last time, and
+    ``decode_data_bucket`` returns the bucket it parsed last time when
+    the payload bytes are equal.  Either memory holds one cycle's data
+    buckets -- the count of the last program encoded, the 16-bit count
+    of the last CONTROL decoded -- and a fresh codec is the reference a
+    long-lived one must equal, byte for byte and field for field.
+    OVERFLOW buckets are never remembered: their chunks shift every
+    cycle, so no offset ever airs the same bucket twice.
 
     Below the bucket the encoder works a record at a time.  While every
     age ``base - stamp`` in a record stays on its side of the escape
@@ -681,22 +683,20 @@ class CycleCodec:
         self._templates: Dict[int, tuple] = {}
         self._template_ks: Dict[int, int] = {}
         self._sweep_above = _TEMPLATE_FLOOR
-        # Per offset (bucket, base, payload, crc) of the last cycle
-        # encoded, good for one organization and one pair of bucket counts.
+        # Per data offset (bucket, base, payload, crc) of the last cycle
+        # encoded, good for one organization and one data-bucket count.
         self._aired_organization: Optional[MultiversionOrganization] = None
         self._aired_data: List[Optional[tuple]] = []
-        self._aired_overflow: List[Optional[tuple]] = []
-        # Per offset (payload, base, bucket, templates) of the last frame
-        # decoded there, sized and addressed by the last CONTROL decoded;
-        # ``templates`` has one slot per record of the bucket.
+        # Per data offset (payload, base, bucket, templates) of the last
+        # frame decoded there, sized and addressed by the last CONTROL
+        # decoded; ``templates`` has one slot per record of the bucket.
         self._heard_organization: Optional[MultiversionOrganization] = None
         self._heard_data: List[Optional[tuple]] = []
-        self._heard_overflow: List[Optional[tuple]] = []
         # Per data offset the last payload held raw there (``hear_data``),
         # sized with ``_heard_data`` by ``_data_header``.
         self._held_data: List[Optional[HeldPayload]] = []
         self._data_header: Optional[ControlHeader] = None
-        self._data_start = self._overflow_start = 0
+        self._data_start = 0
         # (data buckets, layout, records) of the last program assembled
         # with fixed item positions since the data memory was sized; see
         # ``assemble``.
@@ -845,20 +845,19 @@ class CycleCodec:
         r.finish()
         if control_slots < 1:
             raise CodecError("control_slots must be at least 1")
-        # The bucket memory is as large as this header says, no larger;
-        # each segment's starts over when its own count changes.
+        # The data memory is as large as this header says, no larger,
+        # and starts over when the organization or the count changes.
         organization = _ORGS[org_code]
-        moved = organization is not self._heard_organization
-        resized = moved or num_data != len(self._heard_data)
+        resized = (
+            organization is not self._heard_organization
+            or num_data != len(self._heard_data)
+        )
         if resized:
             self._heard_data = [None] * num_data
             self._held_data = [None] * num_data
             self._assembled = None
-        if moved or num_overflow != len(self._heard_overflow):
-            self._heard_overflow = [None] * num_overflow
         self._heard_organization = organization
         self._data_start = control_slots + index_slots
-        self._overflow_start = self._data_start + num_data
         header = ControlHeader(
             cycle=cycle,
             start_slot=start_slot,
@@ -1376,11 +1375,7 @@ class CycleCodec:
                 f"expected an OVERFLOW frame, got 0x{frame.type:02x}"
             )
         return self._decode_bucket(
-            frame,
-            self._heard_overflow,
-            frame.slot - self._overflow_start,
-            with_records=False,
-            with_old=True,
+            frame, (), 0, with_records=False, with_old=True
         )
 
     # -- whole cycles -------------------------------------------------------
@@ -1390,29 +1385,28 @@ class CycleCodec:
     ) -> List[bytes]:
         """All frames of one cycle, in air order (control first)."""
         cycle = program.cycle
-        data, overflow = program.data_buckets, program.overflow_buckets
+        data = program.data_buckets
         if (
             program.organization is not self._aired_organization
             or len(data) != len(self._aired_data)
-            or len(overflow) != len(self._aired_overflow)
         ):
             self._aired_organization = program.organization
             self._aired_data = [None] * len(data)
-            self._aired_overflow = [None] * len(overflow)
         frames = [self.encode_control(program, start_slot)]
         slot = program.control_slots + program.index_slots
-        for ftype, buckets, aired, with_old in (
-            (DATA, data, self._aired_data, program.organization is _CLUSTERED),
-            (OVERFLOW, overflow, self._aired_overflow, True),
-        ):
-            for offset, bucket in enumerate(buckets):
-                entry = aired[offset]
-                if entry is None or entry[0] is not bucket:
-                    entry = aired[offset] = self._bucket_entry(
-                        bucket, with_records=ftype == DATA, with_old=with_old
-                    )
-                frames.append(self._bucket_frame(ftype, cycle, slot, entry))
-                slot += 1
+        aired, with_old = self._aired_data, program.organization is _CLUSTERED
+        for offset, bucket in enumerate(data):
+            entry = aired[offset]
+            if entry is None or entry[0] is not bucket:
+                entry = aired[offset] = self._bucket_entry(
+                    bucket, with_records=True, with_old=with_old
+                )
+            frames.append(self._bucket_frame(DATA, cycle, slot, entry))
+            slot += 1
+        for bucket in program.overflow_buckets:
+            entry = self._bucket_entry(bucket, with_records=False, with_old=True)
+            frames.append(self._bucket_frame(OVERFLOW, cycle, slot, entry))
+            slot += 1
         self._sweep_templates(program)
         return frames
 

@@ -425,9 +425,9 @@ def test_hostile_slots_and_indices_do_not_grow_the_memories():
     assert sizes == (len(program.data_buckets), len(program.overflow_buckets))
 
     def memory():
-        return (len(codec._heard_data), len(codec._heard_overflow))
+        return len(codec._heard_data)
 
-    assert memory() == sizes
+    assert memory() == sizes[0]
     rng = random.Random(5)
     for frame in frames[1:]:
         for slot in (rng.randrange(2**32) for _ in range(20)):
@@ -450,22 +450,23 @@ def test_hostile_slots_and_indices_do_not_grow_the_memories():
             assert bucket.index == slot
             assert bucket.records == expected.records
             assert bucket.old_records == expected.old_records
-            assert memory() == sizes
+            assert memory() == sizes[0]
 
     # A smaller program shrinks both ends' memories with it.
     smaller = _replaced(program, program.cycle, program.data_buckets[:2], [])
     raw = codec.encode_cycle(smaller, 0)
     codec.decode_cycle(raw)
-    assert memory() == (2, 0)
-    assert (len(codec._aired_data), len(codec._aired_overflow)) == (2, 0)
+    assert memory() == 2
+    assert len(codec._aired_data) == 2
 
 
     # The encoder's third memory, one template per record on the air:
     # 200 multiversion cycles, every one of them retiring a cohort of old
     # versions and admitting another.  Once the overflow segment is full
     # (retention 16) the memory is as large at cycle 200 as at cycle 40.
-    # The listener's templates ride in its bucket memory, one slot per
-    # record of the buckets the last CONTROL announced, and nowhere else.
+    # The listener's templates ride in its data-bucket memory, one slot
+    # per record of the data buckets the last CONTROL announced, and
+    # nowhere else.
     params, requirements, records = _built_programs("overflow", False, cycles=200)
     profile = WireProfile.from_params(params.server, requirements)
     codec, listener = CycleCodec(profile), CycleCodec(profile)
@@ -482,10 +483,9 @@ def test_hostile_slots_and_indices_do_not_grow_the_memories():
             )
         )
         templates = 0
-        for heard in (listener._heard_data, listener._heard_overflow):
-            for _payload, _base, bucket, kept in heard:
-                assert len(kept) == len(bucket.records)
-                templates += sum(entry is not None for entry in kept)
+        for _payload, _base, bucket, kept in listener._heard_data:
+            assert len(kept) == len(bucket.records)
+            templates += sum(entry is not None for entry in kept)
         held.append(templates)
     assert len(sizes) == 200
     for size, live in zip(sizes, on_air):
