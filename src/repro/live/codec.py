@@ -33,8 +33,11 @@ built one for every scheme:
 * an age that overflows its field width escapes to an explicit 32-bit
   value (all-ones marker) instead of saturating.
 
-The control segment counts its ages back from the cycle it airs in; a
-DATA/OVERFLOW payload counts them back from its own *base*, the largest
+The control segment counts its ages back from the cycle it airs in and
+codes its transaction ids a run at a time (:meth:`BitWriter.write_txns`,
+:meth:`BitReader.read_txns`): the graph diff's nodes, its edges as src,
+dst, src, ..., and the augmented report's ``(item, writer?)`` rows.  A
+DATA/OVERFLOW payload counts its ages back from its own *base*, the largest
 cycle stamp in the bucket, written once after the bucket index::
 
     index:32 | base:32 | [records:16 | record*] | [old:16 | old record*]
@@ -56,7 +59,7 @@ import zlib
 from dataclasses import asdict, dataclass, is_dataclass
 from enum import Enum
 from math import ceil, log2
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import ge, is_not, itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from typing import Union, get_args, get_type_hints
@@ -108,6 +111,9 @@ class CodecError(FrameError):
 #: costs its length, so neither may grow with the payload.
 _WORD_BITS = 512
 
+#: Age escape: an all-ones age field means "explicit 32-bit age follows".
+_AGE_EXPLICIT_BITS = 32
+
 
 class BitWriter:
     """MSB-first bit packer over an int accumulator."""
@@ -132,6 +138,42 @@ class BitWriter:
             )
             self._acc &= (1 << spare) - 1
             self._nbits = spare
+
+    def write_txns(
+        self, run: Iterable, base: int, vbits: int, tbits: int, key_bits: int = 0
+    ) -> None:
+        """Append a run of ids, each its age against ``base``, then its seq,
+        escaped as :func:`_age_field` escapes them; with ``key_bits``, a run
+        of ``(key, id or None)`` rows: the key, a presence bit, the id."""
+        vmark, tmark = (1 << vbits) - 1, (1 << tbits) - 1
+        vesc, tesc = vmark << _AGE_EXPLICIT_BITS, tmark << _AGE_EXPLICIT_BITS
+        vwide, twide = vbits + _AGE_EXPLICIT_BITS, tbits + _AGE_EXPLICIT_BITS
+        acc, nbits, chunks = self._acc, self._nbits, self._chunks
+        for tid in run:
+            if nbits >= _WORD_BITS:
+                spare = nbits & 7
+                chunks.append((acc >> spare).to_bytes(nbits >> 3, "big"))
+                acc, nbits = acc & ((1 << spare) - 1), spare
+            if key_bits:
+                key, tid = tid
+                if key >> key_bits:
+                    raise CodecError(f"value {key} does not fit in {key_bits} bits")
+                acc = (acc << key_bits + 1) | (key << 1) | (tid is not None)
+                nbits += key_bits + 1
+                if tid is None:
+                    continue
+            age, seq = base - tid[0], tid[1]
+            # A negative field shifts down to -1: one test covers both ends.
+            if (age | seq) >> _AGE_EXPLICIT_BITS:
+                raise CodecError(f"age {age} or seq {seq} is negative or over 32 bits")
+            awidth, swidth = vbits, tbits
+            if age >= vmark:
+                age, awidth = vesc | age, vwide
+            if seq >= tmark:
+                seq, swidth = tesc | seq, twide
+            acc = (((acc << awidth) | age) << swidth) | seq
+            nbits += awidth + swidth
+        self._acc, self._nbits = acc, nbits
 
     def getvalue(self) -> bytes:
         """The packed bytes, zero-padded to a byte boundary."""
@@ -165,6 +207,52 @@ class BitReader:
             ) | int.from_bytes(chunk, "big")
         self._have = have
         return (self._acc >> have) & ((1 << bits) - 1)
+
+    def read_txns(
+        self, count: int, base: int, vbits: int, tbits: int, key_bits: int = 0
+    ) -> list:
+        """``count`` ids (or rows) as :meth:`BitWriter.write_txns` writes
+        them, each field refused as :func:`_read_stamp` refuses one."""
+        data, taken, acc, have = self._data, self._next, self._acc, self._have
+        vmark, tmark = (1 << vbits) - 1, (1 << tbits) - 1
+        longest = key_bits + 1 + vbits + tbits + 2 * _AGE_EXPLICIT_BITS
+        take, key_mask = (_WORD_BITS + longest) >> 3, (1 << key_bits) - 1
+        new, run = tuple.__new__, []
+        try:
+            for _ in range(count):
+                if have < longest:
+                    chunk = data[taken : taken + take]
+                    acc = (acc & ((1 << have) - 1)) << 8 * len(chunk)
+                    acc |= int.from_bytes(chunk, "big")
+                    taken, have = taken + len(chunk), have + 8 * len(chunk)
+                if key_bits:
+                    have -= key_bits + 1
+                    key = acc >> have
+                    if not key & 1:
+                        run.append(((key >> 1) & key_mask, None))
+                        continue
+                have -= vbits
+                age = (acc >> have) & vmark
+                if age == vmark:
+                    have -= _AGE_EXPLICIT_BITS
+                    age = (acc >> have) & 0xFFFFFFFF
+                    if age < vmark:
+                        raise CodecError(f"age {age} escaped although it fits its field")
+                if age > base:
+                    raise CodecError(f"stamp is older than cycle 0 (base {base})")
+                have -= tbits
+                seq = (acc >> have) & tmark
+                if seq == tmark:
+                    have -= _AGE_EXPLICIT_BITS
+                    seq = (acc >> have) & 0xFFFFFFFF
+                    if seq < tmark:
+                        raise CodecError(f"age {seq} escaped although it fits its field")
+                tid = new(TxnId, (base - age, seq))
+                run.append(((key >> 1) & key_mask, tid) if key_bits else tid)
+        except ValueError:  # a field past the end: a negative shift count
+            raise CodecError("bit stream truncated") from None
+        self._next, self._acc, self._have = taken, acc, have
+        return run
 
     def finish(self) -> None:
         """The payload must end here: under a byte of padding, all zero."""
@@ -424,9 +512,6 @@ class WireProfile:
 
 # -- the cycle codec ----------------------------------------------------------
 
-#: Age escape: an all-ones age field means "explicit 32-bit age follows".
-_AGE_EXPLICIT_BITS = 32
-
 _FLAT = MultiversionOrganization.NONE
 _CLUSTERED = MultiversionOrganization.CLUSTERED
 
@@ -498,19 +583,15 @@ def _write_age(w: BitWriter, age: int, bits: int) -> None:
     w.write(*_age_field(age, bits, (1 << bits) - 1))
 
 
-def _read_age(r: BitReader, bits: int) -> int:
-    marker = (1 << bits) - 1
-    value = r.read(bits)
-    if value == marker:
-        value = r.read(_AGE_EXPLICIT_BITS)
-        if value < marker:
-            raise CodecError(f"age {value} escaped although it fits its field")
-    return value
-
-
 def _read_stamp(r: BitReader, bits: int, base: int) -> int:
     """A cycle stamp, coded as its age against ``base``."""
-    stamp = base - _read_age(r, bits)
+    marker = (1 << bits) - 1
+    age = r.read(bits)
+    if age == marker:
+        age = r.read(_AGE_EXPLICIT_BITS)
+        if age < marker:
+            raise CodecError(f"age {age} escaped although it fits its field")
+    stamp = base - age
     if stamp < 0:
         raise CodecError(f"stamp is older than cycle 0 (base {base})")
     return stamp
@@ -704,29 +785,7 @@ class CycleCodec:
         #: DATA payloads :meth:`hear_data` had parsed, eagerly or on a read.
         self.data_parsed = 0
 
-    # -- field helpers ------------------------------------------------------
-
-    def _write_txn(self, w: BitWriter, tid: TxnId, base: int) -> None:
-        _write_age(w, base - tid.cycle, self.profile.version_bits)
-        _write_age(w, tid.seq, self.profile.tid_bits)
-
-    def _read_txn(self, r: BitReader, base: int) -> TxnId:
-        cycle = _read_stamp(r, self.profile.version_bits, base)
-        return TxnId(cycle=cycle, seq=_read_age(r, self.profile.tid_bits))
-
-    def _write_opt_txn(
-        self, w: BitWriter, tid: Optional[TxnId], base: int
-    ) -> None:
-        if tid is None:
-            w.write(0, 1)
-        else:
-            w.write(1, 1)
-            self._write_txn(w, tid, base)
-
-    def _read_opt_txn(self, r: BitReader, base: int) -> Optional[TxnId]:
-        if r.read(1):
-            return self._read_txn(r, base)
-        return None
+    # -- reports -------------------------------------------------------------
 
     def _write_report(
         self, w: BitWriter, report: InvalidationReport, cycle: int
@@ -734,23 +793,28 @@ class CycleCodec:
         _write_age(w, cycle - report.cycle, self.profile.version_bits)
         items = sorted(report.updated_items)
         w.write(len(items), 32)
-        for item in items:
-            w.write(item, self.profile.key_bits)
-            if self.profile.sgt:
-                self._write_opt_txn(w, report.first_writers.get(item), cycle)
+        profile = self.profile
+        if profile.sgt:
+            writers = report.first_writers
+            w.write_txns(
+                [(item, writers.get(item)) for item in items],
+                cycle, profile.version_bits, profile.tid_bits, profile.key_bits,
+            )
+        else:
+            for item in items:
+                w.write(item, profile.key_bits)
 
     def _read_report(self, r: BitReader, cycle: int) -> InvalidationReport:
-        report_cycle = _read_stamp(r, self.profile.version_bits, cycle)
-        key_bits, count = self.profile.key_bits, r.read(32)
+        profile = self.profile
+        report_cycle = _read_stamp(r, profile.version_bits, cycle)
+        key_bits, count = profile.key_bits, r.read(32)
         writers: Dict[int, TxnId] = {}
-        if self.profile.sgt:
-            items = []
-            for _ in range(count):
-                item = r.read(key_bits)
-                items.append(item)
-                writer = self._read_opt_txn(r, cycle)
-                if writer is not None:
-                    writers[item] = writer
+        if profile.sgt:
+            rows = r.read_txns(
+                count, cycle, profile.version_bits, profile.tid_bits, key_bits
+            )
+            items = [item for item, _writer in rows]
+            writers = {item: writer for item, writer in rows if writer is not None}
         else:
             # Keys alone ride back to back: one read, sliced apart.
             run, mask = r.read(key_bits * count), (1 << key_bits) - 1
@@ -800,13 +864,12 @@ class CycleCodec:
         else:
             w.write(1, 1)
             _write_age(w, cycle - diff.cycle, self.profile.version_bits)
+            vbits, tbits = self.profile.version_bits, self.profile.tid_bits
             w.write(len(diff.nodes), 32)
-            for node in sorted(diff.nodes):
-                self._write_txn(w, node, cycle)
+            w.write_txns(sorted(diff.nodes), cycle, vbits, tbits)
             w.write(len(diff.edges), 32)
-            for src, dst in sorted(diff.edges):
-                self._write_txn(w, src, cycle)
-                self._write_txn(w, dst, cycle)
+            # The edges ride as one run of ids: src, dst, src, dst, ...
+            w.write_txns(chain.from_iterable(sorted(diff.edges)), cycle, vbits, tbits)
         return encode_frame(CONTROL, cycle, 0, w.getvalue())
 
     def decode_control(self, frame: Frame) -> ControlHeader:
@@ -832,12 +895,11 @@ class CycleCodec:
         diff: Optional[GraphDiff] = None
         if r.read(1):
             diff_cycle = _read_stamp(r, self.profile.version_bits, cycle)
-            nodes = [self._read_txn(r, cycle) for _ in range(r.read(32))]
+            vbits, tbits = self.profile.version_bits, self.profile.tid_bits
+            nodes = r.read_txns(r.read(32), cycle, vbits, tbits)
             _ascending(nodes, "graph-diff nodes")
-            edges = [
-                (self._read_txn(r, cycle), self._read_txn(r, cycle))
-                for _ in range(r.read(32))
-            ]
+            ends = r.read_txns(2 * r.read(32), cycle, vbits, tbits)
+            edges = list(zip(ends[::2], ends[1::2]))
             _ascending(edges, "graph-diff edges")
             diff = GraphDiff(
                 cycle=diff_cycle, nodes=frozenset(nodes), edges=frozenset(edges)

@@ -1,35 +1,48 @@
-"""Reference model of the bucket payload, for ``test_codec_reference``.
+"""Reference model of the codec's payloads, for ``test_codec_reference``
+and ``test_control_reference``.
 
-The field-wise writers and readers below are the codec's bucket path as
-it stood before it went a record at a time (commit e2a0eb5), bodies
+The field-wise writers and readers below are the codec as it stood
+before it went a record at a time (commit e2a0eb5) and before it coded
+the control segment's transaction ids as runs (commit 1dc0fd5), bodies
 verbatim: one ``BitWriter.write`` / ``BitReader.read`` per field, every
 age through ``_write_age`` / ``_read_age``, the base found by a second
 scan.  :class:`ReferenceCodec` plugs them in where :class:`CycleCodec`
-cuts templates and slices windows, so everything around a bucket
-payload -- framing, the control segment, the two bucket memories -- is
-shared and everything inside one is not: agreement means the same bits
-for the same bucket and the same refusals for the same mistakes.
+cuts templates, slices windows and packs runs, so only framing and the
+two bucket memories are shared and everything inside a payload is not:
+agreement means the same bits for the same bucket or control segment
+and the same refusals for the same mistakes.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.broadcast.program import (
+    BroadcastProgram,
     Bucket,
     ItemRecord,
     MultiversionOrganization,
     OldVersionRecord,
 )
-from repro.graph.sgraph import TxnId
+from repro.core.control import (
+    ControlInfo,
+    InvalidationReport,
+    report_from_updates,
+)
+from repro.graph.sgraph import GraphDiff, TxnId
 from repro.live.codec import (
+    _ORGS,
+    CONTROL,
     MAX_PAYLOAD_BYTES,
     BitReader,
     BitWriter,
     CodecError,
+    ControlHeader,
     CycleCodec,
     Frame,
+    _ascending,
+    encode_frame,
 )
 
 _FLAT = MultiversionOrganization.NONE
@@ -77,8 +90,8 @@ def _read_stamp(r: BitReader, bits: int, base: int) -> int:
 
 
 class ReferenceCodec(CycleCodec):
-    """A :class:`CycleCodec` whose bucket payloads are packed and parsed
-    field by field."""
+    """A :class:`CycleCodec` whose bucket and control payloads are packed
+    and parsed field by field."""
 
     # -- field helpers ------------------------------------------------------
 
@@ -178,6 +191,158 @@ class ReferenceCodec(CycleCodec):
             valid_to=valid_to,
             writer=writer,
         )
+
+    # -- reports -------------------------------------------------------------
+
+    def _write_report(
+        self, w: BitWriter, report: InvalidationReport, cycle: int
+    ) -> None:
+        _write_age(w, cycle - report.cycle, self.profile.version_bits)
+        items = sorted(report.updated_items)
+        w.write(len(items), 32)
+        for item in items:
+            w.write(item, self.profile.key_bits)
+            if self.profile.sgt:
+                self._write_opt_txn(w, report.first_writers.get(item), cycle)
+
+    def _read_report(self, r: BitReader, cycle: int) -> InvalidationReport:
+        report_cycle = _read_stamp(r, self.profile.version_bits, cycle)
+        key_bits, count = self.profile.key_bits, r.read(32)
+        writers: Dict[int, TxnId] = {}
+        if self.profile.sgt:
+            items = []
+            for _ in range(count):
+                item = r.read(key_bits)
+                items.append(item)
+                writer = self._read_opt_txn(r, cycle)
+                if writer is not None:
+                    writers[item] = writer
+        else:
+            # Keys alone ride back to back: one read, sliced apart.
+            run, mask = r.read(key_bits * count), (1 << key_bits) - 1
+            items = [
+                (run >> shift) & mask
+                for shift in range(key_bits * (count - 1), -1, -key_bits)
+            ]
+        _ascending(items, "report items")
+        # Bucket-level projection is derived, not transmitted: clients map
+        # items to pages with the same flat arithmetic as the builder.
+        return report_from_updates(
+            cycle=report_cycle,
+            updated_items=frozenset(items),
+            first_writers=writers or None,
+            items_per_bucket=self.profile.items_per_bucket,
+        )
+
+    # -- the control segment (cycle-relative: it is new every cycle) ---------
+
+    def encode_control(
+        self, program: BroadcastProgram, start_slot: int
+    ) -> bytes:
+        w = BitWriter()
+        w.write(start_slot, 64)
+        w.write(program.control_slots, 16)
+        w.write(program.index_slots, 16)
+        w.write(_ORGS.index(program.organization), 2)
+        w.write(len(program.data_buckets), 16)
+        w.write(len(program.overflow_buckets), 16)
+
+        control = program.control
+        cycle = program.cycle
+        _write_age(w, cycle - control.cycle, self.profile.version_bits)
+        w.write(control.size_units, 32)
+        self._write_report(w, control.invalidation, cycle)
+        if len(control.window) > 0xFF:
+            raise CodecError(
+                f"report window of {len(control.window)} exceeds the "
+                "8-bit window field"
+            )
+        w.write(len(control.window), 8)
+        for report in control.window:
+            self._write_report(w, report, cycle)
+        diff = control.graph_diff
+        if diff is None:
+            w.write(0, 1)
+        else:
+            w.write(1, 1)
+            _write_age(w, cycle - diff.cycle, self.profile.version_bits)
+            w.write(len(diff.nodes), 32)
+            for node in sorted(diff.nodes):
+                self._write_txn(w, node, cycle)
+            w.write(len(diff.edges), 32)
+            for src, dst in sorted(diff.edges):
+                self._write_txn(w, src, cycle)
+                self._write_txn(w, dst, cycle)
+        return encode_frame(CONTROL, cycle, 0, w.getvalue())
+
+    def decode_control(self, frame: Frame) -> ControlHeader:
+        if frame.type != CONTROL:
+            raise CodecError(f"expected a CONTROL frame, got 0x{frame.type:02x}")
+        r = BitReader(frame.payload)
+        cycle = frame.cycle
+        start_slot = r.read(64)
+        control_slots = r.read(16)
+        index_slots = r.read(16)
+        org_code = r.read(2)
+        if org_code >= len(_ORGS):
+            raise CodecError(f"unknown organization code {org_code}")
+        num_data = r.read(16)
+        num_overflow = r.read(16)
+
+        control_cycle = _read_stamp(r, self.profile.version_bits, cycle)
+        size_units = r.read(32)
+        invalidation = self._read_report(r, cycle)
+        window = tuple(
+            self._read_report(r, cycle) for _ in range(r.read(8))
+        )
+        diff: Optional[GraphDiff] = None
+        if r.read(1):
+            diff_cycle = _read_stamp(r, self.profile.version_bits, cycle)
+            nodes = [self._read_txn(r, cycle) for _ in range(r.read(32))]
+            _ascending(nodes, "graph-diff nodes")
+            edges = [
+                (self._read_txn(r, cycle), self._read_txn(r, cycle))
+                for _ in range(r.read(32))
+            ]
+            _ascending(edges, "graph-diff edges")
+            diff = GraphDiff(
+                cycle=diff_cycle, nodes=frozenset(nodes), edges=frozenset(edges)
+            )
+        r.finish()
+        if control_slots < 1:
+            raise CodecError("control_slots must be at least 1")
+        # The data memory is as large as this header says, no larger,
+        # and starts over when the organization or the count changes.
+        organization = _ORGS[org_code]
+        resized = (
+            organization is not self._heard_organization
+            or num_data != len(self._heard_data)
+        )
+        if resized:
+            self._heard_data = [None] * num_data
+            self._held_data = [None] * num_data
+            self._assembled = None
+        self._heard_organization = organization
+        self._data_start = control_slots + index_slots
+        header = ControlHeader(
+            cycle=cycle,
+            start_slot=start_slot,
+            control_slots=control_slots,
+            index_slots=index_slots,
+            organization=organization,
+            num_data_buckets=num_data,
+            num_overflow_buckets=num_overflow,
+            control=ControlInfo(
+                cycle=control_cycle,
+                invalidation=invalidation,
+                graph_diff=diff,
+                window=window,
+                size_units=size_units,
+            ),
+        )
+        if resized:
+            self._data_header = header
+        return header
 
     # -- buckets -------------------------------------------------------------
 

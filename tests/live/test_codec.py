@@ -72,11 +72,13 @@ ORGS = (
 
 def _txn_ids(cycle: int) -> st.SearchStrategy:
     # Large seq values force the all-ones age escape through tiny
-    # tid_bits fields.
+    # tid_bits fields; the stamps and seqs at the ends of their ranges
+    # (age 0, 1 and the whole cycle; the largest explicit seq) ride too.
     return st.builds(
         TxnId,
-        cycle=st.integers(0, cycle),
-        seq=st.integers(0, 500),
+        cycle=st.sampled_from(sorted({0, max(cycle - 1, 0), cycle}))
+        | st.integers(0, cycle),
+        seq=st.sampled_from([0, 1, 2**31, 2**32 - 1]) | st.integers(0, 500),
     )
 
 
