@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import log
 from typing import List, Optional, Sequence
 
 from repro.config import ClientParameters
@@ -42,6 +43,11 @@ class QueryGenerator:
             n=params.read_range, theta=params.theta, rng=self._rng
         )
         self._next_id = 0
+        # ``expovariate(1.0 / mean)`` spelled out with its draw bound
+        # once: the stdlib's formula, one uniform per think time.
+        self._random = self._rng.random
+        mean = params.think_time
+        self._lambd = 0.0 if mean <= 0 else 1.0 / mean
 
     def next_query(self) -> Query:
         """Draw the next query's item set."""
@@ -55,7 +61,6 @@ class QueryGenerator:
     def think_time(self) -> float:
         """Idle slots before the next read (exponential around the mean,
         so clients do not lock-step with the broadcast)."""
-        mean = self.params.think_time
-        if mean <= 0:
+        if not self._lambd:
             return 0.0
-        return self._rng.expovariate(1.0 / mean)
+        return -log(1.0 - self._random()) / self._lambd

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Optional
 
 from repro.client.machine import BroadcastClient
 from repro.cohort.channel import CohortChannel
-from repro.cohort.shim import CohortEnv, Wake
+from repro.cohort.shim import CohortEnv
 from repro.config import ModelParameters
 from repro.core.base import Scheme
 from repro.core.control import BroadcastRequirements, ReportSchedule
@@ -54,6 +54,10 @@ from repro.stats.metrics import MetricsRegistry
 
 class Member:
     """One client's generator, clock and channel under the driver.
+
+    That is all a member holds: like the scheme's read context, it has
+    no server handle.  The generator yields an instant to wake at or
+    parks until the next install.
 
     Also the protocol driver of the live client (:mod:`repro.live`),
     which replays decoded wire cycles through the same kernel-exact
@@ -76,17 +80,16 @@ class Member:
         self.steps = 0
 
     def advance(self) -> None:
-        """Step the generator once and classify what it is waiting on."""
+        """Step the generator once and classify what it is waiting on:
+        an instant to wake at, or anything else to park on."""
         self.steps += 1
         try:
             value = next(self.gen)
         except StopIteration:  # pragma: no cover - clients loop forever
             self.wake = math.inf
             return
-        if type(value) is Wake:
-            self.wake = value.at
-        else:
-            self.wake = None
+        kind = type(value)
+        self.wake = value if kind is float or kind is int else None
 
     def run_until(self, limit: float) -> None:
         """Fire pending timeouts with wake strictly before ``limit``."""

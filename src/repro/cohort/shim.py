@@ -4,15 +4,15 @@ under the cohort driver.
 A :class:`~repro.client.machine.BroadcastClient` only ever asks its
 environment for two things: ``timeout(delay)`` (sleep) and
 ``process(gen)`` (start my loop).  The shim answers both without an
-event kernel: ``timeout`` returns a :class:`Wake` token carrying the
-absolute wake time -- computed as ``now + delay`` with exactly the same
-float operation the kernel's ``Timeout`` would perform, so wake instants
-are bit-identical to the discrete run -- and ``process`` hands the
-generator back unstarted for the driver to step.
+event kernel: ``timeout`` returns the absolute wake instant itself, a
+float -- computed as ``now + delay`` with exactly the same float
+operation the kernel's ``Timeout`` would perform, so wake instants are
+bit-identical to the discrete run -- and ``process`` hands the generator
+back unstarted for the driver to step.
 
-Everything a client generator can yield is one of two shapes:
+A client generator yields one of two shapes:
 
-* a :class:`Wake` -- resume me at ``wake.at``;
+* an instant (a number) -- resume me when the clock reaches it;
 * anything else (in practice the :data:`CYCLE_WAIT` sentinel returned by
   ``CohortChannel.cycle_started()``) -- park me until the next installed
   cycle start.
@@ -22,18 +22,6 @@ two cases; no other event type exists on the client side.
 """
 
 from __future__ import annotations
-
-
-class Wake:
-    """Yield token: resume the generator when the clock reaches ``at``."""
-
-    __slots__ = ("at",)
-
-    def __init__(self, at: float) -> None:
-        self.at = at
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Wake at={self.at}>"
 
 
 class _CycleWait:
@@ -46,7 +34,7 @@ class _CycleWait:
 
 
 #: Singleton returned by ``CohortChannel.cycle_started()``; identity is
-#: all the driver needs (any non-:class:`Wake` yield parks the client).
+#: all the driver needs (any yield but an instant parks the client).
 CYCLE_WAIT = _CycleWait()
 
 
@@ -58,9 +46,9 @@ class CohortEnv:
     def __init__(self) -> None:
         self.now = 0.0
 
-    def timeout(self, delay: float, value: object = None) -> Wake:
+    def timeout(self, delay: float, value: object = None) -> float:
         # Same float expression as the kernel's Timeout: now + delay.
-        return Wake(self.now + delay)
+        return self.now + delay
 
     def process(self, gen):
         """Return the generator unstarted; the driver steps it."""

@@ -88,5 +88,5 @@ class KernellessServer:
         next one."""
         for wake in self.backend.process():
             yield CycleRecord(self.program.cycle, self.env.now, self.program)
-            self.env.now = wake.at
+            self.env.now = wake
 

@@ -45,31 +45,23 @@ class ReadContext:
     """Everything a scheme may touch, handed over by the client machine.
 
     Deliberately narrow: the channel (listen only), the local cache, the
-    simulation clock.  No server handle exists, by construction.
+    simulation clock.  No server handle exists, by construction.  The
+    runtime's fields are copied once, into plain slots, so a read pays
+    no property hop for them; ``current_cycle`` asks the channel.
     """
+
+    __slots__ = ("_runtime", "env", "channel", "cache", "metrics")
 
     def __init__(self, runtime: "ClientRuntime") -> None:
         self._runtime = runtime
-
-    @property
-    def env(self):
-        return self._runtime.env
-
-    @property
-    def channel(self):
-        return self._runtime.channel
-
-    @property
-    def cache(self):
-        return self._runtime.cache
-
-    @property
-    def metrics(self):
-        return self._runtime.metrics
+        self.env = runtime.env
+        self.channel = runtime.channel
+        self.cache = runtime.cache
+        self.metrics = runtime.metrics
 
     @property
     def current_cycle(self) -> int:
-        return self._runtime.channel.current_cycle
+        return self.channel.current_cycle
 
 
 class Scheme:
@@ -197,7 +189,7 @@ class Scheme:
         the air is inserted into the cache (demand caching); a hit hands
         back the very record the entry was installed from.
         """
-        ctx = self.ctx
+        ctx = self._ctx
         cache = ctx.cache if self.use_cache else None
         if cache is not None:
             entry = cache.get_current(item, ctx.env.now)

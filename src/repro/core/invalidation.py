@@ -97,6 +97,9 @@ class InvalidationOnly(ReportCheckedScheme):
     def _invalidated(self, txn, report) -> frozenset:
         """The invalidated items (or pages) of ``txn``; empty = survives."""
         if self.granularity is Granularity.ITEM:
+            # Nearly every query survives: ask before building any set.
+            if report.updated_items.isdisjoint(txn.reads):
+                return frozenset()
             return report.invalidates(txn.readset)
         pages = frozenset(
             self._page_of[item] for item in txn.readset if item in self._page_of

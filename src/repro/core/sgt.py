@@ -79,7 +79,7 @@ class SerializationGraphTesting(ReportCheckedScheme):
         control = program.control
         report = control.invalidation
         for txn in self._active.values():
-            if not txn.is_active:
+            if not txn.is_active or report.updated_items.isdisjoint(txn.reads):
                 continue
             edged = []
             for item in report.invalidates(txn.readset):

@@ -27,6 +27,10 @@ class TransactionStatus(enum.Enum):
     ABORTED = "aborted"
 
 
+_ACTIVE = TransactionStatus.ACTIVE
+_MARKED = TransactionStatus.MARKED
+
+
 class AbortReason(enum.Enum):
     """Why an attempt aborted (per-reason counters in the harness)."""
 
@@ -40,7 +44,7 @@ class AbortReason(enum.Enum):
     EPOCH_MISMATCH = "epoch_mismatch"
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadResult:
     """One completed read: the value and its provenance."""
 
@@ -107,7 +111,10 @@ class ReadOnlyTransaction:
     # -- transitions -------------------------------------------------------
 
     def record_read(self, result: ReadResult) -> None:
-        if not self.is_active:
+        # Identity tests, inline: no property call, and no set lookup,
+        # which would hash the member through Python-level Enum.__hash__.
+        status = self.status
+        if status is not _ACTIVE and status is not _MARKED:
             raise RuntimeError(f"{self.txn_id}: read on a finished transaction")
         self.reads[result.item] = result
         self.cycles_touched.add(result.read_cycle)

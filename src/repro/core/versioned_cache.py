@@ -67,6 +67,8 @@ class MarkedQueryScheme(ReportCheckedScheme):
         for txn in self._active.values():
             if txn.status is not TransactionStatus.ACTIVE:
                 continue
+            if report.updated_items.isdisjoint(txn.reads):
+                continue
             hit = report.invalidates(txn.readset)
             if hit:
                 cause = {

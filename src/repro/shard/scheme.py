@@ -55,22 +55,16 @@ CONSISTENCY_MODES = ("local", "epoch")
 class _ShardContext(ReadContext):
     """A read context whose channel is one shard's channel.
 
-    Everything else (env, cache, metrics, params) is shared with the
-    client's primary context, so sub-schemes on different shards share
-    the one client cache and metrics registry.
+    Everything else (env, cache, metrics) is shared with the client's
+    primary context, so sub-schemes on different shards share the one
+    client cache and metrics registry.
     """
+
+    __slots__ = ()
 
     def __init__(self, runtime, channel) -> None:
         super().__init__(runtime)
-        self._shard_channel = channel
-
-    @property
-    def channel(self):
-        return self._shard_channel
-
-    @property
-    def current_cycle(self) -> int:
-        return self._shard_channel.current_cycle
+        self.channel = channel
 
 
 class MultiShardScheme(Scheme):
@@ -147,6 +141,8 @@ class MultiShardScheme(Scheme):
                 if len(touched) < 2 or shard not in touched:
                     continue
                 if not txn.is_active:
+                    continue
+                if report.updated_items.isdisjoint(txn.reads):
                     continue
                 hit = report.invalidates(txn.readset)
                 if hit:

@@ -1,13 +1,20 @@
 """Tests for the client cache: LRU, invalidation + autoprefetch, validity
 intervals, and the multiversion partition."""
 
+from collections import Counter
+
 import pytest
 
 from repro.broadcast.channel import BroadcastChannel
 from repro.broadcast.program import BroadcastProgram, Bucket, ItemRecord
+from repro.client import cache as cache_module
 from repro.client.cache import CacheEntry, ClientCache
+from repro.cohort.engine import CohortSimulation
+from repro.cohort.oracle import oracle_params
 from repro.core.control import ControlInfo, InvalidationReport
+from repro.experiments.schemes import scheme_factory
 from repro.sim import Environment
+from tests.client.reference_cache import ReferenceCache
 
 
 def make_program(cycle, values, updated=()):
@@ -216,3 +223,128 @@ def test_contents_lists_both_partitions(env, channel):
     cache.insert_current(record(1, 1, 0), now=0.0)
     cache.insert_old(record(2, 2, 1), valid_to=3, now=0.0)
     assert len(cache.contents()) == 2
+
+
+# -- a landed refresh rewrites its entry in place -------------------------------
+
+
+class TestRefreshInPlace:
+    def test_landed_refresh_keeps_the_entry_at_the_reference_lru_slot(
+        self, env, channel
+    ):
+        cache, ref = ClientCache(5), ReferenceCache(5)
+        for item in (1, 2, 3):
+            for c in (cache, ref):
+                c.insert_current(record(item, 100 + item, 0), now=0.0)
+        held = cache._current[2]
+        program = make_program(
+            5, {1: (101, 0), 2: (202, 5), 3: (103, 0)}, updated=[2]
+        )
+        channel.begin_cycle(program)
+        for c in (cache, ref):
+            c.handle_cycle_start(program, channel)
+            # Touch item 1 before item 2's refresh lands (slot 2, at 2.5).
+            assert c.get_current(1, now=1.0).value == 101
+            assert c.get_current(3, now=3.0).value == 103
+        assert cache._current[2] is held
+        assert held.record is program.record_of(2)
+        assert (held.valid_to, held.available_at) == (None, 2.5)
+        assert list(cache._current) == list(ref._current) == [1, 2, 3]
+
+    def test_demand_insert_over_a_stale_entry_rewrites_it(self, env, channel):
+        cache = ClientCache(5)
+        cache.insert_current(record(1, 100, 0), now=0.0)
+        held = cache._current[1]
+        program = make_program(5, {1: (101, 5)}, updated=[1])
+        channel.begin_cycle(program)
+        cache.handle_cycle_start(program, channel)
+        fresh = record(1, 101, 5)
+        cache.insert_current(fresh, now=1.25)
+        assert cache._current[1] is held
+        assert (held.record, held.valid_to, held.available_at) == (fresh, None, 1.25)
+        assert not cache._pending
+
+    def test_multiversion_demotes_the_object_and_lands_a_new_one(
+        self, env, channel
+    ):
+        cache = ClientCache(6, old_capacity=2)
+        first = record(1, 100, 0)
+        cache.insert_current(first, now=0.0)
+        held = cache._current[1]
+        program = make_program(5, {1: (101, 5)}, updated=[1])
+        channel.begin_cycle(program)
+        cache.handle_cycle_start(program, channel)
+        # Demoted whole: the same object, its record and interval intact.
+        assert 1 not in cache._current
+        assert cache._old[(1, 0)] is held
+        assert (held.record, held.valid_to, held.available_at) == (first, 4, 0.0)
+        # The landing refresh builds a new current entry.
+        landed = cache.get_current(1, now=2.0)
+        assert landed is not held
+        assert landed.record is program.record_of(1)
+        assert cache._old[(1, 0)] is held and held.valid_to == 4
+        currents = {id(e) for e in cache._current.values()}
+        assert not currents & {id(e) for e in cache._old.values()}
+
+    def test_multiversion_insert_over_a_closed_entry_demotes_it(self):
+        # Only a restored checkpoint leaves a closed entry in the current
+        # partition; a demand insert over it must not rewrite that object.
+        cache = ClientCache(6, old_capacity=2)
+        cache.restore_entries([CacheEntry(record(1, 100, 0), 4, 0.0)], [])
+        closed = cache._current[1]
+        cache.insert_current(record(1, 101, 5), now=1.0)
+        assert cache._old[(1, 0)] is closed and closed.valid_to == 4
+        assert closed.record == record(1, 100, 0)
+        assert cache._current[1] is not closed
+        assert cache._current[1].record == record(1, 101, 5)
+
+
+def test_cohort_run_builds_entries_only_for_demand_inserts(monkeypatch):
+    """The collector's lead, pinned as a count: in a whole ``inval+cache``
+    run every landed autoprefetch rewrites the entry it refreshes, so a
+    ``CacheEntry`` is built only by a demand insert of an item the cache
+    does not hold."""
+    phase = ["outside"]
+    built = Counter()
+    counts = Counter()
+    real_entry = cache_module.CacheEntry
+    real_materialize = ClientCache._materialize
+    real_insert = ClientCache.insert_current
+    real_install = ClientCache._install_current
+
+    def counting_entry(*args):
+        built[phase[-1]] += 1
+        return real_entry(*args)
+
+    def materialize(self, now):
+        phase.append("refresh")
+        try:
+            real_materialize(self, now)
+        finally:
+            phase.pop()
+
+    def insert_current(self, rec, now):
+        if not self.bypass:
+            counts["demand"] += 1
+            if rec.item not in self._current:
+                counts["demand_new"] += 1
+        phase.append("demand")
+        try:
+            real_insert(self, rec, now)
+        finally:
+            phase.pop()
+
+    def install(self, rec, available_at):
+        counts[phase[-1]] += 1
+        real_install(self, rec, available_at)
+
+    monkeypatch.setattr(cache_module, "CacheEntry", counting_entry)
+    monkeypatch.setattr(ClientCache, "_materialize", materialize)
+    monkeypatch.setattr(ClientCache, "insert_current", insert_current)
+    monkeypatch.setattr(ClientCache, "_install_current", install)
+    params = oracle_params(20, 7, False, num_cycles=40)
+    CohortSimulation(params, scheme_factory=scheme_factory("inval+cache")).run()
+    assert counts["refresh"] > 100  # landed refreshes happened ...
+    assert built["refresh"] == 0  # ... and built no entry
+    assert counts["demand"] > counts["demand_new"] > 0
+    assert built == {"demand": counts["demand_new"]}

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.client.query import Query, QueryGenerator
 from repro.config import ClientParameters
@@ -74,3 +76,33 @@ def test_deterministic_with_seed():
 
 def test_query_size_property():
     assert Query(query_id=0, items=(1, 2, 3)).size == 3
+
+
+# -- think_time is the stdlib's exponential draw ------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mean=st.floats(min_value=1e-3, max_value=1e3),
+    draws=st.integers(1, 12),
+)
+def test_think_time_is_expovariate_draw_for_draw(seed, mean, draws):
+    """``think_time`` spells ``expovariate(1.0 / mean)`` out: the same
+    value from the same single uniform, so the Zipf item draws of the
+    queries between think times stay where they were."""
+    gen = make_generator(seed=seed, think_time=mean)
+    twin_rng = random.Random(seed)
+    twin = QueryGenerator(gen.params, rng=twin_rng)
+    for _ in range(draws):
+        assert gen.next_query().items == twin.next_query().items
+        assert gen.think_time() == twin_rng.expovariate(1.0 / mean)
+        assert gen.think_time() == twin_rng.expovariate(1.0 / mean)
+
+
+@given(seed=st.integers(0, 2**32 - 1), mean=st.sampled_from([0.0, -0.0, -1.0, -2.5]))
+def test_no_think_time_draws_no_uniform(seed, mean):
+    gen = make_generator(seed=seed, think_time=mean)
+    state = gen._rng.getstate()
+    assert gen.think_time() == 0.0
+    assert gen._rng.getstate() == state

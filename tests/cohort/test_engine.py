@@ -2,17 +2,23 @@
 does not exercise directly: gating, chunking invariance, and optional
 collaborators (disconnection models, report schedules)."""
 
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.client.disconnect import RandomDisconnections
 from repro.cohort import CohortSimulation
+from repro.cohort.channel import CohortChannel
+from repro.cohort.engine import Member
+from repro.cohort.shim import CYCLE_WAIT, CohortEnv
 from repro.cohort.oracle import oracle_params, registry_delta, result_delta
 from repro.core.control import ReportSchedule
 from repro.experiments.schemes import scheme_factory
 from repro.runtime import Simulation
 from repro.stats import names as metric_names
+from repro.stats.metrics import MetricsRegistry
 
 
 def test_rejects_resilience_bundles():
@@ -122,3 +128,40 @@ def test_cohort_size_floor():
         cohort_size=0,
     )
     assert sim.cohort_size == 1
+
+
+def _scripted_member(yields):
+    """A member whose client generator yields ``yields`` in turn."""
+    env = CohortEnv()
+    channel = CohortChannel(env, MetricsRegistry())
+    return Member(SimpleNamespace(process=iter(yields)), channel, env)
+
+
+@pytest.mark.parametrize("instant", [0.0, 3.0, 7, 2.5, math.inf])
+def test_a_yielded_instant_never_parks(instant):
+    """A wake is its instant: a float from ``CohortEnv.timeout`` (an
+    integer-valued one, zero or ``inf`` included) wakes the member
+    there, and nothing the driver does treats it as a park."""
+    member = _scripted_member([instant, CYCLE_WAIT])
+    member.advance()
+    assert member.wake == instant and member.wake is not None
+    member.run_until(instant)  # strictly before: does not fire
+    assert member.wake == instant and member.steps == 1
+
+
+@pytest.mark.parametrize("token", [CYCLE_WAIT, None, object(), "3.0", True])
+def test_only_a_non_instant_yield_parks(token):
+    member = _scripted_member([token])
+    member.advance()
+    assert member.wake is None
+
+
+def test_timeout_yields_the_kernels_float_instant():
+    env = CohortEnv()
+    env.now = 1.0
+    wake = env.timeout(2)
+    assert type(wake) is float and wake == 3.0
+    member = _scripted_member([env.timeout(0.5), env.timeout(1), CYCLE_WAIT])
+    member.advance()
+    member.run_until(3.0)  # fires 1.5, then 2.0, then parks
+    assert (member.env.now, member.wake, member.steps) == (2.0, None, 3)

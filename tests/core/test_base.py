@@ -118,8 +118,8 @@ def test_shard_reads_use_their_shards_channel_cached_or_not():
     # last bucket, slot 3, from shard 1's cycle start.
     read = scheme._read_current(1)
     wake = next(read)
-    assert wake.at == shard.delivery_time(3) == 3.75
-    env.now = wake.at
+    assert wake == shard.delivery_time(3) == 3.75
+    env.now = wake
     with pytest.raises(StopIteration) as done:
         read.send(None)
     record, cycle, from_cache = done.value.value
