@@ -41,6 +41,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional, get_args, get_type_hints
 
+from repro.cohort.engine import DEFAULT_COHORT_SIZE
 from repro.config import DEFAULTS, RETRY_POLICIES, ModelParameters
 from repro.core.control import ReportSchedule
 from repro.faults.presets import get_preset, preset_names
@@ -207,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--cohort-size",
         type=int,
-        default=4096,
+        default=DEFAULT_COHORT_SIZE,
         metavar="N",
-        help="clients advanced per cohort chunk (default: 4096)",
+        help="clients advanced per cohort chunk (default: %(default)s)",
     )
     shard = run.add_argument_group(
         "sharding", "partition items over K broadcast channels (see repro.shard)"

@@ -36,8 +36,8 @@ once before the simulation stops, again matching event-id order.
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Callable, Iterator, Optional
+import os
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.client.machine import BroadcastClient
 from repro.cohort.channel import CohortChannel
@@ -191,17 +191,73 @@ def build_trace(cycles: Iterator[CycleRecord]) -> Optional[CycleRecord]:
     return next(cycles, None)
 
 
+#: Members per cohort chunk.  The population splits into chunks of this
+#: many clients in client-id order, whatever the core count, so a run's
+#: registry never depends on how many processes replayed it.
+DEFAULT_COHORT_SIZE = 512
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: how many processes one run's
+    chunks fan out to, at most."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity call (macOS)
+        return os.cpu_count() or 1
+
+
+def _processes(chunks: int) -> int:
+    """How many processes replay a run of ``chunks`` chunks: one per
+    usable core up to one per chunk, from a single-threaded main process
+    that can fork; one otherwise.  A worker of someone else's pool stays
+    in-process, and so does a process with other threads, which a fork
+    could catch holding a lock."""
+    processes = min(chunks, usable_cores())
+    if processes < 2:
+        return 1
+    import multiprocessing
+    import threading
+
+    if (
+        multiprocessing.parent_process() is not None
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        return 1
+    return processes
+
+
+#: A chunk's outcome: its registry, its members' steps, and its server's
+#: ``(cycles_completed, total_slots)``.
+ChunkResult = Tuple[MetricsRegistry, int, Tuple[int, int]]
+
+#: The run a forked worker replays chunks of (set in the worker only).
+_adopted: Optional["CohortSimulation"] = None
+
+
+def _adopt(sim: "CohortSimulation") -> None:
+    global _adopted
+    _adopted = sim
+
+
+def _adopted_chunk(k: int, requirements: BroadcastRequirements) -> ChunkResult:
+    return _adopted._run_chunk(k, requirements)
+
+
 class CohortSimulation:
     """Drop-in alternative to :class:`~repro.runtime.Simulation` that
     streams the server's air past chunked cohorts of clients.
 
-    Memory stays bounded in the cohort size, not the population, and
-    flat in the run's length: each cohort's clients are built lazily (in
-    client-id order, as the seed order yields them), fed each cycle as
-    the server loop yields it, and released.  The air is a pure function
-    of ``(params, seed)``, so every chunk after the first re-derives it
-    from a fresh server on the same engine stream instead of anyone
-    holding it.
+    The population splits into chunks of ``cohort_size`` members in
+    client-id order.  A chunk needs nothing from any other: it draws its
+    clients' streams off its own seed order and re-derives the air from
+    a fresh server on the run's engine stream, as the air is a pure
+    function of ``(params, seed)``.  So the chunks run in parallel
+    processes, one per usable core (see :func:`usable_cores`), and their
+    registries merge in chunk order: the run's registry is bit-identical
+    for any process count.  A process holds one chunk at a time, so
+    memory stays bounded in the cohort size, not the population, and
+    flat in the run's length.
     """
 
     def __init__(
@@ -210,7 +266,7 @@ class CohortSimulation:
         scheme_factory: Callable[[], Scheme],
         disconnect_factory: Optional[DisconnectFactory] = None,
         report_schedule: Optional[ReportSchedule] = None,
-        cohort_size: int = 4096,
+        cohort_size: int = DEFAULT_COHORT_SIZE,
     ) -> None:
         params.validate()
         if params.resilience.active:
@@ -228,62 +284,111 @@ class CohortSimulation:
         self.scheme_factory = scheme_factory
         self.disconnect_factory = disconnect_factory
         self.cohort_size = max(1, cohort_size)
+        #: The run's registry: chunk 0's, with every later chunk's
+        #: merged into it in chunk order.
         self.metrics = MetricsRegistry()
-        #: Total generator resumptions across all clients (the cohort
-        #: analogue of the kernel's events-processed figure, for bench).
+        #: Generator resumptions summed over every chunk's members (the
+        #: cohort analogue of the kernel's events-processed figure, for
+        #: bench).
         self.steps = 0
 
     def run(self) -> SimulationResult:
-        params = self.params
-        seeds = SeedOrder(params.sim.seed)
         probe = self.scheme_factory()
         # Merging one scheme's requirements equals merging N identical
         # ones: every field combines by idempotent OR / max.
         requirements = BroadcastRequirements(
             report_window=self.report_schedule.window
         ).merge(probe.requirements())
-        # The engine stream comes off the seed order before any client's.
-        rng = seeds.engine_rng()
-        server_metrics = self.metrics
-        injector: Optional[FaultInjector] = None
-        if params.faults.active:
-            injector = FaultInjector(params.faults, params.sim, self.metrics)
-
-        num_clients = params.sim.num_clients
-        client_seeds = seeds.clients(
-            num_clients, self.disconnect_factory, injector
-        )
-        for _ in range(0, num_clients, self.cohort_size):
-            members = [
-                make_member(seed, self.scheme_factory(), params, self.metrics)
-                for seed in islice(client_seeds, self.cohort_size)
-            ]
-            server = KernellessServer(params, requirements, server_metrics, rng)
-            cycles = server.cycles()
-            while (record := build_trace(cycles)) is not None:
-                start = record.start
-                program = record.program
-                for member in members:
-                    member.deliver(start, program)
-            for member in members:
-                member.finish(server.env.now)
-                self.steps += member.steps
-            # Later chunks re-derive the same air; only the first
-            # chunk's server counts into the run's registry.
-            rng = SeedOrder(params.sim.seed).engine_rng()
-            server_metrics = MetricsRegistry()
-
-        backend = server.backend
-        cycles_completed = backend.cycles_completed
+        chunks = -(-self.params.sim.num_clients // self.cohort_size)
+        processes = _processes(chunks)
+        if processes == 1:
+            results = [self._run_chunk(k, requirements) for k in range(chunks)]
+        else:
+            results = self._fan_out(chunks, processes, requirements)
+        self.metrics, self.steps, (cycles_completed, total_slots) = results[0]
+        for metrics, steps, _ in results[1:]:
+            self.metrics.merge(metrics)
+            self.steps += steps
         return SimulationResult(
-            params=params,
+            params=self.params,
             scheme_label=probe.label,
             metrics=self.metrics,
             cycles_completed=cycles_completed,
             mean_cycle_slots=(
-                backend.total_slots / cycles_completed
-                if cycles_completed
-                else 0.0
+                total_slots / cycles_completed if cycles_completed else 0.0
             ),
             clients=[],
         )
+
+    def _fan_out(
+        self, chunks: int, processes: int, requirements: BroadcastRequirements
+    ) -> List[ChunkResult]:
+        """Every chunk's result in chunk order: this process replays the
+        chunks ``k = 0 (mod processes)``, ``processes - 1`` forked workers
+        the rest.  No worker outlives the call, whether it returns or
+        raises."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            processes - 1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt,
+            initargs=(self,),
+        ) as pool:
+            try:
+                pending = {
+                    k: pool.submit(_adopted_chunk, k, requirements)
+                    for k in range(chunks)
+                    if k % processes
+                }
+                results = {
+                    k: self._run_chunk(k, requirements)
+                    for k in range(0, chunks, processes)
+                }
+                for k, future in pending.items():
+                    results[k] = future.result()
+            except BaseException:
+                # The workers finish only the chunks they have started.
+                pool.shutdown(cancel_futures=True)
+                raise
+        return [results[k] for k in range(chunks)]
+
+    def _run_chunk(
+        self, k: int, requirements: BroadcastRequirements
+    ) -> ChunkResult:
+        """Replay chunk ``k`` on its own: its members, from client
+        ``k * cohort_size`` on, stepped past a fresh server."""
+        params = self.params
+        metrics = MetricsRegistry()
+        seeds = SeedOrder(params.sim.seed)
+        # The engine stream comes off the seed order before any client's.
+        rng = seeds.engine_rng()
+        injector: Optional[FaultInjector] = None
+        if params.faults.active:
+            injector = FaultInjector(params.faults, params.sim, metrics)
+        first = k * self.cohort_size
+        last = min(first + self.cohort_size, params.sim.num_clients)
+        members = [
+            make_member(seed, self.scheme_factory(), params, metrics)
+            for seed in seeds.clients(
+                last, self.disconnect_factory, injector, start=first
+            )
+        ]
+        # Every chunk re-derives the same air; only chunk 0's server
+        # counts into the run's registry.
+        server = KernellessServer(
+            params, requirements, metrics if k == 0 else MetricsRegistry(), rng
+        )
+        cycles = server.cycles()
+        while (record := build_trace(cycles)) is not None:
+            start = record.start
+            program = record.program
+            for member in members:
+                member.deliver(start, program)
+        steps = 0
+        for member in members:
+            member.finish(server.env.now)
+            steps += member.steps
+        backend = server.backend
+        return metrics, steps, (backend.cycles_completed, backend.total_slots)

@@ -24,7 +24,16 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.cohort.engine import CohortSimulation
 from repro.config import ModelParameters
@@ -153,12 +162,17 @@ def compare_cell(
     seed: int,
     faults: bool,
     num_cycles: int = DEFAULT_CYCLES,
-    cohort_size: int = 1024,
+    cohort_size: Optional[int] = None,
 ) -> Dict:
     """Run one (scheme, N, seed, faults) cell both ways and diff.
 
+    The cohort side runs in chunks of ``cohort_size`` (by default a
+    third of the population), so every cell of three clients or more
+    crosses chunks and fans them out over the usable cores.
     Returns a report dict; the cell passed iff ``mismatches`` is empty.
     """
+    if cohort_size is None:
+        cohort_size = max(1, clients // 3)
     params = oracle_params(clients, seed, faults, num_cycles=num_cycles)
     factory = scheme_factory(scheme)
     discrete = Simulation(params, scheme_factory=factory).run()

@@ -12,7 +12,7 @@ Two sweep modes exist:
   a few dozen clients -- enough to demonstrate flatness, bounded by the
   kernel's per-client cost;
 * the *cohort* sweep (``--cohorts``) runs :class:`repro.cohort.
-  CohortSimulation` to 10^5+ clients on one core, extending the same
+  CohortSimulation` to 10^5+ clients, extending the same
   per-scheme abort/latency curves by three orders of magnitude (the
   differential oracle guarantees the two engines agree exactly at small
   N, so the curves are directly comparable).
@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.cohort.engine import DEFAULT_COHORT_SIZE
 from repro.config import DEFAULTS, ModelParameters
 from repro.experiments.render import render_sweep
 from repro.experiments.runner import (
@@ -97,7 +98,7 @@ def run_cohorts(
     profile: ExperimentProfile = FULL_PROFILE,
     schemes: Optional[Sequence[str]] = None,
     client_sweep: Optional[Sequence[int]] = None,
-    cohort_size: int = 4096,
+    cohort_size: int = DEFAULT_COHORT_SIZE,
     num_cycles: Optional[int] = None,
     verbose: bool = False,
 ) -> List[Dict]:
@@ -107,8 +108,9 @@ def run_cohorts(
     oracle pins cohort == discrete on exactly that workload) with a
     cycle count decoupled from the discrete profiles: population scaling
     is the axis here, so a dozen post-warmup cycles over 10^5 clients
-    already aggregates millions of attempts.  Single-core by design --
-    the engine's point is that one core suffices.
+    already aggregates millions of attempts.  A row's chunks replay on
+    every usable core (DESIGN §12); its figures do not depend on how
+    many.
     """
     from repro.cohort import CohortSimulation
     from repro.cohort.oracle import oracle_params
@@ -181,7 +183,7 @@ def render_cohort_rows(rows: Sequence[Dict]) -> str:
 
 
 def cohort_bench_payload(
-    rows: Sequence[Dict], cohort_size: int = 4096
+    rows: Sequence[Dict], cohort_size: int = DEFAULT_COHORT_SIZE
 ) -> Dict:
     """The committed ``results/BENCH_cohort.json`` shape."""
     return {

@@ -122,3 +122,11 @@ class FaultInjector:
             random.Random(self._rng.getrandbits(64)),
             metrics=self.metrics,
         )
+
+    def pass_over_client(self) -> None:
+        """Draw what :meth:`pipeline_for` and :meth:`disconnections_for`
+        draw for one client, building neither: how a cohort chunk reaches
+        its first client's fault streams without the clients before it."""
+        self._rng.getrandbits(64)
+        if self.storm_windows:
+            self._rng.getrandbits(64)

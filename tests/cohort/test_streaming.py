@@ -29,9 +29,11 @@ from repro.cohort.oracle import oracle_params, scheme_factory
 
 
 def _watched_run(monkeypatch, params, scheme, watch, cohort_size=4096):
-    """Run a cohort replay, calling ``watch(cycle)`` each time the
-    driver steps a chunk's server onto a new cycle, before any member
-    hears it."""
+    """Run a cohort replay in this process, calling ``watch(cycle)``
+    each time the driver steps a chunk's server onto a new cycle, before
+    any member hears it.  One usable core keeps every chunk here, where
+    the watch and the memory probes can see it."""
+    monkeypatch.setattr(engine, "usable_cores", lambda: 1)
     step = engine.build_trace
 
     def watched(cycles):
