@@ -1,12 +1,17 @@
-"""The cohort driver: advance whole client cohorts cycle by cycle.
+"""The cohort driver: advance client cohorts a window of cycles at a time.
 
 Instead of interleaving every client's events through one kernel heap,
 the driver exploits client independence (no client ever influences the
-server or another client) to advance each member *client-major*: all of
-one client's events within a cycle run before the next client's.  Both
-orders execute the identical multiset of per-client steps with identical
-per-client clocks and RNG streams, so every counter, ratio and sampler
-exact-sum is equal to the discrete run's -- the property
+server or another client) to advance each member *member-major* over a
+window of cycles: it takes up to :data:`CYCLE_WINDOW` cycles off the
+air, walks the first member through all of them, then the next, and
+only then takes the next window.  One member's cache, generator frame
+and RNG stay hot across the window instead of being reloaded once per
+cycle.  Both orders execute the identical multiset of per-client steps
+with identical per-client clocks and RNG streams (programs are
+immutable snapshots, storm windows are drawn up front, and each member
+owns its fault pipeline, clock and RNG), so every counter, ratio and
+sampler exact-sum is equal to the discrete run's -- the property
 :mod:`repro.cohort.oracle` checks exhaustively.
 
 Per member and cycle boundary ``T1`` the driver replays the kernel's
@@ -37,8 +42,10 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Tuple
 
+from repro.broadcast.program import BroadcastProgram
 from repro.client.machine import BroadcastClient
 from repro.cohort.channel import CohortChannel
 from repro.cohort.shim import CohortEnv
@@ -191,6 +198,13 @@ def build_trace(cycles: Iterator[CycleRecord]) -> Optional[CycleRecord]:
     return next(cycles, None)
 
 
+#: Cycles a chunk's members are walked through at a time.  A window
+#: holds this many programs, which share their buckets; it bounds what a
+#: run holds beyond its members (DESIGN §17, "Cohort replay"), and was
+#: sized by measurement: 16 takes most of the locality gain of walking
+#: the whole run at once (DESIGN §12, "Loop order").
+CYCLE_WINDOW = 16
+
 #: Members per cohort chunk.  The population splits into chunks of this
 #: many clients in client-id order, whatever the core count, so a run's
 #: registry never depends on how many processes replayed it.
@@ -255,9 +269,11 @@ class CohortSimulation:
     function of ``(params, seed)``.  So the chunks run in parallel
     processes, one per usable core (see :func:`usable_cores`), and their
     registries merge in chunk order: the run's registry is bit-identical
-    for any process count.  A process holds one chunk at a time, so
-    memory stays bounded in the cohort size, not the population, and
-    flat in the run's length.
+    for any process count.  Within a chunk the members are walked through
+    a window of :data:`CYCLE_WINDOW` cycles each before the server steps
+    on.  A process holds one chunk and one window at a time, so memory
+    stays bounded in the cohort size, not the population, and flat in the
+    run's length.
     """
 
     def __init__(
@@ -358,7 +374,10 @@ class CohortSimulation:
         self, k: int, requirements: BroadcastRequirements
     ) -> ChunkResult:
         """Replay chunk ``k`` on its own: its members, from client
-        ``k * cohort_size`` on, stepped past a fresh server."""
+        ``k * cohort_size`` on, stepped past a fresh server a window of
+        :data:`CYCLE_WINDOW` cycles at a time, member by member.  The
+        order depends only on ``(k, window)``, so the chunk's registry
+        does not depend on how many processes share the run."""
         params = self.params
         metrics = MetricsRegistry()
         seeds = SeedOrder(params.sim.seed)
@@ -381,11 +400,21 @@ class CohortSimulation:
             params, requirements, metrics if k == 0 else MetricsRegistry(), rng
         )
         cycles = server.cycles()
-        while (record := build_trace(cycles)) is not None:
-            start = record.start
-            program = record.program
+        # The lambda reads ``build_trace`` off the module on every step.
+        records = iter(lambda: build_trace(cycles), None)
+        window: List[Tuple[float, BroadcastProgram]] = []
+        while True:
+            window.extend(
+                (record.start, record.program)
+                for record in islice(records, CYCLE_WINDOW)
+            )
+            if not window:
+                break
             for member in members:
-                member.deliver(start, program)
+                for start, program in window:
+                    member.deliver(start, program)
+            # The window's programs go before the next window's come in.
+            window.clear()
         steps = 0
         for member in members:
             member.finish(server.env.now)

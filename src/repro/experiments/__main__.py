@@ -8,9 +8,11 @@
 
 ``--jobs`` maps every sweep's (scheme, x, seed) cells over worker
 processes (:func:`repro.experiments.runner.run_cells`); output is
-byte-identical to the serial run.  ``repro experiments`` is this same
-parser: :mod:`repro.cli` registers :func:`add_arguments` and dispatches
-to :func:`run`.
+byte-identical to the serial run.  The cohort sweep (``scalability
+--cohorts``) fans its runs out over the usable cores instead, so it
+refuses ``--jobs``; ``taskset`` caps its cores.  ``repro experiments``
+is this same parser: :mod:`repro.cli` registers :func:`add_arguments`
+and dispatches to :func:`run`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import time
 from typing import List, Optional
 
+from repro.cohort.engine import usable_cores
 from repro.experiments import FULL_PROFILE, QUICK_PROFILE
 from repro.experiments import (
     faults,
@@ -135,11 +138,18 @@ def run(args: argparse.Namespace) -> int:
         if value and selected != [only]:
             print(f"{flag} only applies to the {only} experiment")
             return 2
+    if args.cohorts and args.jobs != 1:
+        print(
+            "--jobs does not apply with --cohorts: its runs fan out over "
+            "the usable cores; cap them with taskset"
+        )
+        return 2
     start = time.time()
-    print(
-        f"Running {', '.join(selected)} at the {label} profile "
-        f"(jobs={args.jobs or os.cpu_count()})\n"
-    )
+    if args.cohorts:
+        workers = f"cohort runs over {usable_cores()} usable core(s)"
+    else:
+        workers = f"jobs={args.jobs or os.cpu_count()}"
+    print(f"Running {', '.join(selected)} at the {label} profile ({workers})\n")
     # The flags one experiment reads beyond the shared sweep knobs.
     own_flags = {
         "faults": {"preset": args.preset},

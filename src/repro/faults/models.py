@@ -306,20 +306,35 @@ def build_pipeline(faults, rng: random.Random) -> List[FaultModel]:
     """One client's fault pipeline from a :class:`FaultParameters`.
 
     Every model draws its own sub-seed in a fixed order, so adding or
-    removing one impairment never perturbs the others' schedules.
+    removing one impairment never perturbs the others' schedules; only
+    the active ones build a generator from theirs.
     """
-    seeds = [random.Random(rng.getrandbits(64)) for _ in range(5)]
+    seeds = [rng.getrandbits(64) for _ in range(5)]
     pipeline: List[FaultModel] = []
     if faults.slot_loss > 0:
-        pipeline.append(SlotLoss(faults.slot_loss, seeds[0]))
+        pipeline.append(SlotLoss(faults.slot_loss, random.Random(seeds[0])))
     if faults.burst_rate > 0:
-        pipeline.append(BurstLoss(faults.burst_rate, faults.burst_length, seeds[1]))
+        pipeline.append(
+            BurstLoss(
+                faults.burst_rate, faults.burst_length, random.Random(seeds[1])
+            )
+        )
     if faults.control_loss > 0:
-        pipeline.append(ControlCorruption(faults.control_loss, seeds[2]))
+        pipeline.append(
+            ControlCorruption(faults.control_loss, random.Random(seeds[2]))
+        )
     if faults.truncation > 0:
         pipeline.append(
-            TruncatedCycle(faults.truncation, faults.truncation_min_fraction, seeds[3])
+            TruncatedCycle(
+                faults.truncation,
+                faults.truncation_min_fraction,
+                random.Random(seeds[3]),
+            )
         )
     if faults.report_delay > 0:
-        pipeline.append(ReportDelay(faults.report_delay, faults.report_max_delay, seeds[4]))
+        pipeline.append(
+            ReportDelay(
+                faults.report_delay, faults.report_max_delay, random.Random(seeds[4])
+            )
+        )
     return pipeline

@@ -33,7 +33,7 @@ class OnlineStats:
     Alongside the running mean, an exact (order-independent) sum of all
     observations is maintained as Shewchuk partials: two accumulators fed
     the same multiset of values in *any* order report bit-identical
-    :attr:`exact_sum`, which is what lets the cohort engine's client-major
+    :attr:`exact_sum`, which is what lets the cohort engine's member-major
     aggregation be compared exactly against the event-interleaved
     discrete simulation (see :mod:`repro.cohort`).
 

@@ -7,9 +7,11 @@ records nothing, so what a run holds does not grow with its length
 run through :func:`repro.cohort.engine.build_trace`, the one step the
 driver takes per cycle:
 
-* the bound: at cycle 30 and at cycle 90 alike, a handful of
-  ``BroadcastProgram`` objects are alive -- the server's last build and
-  what the members have installed, never the run's broadcast;
+* the bound: at window-aligned cycles 32 and 80 alike, the live
+  ``BroadcastProgram`` objects are the driver's window of
+  :data:`~repro.cohort.engine.CYCLE_WINDOW` cycles (the last of them the
+  server's latest build) and at most one older program per member, the
+  one it has installed -- never the run's broadcast;
 * a ``slow`` lane (``REPRO_SCALE_TESTS=1``): 10^4 cycles with the run's
   traced memory flat from cycle 4 000 on.
 """
@@ -19,12 +21,13 @@ from __future__ import annotations
 import gc
 import os
 import tracemalloc
+from typing import Tuple
 
 import pytest
 
 from repro.broadcast.program import BroadcastProgram
 from repro.cohort import engine
-from repro.cohort.engine import CohortSimulation
+from repro.cohort.engine import CYCLE_WINDOW, CohortSimulation
 from repro.cohort.oracle import oracle_params, scheme_factory
 
 
@@ -51,26 +54,39 @@ def _watched_run(monkeypatch, params, scheme, watch, cohort_size=4096):
     return result
 
 
-def _live_programs() -> int:
+def _live_programs(cycle: int) -> Tuple[int, int]:
+    """How many programs are alive within the window ending at
+    ``cycle``, and how many older ones."""
     gc.collect()
-    return sum(
-        1 for obj in gc.get_objects() if isinstance(obj, BroadcastProgram)
-    )
+    cycles = [
+        obj.cycle for obj in gc.get_objects() if isinstance(obj, BroadcastProgram)
+    ]
+    window = sum(1 for c in cycles if c > cycle - CYCLE_WINDOW)
+    return window, len(cycles) - window
 
 
 @pytest.mark.parametrize("cohort_size", [2, 4096])
 def test_a_run_holds_the_programs_on_the_air_not_the_broadcast(
     monkeypatch, cohort_size
 ):
-    params = oracle_params(3, 11, True, num_cycles=90)
+    """Probed as the driver takes the last cycle of a window (cycles
+    count from 1), the first chunk holds the full window and, per
+    member, the program it installed before the window -- members that
+    lost a control segment may each hold a different one."""
+    clients = 3
+    probes = (2 * CYCLE_WINDOW, 5 * CYCLE_WINDOW)
+    params = oracle_params(clients, 11, True, num_cycles=6 * CYCLE_WINDOW)
+    members = min(cohort_size, clients)
     live = {}
 
     def watch(cycle):
-        if cycle in (30, 90):
-            live.setdefault(cycle, _live_programs())
+        if cycle in probes:
+            live.setdefault(cycle, _live_programs(cycle))
 
     _watched_run(monkeypatch, params, "multiversion+cache", watch, cohort_size)
-    assert live[30] == live[90] <= 4, live
+    windows = {cycle: window for cycle, (window, _) in live.items()}
+    assert windows == dict.fromkeys(probes, CYCLE_WINDOW), live
+    assert all(older <= members for _, older in live.values()), live
 
 
 @pytest.mark.slow

@@ -66,3 +66,25 @@ def test_experiments_cli_rejects_cohorts_outside_scalability(capsys):
     assert experiments_cli.main(["fig6", "--cohorts"]) == 2
     assert "--cohorts only applies" in capsys.readouterr().out
     assert experiments_cli.main(["--cohorts"]) == 2
+
+
+def test_experiments_cli_cohorts_name_their_cores_and_refuse_jobs(
+    capsys, monkeypatch
+):
+    """The cohort sweep fans out over the usable cores, not ``--jobs``
+    workers: the header says so, and a ``--jobs`` other than the default
+    is refused before anything runs."""
+    ran = []
+    monkeypatch.setattr(experiments_cli, "usable_cores", lambda: 3)
+    monkeypatch.setattr(
+        scalability, "main", lambda profile, **flags: ran.append(flags)
+    )
+    for jobs in ("0", "2"):
+        assert experiments_cli.main(["scalability", "--cohorts", "--jobs", jobs]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "taskset" in out
+    assert ran == []
+    assert experiments_cli.main(["scalability", "--cohorts", "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert "(cohort runs over 3 usable core(s))" in out and "jobs=" not in out
+    assert [flags["cohorts"] for flags in ran] == [True]
