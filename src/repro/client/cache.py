@@ -16,17 +16,21 @@ Section 4 of the paper builds three cache behaviours on one substrate:
 Validity is tracked as an interval ``[version, valid_to]`` of broadcast
 cycles (``valid_to is None`` meaning "still current"), which is exactly
 the information the correctness proofs of Theorems 4 and 5 quantify over.
+
+A held current value is its :class:`ItemRecord` alone, in a dict kept
+in LRU order by re-inserting a key; a side map holds the ``valid_to``
+of the few a report superseded whose refresh has not landed.  A
+:class:`CacheEntry` pairs a record with its interval where the two must
+travel together: in the old-version partition and in checkpoints.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.broadcast.program import BroadcastProgram, ItemRecord
-from repro.graph.sgraph import TxnId
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.broadcast.channel import BroadcastChannel
@@ -34,37 +38,25 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(slots=True)
 class CacheEntry:
-    """One cached record with its validity interval and arrival time.
+    """One cached record with its validity interval.
 
-    The entry is the :class:`ItemRecord` it cached, handed back as is on
-    a hit, plus what the client learnt about it since: the record's
-    ``item``, ``value``, ``version`` and ``writer`` are read through.
-    A refresh of a held item rewrites the entry in place.
+    Built for an old version (multiversion partition) and for each
+    value a checkpoint carries; the current partition keeps bare
+    records.
     """
 
     record: ItemRecord
     #: Last cycle the value was current for; ``None`` = still current.
     valid_to: Optional[int]
-    #: Simulation time from which the value is usable (autoprefetched
-    #: values only exist once their bucket has flown by).
-    available_at: float
 
     @property
     def item(self) -> int:
         return self.record.item
 
     @property
-    def value(self) -> int:
-        return self.record.value
-
-    @property
     def version(self) -> int:
         """Broadcast cycle at whose beginning the value became current."""
         return self.record.version
-
-    @property
-    def writer(self) -> Optional[TxnId]:
-        return self.record.writer
 
     def covers(self, cycle: int) -> bool:
         """Was this value the current one at ``cycle``?"""
@@ -116,10 +108,14 @@ class ClientCache:
         #: bypassed, every lookup misses and every insert is dropped.
         self.autoprefetch_enabled = True
         self.bypass = False
-        #: Current values, LRU order (least recent first).
-        self._current: "OrderedDict[int, CacheEntry]" = OrderedDict()
-        #: Old versions, LRU order, keyed by (item, version).
-        self._old: "OrderedDict[Tuple[int, int], CacheEntry]" = OrderedDict()
+        #: Current values, item -> record, LRU order (least recent
+        #: first): a use re-inserts its key at the end.
+        self._current: Dict[int, ItemRecord] = {}
+        #: item -> ``valid_to`` of a held value that is no longer current
+        #: and whose refresh has not landed; every key is in ``_current``.
+        self._stale: Dict[int, int] = {}
+        #: Old versions, LRU order likewise, keyed by (item, version).
+        self._old: Dict[Tuple[int, int], CacheEntry] = {}
         self._pending: Dict[int, _PendingRefresh] = {}
         #: A lower bound on every pending landing time: until the clock
         #: reaches it, no autoprefetch can materialize.
@@ -151,21 +147,17 @@ class ClientCache:
             return
         self._materialize(channel.env.now)
         report = program.control.invalidation
-        current, pending = self._current, self._pending
-        # Only items the client holds (an entry or a refresh in flight)
+        current, stale, pending = self._current, self._stale, self._pending
+        # Only items the client holds (a value or a refresh in flight)
         # are touched: intersect in C, then visit them in report order.
         held = current.keys() & report.updated_items
         if pending:
             held |= pending.keys() & report.updated_items
         for item in report.ordered(held):
-            entry = current.get(item)
-            if entry is not None and entry.valid_to is None:
+            if item in current and item not in stale:
                 # The value stopped being current at the end of the
                 # previous cycle: close its validity interval.
-                entry.valid_to = report.cycle - 1
-                if self.multiversion:
-                    self._demote(entry)
-                    del current[item]
+                self._close(item, report.cycle - 1)
             # Autoprefetch: grab the new value when its bucket flies by.
             # A pending refresh from an earlier update is *re-armed* with
             # this cycle's record -- its old record is superseded and must
@@ -184,9 +176,9 @@ class ClientCache:
         """Catch up on an invalidation report the client did not hear live
         (resynchronization via the w-window retransmission, §7).
 
-        Closes the validity interval of affected current entries; no
+        Closes the validity interval of affected current values; no
         autoprefetch is armed -- that cycle's broadcast is gone -- so the
-        next demand read refreshes the entry off the air.
+        next demand read refreshes the value off the air.
         """
         held = self._current.keys() & report.updated_items
         if self._pending:
@@ -196,21 +188,26 @@ class ClientCache:
             # missed cycle, so its record is superseded by this report and
             # must never materialize as current.
             self._pending.pop(item, None)
-            entry = self._current.get(item)
-            if entry is None or entry.valid_to is not None:
-                continue
-            entry.valid_to = report.cycle - 1
-            if self.multiversion:
-                self._demote(entry)
-                del self._current[item]
+            if item in self._current and item not in self._stale:
+                self._close(item, report.cycle - 1)
 
     def clear(self) -> None:
         """Drop everything -- the client lost track of updates and cannot
         trust any cached value (reconnect without a covering window)."""
         self._current.clear()
+        self._stale.clear()
         self._old.clear()
         self._pending.clear()
         self._due = math.inf
+
+    def _close(self, item: int, valid_to: int) -> None:
+        """The held current value of ``item`` was current up to
+        ``valid_to``: the multiversion cache demotes it, the others keep
+        it in place, stale, until its refresh lands."""
+        if self.multiversion:
+            self._demote(self._current.pop(item), valid_to)
+        else:
+            self._stale[item] = valid_to
 
     def _materialize(self, now: float) -> None:
         """Apply autoprefetches whose bucket has already been delivered,
@@ -224,72 +221,66 @@ class ClientCache:
             at_time = refresh.at_time
             if at_time <= now:
                 del pending[item]
-                self._install_current(refresh.record, at_time)
+                self._install_current(refresh.record)
             elif at_time < due:
                 due = at_time
         self._due = due
 
-    def _install_current(self, record: ItemRecord, available_at: float) -> None:
+    def _install_current(self, record: ItemRecord) -> None:
         item = record.item
         current = self._current
-        entry = current.get(item)
-        if entry is not None and not (
-            self.multiversion and entry.valid_to is not None
-        ):
-            # Refresh in place: the entry is owned by ``_current`` alone
-            # (no caller keeps one across a yield), so rewriting it is
-            # the replacement, without a young object for the collector.
-            entry.record = record
-            entry.valid_to = None
-            entry.available_at = available_at
-            current.move_to_end(item)
-            return
-        if entry is not None:
-            # A superseded value the multiversion cache keeps: the object
-            # moves to ``_old`` and a new one holds the current value.
-            self._demote(entry)
-        # Positional: parsing keywords would cost as much again as the
-        # construction itself, once per demand insert.
-        current[item] = CacheEntry(record, None, available_at)
-        current.move_to_end(item)
-        self._evict_current()
+        held = current.pop(item, None)
+        current[item] = record
+        if held is None:
+            self._evict_current()
+        elif self._stale:
+            valid_to = self._stale.pop(item, None)
+            if valid_to is not None and self.multiversion:
+                # Only a restored checkpoint leaves a closed value in the
+                # multiversion current partition: it is kept as old.
+                self._demote(held, valid_to)
 
-    def _demote(self, entry: CacheEntry) -> None:
-        """Move a superseded value into the old-version partition."""
-        if entry.valid_to is None:  # pragma: no cover - defensive
-            raise ValueError("Cannot demote a still-current entry")
-        key = (entry.record.item, entry.record.version)
-        self._old[key] = entry
-        self._old.move_to_end(key)
-        while len(self._old) > self.old_capacity:
-            self._old.popitem(last=False)
+    def _demote(self, record: ItemRecord, valid_to: int) -> None:
+        """Keep a superseded value in the old-version partition."""
+        old = self._old
+        key = (record.item, record.version)
+        old.pop(key, None)
+        old[key] = CacheEntry(record, valid_to)
+        while len(old) > self.old_capacity:
+            del old[next(iter(old))]
 
     def _evict_current(self) -> None:
-        while len(self._current) > self.current_capacity:
-            item, _ = self._current.popitem(last=False)
+        current = self._current
+        while len(current) > self.current_capacity:
+            item = next(iter(current))
+            del current[item]
             self._pending.pop(item, None)
+            self._stale.pop(item, None)
 
     # -- lookups -------------------------------------------------------------
 
-    def get_current(self, item: int, now: float) -> Optional[CacheEntry]:
-        """The current value of ``item`` if cached and usable at ``now``."""
+    def get_current(self, item: int, now: float) -> Optional[ItemRecord]:
+        """The current value of ``item`` if cached at ``now``: the very
+        record it was installed from."""
         if self.bypass:
             self.misses += 1
             return None
         if now >= self._due:
             self._materialize(now)
-        entry = self._current.get(item)
-        if entry is None or entry.valid_to is not None or entry.available_at > now:
+        current = self._current
+        record = current.get(item)
+        if record is None or item in self._stale:
             self.misses += 1
             return None
-        self._current.move_to_end(item)
+        del current[item]
+        current[item] = record
         self.hits += 1
-        return entry
+        return record
 
-    def get_covering(self, item: int, cycle: int, now: float) -> Optional[CacheEntry]:
+    def get_covering(self, item: int, cycle: int, now: float) -> Optional[ItemRecord]:
         """A cached value of ``item`` that was current at ``cycle``.
 
-        Searches the current slot (including an invalidated entry whose
+        Searches the current slot (including a stale value whose
         autoprefetch has not landed yet -- the paper's "marked for
         autoprefetching" state) and the old-version partition.
         """
@@ -297,36 +288,38 @@ class ClientCache:
             self.misses += 1
             return None
         self._materialize(now)
-        entry = self._current.get(item)
-        if entry is not None and entry.available_at <= now and entry.covers(cycle):
-            self._current.move_to_end(item)
-            self.hits += 1
-            return entry
-        for key in reversed(self._old):
-            if key[0] != item:
-                continue
-            old = self._old[key]
-            if old.available_at <= now and old.covers(cycle):
-                self._old.move_to_end(key)
+        current = self._current
+        record = current.get(item)
+        if record is not None and record.version <= cycle:
+            valid_to = self._stale.get(item)
+            if valid_to is None or cycle <= valid_to:
+                del current[item]
+                current[item] = record
                 self.hits += 1
-                return old
+                return record
+        old = self._old
+        for key in reversed(old):
+            if key[0] == item and old[key].covers(cycle):
+                entry = old[key] = old.pop(key)
+                self.hits += 1
+                return entry.record
         self.misses += 1
         return None
 
     # -- insertion on demand-reads --------------------------------------------
 
-    def insert_current(self, record: ItemRecord, now: float) -> None:
+    def insert_current(self, record: ItemRecord) -> None:
         """Cache a current value just read off the air."""
         if self.bypass:
             return
         self._pending.pop(record.item, None)
-        self._install_current(record, available_at=now)
+        self._install_current(record)
 
-    def insert_old(self, record: ItemRecord, valid_to: int, now: float) -> None:
+    def insert_old(self, record: ItemRecord, valid_to: int) -> None:
         """Cache an old version (multiversion partition only)."""
         if not self.multiversion or self.bypass:
             return
-        self._demote(CacheEntry(record, valid_to, now))
+        self._demote(record, valid_to)
 
     # -- checkpointing (see repro.resilience) ---------------------------------
 
@@ -337,7 +330,8 @@ class ClientCache:
         only become safe once their bucket has flown by, and a restart
         happens cycles later when that broadcast is long gone.
         """
-        current = [replace(e) for e in self._current.values()]
+        stale = self._stale
+        current = [CacheEntry(r, stale.get(i)) for i, r in self._current.items()]
         old = [replace(e) for e in self._old.values()]
         return current, old
 
@@ -355,15 +349,19 @@ class ClientCache:
         for entry in old:
             self._old[(entry.item, entry.version)] = replace(entry)
         while len(self._old) > self.old_capacity:
-            self._old.popitem(last=False)
+            del self._old[next(iter(self._old))]
         for entry in current:
-            self._current[entry.item] = replace(entry)
+            self._current[entry.item] = entry.record
+            if entry.valid_to is not None:
+                self._stale[entry.item] = entry.valid_to
         self._evict_current()
 
     # -- introspection -----------------------------------------------------------
 
     def contents(self) -> List[CacheEntry]:
-        return list(self._current.values()) + list(self._old.values())
+        """Every held value with its interval, current partition first."""
+        current, old = self.export_entries()
+        return current + old
 
     @property
     def hit_ratio(self) -> float:

@@ -152,6 +152,15 @@ class Member:
             self.env.now = end_time
             self.advance()
 
+    def close(self) -> None:
+        """Release the member once its run is over: the generator,
+        suspended mid-query, holds the client, and so does the channel's
+        listener list, so without this the member is freed only by the
+        cyclic collector.  Closing the generator runs the attempt's
+        cleanup, which counts nothing."""
+        self.gen.close()
+        self.channel.unsubscribe(self.client)
+
 
 def make_member(
     seed: ClientSeed,
@@ -271,9 +280,11 @@ class CohortSimulation:
     registries merge in chunk order: the run's registry is bit-identical
     for any process count.  Within a chunk the members are walked through
     a window of :data:`CYCLE_WINDOW` cycles each before the server steps
-    on.  A process holds one chunk and one window at a time, so memory
-    stays bounded in the cohort size, not the population, and flat in the
-    run's length.
+    on.  A process holds one chunk and one window at a time: a finished
+    chunk closes its members and its server, so reference counting frees
+    it before the next chunk is built.  Memory stays bounded in the
+    cohort size (a member holds mostly its cache of records), not the
+    population, and flat in the run's length.
     """
 
     def __init__(
@@ -418,6 +429,8 @@ class CohortSimulation:
         steps = 0
         for member in members:
             member.finish(server.env.now)
+            member.close()
             steps += member.steps
         backend = server.backend
+        server.close()
         return metrics, steps, (backend.cycles_completed, backend.total_slots)

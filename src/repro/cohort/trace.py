@@ -82,6 +82,14 @@ class KernellessServer:
     def begin_cycle(self, program: BroadcastProgram) -> None:
         self.program = program
 
+    def close(self) -> None:
+        """Untie the loop once its run is over, so the server is freed
+        when its last name goes rather than by the cyclic collector: the
+        backend's channel is this server, and the database's observer
+        list holds the item store that holds the database."""
+        self.backend.channel = None
+        self.substrate.database.remove_observer(self.substrate.item_state)
+
     def cycles(self) -> Iterator[CycleRecord]:
         """One record per cycle, yielded while that cycle is on the air:
         its update transactions commit when the consumer asks for the

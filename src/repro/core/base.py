@@ -187,17 +187,17 @@ class Scheme:
 
         Returns ``(record, read_cycle, from_cache)``.  A value read off
         the air is inserted into the cache (demand caching); a hit hands
-        back the very record the entry was installed from.
+        back the very record the cache was given.
         """
         ctx = self._ctx
         cache = ctx.cache if self.use_cache else None
         if cache is not None:
-            entry = cache.get_current(item, ctx.env.now)
-            if entry is not None:
-                return (entry.record, ctx.current_cycle, True)
+            record = cache.get_current(item, ctx.env.now)
+            if record is not None:
+                return (record, ctx.current_cycle, True)
         record, cycle = yield from ctx.channel.await_item(item)
         if cache is not None:
-            cache.insert_current(record, ctx.env.now)
+            cache.insert_current(record)
         return (record, cycle, False)
 
     def _result_from_record(

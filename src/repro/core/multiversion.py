@@ -73,10 +73,10 @@ class MultiversionBroadcast(Scheme):
 
         c0 = txn.first_read_cycle
         if self.use_cache and ctx.cache is not None:
-            entry = ctx.cache.get_covering(item, c0, ctx.env.now)
-            if entry is not None:
+            cached = ctx.cache.get_covering(item, c0, ctx.env.now)
+            if cached is not None:
                 return self._result_from_record(
-                    entry.record, ctx.current_cycle, from_cache=True
+                    cached, ctx.current_cycle, from_cache=True
                 )
 
         record, found, valid_to = yield from ctx.channel.await_old_version(item, c0)
@@ -93,9 +93,9 @@ class MultiversionBroadcast(Scheme):
             )
         if self.use_cache and ctx.cache is not None:
             if valid_to is None:
-                ctx.cache.insert_current(record, ctx.env.now)
+                ctx.cache.insert_current(record)
             else:
-                ctx.cache.insert_old(record, valid_to, ctx.env.now)
+                ctx.cache.insert_old(record, valid_to)
         return self._result_from_record(
             record, ctx.channel.current_cycle, from_cache=False
         )

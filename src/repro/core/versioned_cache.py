@@ -103,9 +103,9 @@ class MarkedQueryScheme(ReportCheckedScheme):
         abort."""
         ctx = self.ctx
         target = txn.deadline - 1
-        entry = ctx.cache.get_covering(item, target, ctx.env.now)
-        if entry is not None:
-            return self._result_from_record(entry.record, ctx.current_cycle, True)
+        record = ctx.cache.get_covering(item, target, ctx.env.now)
+        if record is not None:
+            return self._result_from_record(record, ctx.current_cycle, True)
         result = yield from self._off_air(item, target)
         if result is not None:
             return result
@@ -134,7 +134,7 @@ class MarkedQueryScheme(ReportCheckedScheme):
         ctx = self.ctx
         record, cycle = yield from ctx.channel.await_item(item)
         if self._current_at(record, cycle, target):
-            ctx.cache.insert_current(record, ctx.env.now)
+            ctx.cache.insert_current(record)
             return self._result_from_record(record, cycle, False)
         return None
 
@@ -172,7 +172,7 @@ class InvalidationWithVersionedCache(MarkedQueryScheme):
             return result
         # Delivered only in a later cycle; last chance via the cache (the
         # autoprefetched old value may still cover the target).
-        entry = ctx.cache.get_covering(item, target, ctx.env.now)
-        if entry is not None:
-            return self._result_from_record(entry.record, ctx.current_cycle, True)
+        record = ctx.cache.get_covering(item, target, ctx.env.now)
+        if record is not None:
+            return self._result_from_record(record, ctx.current_cycle, True)
         return None

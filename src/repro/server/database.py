@@ -109,6 +109,13 @@ class Database:
         """
         self._observers.append(observer)
 
+    def remove_observer(self, observer: object) -> None:
+        """Stop running ``observer.note_write`` on writes (a store that
+        holds this database detaches when its run is over); a no-op for
+        an observer that was never added."""
+        if observer in self._observers:
+            self._observers.remove(observer)
+
     @property
     def size(self) -> int:
         return self._size

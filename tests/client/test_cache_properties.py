@@ -127,19 +127,20 @@ def test_cache_invariants_under_random_operations(ops, multiversion):
         if op[0] == "cycle":
             world.advance_cycle(op[1])
         elif op[0] == "insert":
-            world.cache.insert_current(world.record_of(op[1]), world.env.now)
+            world.cache.insert_current(world.record_of(op[1]))
         elif op[0] == "lookup":
-            entry = world.cache.get_current(op[1], world.env.now)
-            if entry is not None:
-                # A current hit is exactly the on-air value, as long as
-                # the entry's arrival time has passed.
+            record = world.cache.get_current(op[1], world.env.now)
+            if record is not None:
+                # A current hit is exactly the on-air value.
                 value, version = world.values[op[1]]
-                assert entry.value == value
-                assert entry.version == version
+                assert record.value == value
+                assert record.version == version
         elif op[0] == "covering":
             _, item, cycle = op
-            entry = world.cache.get_covering(item, cycle, world.env.now)
-            if entry is not None:
+            record = world.cache.get_covering(item, cycle, world.env.now)
+            if record is not None:
+                # The hit's interval, as the cache holds it.
+                (entry,) = [e for e in world.cache.contents() if e.record is record]
                 assert entry.covers(cycle)
         else:
             world.tick()

@@ -1,15 +1,18 @@
 """The client cache against its reference model.
 
 :class:`~tests.client.reference_cache.ReferenceCache` walks every report
-item and rescans every pending autoprefetch on every lookup;
+item, rescans every pending autoprefetch on every lookup, and keeps one
+entry object per held value, stamped with its arrival time;
 :class:`~repro.client.cache.ClientCache` intersects the report with what
-it holds, visits the hits in the report's own order, and skips the
-rescan while no refresh is due.  Driven by the same operations against
-the same air, the two must hold the same entries in the same LRU order
-in both partitions, the same pending refreshes in the same order, count
-the same hits and misses, and answer every lookup alike -- and whole
-runs with either cache behind the scheme's read path must produce the
-same registry.
+it holds, visits the hits in the report's own order, skips the rescan
+while no refresh is due, and holds a current value as its bare record.
+Driven by the same operations against the same air, the two must hold
+the same keys in the same LRU order in both partitions, the same records
+with the same ``valid_to``, the same pending refreshes in the same
+order, count the same hits and misses, and return the same records --
+and whole runs with either cache behind the scheme's read path must
+produce the same registry.  The reference's arrival stamps are never in
+the future when read, which is why the cache keeps none.
 """
 
 from __future__ import annotations
@@ -91,21 +94,21 @@ class Air:
         self.channel.install(self.program, lost, self.start)
 
 
-def entry_fields(entry):
-    if entry is None:
+def record_fields(record):
+    """What a reference entry keeps of a record (``None`` for a miss)."""
+    if record is None:
         return None
-    return (
-        entry.item, entry.value, entry.version, entry.valid_to, entry.writer,
-        entry.available_at,
-    )
+    return (record.item, record.value, record.version, record.writer)
 
 
 def state(cache):
+    """What the cache holds, partition by partition, and its counts."""
     return (
-        [entry_fields(e) for e in cache._current.values()],
-        [entry_fields(e) for e in cache._old.values()],
         list(cache._current),
+        [record_fields(r) for r in cache._current.values()],
+        [cache._stale.get(item) for item in cache._current],
         list(cache._old),
+        [(record_fields(e.record), e.valid_to) for e in cache._old.values()],
         [(item, p.record, p.at_time) for item, p in cache._pending.items()],
         cache.hits,
         cache.misses,
@@ -114,14 +117,34 @@ def state(cache):
     )
 
 
+def ref_state(ref, now):
+    """The reference's :func:`state`; none of its arrival stamps may lie
+    in the future."""
+    assert all(e.available_at <= now for e in ref.contents())
+    return (
+        list(ref._current),
+        [record_fields(e) for e in ref._current.values()],
+        [e.valid_to for e in ref._current.values()],
+        list(ref._old),
+        [(record_fields(e), e.valid_to) for e in ref._old.values()],
+        [(item, p.record, p.at_time) for item, p in ref._pending.items()],
+        ref.hits,
+        ref.misses,
+        len(ref),
+        ref.hit_ratio,
+    )
+
+
+def held(entries):
+    """Checkpointed or listed entries of either cache, compared alike."""
+    return [
+        (record_fields(getattr(e, "record", e)), e.valid_to) for e in entries
+    ]
+
+
 def check_invariants(cache: ClientCache) -> None:
-    # Every current value carries the record it was installed from.
-    for entry in cache._current.values():
-        if entry.is_current:
-            record = entry.record
-            assert (record.item, record.value, record.version, record.writer) == (
-                entry.item, entry.value, entry.version, entry.writer
-            )
+    # Only a held value can be stale.
+    assert cache._stale.keys() <= cache._current.keys()
     # The due bound never passes a refresh still in flight.
     for refresh in cache._pending.values():
         assert cache._due <= refresh.at_time
@@ -170,25 +193,25 @@ def test_cache_agrees_with_its_reference(capacity, old_share, ops):
             air.env.now += op[1]
         elif kind == "get":
             hit = ours.get_current(op[1], now)
-            assert entry_fields(hit) == entry_fields(ref.get_current(op[1], now))
+            assert record_fields(hit) == record_fields(ref.get_current(op[1], now))
             if hit is not None:
-                assert hit.record is not None
+                assert hit is ours._current[op[1]]
         elif kind == "cover":
             cycle = air.cycle - op[2]
-            assert entry_fields(ours.get_covering(op[1], cycle, now)) == entry_fields(
-                ref.get_covering(op[1], cycle, now)
+            assert record_fields(ours.get_covering(op[1], cycle, now)) == (
+                record_fields(ref.get_covering(op[1], cycle, now))
             )
         elif kind == "insert":
             record = air.current(op[1])
-            ours.insert_current(record, now)
+            ours.insert_current(record)
             ref.insert_current(record, now)
             if not ours.bypass:
-                assert ours._current[op[1]].record is record
+                assert ours._current[op[1]] is record
         elif kind == "insert_old":
             versions = air.history[op[1]]
             record, valid_to = versions[max(0, len(versions) - 1 - op[2])]
             if valid_to is not None:
-                ours.insert_old(record, valid_to, now)
+                ours.insert_old(record, valid_to)
                 ref.insert_old(record, valid_to, now)
         elif kind == "missed":
             report = InvalidationReport(cycle=air.cycle, updated_items=frozenset(op[1]))
@@ -204,25 +227,25 @@ def test_cache_agrees_with_its_reference(capacity, old_share, ops):
         elif kind == "export":
             mine, theirs = ours.export_entries(), ref.export_entries()
             for got, want in zip(mine, theirs):
-                assert [entry_fields(e) for e in got] == [entry_fields(e) for e in want]
+                assert held(got) == held(want)
             snapshots = (mine, theirs)
         elif kind == "restore" and snapshots is not None:
             ours.restore_entries(*snapshots[0])
             ref.restore_entries(*snapshots[1])
-        assert state(ours) == state(ref), op
+        assert state(ours) == ref_state(ref, air.env.now), op
         check_invariants(ours)
-    assert [entry_fields(e) for e in ours.contents()] == [
-        entry_fields(e) for e in ref.contents()
-    ]
+    assert held(ours.contents()) == held(ref.contents())
 
 
-def test_a_restored_hand_built_entry_hits_with_a_record():
+def test_a_restored_entry_hits_with_its_record():
     cache = ClientCache(4)
-    hand = CacheEntry(ItemRecord(5, 9, 2, None), valid_to=None, available_at=0.0)
-    cache.restore_entries([hand], [])
-    hit = cache.get_current(5, now=1.0)
-    assert hit is not hand  # the checkpoint itself is never cached
-    assert hit.record == ItemRecord(5, 9, 2, None)
+    current = CacheEntry(ItemRecord(5, 9, 2, None), valid_to=None)
+    stale = CacheEntry(ItemRecord(6, 1, 1, None), valid_to=3)
+    cache.restore_entries([current, stale], [])
+    assert cache.get_current(5, now=1.0) is current.record
+    assert cache.get_current(6, now=1.0) is None
+    assert cache.get_covering(6, 3, now=1.0) is stale.record
+    assert cache.get_covering(6, 4, now=1.0) is None
 
 
 class ScanCounting(dict):
@@ -241,7 +264,7 @@ def test_no_lookup_rescans_while_no_refresh_is_due():
     air.next_cycle([], [])
     cache.handle_cycle_start(air.program, air.channel)
     for item in ITEMS[:3]:
-        cache.insert_current(air.current(item), air.env.now)
+        cache.insert_current(air.current(item))
     air.next_cycle([ITEMS[1]], [])
     cache.handle_cycle_start(air.program, air.channel)
     landing = cache._pending[ITEMS[1]].at_time
@@ -264,13 +287,16 @@ class Twins:
         self.ref = ReferenceCache(capacity, old_capacity=old_capacity)
         self.cycle([])
 
-    def both(self, method, *args):
-        mine = getattr(self.ours, method)(*args)
-        theirs = getattr(self.ref, method)(*args)
-        assert entry_fields(mine) == entry_fields(theirs)
-        assert state(self.ours) == state(self.ref)
+    def agree(self, mine, theirs):
+        assert record_fields(mine) == record_fields(theirs)
+        assert state(self.ours) == ref_state(self.ref, self.air.env.now)
         check_invariants(self.ours)
         return mine
+
+    def both(self, method, *args):
+        return self.agree(
+            getattr(self.ours, method)(*args), getattr(self.ref, method)(*args)
+        )
 
     def cycle(self, updates, lost=()):
         self.air.next_cycle(updates, lost)
@@ -279,7 +305,11 @@ class Twins:
 
     def insert(self, *items):
         for item in items:
-            self.both("insert_current", self.air.current(item), self.air.env.now)
+            record = self.air.current(item)
+            self.agree(
+                self.ours.insert_current(record),
+                self.ref.insert_current(record, self.air.env.now),
+            )
 
 
 @pytest.mark.parametrize("old_capacity", [0, 3])
@@ -331,7 +361,7 @@ def test_a_lost_slot_never_comes_due():
     cache = ClientCache(8)
     air.next_cycle([], [])
     cache.handle_cycle_start(air.program, air.channel)
-    cache.insert_current(air.current(ITEMS[2]), air.env.now)
+    cache.insert_current(air.current(ITEMS[2]))
     # Slot 3 carries ITEMS[2] (control slot 0, then one bucket per item).
     air.next_cycle([ITEMS[2]], [2])
     cache.handle_cycle_start(air.program, air.channel)
@@ -361,24 +391,37 @@ def test_report_order_is_its_own_iteration_order():
 
 
 class RebuiltRecords(ReferenceCache):
-    """The reference cache behind the scheme's read path, whose hits
-    carry a record rebuilt from the entry's fields, as reads did before
-    the cache kept the record it installed."""
+    """The reference cache behind the scheme's read path: its hits are
+    records rebuilt from the entry's fields, as reads did before the
+    cache kept the record it installed, and its inserts are stamped with
+    the client's clock, which the cache no longer asks for."""
+
+    env = None
+
+    def handle_cycle_start(self, program, channel):
+        self.env = channel.env
+        super().handle_cycle_start(program, channel)
 
     @staticmethod
     def _rebuilt(entry):
-        if entry is not None:
-            entry.record = ItemRecord(
-                item=entry.item, value=entry.value, version=entry.version,
-                writer=entry.writer,
-            )
-        return entry
+        if entry is None:
+            return None
+        return ItemRecord(
+            item=entry.item, value=entry.value, version=entry.version,
+            writer=entry.writer,
+        )
 
     def get_current(self, item, now):
         return self._rebuilt(super().get_current(item, now))
 
     def get_covering(self, item, cycle, now):
         return self._rebuilt(super().get_covering(item, cycle, now))
+
+    def insert_current(self, record):
+        super().insert_current(record, self.env.now)
+
+    def insert_old(self, record, valid_to):
+        super().insert_old(record, valid_to, self.env.now)
 
 
 ENGINES = {"discrete": Simulation, "cohort": CohortSimulation}

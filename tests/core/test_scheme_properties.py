@@ -145,9 +145,7 @@ class CacheModel:
     def read_current(self, item) -> None:
         """A demand read off the air, cached like the schemes cache it."""
         value, version = self.values[item]
-        self.cache.insert_current(
-            ItemRecord(item=item, value=value, version=version), self.env.now
-        )
+        self.cache.insert_current(ItemRecord(item=item, value=value, version=version))
 
     def tick(self, dt: float) -> None:
         self.env._now += dt
@@ -186,14 +184,16 @@ def test_cache_never_serves_a_version_newer_than_the_pinned_cycle(
             model.tick(arg)
         else:
             pinned = rng.randint(0, model.cycle)
-            entry = model.cache.get_covering(arg, pinned, model.env.now)
-            if entry is None:
+            record = model.cache.get_covering(arg, pinned, model.env.now)
+            if record is None:
                 continue
+            # The hit's interval, as the cache holds it.
+            (entry,) = [e for e in model.cache.contents() if e.record is record]
             assert entry.version <= pinned
             if entry.valid_to is not None:
                 assert pinned <= entry.valid_to
             truth = model.database.value_at(arg, pinned)
-            assert entry.value == truth.value, (
-                f"cache served value {entry.value} for item {arg} pinned at "
+            assert record.value == truth.value, (
+                f"cache served value {record.value} for item {arg} pinned at "
                 f"cycle {pinned}; the broadcast snapshot had {truth.value}"
             )
