@@ -6,8 +6,8 @@
   multiversion method's overflow organization) old-version buckets at the
   end of the bcast.
 * :mod:`repro.broadcast.schedule` -- in which order items are transmitted:
-  the paper's flat organization, and the broadcast-disk organization of
-  [Acharya et al.] that Section 7 proposes as an extension.
+  the paper's flat organization, behind a base class a skewed order can
+  replace.
 * :mod:`repro.broadcast.channel` -- transmission timing: one bucket per
   slot, item delivery events, cycle-start synchronization, and the
   listener registry clients use to pick up control information.
@@ -21,20 +21,13 @@ from repro.broadcast.program import (
     ItemRecord,
     OldVersionRecord,
 )
-from repro.broadcast.schedule import (
-    BroadcastDiskSchedule,
-    DiskSpec,
-    FlatSchedule,
-    Schedule,
-)
+from repro.broadcast.schedule import FlatSchedule, Schedule
 
 __all__ = [
     "BroadcastChannel",
-    "BroadcastDiskSchedule",
     "BroadcastProgram",
     "Bucket",
     "ChannelListener",
-    "DiskSpec",
     "FlatSchedule",
     "OneMIndex",
     "ItemRecord",

@@ -44,11 +44,6 @@ class TuningCost:
     access_time: float
     tuning_time: int
 
-    @property
-    def doze_time(self) -> float:
-        """Slots spent dozing (access minus tuned slots)."""
-        return self.access_time - self.tuning_time
-
 
 class OneMIndex:
     """The (1, m) air-index layout over a flat data segment.

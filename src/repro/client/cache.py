@@ -64,10 +64,6 @@ class CacheEntry:
             return False
         return self.valid_to is None or cycle <= self.valid_to
 
-    @property
-    def is_current(self) -> bool:
-        return self.valid_to is None
-
 
 @dataclass(slots=True)
 class _PendingRefresh:

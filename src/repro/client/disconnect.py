@@ -84,20 +84,3 @@ class UnionDisconnections(DisconnectionModel):
 
     def is_listening(self, cycle: int) -> bool:
         return all([model.is_listening(cycle) for model in self.models])
-
-
-class ScheduledDisconnections(DisconnectionModel):
-    """Deterministic outage windows -- used by tests and examples.
-
-    ``outages`` is an iterable of ``(first, last)`` inclusive cycle ranges
-    during which the client is deaf.
-    """
-
-    def __init__(self, outages) -> None:
-        self.outages = [(int(a), int(b)) for a, b in outages]
-        for first, last in self.outages:
-            if first > last:
-                raise ValueError(f"Empty outage window {first}..{last}")
-
-    def is_listening(self, cycle: int) -> bool:
-        return not any(first <= cycle <= last for first, last in self.outages)

@@ -61,7 +61,7 @@ def sweep_to_csv(
     """CSV text of a sweep (x column plus one column per series).
 
     ``provenance`` entries become leading ``# key: value`` comment rows
-    (manifest path, seeds, ...); every reader in this module skips them.
+    (manifest path, seeds, ...); a reader skips them.
     """
     out = io.StringIO()
     for key, value in (provenance or {}).items():
@@ -75,37 +75,3 @@ def sweep_to_csv(
             cells.append("" if math.isnan(value) else repr(value))
         out.write(",".join(cells) + "\n")
     return out.getvalue()
-
-
-def parse_csv(text: str):
-    """Parse CSV text written by :func:`sweep_to_csv`.
-
-    Returns ``(provenance, headers, rows)``: the leading ``# key: value``
-    comments as a dict, the header cells, and the data rows as lists of
-    strings.  Render/compare code must come through here (or otherwise
-    skip ``#`` lines) so provenance rows never parse as data.
-    """
-    provenance: Dict[str, str] = {}
-    headers: List[str] = []
-    rows: List[List[str]] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            key, sep, value = body.partition(":")
-            if sep:
-                provenance[key.strip()] = value.strip()
-            continue
-        cells = line.split(",")
-        if not headers:
-            headers = cells
-        else:
-            rows.append(cells)
-    return provenance, headers, rows
-
-
-def load_csv(path: str):
-    """Read a results CSV from disk; see :func:`parse_csv`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_csv(handle.read())

@@ -426,16 +426,6 @@ class SweepResult:
                 return self.series[series][i]
         raise ValueError(f"x={x!r} is not a swept value (xs={self.xs})")
 
-    def monotone_increasing(self, series: str, tolerance: float = 0.0) -> bool:
-        """Shape check helper: is the series non-decreasing (within
-        ``tolerance`` of absolute slack per step)?"""
-        ys = [v for v in self.series[series] if not math.isnan(v)]
-        return all(b >= a - tolerance for a, b in zip(ys, ys[1:]))
-
-    def monotone_decreasing(self, series: str, tolerance: float = 0.0) -> bool:
-        ys = [v for v in self.series[series] if not math.isnan(v)]
-        return all(b <= a + tolerance for a, b in zip(ys, ys[1:]))
-
 
 # -- sweep plans -------------------------------------------------------------
 

@@ -14,10 +14,9 @@ Provides the directed-graph machinery of the paper's Section 3.3:
 """
 
 from repro.graph.history import History, Operation, OpType
-from repro.graph.sgraph import EdgeKind, GraphDiff, SerializationGraph, TxnId
+from repro.graph.sgraph import GraphDiff, SerializationGraph, TxnId
 
 __all__ = [
-    "EdgeKind",
     "GraphDiff",
     "History",
     "Operation",

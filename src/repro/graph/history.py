@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.graph.sgraph import SerializationGraph
 
@@ -35,15 +35,6 @@ class Operation:
     txn: Node
     op: OpType
     item: int
-
-    def conflicts_with(self, other: "Operation") -> bool:
-        """Two operations conflict if they touch the same item, come from
-        different transactions, and at least one is a write."""
-        return (
-            self.item == other.item
-            and self.txn != other.txn
-            and (self.op is OpType.WRITE or other.op is OpType.WRITE)
-        )
 
 
 class History:
@@ -106,9 +97,6 @@ class History:
     def committed(self) -> Set[Node]:
         return set(self._committed)
 
-    def operations_of(self, txn: Node) -> List[Operation]:
-        return [op for op in self._operations if op.txn == txn]
-
     def readset(self, txn: Node) -> Set[int]:
         return {
             op.item
@@ -122,21 +110,6 @@ class History:
             for op in self._operations
             if op.txn == txn and op.op is OpType.WRITE
         }
-
-    def writers_of(self, item: int) -> List[Node]:
-        """Committed transactions that wrote ``item``, in history order."""
-        seen: Set[Node] = set()
-        writers: List[Node] = []
-        for op in self._operations:
-            if (
-                op.op is OpType.WRITE
-                and op.item == item
-                and op.txn in self._committed
-                and op.txn not in seen
-            ):
-                seen.add(op.txn)
-                writers.append(op.txn)
-        return writers
 
     # -- the oracle --------------------------------------------------------------
 
@@ -187,23 +160,3 @@ class History:
     def is_serializable(self, include: Optional[Iterable[Node]] = None) -> bool:
         """Serialization theorem: acyclic full graph <=> serializable."""
         return not self.serialization_graph(include).has_cycle()
-
-    def serial_order(self) -> Optional[List[Node]]:
-        """A topological order of committed transactions, if one exists."""
-        graph = self.serialization_graph()
-        indegree = {node: len(graph.predecessors(node)) for node in graph.nodes()}
-        ready = sorted(
-            (node for node, deg in indegree.items() if deg == 0),
-            key=repr,
-        )
-        order: List[Node] = []
-        while ready:
-            node = ready.pop(0)
-            order.append(node)
-            for succ in sorted(graph.successors(node), key=repr):
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(indegree):
-            return None
-        return order

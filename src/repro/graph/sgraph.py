@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import (
     Dict,
@@ -57,14 +56,6 @@ class TxnId(NamedTuple):
 
     def __str__(self) -> str:
         return f"T{self.cycle}.{self.seq}"
-
-
-class EdgeKind(Enum):
-    """Why an edge exists (Section 3.3's two edge flavours)."""
-
-    DEPENDENCY = "dependency"  # T -> R : R read T's write
-    PRECEDENCE = "precedence"  # R -> T : T overwrote R's read
-    CONFLICT = "conflict"  # server-side ww/wr/rw conflict edge
 
 
 @dataclass(frozen=True)
@@ -255,44 +246,6 @@ class SerializationGraph:
                 if indegree[succ] == 0:
                     queue.append(succ)
         return visited != len(self._successors)
-
-    def find_cycle(self) -> Optional[List[Node]]:
-        """Return one cycle as a node list, or ``None`` if acyclic."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {node: WHITE for node in self._successors}
-        parent: Dict[Node, Optional[Node]] = {}
-
-        for root in self._successors:
-            if color[root] != WHITE:
-                continue
-            stack: List[Tuple[Node, Iterator[Node]]] = [
-                (root, iter(self._successors[root]))
-            ]
-            color[root] = GRAY
-            parent[root] = None
-            while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    if color[child] == GRAY:
-                        # Found a back edge: unwind the cycle.
-                        cycle = [child, node]
-                        walker = parent[node]
-                        while walker is not None and walker != child:
-                            cycle.append(walker)
-                            walker = parent[walker]
-                        cycle.reverse()
-                        return cycle
-                    if color[child] == WHITE:
-                        color[child] = GRAY
-                        parent[child] = node
-                        stack.append((child, iter(self._successors[child])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return None
 
     # -- broadcast integration ------------------------------------------------
 

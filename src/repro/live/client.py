@@ -464,16 +464,23 @@ class LiveClient:
         end_time = (
             self._end_time if self._end_time is not None else self._next_start
         )
-        self.member.finish(end_time)
+        member = self.member
+        member.finish(end_time)
         assert self.params is not None and self.codec is not None
-        return LiveClientResult(
+        result = LiveClientResult(
             scheme_label=self.scheme_label,
             params=self.params,
             metrics=self.metrics,
-            client=self.member.client,
+            client=member.client,
             cycles_heard=self._cycles_heard,
             cycles_missed=self._cycles_missed,
             end_time=end_time,
             buckets_heard=self._buckets_heard,
             buckets_parsed=self.codec.data_parsed,
         )
+        # The suspended generator and the channel's listener list hold
+        # the client, and the codec's held payloads hold the codec; untie
+        # them so the listener is freed by reference counting as it ends.
+        member.close()
+        self.codec.release_held()
+        return result

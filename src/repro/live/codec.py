@@ -538,18 +538,6 @@ def _top_stamp(record: Union[ItemRecord, OldVersionRecord]) -> int:
     return record.version
 
 
-def bucket_base(bucket: Bucket) -> int:
-    """The largest cycle stamp a bucket carries, 0 if it has none: the
-    ``base`` every age in the bucket's payload counts back from."""
-    base = 0
-    for records in (bucket.records, bucket.old_records):
-        for record in records:
-            top = _top_stamp(record)
-            if top > base:
-                base = top
-    return base
-
-
 def _bits(payload: bytes, start: int, end: int) -> int:
     """Bits ``[start, end)`` of ``payload``, MSB first, as an integer."""
     return (
@@ -1117,33 +1105,6 @@ class CycleCodec:
             + payload
         )
 
-    def encode_data_bucket(
-        self, program: BroadcastProgram, offset: int
-    ) -> bytes:
-        entry = self._bucket_entry(
-            program.data_buckets[offset],
-            with_records=True,
-            with_old=program.organization is _CLUSTERED,
-        )
-        self._sweep_templates(program)
-        slot = program.control_slots + program.index_slots + offset
-        return self._bucket_frame(DATA, program.cycle, slot, entry)
-
-    def encode_overflow_bucket(
-        self, program: BroadcastProgram, offset: int
-    ) -> bytes:
-        entry = self._bucket_entry(
-            program.overflow_buckets[offset], with_records=False, with_old=True
-        )
-        self._sweep_templates(program)
-        slot = (
-            program.control_slots
-            + program.index_slots
-            + len(program.data_buckets)
-            + offset
-        )
-        return self._bucket_frame(OVERFLOW, program.cycle, slot, entry)
-
     def _sweep_templates(self, program: BroadcastProgram) -> None:
         """Forget the templates of records ``program`` no longer airs,
         once there are enough of them to be worth a pass."""
@@ -1431,6 +1392,14 @@ class CycleCodec:
         self.data_parsed += 1
         return self.decode_data_bucket(frame, header)
 
+    def release_held(self) -> None:
+        """Forget the payloads held raw and the last program assembled, as
+        a broken layout does.  Each held payload points back at this
+        codec, so a finished listener unties them here to be freed by
+        reference counting; one a program still names parses as before."""
+        self._held_data = [None] * len(self._held_data)
+        self._assembled = None
+
     def decode_overflow_bucket(self, frame: Frame) -> Bucket:
         if frame.type != OVERFLOW:
             raise CodecError(
@@ -1581,30 +1550,6 @@ class CycleCodec:
             raise CodecError("cycle has no CONTROL frame")
         return self.assemble(header, data, overflow), header.start_slot
 
-    def segment_bits(self, program: BroadcastProgram) -> Dict[str, int]:
-        """Payload bits per segment (frame headers excluded) -- the
-        measured counterpart of the :class:`SizeModel` breakdowns."""
-        control = len(self.encode_control(program, 0)) - HEADER_BYTES
-
-        def payload_bytes(buckets, with_records: bool, with_old: bool) -> int:
-            total = 0
-            for bucket in buckets:
-                entry = self._bucket_entry(bucket, with_records, with_old)
-                _check_base(bucket, entry[1], program.cycle)
-                total += len(entry[2])
-            return total
-
-        data = payload_bytes(
-            program.data_buckets, True, program.organization is _CLUSTERED
-        )
-        overflow = payload_bytes(program.overflow_buckets, False, True)
-        self._sweep_templates(program)
-        return {
-            "control_bits": 8 * control,
-            "data_bits": 8 * data,
-            "overflow_bits": 8 * overflow,
-        }
-
 
 def _patched_index(
     before: List[Union[Bucket, HeldPayload]],
@@ -1636,35 +1581,3 @@ def _patched_index(
             if layout[item][-1] == offset:
                 patched[item] = record
     return layout, patched
-
-
-def programs_equal(a: BroadcastProgram, b: BroadcastProgram) -> bool:
-    """Field-level equality of two programs (the round-trip invariant),
-    down to every lookup a client makes of them."""
-    if not (
-        a.cycle == b.cycle
-        and a.control == b.control
-        and a.control_slots == b.control_slots
-        and a.index_slots == b.index_slots
-        and a.organization == b.organization
-        and a.data_buckets == b.data_buckets
-        and a.overflow_buckets == b.overflow_buckets
-        and a.items == b.items
-        and a.total_old_versions == b.total_old_versions
-    ):
-        return False
-    for item in a.items:
-        olds = a.old_versions_of(item)
-        if (
-            a.record_of(item) != b.record_of(item)
-            or a.slots_of(item) != b.slots_of(item)
-            or a.page_of(item) != b.page_of(item)
-            or olds != b.old_versions_of(item)
-            or any(
-                a.old_version_at(item, old.version)
-                != b.old_version_at(item, old.version)
-                for old in olds
-            )
-        ):
-            return False
-    return True

@@ -2,7 +2,7 @@
 
 The analyzer consumes the flat event dicts produced by
 :mod:`repro.obs.trace` (from a JSONL file or straight from a
-:class:`~repro.obs.trace.RingBufferSink`) and reconstructs the views the
+:class:`~repro.obs.trace.RingBufferSink`'s ``events``) and reconstructs the views the
 paper's aggregate numbers cannot give:
 
 * per-query **timelines** -- every event of one attempt in order, so a
@@ -28,7 +28,6 @@ from repro.obs.trace import (
     EV_QUERY_BEGIN,
     EV_QUERY_READ,
     EV_SHARD_CYCLE_START,
-    RingBufferSink,
     read_jsonl,
 )
 
@@ -50,10 +49,6 @@ class TraceAnalyzer:
     @classmethod
     def from_jsonl(cls, path: str) -> "TraceAnalyzer":
         return cls(read_jsonl(path))
-
-    @classmethod
-    def from_ring(cls, sink: RingBufferSink) -> "TraceAnalyzer":
-        return cls(sink.events)
 
     # -- summary -----------------------------------------------------------
 

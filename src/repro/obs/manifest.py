@@ -119,11 +119,6 @@ class RunManifest:
         target.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
         return target
 
-    @property
-    def fault_knobs(self) -> Dict[str, Any]:
-        """The fault-parameter subtree (empty dict when params absent)."""
-        return dict(self.params.get("faults", {}))
-
 
 def _seed_of(params: Optional[ModelParameters]) -> Optional[int]:
     return params.sim.seed if params is not None else None
@@ -142,8 +137,3 @@ def write_manifest(
         params=params, seed=seed, scheme=scheme, seeds=seeds, extra=extra
     )
     return manifest.write(path)
-
-
-def load_manifest(path: str) -> Dict[str, Any]:
-    """Read a manifest JSON file back as a plain dict."""
-    return json.loads(Path(path).read_text())

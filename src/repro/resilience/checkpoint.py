@@ -99,9 +99,6 @@ class CrashSchedule:
         """The crash window starting exactly at ``cycle``, if any."""
         return self._by_start.get(cycle)
 
-    def is_down(self, cycle: int) -> bool:
-        return any(first <= cycle <= last for first, last in self.windows)
-
 
 def select_resync(
     checkpoint: Optional[ClientCheckpoint],

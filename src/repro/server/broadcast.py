@@ -36,11 +36,6 @@ from repro.server.sizing import SizeModel
 from repro.server.transactions import CycleOutcome
 
 
-def bucket_of_item(item: int, items_per_bucket: int) -> int:
-    """Logical page number of ``item`` in the flat layout (cache grain)."""
-    return (item - 1) // items_per_bucket
-
-
 class ProgramBuilder:
     """Builds one :class:`BroadcastProgram` per cycle.
 

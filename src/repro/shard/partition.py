@@ -54,10 +54,6 @@ class Partitioner(ABC):
             if self.shard_of(item) == shard
         ]
 
-    def shards_of(self, items) -> frozenset:
-        """Set of shard indices touched by ``items``."""
-        return frozenset(self.shard_of(item) for item in items)
-
 
 class HashPartitioner(Partitioner):
     """Multiplicative-hash assignment; stable under universe growth."""

@@ -14,19 +14,11 @@ clients:
   samplers the experiment harness reports.
 """
 
-from repro.stats.compare import (
-    ComparisonResult,
-    rates_differ,
-    two_proportion_z,
-    welch_t,
-    wilson_interval,
-)
 from repro.stats.metrics import Counter, MetricsRegistry, Sampler
 from repro.stats.online import OnlineStats, RatioEstimator
 from repro.stats.zipf import OffsetZipfGenerator, ZipfGenerator, zipf_pmf
 
 __all__ = [
-    "ComparisonResult",
     "Counter",
     "MetricsRegistry",
     "OffsetZipfGenerator",
@@ -35,8 +27,4 @@ __all__ = [
     "Sampler",
     "ZipfGenerator",
     "zipf_pmf",
-    "rates_differ",
-    "two_proportion_z",
-    "welch_t",
-    "wilson_interval",
 ]

@@ -141,21 +141,6 @@ class ZipfGenerator:
         """Draw one item number."""
         return self.draw()
 
-    def sample_many(self, count: int) -> List[int]:
-        """Draw ``count`` item numbers (with repetition)."""
-        return [self.sample() for _ in range(count)]
-
-    def sample_batch(self, count: int) -> List[int]:
-        """Batched draw of ``count`` items off the shared tables.
-
-        Consumes exactly one uniform per draw in draw order, so under a
-        shared seed the result is bit-identical to ``count`` sequential
-        :meth:`sample` calls -- the property the cohort engine relies on
-        and the Hypothesis suite pins down.
-        """
-        draw = self.draw
-        return [draw() for _ in range(count)]
-
     def sample_distinct(self, count: int) -> List[int]:
         """Draw ``count`` *distinct* item numbers, preserving draw order.
 

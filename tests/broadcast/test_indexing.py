@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broadcast.indexing import OneMIndex, TuningCost, no_index_costs
+from repro.broadcast.indexing import OneMIndex, no_index_costs
 
 
 def make(data_buckets=100, items_per_bucket=10, fanout=10, m=1):
@@ -76,7 +76,7 @@ class TestCosts:
             for arrival in (0.0, 13.7, 110.9):
                 cost = index.locate(item, arrival)
                 assert 0 < cost.access_time <= 2 * index.cycle_length
-                assert cost.doze_time >= 0
+                assert cost.tuning_time <= cost.access_time
 
     def test_indexing_slashes_tuning_versus_no_index(self):
         index = make()
@@ -116,8 +116,3 @@ class TestCosts:
         assert math.isclose(cycle_slot, expected, abs_tol=1e-6) or math.isclose(
             slot, expected, abs_tol=1e-6
         )
-
-
-def test_tuning_cost_dataclass():
-    cost = TuningCost(access_time=50.0, tuning_time=4)
-    assert cost.doze_time == 46.0

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from repro.broadcast.schedule import BroadcastDiskSchedule, DiskSpec, FlatSchedule
+from repro.broadcast.schedule import FlatSchedule
+from tests.integration.broadcast_disks import BroadcastDiskSchedule, DiskSpec
 
 
 class TestFlatSchedule:

@@ -213,7 +213,7 @@ class TestCacheEntry:
         assert entry.covers(3) and entry.covers(6)
         assert not entry.covers(7)
         current = CacheEntry(record(1, 0, 3), valid_to=None)
-        assert current.covers(99) and current.is_current
+        assert current.covers(99) and current.valid_to is None
         assert not current.covers(2)
 
     def test_an_entry_is_a_record_and_an_interval(self):

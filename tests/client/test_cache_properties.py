@@ -103,7 +103,7 @@ def check_invariants(world):
     for entry in cache.contents():
         by_item.setdefault(entry.item, []).append(entry)
     for item, entries in by_item.items():
-        currents = [e for e in entries if e.is_current]
+        currents = [e for e in entries if e.valid_to is None]
         assert len(currents) <= 1
         # Intervals must not overlap pairwise.
         spans = sorted(

@@ -4,11 +4,8 @@ import random
 
 import pytest
 
-from repro.client.disconnect import (
-    NeverDisconnected,
-    RandomDisconnections,
-    ScheduledDisconnections,
-)
+from repro.client.disconnect import NeverDisconnected, RandomDisconnections
+from tests.helpers import ScheduledDisconnections
 
 
 def test_never_disconnected():

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import random
-import sys
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
-
-# Make tests/helpers.py importable from every test package.
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.config import ModelParameters
 from repro.server import substrate

@@ -3,14 +3,14 @@ transactions whose readset equals the state of their last-read cycle."""
 
 import pytest
 
-from helpers import (
+from repro.core.invalidation import Granularity, InvalidationOnly
+from repro.core.transaction import AbortReason
+from tests.helpers import (
     aborted_transactions,
     committed_transactions,
     readset_matches_snapshot,
     snapshot_cycle_of,
 )
-from repro.core.invalidation import Granularity, InvalidationOnly
-from repro.core.transaction import AbortReason
 
 
 def test_theorem1_committed_readsets_match_last_read_snapshot(

@@ -3,14 +3,14 @@ invalidated first at cycle c_u commits a readset equal to DS^{c_u - 1}."""
 
 import pytest
 
-from helpers import (
+from repro.core.multiversion_cache import MultiversionCaching
+from repro.core.transaction import AbortReason
+from repro.core.versioned_cache import InvalidationWithVersionedCache
+from tests.helpers import (
     aborted_transactions,
     committed_transactions,
     readset_matches_snapshot,
 )
-from repro.core.multiversion_cache import MultiversionCaching
-from repro.core.transaction import AbortReason
-from repro.core.versioned_cache import InvalidationWithVersionedCache
 
 
 def test_theorem5_marked_commits_match_deadline_snapshot(run_sim, hot_params):

@@ -4,13 +4,13 @@ queries whose span fits the retention window never abort."""
 
 import pytest
 
-from helpers import (
+from repro.core.multiversion import MultiversionBroadcast
+from repro.core.transaction import AbortReason
+from tests.helpers import (
     aborted_transactions,
     committed_transactions,
     readset_matches_snapshot,
 )
-from repro.core.multiversion import MultiversionBroadcast
-from repro.core.transaction import AbortReason
 
 
 def test_theorem2_readsets_match_first_read_snapshot(run_sim, hot_params):

@@ -4,15 +4,16 @@ exactly the cycles of Lemma 1."""
 
 import pytest
 
-from helpers import (
+from repro.core.invalidation import InvalidationOnly
+from repro.core.sgt import SerializationGraphTesting
+from repro.core.transaction import AbortReason
+from tests.helpers import (
     aborted_transactions,
     committed_transactions,
     is_serializable_with_server,
     snapshot_cycle_of,
+    two_proportion_z,
 )
-from repro.core.invalidation import InvalidationOnly
-from repro.core.sgt import SerializationGraphTesting
-from repro.core.transaction import AbortReason
 
 
 def test_theorem3_committed_queries_are_serializable(run_sim, medium_params):
@@ -37,8 +38,6 @@ def test_accepts_more_than_invalidation_only(run_sim, medium_params):
     """The whole point of SGT: invalidated-but-consistent queries commit.
     At moderate overlap SGT "more than doubles the number of queries
     accepted" (the paper's Figure 6 discussion)."""
-    from repro.stats.compare import two_proportion_z
-
     _, inval = run_sim(medium_params, lambda: InvalidationOnly())
     _, sgt = run_sim(medium_params, lambda: SerializationGraphTesting())
     assert sgt.abort_rate < inval.abort_rate

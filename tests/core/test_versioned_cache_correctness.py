@@ -3,14 +3,14 @@ marked query's readset equals the state at its deadline minus one."""
 
 import pytest
 
-from helpers import (
+from repro.core.invalidation import InvalidationOnly
+from repro.core.transaction import AbortReason, TransactionStatus
+from repro.core.versioned_cache import InvalidationWithVersionedCache
+from tests.helpers import (
     aborted_transactions,
     committed_transactions,
     readset_matches_snapshot,
 )
-from repro.core.invalidation import InvalidationOnly
-from repro.core.transaction import AbortReason, TransactionStatus
-from repro.core.versioned_cache import InvalidationWithVersionedCache
 
 
 def test_theorem4_marked_commits_match_deadline_snapshot(run_sim, hot_params):

@@ -36,27 +36,23 @@ class TestRecording:
         with pytest.raises(ValueError):
             History_commit_then_abort()
 
-    def test_writers_of_in_order(self):
-        h = History()
-        h.write("t1", 9)
-        h.write("t2", 9)
-        h.write("t3", 8)
-        for t in ("t1", "t2", "t3"):
-            h.commit(t)
-        assert h.writers_of(9) == ["t1", "t2"]
-
-    def test_writers_of_excludes_uncommitted(self):
-        h = History()
-        h.write("t1", 9)
-        h.write("t2", 9)
-        h.commit("t2")
-        assert h.writers_of(9) == ["t2"]
-
 
 def History_commit_then_abort():
     h = History()
     h.commit("t1")
     h.abort("t1")
+
+
+def _writers_of(h, item):
+    """Committed transactions that wrote ``item``, in history order."""
+    committed = h.committed
+    return list(
+        dict.fromkeys(
+            op.txn
+            for op in h.operations
+            if op.op is OpType.WRITE and op.item == item and op.txn in committed
+        )
+    )
 
 
 class TestSerializationGraphConstruction:
@@ -114,7 +110,6 @@ class TestSerializability:
         h.write("t2", 2)
         h.commit("t2")
         assert h.is_serializable()
-        assert h.serial_order() == ["t1", "t2"]
 
     def test_classic_nonserializable_interleaving(self):
         # t1 reads x then writes y; t2 reads y then writes x -- the classic
@@ -127,7 +122,6 @@ class TestSerializability:
         h.commit("t1")
         h.commit("t2")
         assert not h.is_serializable()
-        assert h.serial_order() is None
 
     def test_read_only_transaction_between_writers(self):
         # R reads x from t1, then t2 overwrites x and writes y, then R
@@ -147,7 +141,7 @@ class TestSerializability:
     @settings(max_examples=40, deadline=None)
     def test_property_serial_execution_always_serializable(self, seed):
         """Transactions executed strictly one after another must always
-        yield an acyclic graph whose topological order is commit order."""
+        yield an acyclic graph."""
         rng = random.Random(seed)
         h = History()
         for t in range(6):
@@ -159,8 +153,6 @@ class TestSerializability:
                     h.write(name, item)
             h.commit(name)
         assert h.is_serializable()
-        order = h.serial_order()
-        assert order is not None
 
 
 class TestClaims2And3:
@@ -180,7 +172,7 @@ class TestClaims2And3:
         """SG_a: R -> every writer of x.  SG_f: R -> first writer only.
         Claim 2: SG_a cyclic <=> SG_f cyclic (given ww chain edges)."""
         h = self._multi_writer_history()
-        writers = h.writers_of(7)
+        writers = _writers_of(h, 7)
 
         # Build both graphs on top of the server graph; close a cycle by
         # letting R read from the *last* writer (dependency t3 -> R).
@@ -197,7 +189,7 @@ class TestClaims2And3:
 
     def test_claim2_acyclic_case_agrees(self):
         h = self._multi_writer_history()
-        writers = h.writers_of(7)
+        writers = _writers_of(h, 7)
         full = h.serialization_graph(include=["R"])
         reduced = h.serialization_graph(include=["R"])
         for writer in writers:
@@ -208,7 +200,7 @@ class TestClaims2And3:
     def test_claim3_last_writer_edge_preserves_cycles(self):
         """SG_a: every writer of y -> R.  SG_l: last writer -> R only."""
         h = self._multi_writer_history()
-        writers = h.writers_of(7)
+        writers = _writers_of(h, 7)
 
         full = h.serialization_graph(include=["R"])
         reduced = h.serialization_graph(include=["R"])
@@ -241,7 +233,7 @@ class TestClaims2And3:
         full = h.serialization_graph(include=["R"])
         reduced = h.serialization_graph(include=["R"])
         for item in read_items:
-            writers = h.writers_of(item)
+            writers = _writers_of(h, item)
             if not writers:
                 continue
             # R read the version of some random writer w; in the full

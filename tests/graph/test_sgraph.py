@@ -99,23 +99,6 @@ class TestCycleDetection:
         g.add_edge("c", "a")
         assert g.has_cycle()
 
-    def test_find_cycle_returns_actual_cycle(self):
-        g = SerializationGraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        g.add_edge("c", "a")
-        cycle = g.find_cycle()
-        assert cycle is not None
-        assert set(cycle) == {"a", "b", "c"}
-        # Consecutive members are connected, wrapping around.
-        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-            assert g.has_edge(u, v)
-
-    def test_find_cycle_none_on_dag(self):
-        g = SerializationGraph()
-        g.add_edge("a", "b")
-        assert g.find_cycle() is None
-
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_property_agrees_with_networkx(self, seed):

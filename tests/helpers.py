@@ -3,19 +3,23 @@
 The correctness oracles live in the library itself
 (:mod:`repro.verify`) so that examples and downstream users can run
 them; this module re-exports them for the test suite and adds small
-transaction-collection helpers plus the canonical tiny workloads the
+transaction-collection helpers, the canonical tiny workloads the
 integration tests simulate (one definition instead of per-module
-copies).
+copies), a deterministic outage model, sweep shape checks and the
+two-proportion z-test that compares two schemes' acceptance rates.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
+from repro.client.disconnect import DisconnectionModel
 from repro.config import ModelParameters
 from repro.core.base import Scheme
 from repro.core.transaction import ReadOnlyTransaction, TransactionStatus
-from repro.experiments.runner import ExperimentProfile
+from repro.experiments.runner import ExperimentProfile, SweepResult
 from repro.runtime import Simulation
 from repro.verify import (  # noqa: F401 -- re-exported for tests
     check_transaction,
@@ -127,3 +131,75 @@ def aborted_transactions(clients: Iterable) -> List[ReadOnlyTransaction]:
             if txn.status is TransactionStatus.ABORTED
         )
     return result
+
+
+class ScheduledDisconnections(DisconnectionModel):
+    """Deterministic outage windows.
+
+    ``outages`` is an iterable of ``(first, last)`` inclusive cycle ranges
+    during which the client is deaf.
+    """
+
+    def __init__(self, outages) -> None:
+        self.outages = [(int(a), int(b)) for a, b in outages]
+        for first, last in self.outages:
+            if first > last:
+                raise ValueError(f"Empty outage window {first}..{last}")
+
+    def is_listening(self, cycle: int) -> bool:
+        return not any(first <= cycle <= last for first, last in self.outages)
+
+
+def monotone_increasing(
+    sweep: SweepResult, series: str, tolerance: float = 0.0
+) -> bool:
+    """Shape check: is the series non-decreasing (within ``tolerance`` of
+    absolute slack per step)?"""
+    ys = [v for v in sweep.series[series] if not math.isnan(v)]
+    return all(b >= a - tolerance for a, b in zip(ys, ys[1:]))
+
+
+def monotone_decreasing(
+    sweep: SweepResult, series: str, tolerance: float = 0.0
+) -> bool:
+    ys = [v for v in sweep.series[series] if not math.isnan(v)]
+    return all(b <= a + tolerance for a, b in zip(ys, ys[1:]))
+
+
+def _normal_sf(z: float) -> float:
+    """Survival function of the standard normal (1 - CDF)."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+@dataclass(frozen=True)
+class ComparisonResult:
+    """Outcome of a two-sample test."""
+
+    statistic: float
+    p_value: float
+
+    def significant(self, alpha: float = 0.05) -> bool:
+        return self.p_value < alpha
+
+
+def two_proportion_z(
+    hits_a: int, total_a: int, hits_b: int, total_b: int
+) -> ComparisonResult:
+    """Two-sided two-proportion z-test for ``p_a != p_b``.
+
+    >>> result = two_proportion_z(90, 100, 50, 100)
+    >>> result.significant()
+    True
+    """
+    if total_a <= 0 or total_b <= 0:
+        raise ValueError("Both samples must be non-empty")
+    if not (0 <= hits_a <= total_a and 0 <= hits_b <= total_b):
+        raise ValueError("hits must lie within totals")
+    p_a = hits_a / total_a
+    p_b = hits_b / total_b
+    pooled = (hits_a + hits_b) / (total_a + total_b)
+    variance = pooled * (1 - pooled) * (1 / total_a + 1 / total_b)
+    if variance == 0:
+        return ComparisonResult(statistic=0.0, p_value=1.0)
+    z = (p_a - p_b) / math.sqrt(variance)
+    return ComparisonResult(statistic=z, p_value=2.0 * _normal_sf(abs(z)))

@@ -3,10 +3,10 @@ the consistency schemes and cut latency for hot-item queries."""
 
 import pytest
 
-from helpers import committed_transactions, snapshot_cycle_of
-from repro.broadcast.schedule import BroadcastDiskSchedule, DiskSpec
 from repro.core import InvalidationOnly, MultiversionBroadcast
 from repro.runtime import Simulation
+from tests.helpers import committed_transactions, snapshot_cycle_of
+from tests.integration.broadcast_disks import BroadcastDiskSchedule, DiskSpec
 
 
 def classic_schedule(size):

@@ -13,9 +13,9 @@ Two properties are pinned down:
 
 import pytest
 
-from helpers import make_faulty_sim, make_oracle_params
 from repro.core import InvalidationOnly, MultiversionBroadcast, MultiversionCaching
 from repro.runtime import Simulation
+from tests.helpers import make_faulty_sim, make_oracle_params
 
 FACTORIES = {
     "inval+cache": lambda: InvalidationOnly(use_cache=True),

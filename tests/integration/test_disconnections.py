@@ -10,13 +10,7 @@
 
 import pytest
 
-from helpers import (
-    aborted_transactions,
-    committed_transactions,
-    is_serializable_with_server,
-    readset_matches_snapshot,
-)
-from repro.client.disconnect import RandomDisconnections, ScheduledDisconnections
+from repro.client.disconnect import RandomDisconnections
 from repro.core import (
     InvalidationOnly,
     MultiversionBroadcast,
@@ -24,6 +18,13 @@ from repro.core import (
 )
 from repro.core.transaction import AbortReason
 from repro.runtime import Simulation
+from tests.helpers import (
+    ScheduledDisconnections,
+    aborted_transactions,
+    committed_transactions,
+    is_serializable_with_server,
+    readset_matches_snapshot,
+)
 
 
 def flaky(rng):
@@ -147,7 +148,7 @@ def test_scheduled_outage_aborts_only_active_spanning_queries(small_params):
 
 def test_correctness_holds_for_all_schemes_under_disconnections(hot_params):
     from repro.core import InvalidationWithVersionedCache, MultiversionCaching
-    from helpers import snapshot_cycle_of
+    from tests.helpers import snapshot_cycle_of
 
     factories = [
         lambda: InvalidationOnly(use_cache=True),

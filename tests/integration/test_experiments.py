@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-from helpers import SMALL_WORLD, TINY_PROFILE as TINY
 from repro.experiments import fig5, fig6, fig7, fig8, scalability, table1
 from repro.experiments.render import render_sweep, render_table, sweep_to_csv
 from repro.experiments.runner import (
@@ -15,6 +14,12 @@ from repro.experiments.runner import (
     run_point,
 )
 from repro.experiments.schemes import SCHEME_FACTORIES, scheme_factory
+from tests.helpers import (
+    SMALL_WORLD,
+    TINY_PROFILE as TINY,
+    monotone_decreasing,
+    monotone_increasing,
+)
 
 
 class TestRunner:
@@ -56,9 +61,9 @@ class TestSweepResult:
 
     def test_monotone_helpers(self):
         sweep = self.make()
-        assert sweep.monotone_increasing("up")
-        assert not sweep.monotone_increasing("down")
-        assert sweep.monotone_decreasing("down")
+        assert monotone_increasing(sweep, "up")
+        assert not monotone_increasing(sweep, "down")
+        assert monotone_decreasing(sweep, "down")
 
     def test_y_lookup(self):
         assert self.make().y("up", 2.0) == 0.2
@@ -82,14 +87,14 @@ class TestFigure7:
     def test_vs_span_shapes(self):
         sweep = fig7.run_vs_span()
         # Multiversion size grows with span; invalidation-only is flat.
-        assert sweep.monotone_increasing("multiversion_overflow")
+        assert monotone_increasing(sweep, "multiversion_overflow")
         first = sweep.series["invalidation_only"][0]
         assert all(v == first for v in sweep.series["invalidation_only"])
 
     def test_vs_updates_shapes(self):
         sweep = fig7.run_vs_updates()
         for scheme in sweep.series:
-            assert sweep.monotone_increasing(scheme), scheme
+            assert monotone_increasing(sweep, scheme), scheme
         # Ordering at every point: inval < mv-caching < sgt < overflow.
         for i in range(len(sweep.xs)):
             assert (

@@ -14,13 +14,6 @@ the unsafe baseline *does* violate the oracle under the same faults.
 
 import pytest
 
-from helpers import (
-    check_transaction,
-    committed_transactions,
-    make_faulty_sim,
-    make_oracle_params,
-    violations,
-)
 from repro.core import (
     InvalidationOnly,
     InvalidationWithVersionedCache,
@@ -29,6 +22,13 @@ from repro.core import (
     NoConsistency,
 )
 from repro.stats.metrics import FAULT_SLOTS_LOST
+from tests.helpers import (
+    check_transaction,
+    committed_transactions,
+    make_faulty_sim,
+    make_oracle_params,
+    violations,
+)
 
 #: The four processing schemes of the paper (Theorems 1, 2, 4, 5).
 SCHEMES = {

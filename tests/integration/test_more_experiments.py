@@ -3,9 +3,9 @@ the harness entry point."""
 
 import pytest
 
-from helpers import SMALL_WORLD, TINY_PROFILE as TINY
 from repro.config import ModelParameters
 from repro.experiments import retention, tuning
+from tests.helpers import SMALL_WORLD, TINY_PROFILE as TINY
 
 
 class TestTuningExperiment:

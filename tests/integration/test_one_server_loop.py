@@ -15,9 +15,9 @@ import pytest
 from repro.cohort.engine import CohortSimulation
 from repro.core.control import ReportSchedule
 from repro.core.invalidation import InvalidationOnly
-from repro.live.codec import programs_equal
 from repro.live.server import LiveBroadcastServer
 from repro.runtime import Simulation
+from tests.live.program_equality import programs_equal
 from tests.live.test_codec_reuse import CYCLES, _built_programs
 
 

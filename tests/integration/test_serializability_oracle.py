@@ -14,12 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    committed_transactions,
-    is_serializable_with_server,
-    make_oracle_params,
-    snapshot_cycle_of,
-)
 from repro.core import (
     InvalidationOnly,
     InvalidationWithVersionedCache,
@@ -29,6 +23,12 @@ from repro.core import (
     SerializationGraphTesting,
 )
 from repro.runtime import Simulation
+from tests.helpers import (
+    committed_transactions,
+    is_serializable_with_server,
+    make_oracle_params,
+    snapshot_cycle_of,
+)
 
 FACTORIES = {
     "inval": lambda: InvalidationOnly(),

@@ -2,7 +2,6 @@
 
 import pytest
 
-from helpers import committed_transactions
 from repro.core import (
     InvalidationOnly,
     InvalidationWithVersionedCache,
@@ -12,6 +11,7 @@ from repro.core import (
     SerializationGraphTesting,
 )
 from repro.runtime import Simulation
+from tests.helpers import committed_transactions
 
 ALL_FACTORIES = {
     "inval": lambda: InvalidationOnly(),
@@ -92,7 +92,7 @@ def test_multiversion_broadcast_is_longer(small_params):
 def test_unsafe_baseline_commits_inconsistent_readsets(hot_params):
     """The paper's motivation, measured: without consistency control a
     substantial share of committed queries match no database snapshot."""
-    from helpers import snapshot_cycle_of
+    from tests.helpers import snapshot_cycle_of
 
     sim = Simulation(
         hot_params.with_sim(num_clients=4),

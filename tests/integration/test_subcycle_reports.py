@@ -15,11 +15,6 @@ Correctness must be untouched in all cases.
 
 import pytest
 
-from helpers import (
-    aborted_transactions,
-    committed_transactions,
-    snapshot_cycle_of,
-)
 from repro.core import (
     InvalidationOnly,
     InvalidationWithVersionedCache,
@@ -28,6 +23,11 @@ from repro.core import (
 from repro.core.control import ReportSchedule
 from repro.runtime import Simulation
 from repro.server.transactions import merge_outcomes
+from tests.helpers import (
+    aborted_transactions,
+    committed_transactions,
+    snapshot_cycle_of,
+)
 
 
 def run(params, factory, per_cycle, keep_history=False):
@@ -66,7 +66,7 @@ class TestCorrectness:
             per_cycle=4,
             keep_history=True,
         )
-        from helpers import readset_matches_snapshot
+        from tests.helpers import readset_matches_snapshot
 
         marked = [
             txn

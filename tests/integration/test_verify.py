@@ -2,7 +2,6 @@
 
 import pytest
 
-from helpers import committed_transactions
 from repro.core import InvalidationOnly, SerializationGraphTesting
 from repro.core.transaction import (
     ReadOnlyTransaction,
@@ -20,6 +19,7 @@ from repro.verify import (
     snapshot_cycle_of,
     violations,
 )
+from tests.helpers import committed_transactions
 
 
 def make_txn(reads, txn_id="R"):

@@ -41,6 +41,7 @@ from repro.live.codec import (
     HELLO,
     MAGIC,
     MAX_PAYLOAD_BYTES,
+    OVERFLOW,
     BitReader,
     BitWriter,
     CodecError,
@@ -51,14 +52,14 @@ from repro.live.codec import (
     FrameStream,
     FrameTruncated,
     WireProfile,
-    bucket_base,
     decode_frame,
     decode_json_payload,
     encode_frame,
     encode_json_frame,
-    programs_equal,
 )
 from repro.server.sizing import SizeModel
+from tests.live.program_equality import programs_equal
+from tests.live.reference_codec import reference_bucket_base
 
 ORGS = (
     MultiversionOrganization.NONE,
@@ -421,6 +422,13 @@ def test_truncated_control_payload_is_a_clean_codec_error(case, data):
 # -- canonical payloads ---------------------------------------------------------
 
 
+def _payloads(codec: CycleCodec, program: BroadcastProgram, ftype: int):
+    """The payloads of the ``ftype`` frames ``encode_cycle`` airs for
+    ``program``, in air order."""
+    frames = (decode_frame(raw)[0] for raw in codec.encode_cycle(program, 0))
+    return [frame.payload for frame in frames if frame.type == ftype]
+
+
 def _decode_payload(codec: CycleCodec, ftype: int, cycle: int, payload: bytes):
     """Decode one payload and re-encode what came out: ``(decoded,
     payload of the re-encoding)``."""
@@ -453,10 +461,10 @@ def _decode_payload(codec: CycleCodec, ftype: int, cycle: int, payload: bytes):
         )
         bucket = codec.decode_data_bucket(frame, header)
         program.data_buckets.append(bucket)
-        return bucket, codec.encode_data_bucket(program, 0)[HEADER_BYTES:]
+        return bucket, _payloads(codec, program, DATA)[0]
     bucket = codec.decode_overflow_bucket(frame)
     program.overflow_buckets.append(bucket)
-    return bucket, codec.encode_overflow_bucket(program, 0)[HEADER_BYTES:]
+    return bucket, _payloads(codec, program, OVERFLOW)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -517,11 +525,12 @@ def test_second_spellings_of_a_payload_are_rejected():
         control=ControlInfo(cycle=9, invalidation=report_from_updates(9, frozenset())),
         data_buckets=[Bucket(index=0, records=(record,))],
     )
-    payload = codec.encode_data_bucket(program, 0)[HEADER_BYTES:]
+    [payload] = _payloads(codec, program, DATA)
     assert codec.decode_data_bucket(data_frame(payload), header).records == (record,)
     # That payload is 80 + 200 bits and ends on a byte boundary; without
     # the writer tag it is 275 bits, so its last byte has 5 padding bits.
-    plain = codec.encode_data_bucket(
+    [plain] = _payloads(
+        codec,
         BroadcastProgram(
             cycle=9,
             control=program.control,
@@ -529,8 +538,8 @@ def test_second_spellings_of_a_payload_are_rejected():
                 Bucket(index=0, records=(ItemRecord(item=3, value=-4, version=6),))
             ],
         ),
-        0,
-    )[HEADER_BYTES:]
+        DATA,
+    )
     assert codec.decode_data_bucket(data_frame(plain), header).records[0].writer is None
     dirty = plain[:-1] + bytes([plain[-1] | 0x01])
     with pytest.raises(CodecError, match="padding"):
@@ -606,8 +615,8 @@ def test_layout_violations_raise_codec_errors():
         index_slots=0,
         organization=MultiversionOrganization.NONE,
     )
-    with pytest.raises(CodecError):
-        codec.encode_data_bucket(program, 0)
+    with pytest.raises(CodecError, match="clustered"):
+        codec.encode_cycle(program, 0)
 
     # A value whose zigzag form overflows the data field.
     with pytest.raises(CodecError):
@@ -620,8 +629,6 @@ def test_layout_violations_raise_codec_errors():
     stamped = ItemRecord(item=1, value=0, version=9, writer=None)
     program.data_buckets[0] = Bucket(index=0, records=(stamped,))
     with pytest.raises(CodecError):
-        codec.encode_data_bucket(program, 0)
-    with pytest.raises(CodecError):
         codec.encode_cycle(program, 0)
 
     # Overflow buckets hold old versions only.
@@ -630,9 +637,10 @@ def test_layout_violations_raise_codec_errors():
             {**flat.to_wire(), "organization": "overflow", "span": 4}
         )
     )
+    program.data_buckets.clear()
     program.overflow_buckets.append(Bucket(index=0, records=(stamped,)))
-    with pytest.raises(CodecError):
-        overflow.encode_overflow_bucket(program, 0)
+    with pytest.raises(CodecError, match="old versions only"):
+        overflow.encode_cycle(program, 0)
 
 
 def test_bit_writer_reader_round_trip_and_bounds():
@@ -725,18 +733,18 @@ def _expected_record_bits(profile: WireProfile, record: ItemRecord, base: int) -
 @settings(max_examples=100, deadline=None)
 @given(wire_cases())
 def test_measured_bucket_bits_equal_model_field_sums(case):
-    """segment_bits measures exactly the SizeModel widths, bit for bit."""
+    """The aired DATA payloads measure exactly the SizeModel widths, bit
+    for bit."""
     profile, program = case
     if not program.data_buckets:
         return
-    codec = CycleCodec(profile)
-    measured = codec.segment_bits(program)
+    measured = 8 * sum(map(len, _payloads(CycleCodec(profile), program, DATA)))
     clustered = profile.organization is MultiversionOrganization.CLUSTERED
     expected = 0
     for bucket in program.data_buckets:
         # Ages count back from the bucket's own largest stamp, which
         # rides once per payload: never wider than the cycle-relative age.
-        base = bucket_base(bucket)
+        base = reference_bucket_base(bucket)
         bits = 32 + 32 + 16  # bucket index + base + record count
         for record in bucket.records:
             bits += _expected_record_bits(profile, record, base)
@@ -761,10 +769,10 @@ def test_measured_bucket_bits_equal_model_field_sums(case):
                 if span >= (1 << profile.version_bits) - 1:
                     bits += 32
         expected += 8 * ceil(bits / 8)  # each payload pads to a byte
-    assert measured["data_bits"] == expected
+    assert measured == expected
 
 
-def test_segment_bits_track_figure7_growth():
+def test_payload_bits_track_figure7_growth():
     """More updates -> a larger control segment, data segment unchanged
     (the invalidation-only row of Figure 7)."""
     params = ServerParameters()
@@ -793,8 +801,10 @@ def test_segment_bits_track_figure7_growth():
             organization=MultiversionOrganization.NONE,
         )
 
-    small = codec.segment_bits(program_with(5))
-    large = codec.segment_bits(program_with(50))
-    assert large["control_bits"] - small["control_bits"] == 45 * profile.key_bits
-    assert large["data_bits"] == small["data_bits"]
-    assert small["overflow_bits"] == large["overflow_bits"] == 0
+    def bits(updates: int, ftype: int) -> int:
+        payloads = _payloads(codec, program_with(updates), ftype)
+        return 8 * sum(map(len, payloads))
+
+    assert bits(50, CONTROL) - bits(5, CONTROL) == 45 * profile.key_bits
+    assert bits(50, DATA) == bits(5, DATA)
+    assert bits(5, OVERFLOW) == bits(50, OVERFLOW) == 0

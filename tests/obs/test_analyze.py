@@ -105,13 +105,13 @@ class TestRealTrace:
         )
         result = sim.run()
 
-        totals = TraceAnalyzer.from_ring(sink).airtime_totals()
+        totals = TraceAnalyzer(sink.events).airtime_totals()
         assert totals["cycles"] == result.cycles_completed
         assert totals["total"] == (
             result.mean_cycle_slots * result.cycles_completed
         )
         # Every cycle's segments must add up to its total.
-        for row in TraceAnalyzer.from_ring(sink).airtime().values():
+        for row in TraceAnalyzer(sink.events).airtime().values():
             assert (
                 row["control"] + row["index"] + row["data"] + row["overflow"]
                 == row["total"]

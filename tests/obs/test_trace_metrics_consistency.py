@@ -37,7 +37,7 @@ def _run_traced(scheme: str, seed: int, faults: bool):
     )
     result = sim.run()
     assert sink.dropped == 0, "ring sized too small for an exact comparison"
-    return result, TraceAnalyzer.from_ring(sink)
+    return result, TraceAnalyzer(sink.events)
 
 
 def _metric_abort_counts(result):
@@ -127,7 +127,7 @@ def _run_resilient_traced(scheme: str, seed: int):
     )
     result = sim.run()
     assert sink.dropped == 0, "ring sized too small for an exact comparison"
-    return result, TraceAnalyzer.from_ring(sink)
+    return result, TraceAnalyzer(sink.events)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])

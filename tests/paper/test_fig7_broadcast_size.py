@@ -8,6 +8,7 @@ multiversion caching ~2%.
 from repro.config import ModelParameters
 from repro.experiments import fig7
 from repro.experiments.render import render_sweep
+from tests.helpers import monotone_increasing
 
 PAPER_PARAMS = ModelParameters()  # the paper's D=1000 defaults
 
@@ -26,12 +27,12 @@ def test_fig7_broadcast_size():
     print(render_sweep(vs_updates, precision=2))
 
     # Shapes: multiversion grows with span, invalidation-only does not.
-    assert vs_span.monotone_increasing("multiversion_overflow")
+    assert monotone_increasing(vs_span, "multiversion_overflow")
     inval = vs_span.series["invalidation_only"]
     assert all(v == inval[0] for v in inval)
     # Everything grows with the update rate.
     for scheme in vs_updates.series:
-        assert vs_updates.monotone_increasing(scheme), scheme
+        assert monotone_increasing(vs_updates, scheme), scheme
 
     # The paper's Table-1 operating point (U=50, span=3), loose bands.
     row = {s: vs_updates.series[s][0] for s in vs_updates.series}

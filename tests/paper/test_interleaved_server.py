@@ -11,7 +11,7 @@ can observe.
 from repro.experiments.render import render_table
 from repro.experiments.runner import run_point
 from repro.experiments.schemes import scheme_factory
-from repro.stats.compare import two_proportion_z
+from tests.helpers import two_proportion_z
 
 
 def test_interleaved_server_equivalence(paper_profile, paper_params):

@@ -9,6 +9,7 @@ length grows with V.
 
 from repro.experiments import retention
 from repro.experiments.render import render_sweep
+from tests.helpers import monotone_decreasing, monotone_increasing
 
 SWEEP = (1, 4, 16)
 
@@ -27,10 +28,10 @@ def test_retention_ablation(paper_profile, paper_params):
     aborts = sweep.series["abort_rate"]
     slots = sweep.series["slots_per_cycle"]
     # More retained versions, fewer aborts...
-    assert sweep.monotone_decreasing("abort_rate", tolerance=0.05)
+    assert monotone_decreasing(sweep, "abort_rate", tolerance=0.05)
     # ...until the span is covered and nothing aborts at all.
     assert aborts[-1] == 0.0
     # Risky V=1 server must actually lose transactions.
     assert aborts[0] > 0.0
     # Bandwidth is the price: the bcast grows with V.
-    assert sweep.monotone_increasing("slots_per_cycle")
+    assert monotone_increasing(sweep, "slots_per_cycle")

@@ -41,9 +41,7 @@ class TestCrashSchedule:
         schedule = CrashSchedule([(5, 7), (12, 12)])
         assert schedule.crash_starting_at(5) == (5, 7)
         assert schedule.crash_starting_at(6) is None
-        assert schedule.is_down(6)
-        assert schedule.is_down(12)
-        assert not schedule.is_down(8)
+        assert schedule.crash_starting_at(12) == (12, 12)
 
     def test_zero_rate_draws_nothing(self):
         schedule = CrashSchedule.draw(

@@ -7,7 +7,7 @@ import pytest
 from repro.broadcast.program import MultiversionOrganization
 from repro.config import ServerParameters
 from repro.core.control import BroadcastRequirements
-from repro.server.broadcast import ProgramBuilder, bucket_of_item
+from repro.server.broadcast import ProgramBuilder
 from repro.server.columnar import ColumnarVersionStore
 from repro.server.database import Database
 from repro.server.transactions import TransactionEngine
@@ -40,12 +40,6 @@ def _store(db, requirements, retention):
     return ColumnarVersionStore(
         db, retention=retention if requirements.needs_old_versions else 0
     )
-
-
-def test_bucket_of_item_layout():
-    assert bucket_of_item(1, 10) == 0
-    assert bucket_of_item(10, 10) == 0
-    assert bucket_of_item(11, 10) == 1
 
 
 class TestFirstCycle:
@@ -83,7 +77,7 @@ class TestInvalidationReports:
         outcome = engine.run_cycle(1)
         program = builder.build(2, outcome)
         expected = frozenset(
-            bucket_of_item(item, params.items_per_bucket)
+            (item - 1) // params.items_per_bucket
             for item in outcome.updated_items
         )
         assert program.control.invalidation.updated_buckets == expected

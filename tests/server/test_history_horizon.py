@@ -28,12 +28,12 @@ from repro.cohort.oracle import oracle_params, registry_delta, scheme_factory
 from repro.cohort.trace import KernellessServer
 from repro.config import ModelParameters
 from repro.core.control import BroadcastRequirements, ReportSchedule
-from repro.live.codec import programs_equal
 from repro.runtime import Simulation
 from repro.server.broadcast import ProgramBuilder
 from repro.server.columnar import ColumnarVersionStore
 from repro.shard.runtime import ShardedSimulation
 from repro.stats.metrics import MetricsRegistry
+from tests.live.program_equality import programs_equal
 
 
 class _WriteTally:

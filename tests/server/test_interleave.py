@@ -164,7 +164,7 @@ class TestEngineIntegration:
     def test_end_to_end_simulation_with_interleaved_server(self, small_params):
         from repro.core import SerializationGraphTesting
         from repro.runtime import Simulation
-        from helpers import committed_transactions, is_serializable_with_server
+        from tests.helpers import committed_transactions, is_serializable_with_server
 
         sim = Simulation(
             small_params.with_sim(num_clients=2),

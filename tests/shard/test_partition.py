@@ -50,20 +50,6 @@ class TestCoverProperties:
             for item in part.items_of(shard):
                 assert part.shard_of(item) == shard
 
-    @given(
-        num_shards=shard_counts,
-        universe=universes,
-        items=st.lists(
-            st.integers(min_value=1, max_value=400), max_size=20
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_shards_of_sorted_unique(self, num_shards, universe, items):
-        part = HashPartitioner(num_shards, universe)
-        shards = part.shards_of(items)
-        assert list(shards) == sorted(set(shards))
-        assert all(0 <= s < num_shards for s in shards)
-
 
 class TestHashStability:
     @given(

@@ -88,7 +88,7 @@ class TestShardTraceConsistency:
         """The ``repro trace airtime`` per-shard view derives from the
         same events; its totals must equal the registry's samplers."""
         sim, result, sink = _traced_run(num_shards=3)
-        per_shard = TraceAnalyzer.from_ring(sink).shard_airtime()
+        per_shard = TraceAnalyzer(sink.events).shard_airtime()
         assert sorted(per_shard) == [0, 1, 2]
         for shard, row in per_shard.items():
             sampler = result.metrics.get_sampler(
@@ -106,4 +106,4 @@ class TestShardTraceConsistency:
         assert not any(
             e.get("kind") == EV_SHARD_CYCLE_START for e in sink.events
         )
-        assert TraceAnalyzer.from_ring(sink).shard_airtime() == {}
+        assert TraceAnalyzer(sink.events).shard_airtime() == {}

@@ -14,12 +14,21 @@ the rest of the registered line-up, bucket-granularity invalidation,
 and three reports per cycle, which drive ``on_interim_report`` and mark
 queries while they wait on the channel.  A scheme-layer change that
 moves one decision moves a digest there.
+
+Every one-report cell of either table is replayed once more without a
+kernel, through :class:`~repro.cohort.engine.CohortSimulation` in one
+chunk and in four fanned-out chunks, and must reproduce the recorded
+registry digest: the net under the kernel holds for the kernel-less
+path too.  Event counts stay a kernel-only check, and the cells with
+three reports per cycle stay kernel-only, because a cohort refuses
+sub-cycle reports.
 """
 
 import hashlib
 
 import pytest
 
+from repro.cohort.engine import CohortSimulation
 from repro.cohort.oracle import oracle_params
 from repro.core.control import ReportSchedule
 from repro.core.invalidation import Granularity, InvalidationOnly
@@ -129,3 +138,24 @@ def test_kernel_golden(scheme, faults, seed):
 def test_scheme_golden(scheme, faults, seed, reports):
     cell = (scheme, faults, seed, reports)
     assert run_cell(*cell) == SCHEME_GOLDEN[cell]
+
+
+#: ``(scheme, faults, seed) -> registry SHA-1`` of every cell with one
+#: report per cycle, from both tables.
+ONE_REPORT = {
+    **{cell: digest for cell, (_, digest) in GOLDEN.items()},
+    **{
+        (scheme, faults, seed): digest
+        for (scheme, faults, seed, reports), (_, digest) in SCHEME_GOLDEN.items()
+        if reports == 1
+    },
+}
+
+
+@pytest.mark.parametrize("cohort_size", [10, 3])
+@pytest.mark.parametrize("scheme, faults, seed", sorted(ONE_REPORT))
+def test_cohort_replays_golden_registry(scheme, faults, seed, cohort_size):
+    params = oracle_params(10, seed, faults, num_cycles=60)
+    factory = UNREGISTERED.get(scheme) or scheme_factory(scheme)
+    result = CohortSimulation(params, factory, cohort_size=cohort_size).run()
+    assert registry_digest(result.metrics) == ONE_REPORT[scheme, faults, seed]

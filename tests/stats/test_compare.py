@@ -1,20 +1,11 @@
-"""Tests for the statistical comparison helpers, cross-checked against
-scipy where a reference implementation exists."""
-
-import math
+"""Tests for the two-proportion z-test the scheme-comparison tests use
+(``tests/helpers.py``)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats as scipy_stats
 
-from repro.stats.compare import (
-    ComparisonResult,
-    rates_differ,
-    two_proportion_z,
-    welch_t,
-    wilson_interval,
-)
+from tests.helpers import ComparisonResult, two_proportion_z
 
 
 class TestTwoProportionZ:
@@ -60,71 +51,6 @@ class TestTwoProportionZ:
         ba = two_proportion_z(60, 100, 30, 100)
         assert ab.p_value == pytest.approx(ba.p_value)
         assert ab.statistic == pytest.approx(-ba.statistic)
-
-
-class TestWelchT:
-    def test_against_scipy(self):
-        a = [2.0, 4.0, 4.0, 5.0, 6.0, 7.0, 3.5, 4.2]
-        b = [8.0, 9.0, 7.5, 8.5, 10.0, 9.5, 8.2, 9.8]
-        import statistics
-
-        ours = welch_t(
-            statistics.fmean(a), statistics.variance(a), len(a),
-            statistics.fmean(b), statistics.variance(b), len(b),
-        )
-        reference = scipy_stats.ttest_ind(a, b, equal_var=False)
-        assert ours.statistic == pytest.approx(reference.statistic, rel=1e-9)
-        # Our p-value uses the normal approximation; at n=8 it is close
-        # but not identical to the t distribution's.
-        assert ours.p_value == pytest.approx(reference.pvalue, abs=0.02)
-        assert ours.significant()
-
-    def test_identical_constant_samples(self):
-        assert welch_t(3.0, 0.0, 5, 3.0, 0.0, 5).p_value == 1.0
-        assert welch_t(3.0, 0.0, 5, 4.0, 0.0, 5).p_value == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            welch_t(1.0, 1.0, 1, 2.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            welch_t(1.0, -1.0, 5, 2.0, 1.0, 5)
-
-
-class TestWilson:
-    def test_contains_point_estimate(self):
-        low, high = wilson_interval(30, 100)
-        assert low < 0.30 < high
-
-    def test_behaves_at_extremes(self):
-        low, high = wilson_interval(0, 50)
-        assert low == 0.0 and 0.0 < high < 0.2
-        low, high = wilson_interval(50, 50)
-        assert 0.8 < low < 1.0 and high == 1.0
-
-    def test_narrows_with_samples(self):
-        w_small = wilson_interval(5, 10)
-        w_large = wilson_interval(500, 1000)
-        assert (w_large[1] - w_large[0]) < (w_small[1] - w_small[0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            wilson_interval(1, 0)
-        with pytest.raises(ValueError):
-            wilson_interval(5, 3)
-
-    @given(hits=st.integers(0, 100), extra=st.integers(0, 100))
-    @settings(max_examples=50)
-    def test_property_valid_interval(self, hits, extra):
-        total = hits + extra
-        if total == 0:
-            return
-        low, high = wilson_interval(hits, total)
-        assert 0.0 <= low <= hits / total <= high <= 1.0
-
-
-def test_rates_differ_wrapper():
-    assert rates_differ(90, 100, 50, 100)
-    assert not rates_differ(51, 100, 50, 100)
 
 
 def test_comparison_result_alpha():

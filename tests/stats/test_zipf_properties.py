@@ -1,9 +1,7 @@
-"""Property tests for the batch-sampling path the cohort engine uses.
+"""Property tests for the Zipf tables every generator draws from.
 
-The cohort engine's exact-equality argument needs ``sample_batch`` to be
-*bit-identical* to sequential draws under a shared RNG state, and the
-shared CDF cache to hand every generator the same table the sequential
-path used.
+Rank probabilities never increase with rank, and ``zipf_cdf`` hands every
+generator of the same shape one shared, immutable table.
 """
 
 import random
@@ -12,52 +10,9 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.zipf import (
-    OffsetZipfGenerator,
-    ZipfGenerator,
-    zipf_cdf,
-    zipf_pmf,
-)
+from repro.stats.zipf import ZipfGenerator, zipf_cdf, zipf_pmf
 
 thetas = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
-
-
-class TestBatchEqualsSequential:
-    @given(
-        n=st.integers(min_value=1, max_value=300),
-        theta=thetas,
-        count=st.integers(min_value=0, max_value=200),
-        seed=st.integers(min_value=0, max_value=2**32),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_zipf_batch_identical_to_sequential(self, n, theta, count, seed):
-        sequential = ZipfGenerator(n, theta, rng=random.Random(seed))
-        batched = ZipfGenerator(n, theta, rng=random.Random(seed))
-        assert [sequential.sample() for _ in range(count)] == (
-            batched.sample_batch(count)
-        )
-
-    @given(
-        n=st.integers(min_value=1, max_value=300),
-        theta=thetas,
-        offset=st.integers(min_value=0, max_value=500),
-        universe=st.integers(min_value=300, max_value=1000),
-        count=st.integers(min_value=0, max_value=200),
-        seed=st.integers(min_value=0, max_value=2**32),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_offset_batch_identical_to_sequential(
-        self, n, theta, offset, universe, count, seed
-    ):
-        sequential = OffsetZipfGenerator(
-            n, theta, offset=offset, universe=universe, rng=random.Random(seed)
-        )
-        batched = OffsetZipfGenerator(
-            n, theta, offset=offset, universe=universe, rng=random.Random(seed)
-        )
-        assert [sequential.sample() for _ in range(count)] == (
-            batched.sample_batch(count)
-        )
 
 
 class TestRankMonotonicity:
@@ -82,7 +37,7 @@ class TestRankMonotonicity:
         """With real skew and plenty of draws, hot ranks are observed at
         least as often as cold ones (coarse-grained to dodge noise)."""
         gen = ZipfGenerator(50, 0.95, rng=random.Random(1234))
-        counts = Counter(gen.sample_batch(40_000))
+        counts = Counter(gen.sample() for _ in range(40_000))
         buckets = [
             sum(counts.get(item, 0) for item in range(lo + 1, lo + 11))
             for lo in range(0, 50, 10)
